@@ -1,0 +1,244 @@
+"""Adaptive worst-case instance construction against online policies.
+
+The harness alternates two arrival groups: it releases the first group,
+waits for the policy to flush everything pending, releases the second
+group an epsilon after that flush, and repeats.  The policy therefore
+never gets to amortize a flush over a future arrival.  Two fixed benchmark
+schedules on the realized instance, one processing at the odd-numbered
+release instants and one at the even-numbered ones, cost little because
+each merges every adjacent release pair into one batch; their average
+upper-bounds the offline optimum, which pins the policy's competitive
+ratio from below.
+
+Only deterministic policies are meaningful here: the construction observes
+the policy's flush times and must be able to replay them.  Since every
+policy in this package is a pure function of the arrivals seen so far, the
+interaction is realized by re-running the policy on each growing prefix;
+decisions strictly before a release are unaffected by it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .cost import CostFunction, FeatureMultiset
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
+from .offline import optimal_schedule
+from .online import PolicyConfig, run_policy
+
+__all__ = [
+    "AdversaryConfig",
+    "AdversaryReport",
+    "run_adversary",
+    "worst_pair_search",
+    "finite_rounds_bound",
+]
+
+
+@dataclass(frozen=True)
+class AdversaryConfig:
+    """Alternating arrival groups, round count, and release gap.
+
+    With ``epsilon`` unset, the gap defaults to 1e-6 times the policy's
+    first flush delay, probed with a dry run of the first group; the gap
+    then stays small relative to the gaps the construction realizes.
+    """
+
+    x1: FeatureMultiset
+    x2: FeatureMultiset
+    rounds: int
+    epsilon: float | None = None
+    #: Abort if the policy takes longer than this (simulated seconds) to
+    #: flush a release.
+    timeout: float = 1e12
+
+    def __post_init__(self) -> None:
+        if len(self.x1) == 0 or len(self.x2) == 0:
+            raise ValueError("arrival groups must be non-empty")
+        if self.rounds < 1:
+            raise ValueError("rounds must be at least 1")
+        if self.epsilon is not None and not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite")
+
+
+@dataclass(frozen=True)
+class AdversaryReport:
+    instance: ProblemInstance
+    schedule: Schedule
+    alg_cost: ScheduleCost
+    #: The release gap actually used (resolved when the config left it auto).
+    epsilon: float
+    #: Unnormalized costs of the two benchmark schedules.
+    odd_cost: float
+    even_cost: float
+    #: Their average per sample: an upper bound on the offline optimum.
+    opt_upper: float
+    #: Exact offline optimum on the realized instance, per sample.
+    opt_exact: float
+    ratio_vs_avg: float
+    ratio_vs_exact: float
+    #: (f(x1) + f(x2)) / f(x1 u x2): the ratio approached as rounds grow.
+    limit_bound: float
+    #: Number of releases the policy split across several batches (the
+    #: benchmark accounting assumes whole-release flushes).
+    split_waves: int
+
+
+def finite_rounds_bound(f1: float, f2: float, f12: float, rounds: int) -> float:
+    """Ratio guaranteed after finitely many rounds, before the release gap
+    correction: 2 (f1 + f2) / (2 f12 + (f1 + f2 - f12) / rounds)."""
+    return 2.0 * (f1 + f2) / (2.0 * f12 + (f1 + f2 - f12) / rounds)
+
+
+def run_adversary(
+    policy: PolicyConfig, f: CostFunction, cfg: AdversaryConfig
+) -> AdversaryReport:
+    """Drive ``policy`` through the alternating construction and report the
+    realized instance with its cost ratios.
+
+    Release j happens epsilon after the policy finished flushing release
+    j-1 (the first at epsilon); flush times are read off the policy's own
+    emitted schedules, which is all an adversary may observe.
+    """
+    epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(policy, f, cfg.x1)
+    times: list[float] = []
+    feats: list[int] = []
+    wave_last_index: list[int] = []  # 1-based index of each release's last sample
+    flush_times: list[float] = []
+    t_prev = 0.0
+    for wave in range(2 * cfg.rounds):
+        group = cfg.x1 if wave % 2 == 0 else cfg.x2
+        release = t_prev + epsilon
+        for fid, mult in group.counts:
+            times.extend([release] * mult)
+            feats.extend([fid] * mult)
+        wave_last_index.append(len(times))
+        inst = ProblemInstance(tuple(times), tuple(feats))
+        sched, _ = run_policy(inst, f, policy)
+        t_j = _processing_time_of(sched, wave_last_index[-1])
+        if t_j - release > cfg.timeout:
+            raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
+        flush_times.append(t_j)
+        t_prev = t_j
+
+    inst = ProblemInstance(tuple(times), tuple(feats))
+    sched, alg_cost = run_policy(inst, f, policy)
+    split_waves = _count_split_waves(sched, wave_last_index)
+
+    f1 = f.value(cfg.x1)
+    f2 = f.value(cfg.x2)
+    f12 = f.value(cfg.x1.union(cfg.x2))
+    if f12 == 0.0:
+        raise ValueError("adversary needs f(x1 u x2) > 0")
+    s = cfg.rounds
+    n1, n2 = len(cfg.x1), len(cfg.x2)
+    t = [0.0] + flush_times  # t[0] = 0, t[j] = flush of release j
+
+    # Benchmark processing at the odd release instants (each also absorbs
+    # the preceding even release), with the trailing group cleared at
+    # t[2s] + epsilon.
+    odd_cost = f1 + f2 + (s - 1) * f12 + math.fsum(
+        n2 * (t[2 * k] - t[2 * k - 1]) for k in range(1, s + 1))
+    # Benchmark processing at the even release instants: s merged batches.
+    even_cost = s * f12 + math.fsum(
+        n1 * (t[2 * k - 1] - t[2 * k - 2]) for k in range(1, s + 1))
+
+    n = inst.n
+    opt_upper = (odd_cost + even_cost) / (2 * n)
+    _, opt = optimal_schedule(inst, f)
+    return AdversaryReport(
+        instance=inst,
+        schedule=sched,
+        alg_cost=alg_cost,
+        epsilon=epsilon,
+        odd_cost=odd_cost,
+        even_cost=even_cost,
+        opt_upper=opt_upper,
+        opt_exact=opt.total,
+        ratio_vs_avg=alg_cost.total / opt_upper,
+        ratio_vs_exact=alg_cost.total / opt.total,
+        limit_bound=(f1 + f2) / f12,
+        split_waves=split_waves,
+    )
+
+
+def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) -> float:
+    """1e-6 times the policy's flush delay on a lone first group."""
+    times = []
+    feats = []
+    for fid, mult in x1.counts:
+        times.extend([0.0] * mult)
+        feats.extend([fid] * mult)
+    inst = ProblemInstance(tuple(times), tuple(feats))
+    sched, _ = run_policy(inst, f, policy)
+    gap = sched.batches[-1].time
+    return 1e-6 * gap if gap > 0 else 1e-6
+
+
+def _processing_time_of(sched: Schedule, index: int) -> float:
+    for b in sched.batches:
+        if b.lo <= index <= b.hi:
+            return b.time
+    raise RuntimeError(f"sample {index} missing from the policy's schedule")
+
+
+def _count_split_waves(sched: Schedule, wave_last_index: list[int]) -> int:
+    splits = 0
+    wave_lo = 1
+    for last in wave_last_index:
+        first_batch = next(b for b in sched.batches if b.lo <= wave_lo <= b.hi)
+        if first_batch.hi < last:
+            splits += 1
+        wave_lo = last + 1
+    return splits
+
+
+def worst_pair_search(
+    f: CostFunction, max_size: int, samples: int = 2000, seed: int = 0
+) -> tuple[FeatureMultiset, FeatureMultiset, float]:
+    """Group pair maximizing (f(x1) + f(x2)) / f(x1 u x2) within a size cap.
+
+    For count-based costs the scan over size pairs is exhaustive; for set
+    functions random pairs are sampled from the function's feature
+    universe.  The returned value is the limiting ratio the adversary
+    approaches with this pair.
+    """
+    if max_size < 2:
+        raise ValueError("max_size must be at least 2")
+    if f.count_based:
+        best = None
+        for a in range(1, max_size):
+            for b in range(a, max_size - a + 1):
+                denom = f.count_value(a + b)
+                if denom == 0.0:
+                    continue
+                ratio = (f.count_value(a) + f.count_value(b)) / denom
+                if best is None or ratio > best[2]:
+                    best = (FeatureMultiset.of_size(a), FeatureMultiset.of_size(b), ratio)
+        if best is None:
+            raise ValueError("no admissible pair: cost is zero on every size in range")
+        return best
+
+    import numpy as np
+
+    from .cost import CustomSetFunction, _random_multiset
+
+    if not isinstance(f, CustomSetFunction):
+        raise TypeError("worst_pair_search needs a count-based cost or a CustomSetFunction")
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(samples):
+        x = _random_multiset(rng, f.universe_size, max_size)
+        y = _random_multiset(rng, f.universe_size, max_size)
+        if len(x) == 0 or len(y) == 0:
+            continue
+        denom = f.value(x.union(y))
+        if denom == 0.0:
+            continue
+        ratio = (f.value(x) + f.value(y)) / denom
+        if best is None or ratio > best[2]:
+            best = (x, y, ratio)
+    if best is None:
+        raise ValueError("no admissible pair found by sampling")
+    return best

@@ -1,0 +1,506 @@
+"""Processing-cost functions over multisets of sample features.
+
+A batch of samples is priced by a function f of the multiset of feature ids
+it contains.  Admissible cost functions are normalized (empty multiset costs
+0), monotone under multiset inclusion, and subadditive under multiset union.
+The curvature
+
+    inf over pairs (X, Y), not both empty, of  f(X u Y) / (f(X) + f(Y))
+
+lies in [1/2, 1] for admissible f; it controls how much is saved by merging
+two batches into one and parameterizes both the online guarantee and the
+adversarial lower bound implemented elsewhere in this package.
+
+Cost functions are immutable and safe to share across worker processes;
+``value`` is pure.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from pathlib import Path
+from typing import Callable, ClassVar, Iterable
+
+import numpy as np
+
+__all__ = [
+    "FeatureMultiset",
+    "CostFunction",
+    "SqrtCount",
+    "Log1pCount",
+    "CappedLinear",
+    "ConstantCost",
+    "CountTable",
+    "CustomSetFunction",
+    "Violation",
+    "ValidationReport",
+    "CurvatureResult",
+    "evaluate",
+    "validate_assumption1",
+    "curvature",
+    "curvature_info",
+    "parse_cost_spec",
+    "BUILTIN_COSTS",
+]
+
+
+@dataclass(frozen=True)
+class FeatureMultiset:
+    """Multiset of feature ids, stored as a sorted (id, multiplicity) tuple.
+
+    The representation is canonical: equal multisets compare and hash equal.
+    Union adds multiplicities (it never deduplicates), so X u X != X.
+    """
+
+    counts: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        prev = -1
+        for fid, mult in self.counts:
+            if fid < 0 or fid <= prev:
+                raise ValueError("feature ids must be non-negative, strictly sorted")
+            if mult <= 0:
+                raise ValueError("multiplicities must be positive")
+            prev = fid
+
+    @staticmethod
+    def empty() -> "FeatureMultiset":
+        return FeatureMultiset(())
+
+    @staticmethod
+    def from_features(features: Iterable[int]) -> "FeatureMultiset":
+        c = Counter(features)
+        return FeatureMultiset(tuple(sorted(c.items())))
+
+    @staticmethod
+    def of_size(size: int, feature: int = 0) -> "FeatureMultiset":
+        """``size`` copies of a single feature id (empty if size is 0)."""
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        return FeatureMultiset(((feature, size),) if size else ())
+
+    @cached_property
+    def size(self) -> int:
+        return sum(m for _, m in self.counts)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def union(self, other: "FeatureMultiset") -> "FeatureMultiset":
+        c = Counter(dict(self.counts))
+        for fid, mult in other.counts:
+            c[fid] += mult
+        return FeatureMultiset(tuple(sorted(c.items())))
+
+    def contains(self, other: "FeatureMultiset") -> bool:
+        """True if ``other`` is a sub-multiset of self."""
+        mine = dict(self.counts)
+        return all(mine.get(fid, 0) >= mult for fid, mult in other.counts)
+
+
+class CostFunction:
+    """Base class for batch processing-cost functions.
+
+    Count-based kinds depend only on the batch size; they additionally
+    implement ``count_value``/``count_values`` so solvers can evaluate whole
+    ranges of batch sizes in one vectorized call.
+    """
+
+    count_based: ClassVar[bool] = False
+    gamma_hint: float | None = None
+
+    def value(self, x: FeatureMultiset) -> float:
+        raise NotImplementedError
+
+    def count_value(self, size: int) -> float:
+        raise TypeError(f"{type(self).__name__} is not count-based")
+
+    def count_values(self, sizes: np.ndarray) -> np.ndarray:
+        raise TypeError(f"{type(self).__name__} is not count-based")
+
+    def curvature_exact(self) -> float | None:
+        """Analytic curvature when a closed form is known, else None."""
+        return None
+
+    def spec_string(self) -> str:
+        raise NotImplementedError
+
+
+class _CountCost(CostFunction):
+    count_based: ClassVar[bool] = True
+
+    def value(self, x: FeatureMultiset) -> float:
+        return self.count_value(len(x))
+
+
+@dataclass(frozen=True)
+class SqrtCount(_CountCost):
+    """f(X) = sqrt(|X|)."""
+
+    gamma_hint: float | None = None
+
+    def count_value(self, size: int) -> float:
+        return math.sqrt(size)
+
+    def count_values(self, sizes: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.asarray(sizes, dtype=float))
+
+    def curvature_exact(self) -> float:
+        # inf sqrt(a+b)/(sqrt(a)+sqrt(b)) is attained at a == b.
+        return math.sqrt(0.5)
+
+    def spec_string(self) -> str:
+        return "sqrt"
+
+
+@dataclass(frozen=True)
+class Log1pCount(_CountCost):
+    """f(X) = log(1 + |X|)."""
+
+    gamma_hint: float | None = None
+
+    def count_value(self, size: int) -> float:
+        return math.log1p(size)
+
+    def count_values(self, sizes: np.ndarray) -> np.ndarray:
+        return np.log1p(np.asarray(sizes, dtype=float))
+
+    def curvature_exact(self) -> float:
+        # log(1+2a)/(2 log(1+a)) decreases to 1/2 as a grows; the infimum
+        # is not attained at any finite size, so a numeric scan would
+        # overestimate it.  Store the limit.
+        return 0.5
+
+    def spec_string(self) -> str:
+        return "log1p"
+
+
+@dataclass(frozen=True)
+class CappedLinear(_CountCost):
+    """f(X) = min(slope * |X|, cap)."""
+
+    slope: float
+    cap: float
+    gamma_hint: float | None = None
+
+    def __post_init__(self) -> None:
+        if not (self.slope > 0 and math.isfinite(self.slope)):
+            raise ValueError("slope must be positive and finite")
+        if not (self.cap > 0 and math.isfinite(self.cap)):
+            raise ValueError("cap must be positive and finite")
+
+    def count_value(self, size: int) -> float:
+        return float(min(self.slope * size, self.cap))
+
+    def count_values(self, sizes: np.ndarray) -> np.ndarray:
+        return np.minimum(self.slope * np.asarray(sizes, dtype=float), self.cap)
+
+    def curvature_exact(self) -> float:
+        # The cap saturates at every size >= cap/slope, so two saturated
+        # halves merge at exactly half their separate cost.
+        return 0.5
+
+    def spec_string(self) -> str:
+        return f"cap:{self.slope:g},{self.cap:g}"
+
+
+@dataclass(frozen=True)
+class ConstantCost(_CountCost):
+    """f(X) = c for every non-empty X, and 0 for the empty multiset."""
+
+    c: float
+
+    def __post_init__(self) -> None:
+        if self.c < 0 or not math.isfinite(self.c):
+            raise ValueError("constant cost must be non-negative and finite")
+
+    def count_value(self, size: int) -> float:
+        return float(self.c) if size > 0 else 0.0
+
+    def count_values(self, sizes: np.ndarray) -> np.ndarray:
+        sizes = np.asarray(sizes)
+        return np.where(sizes > 0, self.c, 0.0)
+
+    def curvature_exact(self) -> float | None:
+        return 0.5 if self.c > 0 else None
+
+    def spec_string(self) -> str:
+        return f"const:{self.c:g}"
+
+
+@dataclass(frozen=True)
+class CountTable(_CountCost):
+    """f(X) = g(|X|) for a user-supplied table g(0), g(1), ...
+
+    Evaluating a batch larger than the table covers is an error; solvers
+    must be configured with a table at least as long as the largest batch
+    they may form.
+    """
+
+    values: tuple[float, ...]
+    gamma_hint: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("cost table must not be empty")
+        if any(v < 0 or not math.isfinite(v) for v in self.values):
+            raise ValueError("cost table entries must be non-negative and finite")
+
+    def count_value(self, size: int) -> float:
+        if size >= len(self.values):
+            raise ValueError("cost table too short")
+        return float(self.values[size])
+
+    def count_values(self, sizes: np.ndarray) -> np.ndarray:
+        sizes = np.asarray(sizes)
+        if sizes.size and int(sizes.max()) >= len(self.values):
+            raise ValueError("cost table too short")
+        return np.asarray(self.values, dtype=float)[sizes]
+
+    def spec_string(self) -> str:
+        return "table:" + ",".join(f"{v:g}" for v in self.values)
+
+
+@dataclass(frozen=True)
+class CustomSetFunction(CostFunction):
+    """Arbitrary feature-dependent cost given by a user callable.
+
+    ``universe_size`` bounds the feature ids the evaluator understands; it
+    is used to sample random multisets when validating the admissibility
+    conditions or estimating the curvature.
+    """
+
+    fn: Callable[[FeatureMultiset], float]
+    universe_size: int
+    name: str = "custom"
+    gamma_hint: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.universe_size < 1:
+            raise ValueError("universe_size must be at least 1")
+
+    def value(self, x: FeatureMultiset) -> float:
+        return float(self.fn(x))
+
+    def spec_string(self) -> str:
+        return self.name
+
+
+#: The cost functions used throughout the built-in experiment designs.
+BUILTIN_COSTS: tuple[CostFunction, ...] = (
+    SqrtCount(),
+    Log1pCount(),
+    CappedLinear(3, 10),
+    ConstantCost(1),
+)
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed admissibility check.
+
+    ``condition`` is one of ``"empty-zero"``, ``"monotone"``,
+    ``"subadditive"``.  For count-based functions ``sizes`` holds the
+    witnessing batch sizes ((a, b) with g(a+b) > g(a)+g(b) for
+    subadditivity, (smaller, larger) for monotonicity); for set functions
+    the witnessing multisets are described in ``detail``.
+    """
+
+    condition: str
+    sizes: tuple[int, int] | None = None
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    violations: tuple[Violation, ...]
+    checked_pairs: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+_SUBADD_TOL = 1e-12
+
+
+def evaluate(f: CostFunction, x: FeatureMultiset) -> float:
+    """Cost of processing the samples with feature multiset ``x`` as one batch."""
+    return f.value(x)
+
+
+def _random_multiset(rng: np.random.Generator, universe_size: int, max_size: int) -> FeatureMultiset:
+    size = int(rng.integers(0, max_size + 1))
+    feats = rng.integers(0, universe_size, size=size)
+    return FeatureMultiset.from_features(int(v) for v in feats)
+
+
+def validate_assumption1(
+    f: CostFunction,
+    universe_size: int = 1,
+    max_batch: int = 64,
+    samples: int = 200,
+    seed: int = 0,
+) -> ValidationReport:
+    """Check normalization, monotonicity, and subadditivity of ``f``.
+
+    Count-based kinds are checked exhaustively for batch sizes up to
+    ``max_batch``; set functions are checked on ``samples`` random multiset
+    pairs drawn from ``universe_size`` features.  Violations are report
+    contents, never exceptions.
+    """
+    if max_batch < 1:
+        raise ValueError("max_batch must be at least 1")
+    violations: list[Violation] = []
+    checked = 0
+
+    empty_val = f.value(FeatureMultiset.empty())
+    checked += 1
+    if empty_val != 0.0:
+        violations.append(Violation("empty-zero", detail=f"f(empty) = {empty_val!r}"))
+
+    if f.count_based:
+        if isinstance(f, CountTable):
+            max_batch = min(max_batch, len(f.values) - 1)
+        g = [f.count_value(k) for k in range(max_batch + 1)]
+        for k in range(max_batch):
+            checked += 1
+            if g[k] > g[k + 1] + _SUBADD_TOL:
+                violations.append(Violation("monotone", sizes=(k, k + 1),
+                                            detail=f"g({k})={g[k]!r} > g({k + 1})={g[k + 1]!r}"))
+        for a in range(1, max_batch):
+            for b in range(a, max_batch - a + 1):
+                checked += 1
+                if g[a + b] > g[a] + g[b] + _SUBADD_TOL:
+                    violations.append(Violation("subadditive", sizes=(a, b),
+                                                detail=f"g({a + b})={g[a + b]!r} > g({a})+g({b})"))
+    else:
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = _random_multiset(rng, universe_size, max_batch)
+            y = _random_multiset(rng, universe_size, max_batch)
+            u = x.union(y)
+            fx, fy, fu = f.value(x), f.value(y), f.value(u)
+            checked += 2
+            if fu > fx + fy + _SUBADD_TOL * max(1.0, fx + fy):
+                violations.append(Violation("subadditive", sizes=(len(x), len(y)),
+                                            detail=f"f({x.counts} u {y.counts}) = {fu!r} > {fx!r} + {fy!r}"))
+            if fx > fu + _SUBADD_TOL * max(1.0, fu):
+                violations.append(Violation("monotone", sizes=(len(x), len(u)),
+                                            detail=f"f({x.counts}) = {fx!r} > f(union) = {fu!r}"))
+    return ValidationReport(tuple(violations), checked)
+
+
+@dataclass(frozen=True)
+class CurvatureResult:
+    value: float
+    exact: bool
+    #: True when the value came from a finite search or sampling and is
+    #: therefore only an upper bound on the true infimum.
+    upper_bound_only: bool
+
+
+def curvature_info(
+    f: CostFunction,
+    max_batch: int = 64,
+    samples: int = 2000,
+    seed: int = 0,
+) -> CurvatureResult:
+    """Curvature of ``f``: inf f(X u Y) / (f(X) + f(Y)) over pairs.
+
+    Closed forms are returned exactly where known.  For count tables the
+    infimum is searched over all size pairs within ``max_batch``; for set
+    functions it is estimated from random pairs.  Finite searches can only
+    overestimate the infimum, so such results are flagged.
+    """
+    if max_batch < 2:
+        raise ValueError("max_batch must be at least 2")
+
+    exact = f.curvature_exact()
+    if exact is not None:
+        return CurvatureResult(exact, exact=True, upper_bound_only=False)
+    if f.gamma_hint is not None:
+        return CurvatureResult(f.gamma_hint, exact=True, upper_bound_only=False)
+
+    if f.count_based:
+        limit = max_batch
+        if isinstance(f, CountTable):
+            limit = min(limit, len(f.values) - 1)
+        g = [f.count_value(k) for k in range(limit + 1)]
+        if all(v == 0.0 for v in g):
+            raise ValueError("curvature undefined: cost is identically zero on the search range")
+        best = math.inf
+        for a in range(1, limit):
+            for b in range(a, limit - a + 1):
+                denom = g[a] + g[b]
+                num = g[a + b]
+                if denom == 0.0 and num == 0.0:
+                    continue  # 0/0 pairs carry no information
+                if denom == 0.0:
+                    continue  # implies a monotonicity violation; reported by the validator
+                best = min(best, num / denom)
+        if not math.isfinite(best):
+            raise ValueError("curvature undefined: no informative size pair in range")
+        return CurvatureResult(_clamp_curvature(best), exact=False, upper_bound_only=True)
+
+    assert isinstance(f, CustomSetFunction)
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(samples):
+        x = _random_multiset(rng, f.universe_size, max_batch)
+        y = _random_multiset(rng, f.universe_size, max_batch)
+        if len(x) == 0 and len(y) == 0:
+            continue
+        denom = f.value(x) + f.value(y)
+        num = f.value(x.union(y))
+        if denom == 0.0:
+            continue
+        best = min(best, num / denom)
+    if not math.isfinite(best):
+        raise ValueError("curvature undefined: all sampled pairs were degenerate")
+    return CurvatureResult(_clamp_curvature(best), exact=False, upper_bound_only=True)
+
+
+def _clamp_curvature(value: float) -> float:
+    if value < 0.5 - 1e-12 or value > 1.0 + 1e-12:
+        warnings.warn(
+            f"curvature search returned {value!r} outside [1/2, 1]; "
+            "the cost function violates the admissibility conditions",
+            stacklevel=3,
+        )
+    return min(max(value, 0.5), 1.0)
+
+
+def curvature(f: CostFunction, max_batch: int = 64, samples: int = 2000, seed: int = 0) -> float:
+    return curvature_info(f, max_batch=max_batch, samples=samples, seed=seed).value
+
+
+def parse_cost_spec(spec: str) -> CostFunction:
+    """Parse a cost spec string.
+
+    Accepted forms: ``sqrt``, ``log1p``, ``cap:<slope>,<cap>``,
+    ``const:<c>``, ``table:<path>`` where the file holds newline-separated
+    values g(0), g(1), ...
+    """
+    spec = spec.strip()
+    if spec == "sqrt":
+        return SqrtCount()
+    if spec == "log1p":
+        return Log1pCount()
+    if spec.startswith("cap:"):
+        parts = spec[len("cap:"):].split(",")
+        if len(parts) != 2:
+            raise ValueError(f"bad cost spec {spec!r}: expected cap:<slope>,<cap>")
+        return CappedLinear(float(parts[0]), float(parts[1]))
+    if spec.startswith("const:"):
+        return ConstantCost(float(spec[len("const:"):]))
+    if spec.startswith("table:"):
+        path = Path(spec[len("table:"):])
+        lines = [ln.strip() for ln in path.read_text().splitlines()]
+        values = tuple(float(ln) for ln in lines if ln)
+        return CountTable(values)
+    raise ValueError(f"unknown cost spec {spec!r}")

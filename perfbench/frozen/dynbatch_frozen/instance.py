@@ -1,0 +1,261 @@
+"""Problem instances, batching schedules, and objective evaluation.
+
+An instance is a time-sorted sequence of samples, each carrying a feature
+id.  A schedule partitions the samples, in arrival order, into consecutive
+batches processed at strictly increasing times, no earlier than the last
+arrival of each batch.  The objective is the per-sample average waiting
+time plus the per-sample average batch processing cost.
+
+All types are immutable after construction; the operations are pure.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .cost import CostFunction, FeatureMultiset
+
+__all__ = [
+    "ProblemInstance",
+    "Batch",
+    "Schedule",
+    "ScheduleCost",
+    "StepCurve",
+    "InfeasibleScheduleError",
+    "cost_of",
+    "pending_count_curve",
+    "positive_excess_integral",
+]
+
+
+class InfeasibleScheduleError(ValueError):
+    """Raised when a schedule does not validly cover its instance."""
+
+
+@dataclass(frozen=True)
+class ProblemInstance:
+    """Samples (arrival time, feature id), sorted by arrival time.
+
+    Sample indices are 1-based throughout the package, matching the node
+    numbering of the offline shortest-path graph.
+    """
+
+    times: tuple[float, ...]
+    features: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.times) == 0:
+            raise ValueError("empty instance")
+        if len(self.times) != len(self.features):
+            raise ValueError("times and features must have equal length")
+        prev = 0.0
+        for t in self.times:
+            if not math.isfinite(t) or t < 0:
+                raise ValueError(f"arrival times must be finite and non-negative, got {t!r}")
+            if t < prev:
+                raise ValueError("arrival times must be non-decreasing")
+            prev = t
+        if any(v < 0 for v in self.features):
+            raise ValueError("feature ids must be non-negative")
+
+    @staticmethod
+    def from_times(times, feature: int = 0) -> "ProblemInstance":
+        times = tuple(float(t) for t in times)
+        return ProblemInstance(times, (feature,) * len(times))
+
+    @property
+    def n(self) -> int:
+        return len(self.times)
+
+    @cached_property
+    def times_array(self) -> np.ndarray:
+        return np.asarray(self.times, dtype=float)
+
+    def multiset(self, lo: int, hi: int) -> FeatureMultiset:
+        """Feature multiset of samples lo..hi (1-based, inclusive)."""
+        return FeatureMultiset.from_features(self.features[lo - 1:hi])
+
+    def shifted(self, delta: float) -> "ProblemInstance":
+        return ProblemInstance(tuple(t + delta for t in self.times), self.features)
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Samples lo..hi (1-based, inclusive) processed together at ``time``."""
+
+    lo: int
+    hi: int
+    time: float
+
+
+@dataclass(frozen=True)
+class Schedule:
+    batches: tuple[Batch, ...]
+
+    def validate_for(self, inst: ProblemInstance) -> None:
+        """Raise InfeasibleScheduleError unless this schedule covers ``inst``.
+
+        Valid schedules partition 1..n into consecutive ranges, use strictly
+        increasing processing times, and never process a sample before it
+        arrives.
+        """
+        if not self.batches:
+            raise InfeasibleScheduleError("infeasible schedule: no batches")
+        expect_lo = 1
+        prev_time = -math.inf
+        for b in self.batches:
+            if b.lo != expect_lo or b.hi < b.lo:
+                raise InfeasibleScheduleError(
+                    f"infeasible schedule: batches must partition 1..n consecutively "
+                    f"(got [{b.lo}, {b.hi}], expected lo={expect_lo})")
+            if not b.time > prev_time:
+                raise InfeasibleScheduleError(
+                    "infeasible schedule: processing times must be strictly increasing")
+            if b.time < inst.times[b.hi - 1]:
+                raise InfeasibleScheduleError(
+                    f"infeasible schedule: batch [{b.lo}, {b.hi}] processed at {b.time!r} "
+                    f"before its last arrival {inst.times[b.hi - 1]!r}")
+            expect_lo = b.hi + 1
+            prev_time = b.time
+        if expect_lo != inst.n + 1:
+            raise InfeasibleScheduleError(
+                f"infeasible schedule: covers 1..{expect_lo - 1} but instance has n={inst.n}")
+
+    @property
+    def m(self) -> int:
+        return len(self.batches)
+
+    def processing_times(self, inst: ProblemInstance) -> np.ndarray:
+        """Per-sample processing time d_i, as an array indexed 0..n-1."""
+        d = np.empty(inst.n, dtype=float)
+        for b in self.batches:
+            d[b.lo - 1:b.hi] = b.time
+        return d
+
+
+def merge_coincident(batches: list[Batch]) -> tuple[Batch, ...]:
+    """Merge consecutive batches that share a processing time.
+
+    Policies built from per-arrival rules can emit several batches at one
+    instant when arrivals coincide; the schedule model requires strictly
+    increasing times, so such batches are one batch.
+    """
+    merged: list[Batch] = []
+    for b in batches:
+        if merged and b.time == merged[-1].time:
+            last = merged[-1]
+            merged[-1] = Batch(last.lo, b.hi, b.time)
+        else:
+            merged.append(b)
+    return tuple(merged)
+
+
+@dataclass(frozen=True)
+class ScheduleCost:
+    """Decomposed objective: per-sample waiting, processing, and their sum."""
+
+    waiting: float
+    processing: float
+    total: float
+
+
+def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> ScheduleCost:
+    """Objective value of ``sched`` on ``inst`` under cost function ``f``.
+
+    Waiting sums use exact compensated summation so large instances with
+    many small increments evaluate reproducibly.
+    """
+    sched.validate_for(inst)
+    n = inst.n
+    wait_terms = []
+    proc_terms = []
+    for b in sched.batches:
+        wait_terms.extend(b.time - inst.times[i] for i in range(b.lo - 1, b.hi))
+        if f.count_based:
+            proc_terms.append(f.count_value(b.hi - b.lo + 1))
+        else:
+            proc_terms.append(f.value(inst.multiset(b.lo, b.hi)))
+    waiting = math.fsum(wait_terms) / n
+    processing = math.fsum(proc_terms) / n
+    return ScheduleCost(waiting, processing, waiting + processing)
+
+
+@dataclass(frozen=True)
+class StepCurve:
+    """Right-continuous step function: value ``counts[k]`` on
+    [``times[k]``, ``times[k+1]``), and 0 outside [times[0], times[-1]).
+
+    ``times`` is strictly increasing; ``counts`` has one fewer entry than
+    ``times`` (the function returns to 0 at the final breakpoint).
+    """
+
+    times: tuple[float, ...]
+    counts: tuple[int, ...]
+
+    def integral(self) -> float:
+        return math.fsum(
+            c * (self.times[k + 1] - self.times[k]) for k, c in enumerate(self.counts))
+
+    def integral_between(self, a: float, b: float) -> float:
+        """Exact integral over [a, b] (piecewise-constant, no quadrature)."""
+        if b <= a:
+            return 0.0
+        terms = []
+        for k, c in enumerate(self.counts):
+            lo = max(a, self.times[k])
+            hi = min(b, self.times[k + 1])
+            if hi > lo and c:
+                terms.append(c * (hi - lo))
+        return math.fsum(terms)
+
+    def value_at(self, t: float) -> int:
+        if not self.times or t < self.times[0] or t >= self.times[-1]:
+            return 0
+        k = np.searchsorted(np.asarray(self.times), t, side="right") - 1
+        return self.counts[k] if k < len(self.counts) else 0
+
+
+def pending_count_curve(inst: ProblemInstance, sched: Schedule) -> StepCurve:
+    """Number of samples arrived but not yet processed, as a step function.
+
+    The curve jumps up at each arrival and down at its batch's processing
+    time; samples processed at their arrival instant never appear.  Its
+    total integral equals n times the schedule's average waiting time.
+    """
+    sched.validate_for(inst)
+    d = sched.processing_times(inst)
+    deltas: dict[float, int] = {}
+    for i in range(inst.n):
+        a_i, d_i = inst.times[i], float(d[i])
+        if d_i > a_i:
+            deltas[a_i] = deltas.get(a_i, 0) + 1
+            deltas[d_i] = deltas.get(d_i, 0) - 1
+    if not deltas:
+        return StepCurve((), ())
+    times = sorted(deltas)
+    counts = []
+    level = 0
+    for t in times[:-1]:
+        level += deltas[t]
+        counts.append(level)
+    return StepCurve(tuple(times), tuple(counts))
+
+
+def positive_excess_integral(a: StepCurve, b: StepCurve) -> float:
+    """Integral of max(a(t) - b(t), 0) over all time, exactly.
+
+    Both curves are piecewise constant, so the integrand is piecewise
+    constant on the merged breakpoints.
+    """
+    breaks = sorted(set(a.times) | set(b.times))
+    terms = []
+    for k in range(len(breaks) - 1):
+        lo, hi = breaks[k], breaks[k + 1]
+        excess = a.value_at(lo) - b.value_at(lo)
+        if excess > 0:
+            terms.append(excess * (hi - lo))
+    return math.fsum(terms)

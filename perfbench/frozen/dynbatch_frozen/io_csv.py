@@ -1,0 +1,141 @@
+"""CSV file formats: arrival instances, study results, adversary reports.
+
+All floats are written with Python's shortest round-tripping repr, so a
+write/read cycle reproduces records exactly.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import warnings
+from pathlib import Path
+from typing import Sequence
+
+from .adversary import AdversaryConfig, AdversaryReport
+from .instance import ProblemInstance
+from .sim import TrialRecord
+
+__all__ = [
+    "load_arrivals",
+    "save_arrivals",
+    "write_results",
+    "read_results",
+    "write_adversary_report",
+    "RESULTS_HEADER",
+]
+
+RESULTS_HEADER = ["trial", "seed", "n", "policy", "alpha", "J", "W", "F", "J_opt", "ratio"]
+
+ADVERSARY_HEADER = [
+    "policy", "cost", "rounds", "epsilon", "n", "J", "W", "F",
+    "odd_cost", "even_cost", "opt_upper", "opt_exact",
+    "ratio_vs_avg", "ratio_vs_exact", "limit_bound", "split_waves",
+]
+
+
+def load_arrivals(path: str | Path) -> ProblemInstance:
+    """Load an arrivals CSV: header ``time[,feature]``, one sample per row.
+
+    Rows are stably sorted by time if needed (with a warning), so equal
+    times keep their file order.  Times are taken as given, never rebased.
+    Malformed rows raise with their line number.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty arrivals file") from None
+        cols = [c.strip().lower() for c in header]
+        if not cols or cols[0] != "time" or (len(cols) > 1 and cols[1] != "feature"):
+            raise ValueError(f"{path}: line 1: expected header 'time[,feature]', got {header!r}")
+        rows: list[tuple[float, int]] = []
+        for ln, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            try:
+                t = float(row[0])
+            except ValueError:
+                raise ValueError(f"{path}: line {ln}: bad time {row[0]!r}") from None
+            if not math.isfinite(t) or t < 0:
+                raise ValueError(f"{path}: line {ln}: time must be finite and non-negative, got {row[0]!r}")
+            feature = 0
+            if len(row) > 1 and row[1].strip():
+                try:
+                    feature = int(row[1])
+                except ValueError:
+                    raise ValueError(f"{path}: line {ln}: bad feature {row[1]!r}") from None
+                if feature < 0:
+                    raise ValueError(f"{path}: line {ln}: feature must be non-negative")
+            rows.append((t, feature))
+    if not rows:
+        raise ValueError(f"{path}: empty arrivals file")
+    if any(a[0] > b[0] for a, b in zip(rows, rows[1:])):
+        warnings.warn(f"{path}: arrivals not sorted by time; sorting", stacklevel=2)
+        rows.sort(key=lambda r: r[0])
+    return ProblemInstance(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
+
+
+def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "feature"])
+        for t, v in zip(inst.times, inst.features):
+            w.writerow([repr(t), v])
+
+
+def _fmt(x: float | None) -> str:
+    return "" if x is None else repr(x)
+
+
+def write_results(records: Sequence[TrialRecord], path: str | Path) -> None:
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(RESULTS_HEADER)
+        for r in records:
+            w.writerow([r.trial, r.seed, r.n, r.policy, _fmt(r.alpha),
+                        repr(r.J), repr(r.W), repr(r.F), repr(r.J_opt), repr(r.ratio)])
+
+
+def read_results(path: str | Path) -> list[TrialRecord]:
+    path = Path(path)
+    records = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != RESULTS_HEADER:
+            raise ValueError(f"{path}: unexpected results header {header!r}")
+        for ln, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(RESULTS_HEADER):
+                raise ValueError(f"{path}: line {ln}: expected {len(RESULTS_HEADER)} columns")
+            records.append(TrialRecord(
+                trial=row[0], seed=int(row[1]), n=int(row[2]), policy=row[3],
+                alpha=float(row[4]) if row[4] else None,
+                J=float(row[5]), W=float(row[6]), F=float(row[7]),
+                J_opt=float(row[8]), ratio=float(row[9])))
+    return records
+
+
+def write_adversary_report(
+    report: AdversaryReport,
+    cfg: AdversaryConfig,
+    policy_spec: str,
+    cost_spec: str,
+    path: str | Path,
+) -> None:
+    """Write the report as a single CSV row (plus header)."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(ADVERSARY_HEADER)
+        w.writerow([
+            policy_spec, cost_spec, cfg.rounds, repr(report.epsilon), report.instance.n,
+            repr(report.alg_cost.total), repr(report.alg_cost.waiting), repr(report.alg_cost.processing),
+            repr(report.odd_cost), repr(report.even_cost),
+            repr(report.opt_upper), repr(report.opt_exact),
+            repr(report.ratio_vs_avg), repr(report.ratio_vs_exact),
+            repr(report.limit_bound), report.split_waves,
+        ])

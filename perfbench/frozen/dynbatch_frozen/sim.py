@@ -1,0 +1,364 @@
+"""Arrival-process generation and the Monte-Carlo study runner.
+
+Arrivals are drawn from homogeneous or inhomogeneous Poisson processes;
+inhomogeneous rates are simulated by thinning against the rate's finite
+upper bound.  Studies sweep a grid of (sample count, rate) points, run a
+set of policies on each generated instance, compare every run against the
+exact offline optimum, and emit one flat record per (trial, policy).
+
+Per-trial seeds are derived from the master seed together with the grid
+point and trial indices, so records are bit-identical for a given
+configuration at any worker count.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .cost import CostFunction
+from .instance import ProblemInstance
+from .offline import optimal_schedule
+from .online import PolicyConfig, Wta, run_policy
+
+__all__ = [
+    "RateFunction",
+    "ConstantRate",
+    "SinusoidRate",
+    "TableRate",
+    "TrialRecord",
+    "SummaryRow",
+    "gen_poisson",
+    "gen_poisson_horizon",
+    "run_study",
+    "summarize",
+    "parse_rate_spec",
+]
+
+
+class RateFunction:
+    """Base for arrival-rate functions; must expose a finite maximum."""
+
+    def value(self, t: float) -> float:
+        raise NotImplementedError
+
+    def max_rate(self) -> float:
+        raise NotImplementedError
+
+    def spec_string(self) -> str:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class ConstantRate(RateFunction):
+    rate: float
+
+    def __post_init__(self) -> None:
+        if not (self.rate > 0 and math.isfinite(self.rate)):
+            raise ValueError("rate must be positive and finite")
+
+    def value(self, t: float) -> float:
+        return self.rate
+
+    def max_rate(self) -> float:
+        return self.rate
+
+    def spec_string(self) -> str:
+        return f"{self.rate:g}"
+
+
+@dataclass(frozen=True)
+class SinusoidRate(RateFunction):
+    """rate(t) = base + amplitude * sin(2 pi t / period)."""
+
+    base: float
+    amplitude: float
+    period: float
+
+    def __post_init__(self) -> None:
+        if self.base < abs(self.amplitude):
+            raise ValueError("base must be at least |amplitude| so the rate stays non-negative")
+        if not (self.period > 0):
+            raise ValueError("period must be positive")
+
+    def value(self, t: float) -> float:
+        return self.base + self.amplitude * math.sin(2 * math.pi * t / self.period)
+
+    def max_rate(self) -> float:
+        return self.base + abs(self.amplitude)
+
+    def spec_string(self) -> str:
+        return f"sin:{self.base:g},{self.amplitude:g},{self.period:g}"
+
+
+@dataclass(frozen=True)
+class TableRate(RateFunction):
+    """Piecewise-constant rate: ``rates[k]`` on [breaks[k], breaks[k+1]),
+    with the final rate extending forever."""
+
+    breaks: tuple[float, ...]
+    rates: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.breaks) != len(self.rates) or not self.breaks:
+            raise ValueError("breaks and rates must be equal-length and non-empty")
+        if self.breaks[0] != 0.0 or any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
+            raise ValueError("breaks must start at 0 and strictly increase")
+        if any(r < 0 or not math.isfinite(r) for r in self.rates):
+            raise ValueError("rates must be non-negative and finite")
+
+    def value(self, t: float) -> float:
+        k = int(np.searchsorted(np.asarray(self.breaks), t, side="right")) - 1
+        return self.rates[max(k, 0)]
+
+    def max_rate(self) -> float:
+        return max(self.rates)
+
+    def spec_string(self) -> str:
+        return "table:" + ",".join(f"{b:g}:{r:g}" for b, r in zip(self.breaks, self.rates))
+
+
+def parse_rate_spec(spec: str) -> RateFunction:
+    """``<lambda>`` for a constant rate or ``sin:<base>,<amp>,<period>``."""
+    spec = spec.strip()
+    if spec.startswith("sin:"):
+        parts = spec[len("sin:"):].split(",")
+        if len(parts) != 3:
+            raise ValueError(f"bad rate spec {spec!r}: expected sin:<base>,<amp>,<period>")
+        return SinusoidRate(float(parts[0]), float(parts[1]), float(parts[2]))
+    try:
+        return ConstantRate(float(spec))
+    except ValueError:
+        raise ValueError(f"unknown rate spec {spec!r}") from None
+
+
+def gen_poisson(
+    rate: RateFunction,
+    n: int,
+    seed: int,
+    feature: int = 0,
+    feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
+) -> ProblemInstance:
+    """Generate exactly ``n`` Poisson arrivals under ``rate``.
+
+    Constant rates use i.i.d. exponential gaps directly; time-varying rates
+    are thinned against their maximum until ``n`` proposals are accepted.
+    Deterministic for a given seed.  All samples carry ``feature`` unless a
+    sampler is supplied.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    lam_max = rate.max_rate()
+    if lam_max <= 0:
+        raise ValueError("rate is identically zero")
+    rng = np.random.default_rng(seed)
+    if isinstance(rate, ConstantRate):
+        times = np.cumsum(rng.exponential(1.0 / rate.rate, size=n))
+    else:
+        out = []
+        t = 0.0
+        budget = 100_000 * n + 100_000
+        while len(out) < n:
+            t += rng.exponential(1.0 / lam_max)
+            if rng.random() * lam_max < rate.value(t):
+                out.append(t)
+            budget -= 1
+            if budget <= 0:
+                raise RuntimeError("thinning budget exhausted; rate is (nearly) zero almost everywhere")
+        times = np.asarray(out)
+    if feature_sampler is None:
+        feats = (feature,) * n
+    else:
+        feats = tuple(int(feature_sampler(rng, float(t))) for t in times)
+    return ProblemInstance(tuple(float(t) for t in times), feats)
+
+
+def gen_poisson_horizon(
+    rate: RateFunction,
+    horizon: float,
+    seed: int,
+    feature: int = 0,
+    feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
+) -> ProblemInstance:
+    """Generate all Poisson arrivals on [0, horizon); the count varies.
+
+    Raises if the window happens to contain no arrivals.
+    """
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    lam_max = rate.max_rate()
+    if lam_max <= 0:
+        raise ValueError("rate is identically zero")
+    rng = np.random.default_rng(seed)
+    out = []
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / lam_max)
+        if t >= horizon:
+            break
+        if rng.random() * lam_max < rate.value(t):
+            out.append(t)
+    if not out:
+        raise ValueError(f"no arrivals in horizon {horizon!r}")
+    if feature_sampler is None:
+        feats = (feature,) * len(out)
+    else:
+        feats = tuple(int(feature_sampler(rng, float(t))) for t in out)
+    return ProblemInstance(tuple(float(t) for t in out), feats)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One policy run on one generated instance.
+
+    ``trial`` is "g<grid index>.t<trial index>"; ``seed`` regenerates the
+    instance via gen_poisson.  Failed trials carry NaN metrics.
+    """
+
+    trial: str
+    seed: int
+    n: int
+    policy: str
+    alpha: float | None
+    J: float
+    W: float
+    F: float
+    J_opt: float
+    ratio: float
+
+
+def _trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
+    ss = np.random.SeedSequence((master_seed, grid_index, trial_index))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _nan_record(trial: str, seed: int, n: int, policy: PolicyConfig) -> TrialRecord:
+    nan = float("nan")
+    return TrialRecord(trial, seed, n, policy.spec_string(),
+                       policy.alpha if isinstance(policy, Wta) else None,
+                       nan, nan, nan, nan, nan)
+
+
+def _run_chunk(args) -> list[TrialRecord]:
+    (grid_index, n, rate, policies, cost_fn, trial_lo, trial_hi, master_seed, horizon) = args
+    records: list[TrialRecord] = []
+    for ti in range(trial_lo, trial_hi):
+        trial = f"g{grid_index}.t{ti}"
+        seed = _trial_seed(master_seed, grid_index, ti)
+        try:
+            if horizon is None:
+                inst = gen_poisson(rate, n, seed)
+            else:
+                inst = gen_poisson_horizon(rate, horizon, seed)
+            _, opt = optimal_schedule(inst, cost_fn)
+        except Exception as exc:
+            print(f"trial {trial}: {exc}", file=sys.stderr)
+            records.extend(_nan_record(trial, seed, n or 0, p) for p in policies)
+            continue
+        n_realized = inst.n
+        for policy in policies:
+            try:
+                _, c = run_policy(inst, cost_fn, policy)
+            except Exception as exc:
+                print(f"trial {trial} policy {policy.spec_string()}: {exc}", file=sys.stderr)
+                records.append(_nan_record(trial, seed, n_realized, policy))
+                continue
+            records.append(TrialRecord(
+                trial, seed, n_realized, policy.spec_string(),
+                policy.alpha if isinstance(policy, Wta) else None,
+                c.total, c.waiting, c.processing, opt.total, c.total / opt.total))
+    return records
+
+
+_CHUNK = 250
+
+
+def run_study(
+    *,
+    rates: Sequence[RateFunction],
+    policies: Sequence[PolicyConfig],
+    cost_fn: CostFunction,
+    trials: int,
+    seed: int,
+    n_values: Sequence[int] | None = None,
+    horizon: float | None = None,
+    parallelism: int = 1,
+    progress: bool = False,
+) -> list[TrialRecord]:
+    """Run every policy on ``trials`` instances per (n, rate) grid point.
+
+    Exactly one of ``n_values`` (fixed arrival counts) or ``horizon``
+    (fixed time window, variable count) selects the generation mode.
+    Records come back in grid-then-trial-then-policy order and are
+    bit-identical for a given configuration regardless of ``parallelism``.
+    A failing trial contributes NaN records (reported on stderr) without
+    aborting the study.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if (horizon is None) == (n_values is None):
+        raise ValueError("give exactly one of n_values or horizon")
+    grid = [(n, rate) for n in (n_values if horizon is None else [None])
+            for rate in rates]
+    if not grid or not policies:
+        raise ValueError("need at least one grid point and one policy")
+    tasks = []
+    for gi, (n, rate) in enumerate(grid):
+        for lo in range(0, trials, _CHUNK):
+            tasks.append((gi, n, rate, tuple(policies), cost_fn,
+                          lo, min(lo + _CHUNK, trials), seed, horizon))
+    if parallelism > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            chunks = list(pool.map(_run_chunk, tasks, chunksize=1))
+    else:
+        chunks = []
+        for k, task in enumerate(tasks):
+            chunks.append(_run_chunk(task))
+            if progress:
+                print(f"chunk {k + 1}/{len(tasks)} done", file=sys.stderr)
+    records: list[TrialRecord] = []
+    for chunk in chunks:
+        records.extend(chunk)
+    return records
+
+
+@dataclass(frozen=True)
+class SummaryRow:
+    group: str
+    policy: str
+    n: int
+    count: int
+    min: float
+    q25: float
+    median: float
+    q75: float
+    max: float
+
+
+def summarize(records: Sequence[TrialRecord]) -> list[SummaryRow]:
+    """Ratio distribution per (grid point, policy).
+
+    Quantiles use linear interpolation.  NaN (failed) records are excluded;
+    groups appear in first-seen record order.
+    """
+    if not records:
+        raise ValueError("no records to summarize")
+    groups: dict[tuple[str, str], list[TrialRecord]] = {}
+    for r in records:
+        if math.isnan(r.ratio):
+            continue
+        groups.setdefault((r.trial.split(".")[0], r.policy), []).append(r)
+    if not groups:
+        raise ValueError("all records failed; nothing to summarize")
+    rows = []
+    for (group, policy), rs in groups.items():
+        ratios = np.asarray([r.ratio for r in rs])
+        q = np.quantile(ratios, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
+        rows.append(SummaryRow(group, policy, rs[0].n, len(rs),
+                               float(q[0]), float(q[1]), float(q[2]), float(q[3]), float(q[4])))
+    return rows
