@@ -238,7 +238,9 @@ class CountTable(_CountCost):
 
     Evaluating a batch larger than the table covers is an error; solvers
     must be configured with a table at least as long as the largest batch
-    they may form.
+    they may form.  The offline solvers only form batches whose arrivals
+    span at most g(1), so there the table needs to cover the widest such
+    window, not the whole instance.
     """
 
     values: tuple[float, ...]

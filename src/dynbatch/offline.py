@@ -7,10 +7,18 @@ waiting-plus-processing cost of that batch.  Nodes are numbered 1..n+1 and
 (q_1, ..., q_{n+1}) is already a topological order, so the minimum-weight
 path is found by a single forward sweep.
 
+Almost all edges are dominated.  If the arrivals of batch i..j-1 span more
+than the single-sample cost f({v_i}), processing sample i alone at a_i and
+the rest at a_{j-1} is strictly cheaper, because f is monotone (Assumption
+1).  The solvers therefore relax only each row's window: the edges whose
+batch ends at an arrival within f({v_i}) of a_i.  On arrivals at rate r a
+window holds about r * f({v}) + 1 samples, so a solve does O(n w) work for
+the widest window w instead of O(n^2).
+
 Three independent routes to the optimum are provided and cross-checked in
-the test suite: the forward sweep, a backward value recursion equal to the
-dual of the path linear program, and a brute-force enumeration of all
-consecutive partitions for small n.
+the test suite: the windowed forward sweep, a windowed backward value
+recursion equal to the dual of the path linear program, and a brute-force
+enumeration of all consecutive partitions for small n, which prunes nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost import CostFunction, FeatureMultiset
 from .instance import Batch, ProblemInstance, Schedule, ScheduleCost, cost_of, merge_coincident
@@ -38,72 +47,156 @@ __all__ = [
 
 
 class EdgeWeightOracle:
-    """Lazy edge weights e(i, j) for 1 <= i < j <= n+1.
+    """Edge weights e(i, j) for 1 <= i < j <= n+1, dominated or not.
 
-    e(i, j) = f({v_i..v_{j-1}}) + (j-i) a_{j-1} - (S_{j-1} - S_{i-1}) with
-    S_k the prefix sum of arrival times; the second and third terms total
-    the waiting incurred by samples i..j-1 until the batch's last arrival.
-    Rows are materialized on demand so memory stays O(n).
+    e(i, j) = f({v_i..v_{j-1}}) + sum_{k=i}^{j-1} (a_{j-1} - a_k): the
+    processing cost plus the waiting of samples i..j-1 until the batch's
+    last arrival.  Waits are summed from arrival offsets relative to a_i,
+    so their precision does not depend on where the time axis starts.  The
+    solvers build their own windowed rows; this is the unpruned reference
+    that they are tested against, and it prices the edges of
+    ``ilp_certificate``.
     """
 
     def __init__(self, inst: ProblemInstance, f: CostFunction):
         self.inst = inst
         self.f = f
-        a = inst.times_array
-        self.prefix_sums = np.concatenate(([0.0], np.cumsum(a)))  # S_0..S_n
-        self._a = a
         self.n = inst.n
-        if f.count_based:
-            self._g = f.count_values(np.arange(self.n + 1))
-        else:
-            self._g = None
 
     def row(self, i: int) -> np.ndarray:
         """Weights e(i, j) for j = i+1, ..., n+1, in order."""
-        n, a, S = self.n, self._a, self.prefix_sums
-        sizes = np.arange(1, n - i + 2)
-        waits = sizes * a[i - 1:n] - (S[i:n + 1] - S[i - 1])
-        if self._g is not None:
-            return self._g[sizes] + waits
-        costs = np.empty(n - i + 1)
-        feats = Counter()
-        for k in range(i, n + 1):
-            feats[self.inst.features[k - 1]] += 1
-            costs[k - i] = self.f.value(FeatureMultiset(tuple(sorted(feats.items()))))
-        return costs + waits
+        a = self.inst.times_array
+        spans = a[i - 1:] - a[i - 1]
+        sizes = np.arange(1, len(spans) + 1)
+        waits = sizes * spans - np.cumsum(spans)
+        if self.f.count_based:
+            return self.f.count_values(sizes) + waits
+        return np.array(_set_costs(self.inst, self.f, i - 1, len(spans))) + waits
 
     def weight(self, i: int, j: int) -> float:
         if not (1 <= i < j <= self.n + 1):
             raise ValueError(f"edge ({i}, {j}) outside 1 <= i < j <= n+1")
-        return float(self.row(i)[j - i - 1])
+        a = self.inst.times
+        spans = [a[k] - a[i - 1] for k in range(i - 1, j - 1)]
+        if self.f.count_based:
+            cost = self.f.count_value(j - i)
+        else:
+            cost = self.f.value(self.inst.multiset(i, j - 1))
+        return cost + ((j - i) * spans[-1] - math.fsum(spans))
+
+
+#: Relative slack on each window's reach.  It only ever keeps extra edges,
+#: and an edge beyond it is dominated by more than rounding can hide, so
+#: pruning never decides a tie.
+_WINDOW_SLACK = 1e-9
+#: Entries (rows times widest window) of one block of edge rows, unless a
+#: single row is wider.
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _window_widths(inst: ProblemInstance, f: CostFunction) -> np.ndarray:
+    """w[i]: the number of batches, of sizes 1..w[i], that start at sample
+    i+1 (0-based i) and end at an arrival within f({v_{i+1}}) of its own."""
+    a = inst.times_array
+    if f.count_based:
+        single = f.count_value(1)
+    else:
+        by_feature = {v: f.value(FeatureMultiset.of_size(1, v)) for v in set(inst.features)}
+        single = np.array([by_feature[v] for v in inst.features])
+    reach = a + single * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
+    # A negative single-sample cost, outside Assumption 1, must still leave
+    # the singleton edge that keeps every node reachable.
+    return np.maximum(np.searchsorted(a, reach, side="right") - np.arange(inst.n), 1)
+
+
+def _block_bounds(widths: np.ndarray) -> list[int]:
+    """Row indices 0 = b_0 < b_1 < ... = n splitting the rows into blocks of
+    at most _BLOCK_ENTRIES entries each (rows times the block's widest
+    window), or of one row where that row alone is wider."""
+    n = len(widths)
+    bounds = [0]
+    while bounds[-1] < n:
+        lo = bounds[-1]
+        head = widths[lo:lo + max(1, _BLOCK_ENTRIES // int(widths[lo]))]
+        entries = np.maximum.accumulate(head) * np.arange(1, len(head) + 1)
+        bounds.append(lo + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right"))))
+    return bounds
+
+
+def _edge_rows(inst: ProblemInstance, f: CostFunction, reverse: bool = False):
+    """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
+    i+1..i+1+d (0-based i) inside row i's window, in ascending i, or in
+    descending i if ``reverse``.
+
+    Rows are built a block at a time, one vector operation per step across
+    the whole block, so memory stays O(n + _BLOCK_ENTRIES).  A count cost
+    is evaluated only up to the widest window.
+    """
+    a = inst.times_array
+    widths = _window_widths(inst, f)
+    widest = int(widths.max())
+    g = f.count_values(np.arange(widest + 1)) if f.count_based else None
+    # Past the last sample, windows read copies of it; those entries are
+    # cut off before a row is yielded.
+    padded = np.concatenate((a, np.full(widest - 1, a[-1])))
+    bounds = _block_bounds(widths)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    widths = widths.tolist()
+    for lo, hi in reversed(blocks) if reverse else blocks:
+        w = max(widths[lo:hi])
+        spans = sliding_window_view(padded[lo:hi + w - 1], w) - a[lo:hi, None]
+        e = np.arange(1, w + 1) * spans - np.cumsum(spans, axis=1)
+        if g is not None:
+            e += g[1:w + 1]
+        else:
+            costs = np.zeros((hi - lo, w))
+            for i in range(lo, hi):
+                costs[i - lo, :widths[i]] = _set_costs(inst, f, i, widths[i])
+            e += costs
+        rows = e.tolist()
+        order = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        for i in order:
+            yield i, rows[i - lo][:widths[i]]
+
+
+def _set_costs(inst: ProblemInstance, f: CostFunction, i: int, width: int) -> list[float]:
+    """f of the batches of samples i+1..i+1+d (0-based i), for d < width."""
+    counts = Counter()
+    costs = []
+    for v in inst.features[i:i + width]:
+        counts[v] += 1
+        costs.append(f.value(FeatureMultiset(tuple(sorted(counts.items())))))
+    return costs
 
 
 def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, ScheduleCost]:
     """Minimum-cost schedule, by shortest path on the batch DAG.
 
-    Visits nodes q_1..q_{n+1} in the natural topological order, relaxing
-    each node's outgoing edges in one vectorized step: O(n^2) plus n cost
-    evaluations per row.  Ties keep the earliest-relaxed predecessor, so
-    the result is deterministic.
+    Visits nodes q_1..q_{n+1} in the natural topological order and relaxes
+    each node's outgoing edges inside its window (see the module docstring),
+    which is exact for every f satisfying Assumption 1 (monotone): O(n w)
+    work and cost evaluations for windows of at most w samples.  Ties keep
+    the earliest-relaxed predecessor, so the result is deterministic.
     """
-    oracle = EdgeWeightOracle(inst, f)
     n = inst.n
-    dist = np.full(n + 2, np.inf)
-    dist[1] = 0.0
-    pred = np.zeros(n + 2, dtype=np.int64)
-    for i in range(1, n + 1):
-        cand = dist[i] + oracle.row(i)
-        seg = dist[i + 1:n + 2]
-        better = cand < seg
-        seg[better] = cand[better]
-        pred[i + 1:n + 2][better] = i
-    path = [n + 1]
-    while path[-1] != 1:
-        path.append(int(pred[path[-1]]))
-    path.reverse()
+    # dist[k], pred[k]: cheapest cost of batching samples 1..k, and the
+    # k' < k after which that cost's last batch starts.
+    dist = [0.0] + [math.inf] * n
+    pred = [0] * (n + 1)
+    for i, row in _edge_rows(inst, f):
+        base = dist[i]
+        for j, e in enumerate(row, i + 1):
+            cand = base + e
+            if cand < dist[j]:
+                dist[j] = cand
+                pred[j] = i
+    cuts = [n]
+    while cuts[-1]:
+        cuts.append(pred[cuts[-1]])
+    cuts.reverse()
     batches = [
-        Batch(lo, hi - 1, inst.times[hi - 2])
-        for lo, hi in zip(path[:-1], path[1:])
+        Batch(lo + 1, hi, inst.times[hi - 1])
+        for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
     sched = Schedule(merge_coincident(batches))
     return sched, cost_of(inst, sched, f)
@@ -112,8 +205,9 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
 def _batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float]]:
     """e[lo][hi]: unnormalized cost of batching samples lo..hi at a_hi.
 
-    Computed by direct per-sample summation, independent of the prefix-sum
-    oracle, so it can serve as an oracle against it.
+    Computed by direct per-sample summation over every (lo, hi) pair,
+    independent of the solvers' windowed, blocked rows, so it can serve as
+    an oracle against them.
     """
     n = inst.n
     a = inst.times
@@ -180,17 +274,22 @@ class DualSolution:
 
 
 def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
-    oracle = EdgeWeightOracle(inst, f)
+    """The backward recursion over the same windowed rows as
+    ``optimal_schedule``; a dominated edge is never the argmin, so the
+    values are those of the full recursion under Assumption 1."""
     n = inst.n
-    lam = np.zeros(n + 2)
-    succ = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n, 0, -1):
-        vals = oracle.row(i) / n + lam[i + 1:n + 2]
-        k = int(np.argmin(vals))
-        succ[i] = i + 1 + k
-        lam[i] = vals[k]
-    return DualSolution(tuple(float(v) for v in lam[1:n + 2]),
-                        tuple(int(v) for v in succ[1:n + 1]))
+    # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
+    lam = [0.0] * (n + 1)
+    succ = [0] * n
+    for i, row in _edge_rows(inst, f, reverse=True):
+        best, arg = math.inf, i + 1
+        for j, e in enumerate(row, i + 1):
+            val = e / n + lam[j]
+            if val < best:
+                best, arg = val, j
+        lam[i] = best
+        succ[i] = arg + 1
+    return DualSolution(tuple(lam), tuple(succ))
 
 
 def schedule_from_dual(inst: ProblemInstance, dual: DualSolution) -> Schedule:

@@ -3,11 +3,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynbatch import (
     Batch,
     CappedLinear,
     ConstantCost,
+    CountTable,
+    CustomSetFunction,
     EdgeWeightOracle,
     IlpConstraintViolation,
     Log1pCount,
@@ -23,9 +27,18 @@ from dynbatch import (
     optimal_schedule,
     schedule_from_dual,
 )
-from dynbatch.sim import ConstantRate
+from dynbatch import offline
+from dynbatch.sim import ConstantRate, SinusoidRate
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
+
+
+def _partition(sched):
+    return [(b.lo, b.hi) for b in sched.batches]
+
+
+def _day_trace(n, seed=1):
+    return gen_poisson(SinusoidRate(2.0, 1.5, 86400.0), n, seed)
 
 
 class TestEdgeWeightOracle:
@@ -60,6 +73,27 @@ class TestEdgeWeightOracle:
         assert oracle.weight(1, 2) == 1.0
         assert oracle.weight(1, 3) == 1.0
         assert oracle.weight(1, 4) == 2.0
+
+    def test_epoch_scale_weights_are_exact(self):
+        # Relative waits: no prefix sums of ~1.7e9 s timestamps.
+        inst = _day_trace(2000).shifted(1.7e9)
+        oracle = EdgeWeightOracle(inst, SqrtCount())
+        a = inst.times
+        for i, j in ((1, 2), (1, 9), (500, 507), (1990, 2001)):
+            direct = math.sqrt(j - i) + math.fsum(a[j - 2] - a[k - 1] for k in range(i, j))
+            assert math.isclose(oracle.weight(i, j), direct, rel_tol=1e-12)
+            assert math.isclose(oracle.row(i)[j - i - 1], direct, rel_tol=1e-12)
+        sched, _ = optimal_schedule(inst, SqrtCount())
+        ilp_certificate(inst, SqrtCount(), sched)
+
+    def test_weight_prices_one_edge(self):
+        # A table shorter than n still prices every edge it covers.
+        inst = gen_poisson(ConstantRate(2), 200, seed=1)
+        table = CountTable(tuple(math.sqrt(k) for k in range(65)))
+        oracle = EdgeWeightOracle(inst, table)
+        assert oracle.weight(1, 4) == EdgeWeightOracle(inst, SqrtCount()).weight(1, 4)
+        with pytest.raises(ValueError, match="cost table too short"):
+            oracle.weight(1, 100)
 
 
 class TestOptimalSchedule:
@@ -99,6 +133,30 @@ class TestOptimalSchedule:
         sched, cost = optimal_schedule(inst, SqrtCount())
         assert sched.m == 1
         assert math.isclose(cost.total, math.sqrt(7) / 7, rel_tol=1e-12)
+
+    def test_count_table_needs_only_the_window(self):
+        inst = gen_poisson(ConstantRate(2), 200, seed=1)
+        table = CountTable(tuple(math.sqrt(k) for k in range(65)))
+        sched, cost = optimal_schedule(inst, table)
+        ref_sched, ref_cost = optimal_schedule(inst, SqrtCount())
+        assert sched == ref_sched
+        assert cost == ref_cost
+
+    def test_epoch_scale_trace(self):
+        day = _day_trace(2000)
+        shifted = day.shifted(1.7e9)
+        sched, cost = optimal_schedule(shifted, SqrtCount())
+        lam1 = dual_recursion(shifted, SqrtCount()).lambdas[0]
+        assert math.isclose(cost.total, lam1, rel_tol=1e-9)
+        assert _partition(sched) == _partition(optimal_schedule(day, SqrtCount())[0])
+
+    def test_small_blocks_match_one_block(self, small_corpus, monkeypatch):
+        # A coincident burst makes rows wider than a block: one row per block.
+        burst = ProblemInstance.from_times([0.0, 0.5] + [1.0] * 20 + [1.2, 4.0, 4.1])
+        cases = [(inst, f) for inst in small_corpus[:40] + [burst] for f in COSTS]
+        want = [(optimal_schedule(inst, f), dual_recursion(inst, f)) for inst, f in cases]
+        monkeypatch.setattr(offline, "_BLOCK_ENTRIES", 8)
+        assert [(optimal_schedule(inst, f), dual_recursion(inst, f)) for inst, f in cases] == want
 
 
 class TestBruteForce:
@@ -199,10 +257,12 @@ class TestIlpCertificate:
             check_ilp_assignment(2, {(1, 3): 2})
 
 
-def test_osp_runtime_scales_quadratically():
-    """Doubling n should multiply the wall time by about 4 (within the
-    generous factor-of-plus-minus-50-percent band: [2, 6])."""
-    def best_of(n, reps=3):
+def test_osp_runtime_scales_near_linearly():
+    """The windowed sweep does O(n w) work for windows of w samples, so
+    doubling n at a fixed rate should about double the wall time: at most
+    3x, where a full O(n^2) sweep reads about 4x.  n = 1e5 at rate 2 solves
+    in under a second."""
+    def best_of(n, reps):
         inst = gen_poisson(ConstantRate(2), n, seed=5)
         best = math.inf
         for _ in range(reps):
@@ -211,6 +271,43 @@ def test_osp_runtime_scales_quadratically():
             best = min(best, time.perf_counter() - t0)
         return best
 
-    best_of(256)  # warm up allocators and caches
-    ratio = best_of(2048) / best_of(1024)
-    assert 2.0 <= ratio <= 6.0, f"scaling ratio {ratio}"
+    best_of(256, 3)  # warm up allocators and caches
+    ratio = best_of(8192, 5) / best_of(4096, 5)
+    assert ratio <= 3.0, f"scaling ratio {ratio}"
+    seconds = best_of(100_000, 2)
+    assert seconds < 1.0, f"n = 1e5 took {seconds:.3f} s"
+
+
+def _weighted_distinct_plus_sqrt(x):
+    """Feature weights of the distinct features in x, plus sqrt(|x|):
+    monotone and subadditive, with a different single-sample cost per
+    feature, so each row's window has its own reach."""
+    return sum((0.2, 1.0, 3.0)[fid] for fid, _ in x.counts) + math.sqrt(len(x))
+
+
+PROPERTY_COSTS = [
+    *COSTS,
+    CountTable(tuple(min(k, 2 + 0.25 * k) for k in range(13))),
+    CustomSetFunction(_weighted_distinct_plus_sqrt, universe_size=3, name="weighted+sqrt"),
+]
+
+
+@st.composite
+def small_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5])
+                         | st.floats(min_value=0.0, max_value=4.0),
+                         min_size=n, max_size=n))
+    feats = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    return ProblemInstance(tuple(float(t) for t in np.cumsum(gaps)), tuple(feats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances())
+def test_windowed_solvers_match_brute_force(inst):
+    for f in PROPERTY_COSTS:
+        _, bf = brute_force_optimum(inst, f)
+        _, cost = optimal_schedule(inst, f)
+        lam1 = dual_recursion(inst, f).lambdas[0]
+        assert math.isclose(cost.total, bf.total, rel_tol=1e-9, abs_tol=1e-12), f
+        assert math.isclose(lam1, bf.total, rel_tol=1e-9, abs_tol=1e-12), f
