@@ -15,7 +15,6 @@ from .cost import (
     SqrtCount,
     curvature,
     curvature_info,
-    evaluate,
     parse_cost_spec,
     validate_assumption1,
 )
@@ -47,10 +46,7 @@ from .online import (
     Wta,
     competitive_ratio_bound,
     parse_policy_spec,
-    run_fixed_delay,
-    run_fixed_size,
     run_policy,
-    run_wta,
 )
 from .adversary import (
     AdversaryConfig,

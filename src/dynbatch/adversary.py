@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cost import CostFunction, FeatureMultiset
+import numpy as np
+
+from .cost import CostFunction, CustomSetFunction, FeatureMultiset, random_multiset, size_pairs
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 from .offline import optimal_schedule
 from .online import PolicyConfig, run_policy
@@ -110,9 +112,7 @@ def run_adversary(
     for wave in range(2 * cfg.rounds):
         group = cfg.x1 if wave % 2 == 0 else cfg.x2
         release = t_prev + epsilon
-        for fid, mult in group.counts:
-            times.extend([release] * mult)
-            feats.extend([fid] * mult)
+        _release(group, release, times, feats)
         wave_last_index.append(len(times))
         inst = ProblemInstance(tuple(times), tuple(feats))
         sched, _ = run_policy(inst, f, policy)
@@ -165,15 +165,20 @@ def run_adversary(
 
 def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) -> float:
     """1e-6 times the policy's flush delay on a lone first group."""
-    times = []
-    feats = []
-    for fid, mult in x1.counts:
-        times.extend([0.0] * mult)
-        feats.extend([fid] * mult)
+    times: list[float] = []
+    feats: list[int] = []
+    _release(x1, 0.0, times, feats)
     inst = ProblemInstance(tuple(times), tuple(feats))
     sched, _ = run_policy(inst, f, policy)
     gap = sched.batches[-1].time
     return 1e-6 * gap if gap > 0 else 1e-6
+
+
+def _release(group: FeatureMultiset, t: float, times: list[float], feats: list[int]) -> None:
+    """Append every sample of ``group`` arriving at ``t``, feature by feature."""
+    for fid, mult in group.counts:
+        times.extend([t] * mult)
+        feats.extend([fid] * mult)
 
 
 def _processing_time_of(sched: Schedule, index: int) -> float:
@@ -207,30 +212,24 @@ def worst_pair_search(
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
     if f.count_based:
-        best = None
-        for a in range(1, max_size):
-            for b in range(a, max_size - a + 1):
-                denom = f.count_value(a + b)
-                if denom == 0.0:
-                    continue
-                ratio = (f.count_value(a) + f.count_value(b)) / denom
-                if best is None or ratio > best[2]:
-                    best = (FeatureMultiset.of_size(a), FeatureMultiset.of_size(b), ratio)
-        if best is None:
+        a, b, g = size_pairs(f, max_size)
+        denom = g[a + b]
+        admissible = np.flatnonzero(denom != 0.0)
+        if admissible.size == 0:
             raise ValueError("no admissible pair: cost is zero on every size in range")
-        return best
-
-    import numpy as np
-
-    from .cost import CustomSetFunction, _random_multiset
+        ratios = (g[a] + g[b])[admissible] / denom[admissible]
+        k = int(np.argmax(ratios))  # the first maximum, as in a scan with strict >
+        pair = admissible[k]
+        return (FeatureMultiset.of_size(int(a[pair])), FeatureMultiset.of_size(int(b[pair])),
+                float(ratios[k]))
 
     if not isinstance(f, CustomSetFunction):
         raise TypeError("worst_pair_search needs a count-based cost or a CustomSetFunction")
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(samples):
-        x = _random_multiset(rng, f.universe_size, max_size)
-        y = _random_multiset(rng, f.universe_size, max_size)
+        x = random_multiset(rng, f.universe_size, max_size)
+        y = random_multiset(rng, f.universe_size, max_size)
         if len(x) == 0 or len(y) == 0:
             continue
         denom = f.value(x.union(y))

@@ -39,7 +39,6 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "CurvatureResult",
-    "evaluate",
     "validate_assumption1",
     "curvature",
     "curvature_info",
@@ -330,15 +329,20 @@ class ValidationReport:
 _SUBADD_TOL = 1e-12
 
 
-def evaluate(f: CostFunction, x: FeatureMultiset) -> float:
-    """Cost of processing the samples with feature multiset ``x`` as one batch."""
-    return f.value(x)
-
-
-def _random_multiset(rng: np.random.Generator, universe_size: int, max_size: int) -> FeatureMultiset:
+def random_multiset(rng: np.random.Generator, universe_size: int, max_size: int) -> FeatureMultiset:
+    """Uniform size in [0, max_size], then that many uniform feature ids."""
     size = int(rng.integers(0, max_size + 1))
     feats = rng.integers(0, universe_size, size=size)
     return FeatureMultiset.from_features(int(v) for v in feats)
+
+
+def size_pairs(f: CostFunction, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every size pair 1 <= a <= b with a + b <= limit, in ascending (a, b)
+    order, and the count-based ``f`` tabulated as g[k] = f(k), k <= limit."""
+    g = np.array([f.count_value(k) for k in range(limit + 1)], dtype=float)
+    a, b = np.triu_indices(limit + 1)
+    keep = (a >= 1) & (a + b <= limit)
+    return a[keep], b[keep], g
 
 
 def validate_assumption1(
@@ -368,23 +372,21 @@ def validate_assumption1(
     if f.count_based:
         if isinstance(f, CountTable):
             max_batch = min(max_batch, len(f.values) - 1)
-        g = [f.count_value(k) for k in range(max_batch + 1)]
-        for k in range(max_batch):
-            checked += 1
-            if g[k] > g[k + 1] + _SUBADD_TOL:
-                violations.append(Violation("monotone", sizes=(k, k + 1),
-                                            detail=f"g({k})={g[k]!r} > g({k + 1})={g[k + 1]!r}"))
-        for a in range(1, max_batch):
-            for b in range(a, max_batch - a + 1):
-                checked += 1
-                if g[a + b] > g[a] + g[b] + _SUBADD_TOL:
-                    violations.append(Violation("subadditive", sizes=(a, b),
-                                                detail=f"g({a + b})={g[a + b]!r} > g({a})+g({b})"))
+        a, b, g = size_pairs(f, max_batch)
+        checked += max_batch + a.size
+        gv = g.tolist()  # Python floats, so details print as plain reprs
+        for k in np.flatnonzero(g[:-1] > g[1:] + _SUBADD_TOL).tolist():
+            violations.append(Violation("monotone", sizes=(k, k + 1),
+                                        detail=f"g({k})={gv[k]!r} > g({k + 1})={gv[k + 1]!r}"))
+        bad = g[a + b] > g[a] + g[b] + _SUBADD_TOL
+        for x, y in zip(a[bad].tolist(), b[bad].tolist()):
+            violations.append(Violation("subadditive", sizes=(x, y),
+                                        detail=f"g({x + y})={gv[x + y]!r} > g({x})+g({y})"))
     else:
         rng = np.random.default_rng(seed)
         for _ in range(samples):
-            x = _random_multiset(rng, universe_size, max_batch)
-            y = _random_multiset(rng, universe_size, max_batch)
+            x = random_multiset(rng, universe_size, max_batch)
+            y = random_multiset(rng, universe_size, max_batch)
             u = x.union(y)
             fx, fy, fu = f.value(x), f.value(y), f.value(u)
             checked += 2
@@ -432,29 +434,24 @@ def curvature_info(
         limit = max_batch
         if isinstance(f, CountTable):
             limit = min(limit, len(f.values) - 1)
-        g = [f.count_value(k) for k in range(limit + 1)]
-        if all(v == 0.0 for v in g):
+        a, b, g = size_pairs(f, limit)
+        if not g.any():
             raise ValueError("curvature undefined: cost is identically zero on the search range")
-        best = math.inf
-        for a in range(1, limit):
-            for b in range(a, limit - a + 1):
-                denom = g[a] + g[b]
-                num = g[a + b]
-                if denom == 0.0 and num == 0.0:
-                    continue  # 0/0 pairs carry no information
-                if denom == 0.0:
-                    continue  # implies a monotonicity violation; reported by the validator
-                best = min(best, num / denom)
-        if not math.isfinite(best):
+        denom = g[a] + g[b]
+        # a zero denominator is a 0/0 pair or implies a monotonicity
+        # violation (reported by the validator); neither is informative
+        informative = denom != 0.0
+        if not informative.any():
             raise ValueError("curvature undefined: no informative size pair in range")
+        best = float(np.min(g[(a + b)[informative]] / denom[informative]))
         return CurvatureResult(_clamp_curvature(best), exact=False, upper_bound_only=True)
 
     assert isinstance(f, CustomSetFunction)
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
-        x = _random_multiset(rng, f.universe_size, max_batch)
-        y = _random_multiset(rng, f.universe_size, max_batch)
+        x = random_multiset(rng, f.universe_size, max_batch)
+        y = random_multiset(rng, f.universe_size, max_batch)
         if len(x) == 0 and len(y) == 0:
             continue
         denom = f.value(x) + f.value(y)

@@ -8,9 +8,12 @@ count while the flush target is constant, so the trigger instant is solved
 in closed form per inter-event interval; no time stepping is involved and
 the flush identity holds to machine precision.
 
-All policies consult only arrivals at or before the current simulation
-time, so their decisions are online: truncating the future leaves past
-decisions unchanged.
+Every policy is a frozen dataclass with one method,
+``batches(inst, f) -> list[Batch]``, that simulates it on an instance;
+``run_policy`` is the one runner that merges coincident batches and prices
+the resulting schedule.  All policies consult only arrivals at or before
+the current simulation time, so their decisions are online: truncating the
+future leaves past decisions unchanged.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ __all__ = [
     "PolicyConfig",
     "parse_policy_spec",
     "run_policy",
-    "run_wta",
-    "run_fixed_size",
-    "run_fixed_delay",
     "competitive_ratio_bound",
 ]
 
@@ -49,6 +49,48 @@ class Wta:
     def spec_string(self) -> str:
         return f"wta:{self.alpha:g}"
 
+    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
+        """Exact simulation of the waiting policy with balance factor ``alpha``.
+
+        Arrivals sharing a time instant are absorbed as one event.  An arrival
+        landing exactly on a candidate flush instant is absorbed first (pending
+        covers the half-open interval since the last flush, inclusive of "now"),
+        after which the flush instant is re-solved against the enlarged target.
+        If the pending batch costs 0 under a degenerate cost function the
+        target is met immediately and the batch is flushed at the arrival
+        itself.
+        """
+        alpha = self.alpha
+        times = inst.times
+        n = inst.n
+        batches: list[Batch] = []
+        i = 0  # next unarrived sample, 0-based
+        while i < n:
+            # new cycle: pending was empty, so waiting starts accruing at the
+            # next arrival instant
+            lo = i
+            t = times[i]
+            while i < n and times[i] == t:
+                i += 1
+            accrued = 0.0
+            while True:
+                pending = i - lo
+                target = alpha * _pending_cost(inst, f, lo, i - 1)
+                if target <= accrued:
+                    batches.append(Batch(lo + 1, i, t))
+                    break
+                t_star = t + (target - accrued) / pending
+                if i < n and t_star >= times[i]:
+                    t_next = times[i]
+                    accrued += pending * (t_next - t)
+                    t = t_next
+                    while i < n and times[i] == t:
+                        i += 1
+                    continue
+                batches.append(Batch(lo + 1, i, t_star))
+                break
+        return batches
+
 
 @dataclass(frozen=True)
 class FixedSize:
@@ -63,6 +105,18 @@ class FixedSize:
     def spec_string(self) -> str:
         return f"fixed-size:{self.k}"
 
+    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
+        """Process every ``k`` consecutive arrivals at the k-th arrival's time;
+        a final partial batch is processed at the last arrival."""
+        n = inst.n
+        batches = []
+        lo = 1
+        while lo <= n:
+            hi = min(lo + self.k - 1, n)
+            batches.append(Batch(lo, hi, inst.times[hi - 1]))
+            lo = hi + 1
+        return batches
+
 
 @dataclass(frozen=True)
 class FixedDelay:
@@ -76,6 +130,25 @@ class FixedDelay:
 
     def spec_string(self) -> str:
         return f"fixed-delay:{self.delay:g}"
+
+    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
+        """Flush all pending samples once the oldest has waited ``delay``.
+
+        Every sample that has arrived by the flush instant joins the batch.
+        With ``delay`` 0 this degenerates to processing each arrival instant's
+        samples immediately.
+        """
+        n = inst.n
+        batches = []
+        lo = 1
+        while lo <= n:
+            flush = inst.times[lo - 1] + self.delay
+            hi = lo
+            while hi < n and inst.times[hi] <= flush:
+                hi += 1
+            batches.append(Batch(lo, hi, flush))
+            lo = hi + 1
+        return batches
 
 
 PolicyConfig = Wta | FixedSize | FixedDelay
@@ -102,13 +175,12 @@ def parse_policy_spec(spec: str) -> PolicyConfig:
 def run_policy(
     inst: ProblemInstance, f: CostFunction, policy: PolicyConfig
 ) -> tuple[Schedule, ScheduleCost]:
-    if isinstance(policy, Wta):
-        return run_wta(inst, f, policy.alpha)
-    if isinstance(policy, FixedSize):
-        return run_fixed_size(inst, f, policy.k)
-    if isinstance(policy, FixedDelay):
-        return run_fixed_delay(inst, f, policy.delay)
-    raise TypeError(f"unknown policy {policy!r}")
+    """Run ``policy`` on ``inst`` and price the schedule it emits under ``f``.
+
+    Batches processed at the same instant are merged into one.
+    """
+    sched = Schedule(merge_coincident(policy.batches(inst, f)))
+    return sched, cost_of(inst, sched, f)
 
 
 def _pending_cost(inst: ProblemInstance, f: CostFunction, lo: int, hi: int) -> float:
@@ -116,96 +188,6 @@ def _pending_cost(inst: ProblemInstance, f: CostFunction, lo: int, hi: int) -> f
     if f.count_based:
         return f.count_value(hi - lo + 1)
     return f.value(FeatureMultiset.from_features(inst.features[lo:hi + 1]))
-
-
-def run_wta(
-    inst: ProblemInstance, f: CostFunction, alpha: float
-) -> tuple[Schedule, ScheduleCost]:
-    """Exact simulation of the waiting policy with balance factor ``alpha``.
-
-    Arrivals sharing a time instant are absorbed as one event.  An arrival
-    landing exactly on a candidate flush instant is absorbed first (pending
-    covers the half-open interval since the last flush, inclusive of "now"),
-    after which the flush instant is re-solved against the enlarged target.
-    If the pending batch costs 0 under a degenerate cost function the
-    target is met immediately and the batch is flushed at the arrival
-    itself.
-    """
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
-    times = inst.times
-    n = inst.n
-    batches: list[Batch] = []
-    i = 0  # next unarrived sample, 0-based
-    while i < n:
-        # new cycle: pending was empty, so waiting starts accruing at the
-        # next arrival instant
-        lo = i
-        t = times[i]
-        while i < n and times[i] == t:
-            i += 1
-        accrued = 0.0
-        while True:
-            pending = i - lo
-            target = alpha * _pending_cost(inst, f, lo, i - 1)
-            if target <= accrued:
-                batches.append(Batch(lo + 1, i, t))
-                break
-            t_star = t + (target - accrued) / pending
-            if i < n and t_star >= times[i]:
-                t_next = times[i]
-                accrued += pending * (t_next - t)
-                t = t_next
-                while i < n and times[i] == t:
-                    i += 1
-                continue
-            batches.append(Batch(lo + 1, i, t_star))
-            break
-    sched = Schedule(merge_coincident(batches))
-    return sched, cost_of(inst, sched, f)
-
-
-def run_fixed_size(
-    inst: ProblemInstance, f: CostFunction, k: int
-) -> tuple[Schedule, ScheduleCost]:
-    """Process every ``k`` consecutive arrivals at the k-th arrival's time;
-    a final partial batch is processed at the last arrival."""
-    if k < 1:
-        raise ValueError("batch size must be at least 1")
-    n = inst.n
-    batches = []
-    lo = 1
-    while lo <= n:
-        hi = min(lo + k - 1, n)
-        batches.append(Batch(lo, hi, inst.times[hi - 1]))
-        lo = hi + 1
-    sched = Schedule(merge_coincident(batches))
-    return sched, cost_of(inst, sched, f)
-
-
-def run_fixed_delay(
-    inst: ProblemInstance, f: CostFunction, delay: float
-) -> tuple[Schedule, ScheduleCost]:
-    """Flush all pending samples once the oldest has waited ``delay``.
-
-    Every sample that has arrived by the flush instant joins the batch.
-    With ``delay`` 0 this degenerates to processing each arrival instant's
-    samples immediately.
-    """
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    n = inst.n
-    batches = []
-    lo = 1
-    while lo <= n:
-        flush = inst.times[lo - 1] + delay
-        hi = lo
-        while hi < n and inst.times[hi] <= flush:
-            hi += 1
-        batches.append(Batch(lo, hi, flush))
-        lo = hi + 1
-    sched = Schedule(merge_coincident(batches))
-    return sched, cost_of(inst, sched, f)
 
 
 def competitive_ratio_bound(alpha: float, gamma: float) -> float:

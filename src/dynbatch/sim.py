@@ -17,14 +17,15 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .cost import CostFunction
-from .instance import ProblemInstance
+from .instance import ProblemInstance, ScheduleCost
 from .offline import optimal_schedule
-from .online import PolicyConfig, Wta, run_policy
+from .online import PolicyConfig, run_policy
 
 __all__ = [
     "RateFunction",
@@ -137,6 +138,42 @@ def parse_rate_spec(spec: str) -> RateFunction:
         raise ValueError(f"unknown rate spec {spec!r}") from None
 
 
+def _thinned_arrivals(
+    rate: RateFunction, rng: np.random.Generator,
+    horizon: float = math.inf, budget: float = math.inf,
+) -> Iterator[float]:
+    """Arrival times under ``rate`` on [0, horizon), in order, by thinning
+    Poisson proposals at the rate's maximum; raises after ``budget``
+    proposals."""
+    lam_max = rate.max_rate()
+    if lam_max <= 0:
+        raise ValueError("rate is identically zero")
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / lam_max)
+        if t >= horizon:
+            return
+        accepted = rng.random() * lam_max < rate.value(t)
+        budget -= 1
+        if budget <= 0:
+            raise RuntimeError("thinning budget exhausted; rate is (nearly) zero almost everywhere")
+        if accepted:
+            yield t
+
+
+def _instance(
+    times: Sequence[float], rng: np.random.Generator, feature: int,
+    feature_sampler: Callable[[np.random.Generator, float], int] | None,
+) -> ProblemInstance:
+    """``times`` with ``feature`` on every sample, or features drawn by the
+    sampler in arrival order from the same generator."""
+    if feature_sampler is None:
+        feats = (feature,) * len(times)
+    else:
+        feats = tuple(int(feature_sampler(rng, float(t))) for t in times)
+    return ProblemInstance(tuple(float(t) for t in times), feats)
+
+
 def gen_poisson(
     rate: RateFunction,
     n: int,
@@ -153,29 +190,12 @@ def gen_poisson(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    lam_max = rate.max_rate()
-    if lam_max <= 0:
-        raise ValueError("rate is identically zero")
     rng = np.random.default_rng(seed)
     if isinstance(rate, ConstantRate):
         times = np.cumsum(rng.exponential(1.0 / rate.rate, size=n))
     else:
-        out = []
-        t = 0.0
-        budget = 100_000 * n + 100_000
-        while len(out) < n:
-            t += rng.exponential(1.0 / lam_max)
-            if rng.random() * lam_max < rate.value(t):
-                out.append(t)
-            budget -= 1
-            if budget <= 0:
-                raise RuntimeError("thinning budget exhausted; rate is (nearly) zero almost everywhere")
-        times = np.asarray(out)
-    if feature_sampler is None:
-        feats = (feature,) * n
-    else:
-        feats = tuple(int(feature_sampler(rng, float(t))) for t in times)
-    return ProblemInstance(tuple(float(t) for t in times), feats)
+        times = list(islice(_thinned_arrivals(rate, rng, budget=100_000 * n + 100_000), n))
+    return _instance(times, rng, feature, feature_sampler)
 
 
 def gen_poisson_horizon(
@@ -191,25 +211,11 @@ def gen_poisson_horizon(
     """
     if not (horizon > 0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
-    lam_max = rate.max_rate()
-    if lam_max <= 0:
-        raise ValueError("rate is identically zero")
     rng = np.random.default_rng(seed)
-    out = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / lam_max)
-        if t >= horizon:
-            break
-        if rng.random() * lam_max < rate.value(t):
-            out.append(t)
-    if not out:
+    times = list(_thinned_arrivals(rate, rng, horizon=horizon))
+    if not times:
         raise ValueError(f"no arrivals in horizon {horizon!r}")
-    if feature_sampler is None:
-        feats = (feature,) * len(out)
-    else:
-        feats = tuple(int(feature_sampler(rng, float(t))) for t in out)
-    return ProblemInstance(tuple(float(t) for t in out), feats)
+    return _instance(times, rng, feature, feature_sampler)
 
 
 @dataclass(frozen=True)
@@ -237,11 +243,19 @@ def _trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _nan_record(trial: str, seed: int, n: int, policy: PolicyConfig) -> TrialRecord:
-    nan = float("nan")
-    return TrialRecord(trial, seed, n, policy.spec_string(),
-                       policy.alpha if isinstance(policy, Wta) else None,
-                       nan, nan, nan, nan, nan)
+def _record(trial: str, seed: int, n: int, policy: PolicyConfig,
+            cost: ScheduleCost | None = None, opt: float = math.nan) -> TrialRecord:
+    """One policy run's record; a failed run (``cost`` None) has NaN metrics."""
+    if cost is None:
+        J = W = F = ratio = math.nan
+    else:
+        J, W, F, ratio = cost.total, cost.waiting, cost.processing, cost.total / opt
+    return TrialRecord(trial, seed, n, policy.spec_string(), getattr(policy, "alpha", None),
+                       J, W, F, opt, ratio)
+
+
+#: Failures that make a trial a NaN record; anything else is a bug and propagates.
+_TRIAL_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 
 def _run_chunk(args) -> list[TrialRecord]:
@@ -256,22 +270,18 @@ def _run_chunk(args) -> list[TrialRecord]:
             else:
                 inst = gen_poisson_horizon(rate, horizon, seed)
             _, opt = optimal_schedule(inst, cost_fn)
-        except Exception as exc:
+        except _TRIAL_ERRORS as exc:
             print(f"trial {trial}: {exc}", file=sys.stderr)
-            records.extend(_nan_record(trial, seed, n or 0, p) for p in policies)
+            records.extend(_record(trial, seed, n or 0, p) for p in policies)
             continue
-        n_realized = inst.n
         for policy in policies:
             try:
                 _, c = run_policy(inst, cost_fn, policy)
-            except Exception as exc:
+            except _TRIAL_ERRORS as exc:
                 print(f"trial {trial} policy {policy.spec_string()}: {exc}", file=sys.stderr)
-                records.append(_nan_record(trial, seed, n_realized, policy))
+                records.append(_record(trial, seed, inst.n, policy))
                 continue
-            records.append(TrialRecord(
-                trial, seed, n_realized, policy.spec_string(),
-                policy.alpha if isinstance(policy, Wta) else None,
-                c.total, c.waiting, c.processing, opt.total, c.total / opt.total))
+            records.append(_record(trial, seed, inst.n, policy, c, opt.total))
     return records
 
 

@@ -18,6 +18,7 @@ from dynbatch import (
     ConstantCost,
     ConstantRate,
     FeatureMultiset,
+    FixedSize,
     Log1pCount,
     ProblemInstance,
     SqrtCount,
@@ -32,9 +33,8 @@ from dynbatch import (
     optimal_schedule,
     pending_count_curve,
     run_adversary,
-    run_fixed_size,
+    run_policy,
     run_study,
-    run_wta,
 )
 
 PARALLELISM = min(8, os.cpu_count() or 1)
@@ -114,7 +114,7 @@ def test_criterion_3_wta_identities(corpus):
         instances.append((inst, SqrtCount()))
     for inst, f in instances:
         for alpha in (0.5, math.sqrt(0.5), 1.0):
-            sched, cost = run_wta(inst, f, alpha)
+            sched, cost = run_policy(inst, f, Wta(alpha))
             assert _rel_close(cost.waiting, alpha * cost.processing), \
                 (inst.times[:3], f.spec_string(), alpha)
             curve = pending_count_curve(inst, sched)
@@ -259,7 +259,7 @@ def test_criterion_8_fixed_size_pathology():
     for n in (4, 16, 64, 256):
         total = n * k
         inst = ProblemInstance.from_times([i * 1e-9 for i in range(total)])
-        _, fixed = run_fixed_size(inst, SqrtCount(), k)
+        _, fixed = run_policy(inst, SqrtCount(), FixedSize(k))
         _, opt = optimal_schedule(inst, SqrtCount())
         ratios.append(fixed.total / opt.total)
     growing = all(a < b for a, b in zip(ratios, ratios[1:]))
@@ -278,7 +278,7 @@ def test_criterion_9_synthetic_day():
     ratios = {}
     for spec in ("sqrt", "cap:3,10"):
         f = COSTS_BY_SPEC[spec]
-        _, wta = run_wta(inst, f, 0.5)
+        _, wta = run_policy(inst, f, Wta(0.5))
         _, opt = optimal_schedule(inst, f)
         ratios[spec] = wta.total / opt.total
         assert ratios[spec] <= 3.0 + 1e-9

@@ -6,6 +6,7 @@ from dynbatch import (
     AdversaryConfig,
     CappedLinear,
     ConstantCost,
+    CountTable,
     FeatureMultiset,
     FixedDelay,
     SqrtCount,
@@ -138,6 +139,26 @@ class TestWorstPairSearch:
         f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3)
         _, _, bound = worst_pair_search(f, 16, samples=500, seed=7)
         assert 1.0 <= bound <= math.sqrt(2) + 1e-9
+
+    @pytest.mark.parametrize("max_size,sizes,bound", [
+        (2, (1, 1), 1.1111111111111112),
+        (3, (1, 2), 1.1199999999999999),
+        (8, (4, 4), 1.5),
+    ])
+    def test_table_scan_pinned(self, max_size, sizes, bound):
+        table = CountTable((0.0, 1.0, 1.8, 2.5, 3.0, 3.4, 3.7, 3.9, 4.0))
+        assert worst_pair_search(table, max_size) == (
+            FeatureMultiset.of_size(sizes[0]), FeatureMultiset.of_size(sizes[1]), bound)
+
+    def test_ties_keep_the_first_pair(self):
+        one = FeatureMultiset.of_size(1)
+        assert worst_pair_search(ConstantCost(1), 8) == (one, one, 2.0)
+        four = FeatureMultiset.of_size(4)
+        assert worst_pair_search(CappedLinear(3, 10), 16) == (four, four, 2.0)
+
+    def test_table_too_short_for_cap(self):
+        with pytest.raises(ValueError, match="too short"):
+            worst_pair_search(CountTable((0.0, 1.0, 1.5)), 3)
 
     def test_size_cap_validated(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from dynbatch import (
     SqrtCount,
     curvature,
     curvature_info,
-    evaluate,
     parse_cost_spec,
     validate_assumption1,
+    worst_pair_search,
 )
+from dynbatch.cost import CurvatureResult, Violation
 
 
 def ms(*features):
@@ -55,23 +57,23 @@ class TestFeatureMultiset:
 
 class TestEvaluate:
     def test_sqrt_of_four(self):
-        assert evaluate(SqrtCount(), FeatureMultiset.of_size(4)) == 2.0
+        assert SqrtCount().value(FeatureMultiset.of_size(4)) == 2.0
 
     def test_log1p_empty_is_zero(self):
-        assert evaluate(Log1pCount(), FeatureMultiset.empty()) == 0.0
+        assert Log1pCount().value(FeatureMultiset.empty()) == 0.0
 
     def test_capped_linear(self):
         # min(3*4, 10)
-        assert evaluate(CappedLinear(3, 10), FeatureMultiset.of_size(4)) == 10.0
+        assert CappedLinear(3, 10).value(FeatureMultiset.of_size(4)) == 10.0
 
     def test_table_too_short(self):
         with pytest.raises(ValueError, match="too short"):
-            evaluate(CountTable((0.0, 1.0)), FeatureMultiset.of_size(2))
+            CountTable((0.0, 1.0)).value(FeatureMultiset.of_size(2))
 
     def test_custom_set_function(self):
         f = CustomSetFunction(lambda x: float(len(x.counts)), universe_size=4)
-        assert evaluate(f, ms(0, 0, 1)) == 2.0
-        assert evaluate(f, FeatureMultiset.empty()) == 0.0
+        assert f.value(ms(0, 0, 1)) == 2.0
+        assert f.value(FeatureMultiset.empty()) == 0.0
 
 
 class TestValidateAssumption1:
@@ -88,7 +90,7 @@ class TestValidateAssumption1:
     def test_constant_clean(self):
         report = validate_assumption1(ConstantCost(5), max_batch=16)
         assert report.ok
-        assert evaluate(ConstantCost(5), FeatureMultiset.of_size(1)) == 5.0
+        assert ConstantCost(5).value(FeatureMultiset.of_size(1)) == 5.0
 
     def test_nonzero_empty_flagged(self):
         f = CustomSetFunction(lambda x: 1.0, universe_size=2)
@@ -103,6 +105,79 @@ class TestValidateAssumption1:
         f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3)
         report = validate_assumption1(f, universe_size=3, max_batch=16, samples=200, seed=1)
         assert report.ok
+
+
+class TestPairScanPins:
+    """Exact outputs of the exhaustive size-pair scans on count tables."""
+
+    TABLE = CountTable((0, 1, 3, 3.5, 3.4, 5, 5, 9, 9))
+    # concave, with no closed-form curvature
+    CONCAVE = CountTable((0.0, 1.0, 1.8, 2.5, 3.0, 3.4, 3.7, 3.9, 4.0))
+
+    @pytest.mark.parametrize("max_batch,checked", [(2, 4), (3, 6)])
+    def test_validate_small_ranges(self, max_batch, checked):
+        report = validate_assumption1(self.TABLE, max_batch=max_batch)
+        assert report.violations == (
+            Violation("subadditive", (1, 1), "g(2)=3.0 > g(1)+g(1)"),)
+        assert report.checked_pairs == checked
+
+    @pytest.mark.parametrize("max_batch", [8, 64])
+    def test_validate_every_violation_in_order(self, max_batch):
+        report = validate_assumption1(self.TABLE, max_batch=max_batch)
+        assert report.violations == (
+            Violation("monotone", (3, 4), "g(3)=3.5 > g(4)=3.4"),
+            Violation("subadditive", (1, 1), "g(2)=3.0 > g(1)+g(1)"),
+            Violation("subadditive", (1, 4), "g(5)=5.0 > g(1)+g(4)"),
+            Violation("subadditive", (1, 6), "g(7)=9.0 > g(1)+g(6)"),
+            Violation("subadditive", (2, 5), "g(7)=9.0 > g(2)+g(5)"),
+            Violation("subadditive", (2, 6), "g(8)=9.0 > g(2)+g(6)"),
+            Violation("subadditive", (3, 4), "g(7)=9.0 > g(3)+g(4)"),
+            Violation("subadditive", (3, 5), "g(8)=9.0 > g(3)+g(5)"),
+            Violation("subadditive", (4, 4), "g(8)=9.0 > g(4)+g(4)"),
+        )
+        assert report.checked_pairs == 25
+
+    @pytest.mark.parametrize("max_batch,value", [
+        (2, 0.9), (3, 0.8928571428571429), (8, 0.6666666666666666)])
+    def test_curvature_search(self, max_batch, value):
+        assert curvature_info(self.CONCAVE, max_batch=max_batch) == CurvatureResult(
+            value, exact=False, upper_bound_only=True)
+
+    def test_short_table_has_no_informative_pair(self):
+        with pytest.raises(ValueError, match="no informative size pair"):
+            curvature_info(CountTable((0.0, 1.0)), max_batch=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]),
+                       min_size=2, max_size=14),
+       max_batch=st.integers(min_value=2, max_value=16))
+def test_pair_scans_match_loop_reference(values, max_batch):
+    """The vectorised size-pair scans agree exactly with plain loops."""
+    table = CountTable((0.0, *values))
+    limit = min(max_batch, len(table.values) - 1)
+    g = table.values
+    pairs = [(a, b) for a in range(1, limit) for b in range(a, limit - a + 1)]
+
+    report = validate_assumption1(table, max_batch=max_batch)
+    assert [v.sizes for v in report.violations if v.condition == "subadditive"] == [
+        (a, b) for a, b in pairs if g[a + b] > g[a] + g[b] + 1e-12]
+    assert report.checked_pairs == 1 + limit + len(pairs)
+
+    ratios = [g[a + b] / (g[a] + g[b]) for a, b in pairs if g[a] + g[b] != 0.0]
+    if ratios and any(g[:limit + 1]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            value = curvature_info(table, max_batch=max_batch).value
+        assert value == min(max(min(ratios), 0.5), 1.0)
+
+    best = None
+    for a, b in pairs:
+        if g[a + b] != 0.0 and (best is None or (g[a] + g[b]) / g[a + b] > best[2]):
+            best = (a, b, (g[a] + g[b]) / g[a + b])
+    if best is not None and limit == max_batch:
+        x1, x2, bound = worst_pair_search(table, max_batch)
+        assert (len(x1), len(x2), bound) == best
 
 
 class TestCurvature:

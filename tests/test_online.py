@@ -25,10 +25,7 @@ from dynbatch import (
     parse_policy_spec,
     pending_count_curve,
     positive_excess_integral,
-    run_fixed_delay,
-    run_fixed_size,
     run_policy,
-    run_wta,
 )
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
@@ -37,35 +34,34 @@ ALPHAS = [0.5, math.sqrt(0.5), 1.0]
 
 class TestWtaExamples:
     def test_single_sample(self):
-        sched, cost = run_wta(ProblemInstance.from_times([0.0]), SqrtCount(), 0.5)
+        sched, cost = run_policy(ProblemInstance.from_times([0.0]), SqrtCount(), Wta(0.5))
         assert sched.batches == (Batch(1, 1, 0.5),)
         assert (cost.waiting, cost.processing, cost.total) == (0.5, 1.0, 1.5)
 
     def test_absorbed_arrival(self):
         # the second arrival lands before the first would flush, so both go
         # out together once the combined wait hits the enlarged target
-        sched, cost = run_wta(ProblemInstance.from_times([0.0, 0.2]), SqrtCount(), 0.5)
+        sched, cost = run_policy(ProblemInstance.from_times([0.0, 0.2]), SqrtCount(), Wta(0.5))
         t_star = 0.2 + (0.5 * math.sqrt(2) - 0.2) / 2
         assert sched.m == 1
         assert math.isclose(sched.batches[0].time, t_star, rel_tol=1e-15)
         assert math.isclose(cost.total, 1.0606601717798214, rel_tol=1e-12)
 
     def test_rejects_bad_alpha(self):
-        inst = ProblemInstance.from_times([0.0])
         with pytest.raises(ValueError):
-            run_wta(inst, SqrtCount(), 0.0)
+            Wta(0.0)
         with pytest.raises(ValueError):
-            run_wta(inst, SqrtCount(), -1.0)
+            Wta(-1.0)
 
     def test_zero_cost_processes_immediately(self):
         zero = CountTable((0.0,) * 10)
         inst = ProblemInstance.from_times([0.0, 0.0, 1.0, 2.0, 2.0])
-        sched, cost = run_wta(inst, zero, 0.5)
+        sched, cost = run_policy(inst, zero, Wta(0.5))
         assert [b.time for b in sched.batches] == [0.0, 1.0, 2.0]
         assert cost.total == 0.0
 
     def test_simultaneous_arrivals_absorbed_together(self):
-        sched, _ = run_wta(ProblemInstance.from_times([1.0, 1.0, 1.0, 1.0]), SqrtCount(), 0.5)
+        sched, _ = run_policy(ProblemInstance.from_times([1.0, 1.0, 1.0, 1.0]), SqrtCount(), Wta(0.5))
         assert sched.m == 1
         assert math.isclose(sched.batches[0].time, 1.0 + 0.5 * 2 / 4)
 
@@ -84,7 +80,7 @@ def random_instances(count, seed, max_n=40, rate=2.0):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_wait_equals_alpha_times_processing(f, alpha):
     for inst in random_instances(25, seed=11):
-        _, cost = run_wta(inst, f, alpha)
+        _, cost = run_policy(inst, f, Wta(alpha))
         assert math.isclose(cost.waiting, alpha * cost.processing, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -95,7 +91,7 @@ def test_per_batch_trigger_identity(alpha):
     # count curve
     f = SqrtCount()
     for inst in random_instances(20, seed=13):
-        sched, _ = run_wta(inst, f, alpha)
+        sched, _ = run_policy(inst, f, Wta(alpha))
         curve = pending_count_curve(inst, sched)
         prev = 0.0
         for b in sched.batches:
@@ -116,8 +112,8 @@ def test_truncation_equivalence(f):
             continue
         cut = (inst.times[k - 1] + inst.times[k]) / 2
         prefix = ProblemInstance(inst.times[:k], inst.features[:k])
-        full_sched, _ = run_wta(inst, f, 0.5)
-        pre_sched, _ = run_wta(prefix, f, 0.5)
+        full_sched, _ = run_policy(inst, f, Wta(0.5))
+        pre_sched, _ = run_policy(prefix, f, Wta(0.5))
         full_before = [b for b in full_sched.batches if b.time < cut]
         pre_before = [b for b in pre_sched.batches if b.time < cut]
         assert full_before == pre_before
@@ -126,25 +122,25 @@ def test_truncation_equivalence(f):
 class TestFixedSize:
     def test_k1_processes_each_arrival(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.5])
-        sched, cost = run_fixed_size(inst, SqrtCount(), 1)
+        sched, cost = run_policy(inst, SqrtCount(), FixedSize(1))
         assert sched.m == 3
         assert cost.waiting == 0.0
         assert math.isclose(cost.processing, 1.0)
 
     def test_k_equals_n_single_batch(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.5])
-        sched, _ = run_fixed_size(inst, SqrtCount(), 3)
+        sched, _ = run_policy(inst, SqrtCount(), FixedSize(3))
         assert sched.batches == (Batch(1, 3, 2.5),)
 
     def test_partial_final_batch_at_last_arrival(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.0, 3.0, 4.0])
-        sched, _ = run_fixed_size(inst, SqrtCount(), 2)
+        sched, _ = run_policy(inst, SqrtCount(), FixedSize(2))
         assert [(b.lo, b.hi, b.time) for b in sched.batches] == [
             (1, 2, 1.0), (3, 4, 3.0), (5, 5, 4.0)]
 
     def test_coincident_batches_merge(self):
         inst = ProblemInstance.from_times([0.0, 0.0, 0.0])
-        sched, _ = run_fixed_size(inst, SqrtCount(), 1)
+        sched, _ = run_policy(inst, SqrtCount(), FixedSize(1))
         assert sched.m == 1
 
     def test_per_sample_cost_ratio_grows(self):
@@ -153,7 +149,7 @@ class TestFixedSize:
         k, n = 4, 64
         times = [i * 1e-9 for i in range(n * k)]
         inst = ProblemInstance.from_times(times)
-        _, fixed = run_fixed_size(inst, SqrtCount(), k)
+        _, fixed = run_policy(inst, SqrtCount(), FixedSize(k))
         _, opt = optimal_schedule(inst, SqrtCount())
         assert fixed.total / opt.total > 0.5 * math.sqrt(n)
 
@@ -161,23 +157,23 @@ class TestFixedSize:
 class TestFixedDelay:
     def test_zero_delay_distinct_times(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.0])
-        sched, cost = run_fixed_delay(inst, SqrtCount(), 0.0)
+        sched, cost = run_policy(inst, SqrtCount(), FixedDelay(0.0))
         assert sched.m == 3
         assert cost.waiting == 0.0
 
     def test_zero_delay_coincident_times(self):
         inst = ProblemInstance.from_times([0.0, 0.0, 0.0])
-        sched, _ = run_fixed_delay(inst, SqrtCount(), 0.0)
+        sched, _ = run_policy(inst, SqrtCount(), FixedDelay(0.0))
         assert sched.batches == (Batch(1, 3, 0.0),)
 
     def test_second_arrival_joins_before_flush(self):
         inst = ProblemInstance.from_times([0.0, 0.5])
-        sched, _ = run_fixed_delay(inst, SqrtCount(), 1.0)
+        sched, _ = run_policy(inst, SqrtCount(), FixedDelay(1.0))
         assert sched.batches == (Batch(1, 2, 1.0),)
 
     def test_flush_excludes_later_arrivals(self):
         inst = ProblemInstance.from_times([0.0, 0.5, 3.0])
-        sched, _ = run_fixed_delay(inst, SqrtCount(), 1.0)
+        sched, _ = run_policy(inst, SqrtCount(), FixedDelay(1.0))
         assert [(b.lo, b.hi, b.time) for b in sched.batches] == [(1, 2, 1.0), (3, 3, 4.0)]
 
 
@@ -205,7 +201,7 @@ class TestCompetitiveRatioBound:
 def test_bound_never_violated(f, alpha):
     bound = competitive_ratio_bound(alpha, curvature(f))
     for inst in random_instances(20, seed=23, max_n=30):
-        _, wta = run_wta(inst, f, alpha)
+        _, wta = run_policy(inst, f, Wta(alpha))
         _, opt = optimal_schedule(inst, f)
         assert wta.total / opt.total <= bound + 1e-9
 
@@ -242,7 +238,7 @@ def test_lemma_excess_wait_bounded_by_optimal_processing(f):
     gamma = curvature(f)
     alternates_used = 0
     for inst in random_instances(30, seed=29, max_n=10):
-        wta_sched, _ = run_wta(inst, f, alpha)
+        wta_sched, _ = run_policy(inst, f, Wta(alpha))
         opt_sched, opt_cost = brute_force_optimum(inst, f)
         u_wta = pending_count_curve(inst, wta_sched)
         bound = (alpha / gamma) * opt_cost.processing + 1e-9

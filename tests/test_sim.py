@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import stats
 from dynbatch import (
     ConstantRate,
     CountTable,
+    CustomSetFunction,
     SinusoidRate,
     SqrtCount,
     TableRate,
@@ -14,9 +16,11 @@ from dynbatch import (
     Wta,
     gen_poisson,
     gen_poisson_horizon,
+    parse_policy_spec,
     parse_rate_spec,
     run_study,
     summarize,
+    write_results,
 )
 from dynbatch.online import FixedSize
 
@@ -160,10 +164,10 @@ class TestRunStudy:
         records = run_study(
             n_values=[6], rates=[ConstantRate(2.0)], policies=[Wta(1.0)],
             cost_fn=SqrtCount(), trials=4, seed=21)
-        from dynbatch import optimal_schedule, run_wta
+        from dynbatch import run_policy
         for r in records:
             inst = gen_poisson(ConstantRate(2.0), r.n, r.seed)
-            _, c = run_wta(inst, SqrtCount(), 1.0)
+            _, c = run_policy(inst, SqrtCount(), Wta(1.0))
             assert math.isclose(c.total, r.J, rel_tol=1e-12)
 
     def test_failed_trials_recorded_not_fatal(self, capsys):
@@ -175,6 +179,17 @@ class TestRunStudy:
         assert len(records) == 3
         assert all(math.isnan(r.ratio) for r in records)
         assert "too short" in capsys.readouterr().err
+
+    def test_programming_error_is_fatal(self):
+        # only numeric and runtime failures become NaN records; a TypeError
+        # from the cost callable is a bug and must propagate
+        def broken(x):
+            raise TypeError("bad cost callable")
+
+        with pytest.raises(TypeError, match="bad cost callable"):
+            run_study(
+                n_values=[4], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                cost_fn=CustomSetFunction(broken, universe_size=1), trials=2, seed=0)
 
     def test_horizon_mode(self):
         records = run_study(
@@ -193,6 +208,27 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(n_values=[], rates=[ConstantRate(1.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=1, seed=0)
+
+
+class TestGoldenStudy:
+    """Fixed-seed study CSVs, byte for byte, serial and at two workers."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("mode,digest", [
+        (dict(n_values=[10, 40]),
+         "3d1a9a2b3120ad152b869b527c038f9315b5785deb1fb5fa00b070a51fa6fd3e"),
+        (dict(horizon=15.0),
+         "4d59f6b762cea2f7205ac336f718a75fbbdb285e562534bf15745321661f3463"),
+    ], ids=["n-values", "horizon"])
+    def test_results_csv_sha256(self, tmp_path, mode, digest, parallelism):
+        records = run_study(
+            rates=[ConstantRate(2), SinusoidRate(2, 1.5, 10)],
+            policies=[parse_policy_spec(s)
+                      for s in ("wta:0.5", "fixed-size:4", "fixed-delay:0.5")],
+            cost_fn=SqrtCount(), trials=50, seed=1, parallelism=parallelism, **mode)
+        path = tmp_path / "results.csv"
+        write_results(records, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestSummarize:
