@@ -204,40 +204,40 @@ def worst_pair_search(
 ) -> tuple[FeatureMultiset, FeatureMultiset, float]:
     """Group pair maximizing (f(x1) + f(x2)) / f(x1 u x2) within a size cap.
 
-    For count-based costs the scan over size pairs is exhaustive; for set
-    functions random pairs are sampled from the function's feature
-    universe.  The returned value is the limiting ratio the adversary
-    approaches with this pair.
+    For count-based costs the scan over size pairs is exhaustive (a
+    ``CountTable`` is scanned over the sizes it covers); for set functions
+    random pairs are sampled from the function's feature universe.  The
+    returned value is the limiting ratio the adversary approaches with this
+    pair.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    if f.count_based:
-        a, b, g = size_pairs(f, max_size)
-        denom = g[a + b]
-        admissible = np.flatnonzero(denom != 0.0)
-        if admissible.size == 0:
-            raise ValueError("no admissible pair: cost is zero on every size in range")
-        ratios = (g[a] + g[b])[admissible] / denom[admissible]
-        k = int(np.argmax(ratios))  # the first maximum, as in a scan with strict >
-        pair = admissible[k]
-        return (FeatureMultiset.of_size(int(a[pair])), FeatureMultiset.of_size(int(b[pair])),
-                float(ratios[k]))
+    if isinstance(f, CustomSetFunction):
+        rng = np.random.default_rng(seed)
+        best = None
+        for _ in range(samples):
+            x = random_multiset(rng, f.universe_size, max_size)
+            y = random_multiset(rng, f.universe_size, max_size)
+            if len(x) == 0 or len(y) == 0:
+                continue
+            denom = f.value(x.union(y))
+            if denom == 0.0:
+                continue
+            ratio = (f.value(x) + f.value(y)) / denom
+            if best is None or ratio > best[2]:
+                best = (x, y, ratio)
+        if best is None:
+            raise ValueError("no admissible pair found by sampling")
+        return best
 
-    if not isinstance(f, CustomSetFunction):
-        raise TypeError("worst_pair_search needs a count-based cost or a CustomSetFunction")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(samples):
-        x = random_multiset(rng, f.universe_size, max_size)
-        y = random_multiset(rng, f.universe_size, max_size)
-        if len(x) == 0 or len(y) == 0:
-            continue
-        denom = f.value(x.union(y))
-        if denom == 0.0:
-            continue
-        ratio = (f.value(x) + f.value(y)) / denom
-        if best is None or ratio > best[2]:
-            best = (x, y, ratio)
-    if best is None:
-        raise ValueError("no admissible pair found by sampling")
-    return best
+    # Any other cost must be count-based; size_pairs raises TypeError if not.
+    a, b, g = size_pairs(f, max_size)
+    denom = g[a + b]
+    admissible = np.flatnonzero(denom != 0.0)
+    if admissible.size == 0:
+        raise ValueError("no admissible pair: cost is zero on every size in range")
+    ratios = (g[a] + g[b])[admissible] / denom[admissible]
+    k = int(np.argmax(ratios))  # the first maximum, as in a scan with strict >
+    pair = admissible[k]
+    return (FeatureMultiset.of_size(int(a[pair])), FeatureMultiset.of_size(int(b[pair])),
+            float(ratios[k]))

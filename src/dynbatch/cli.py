@@ -96,9 +96,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_validate(args) -> int:
     f = _cost(args.cost)
-    report = validate_assumption1(
-        f, universe_size=args.universe, max_batch=args.max_batch,
-        samples=args.samples, seed=args.seed)
+    report = validate_assumption1(f, max_batch=args.max_batch)
     print(f"ok={report.ok} checked={report.checked_pairs} violations={len(report.violations)}")
     for v in report.violations:
         where = f" at {v.sizes}" if v.sizes else ""
@@ -199,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = add("validate", _cmd_validate, "admissibility report for a cost spec")
     q.add_argument("--cost", required=True)
     q.add_argument("--max-batch", type=int, default=64)
-    q.add_argument("--samples", type=int, default=200)
-    q.add_argument("--universe", type=int, default=1)
-    q.add_argument("--seed", type=int, default=0)
 
     q = add("simulate", _cmd_simulate, "Monte-Carlo study against the offline optimum")
     q.add_argument("--cost", required=True)

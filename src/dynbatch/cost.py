@@ -11,6 +11,12 @@ lies in [1/2, 1] for admissible f; it controls how much is saved by merging
 two batches into one and parameterizes both the online guarantee and the
 adversarial lower bound implemented elsewhere in this package.
 
+This module is the only one that knows how a batch is priced.  Callers
+price a batch from its samples' feature ids with ``batch_cost``, or every
+prefix of a run of samples at once with ``prefix_costs``; both take the
+count-based shortcut themselves where the cost depends only on the batch
+size.
+
 Cost functions are immutable and safe to share across worker processes;
 ``value`` is pure.
 """
@@ -23,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -104,9 +110,10 @@ class FeatureMultiset:
 class CostFunction:
     """Base class for batch processing-cost functions.
 
-    Count-based kinds depend only on the batch size; they additionally
-    implement ``count_value``/``count_values`` so solvers can evaluate whole
-    ranges of batch sizes in one vectorized call.
+    ``batch_cost`` and ``prefix_costs`` are the pricing entry points.
+    Count-based kinds depend only on the batch size; each states its
+    formula once, as ``count_value``, and ``count_values`` tabulates it
+    over an array of sizes.
     """
 
     count_based: ClassVar[bool] = False
@@ -119,7 +126,21 @@ class CostFunction:
         raise TypeError(f"{type(self).__name__} is not count-based")
 
     def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        raise TypeError(f"{type(self).__name__} is not count-based")
+        """``count_value`` of each size, as a float array."""
+        return np.array([self.count_value(k) for k in np.asarray(sizes).tolist()], dtype=float)
+
+    def batch_cost(self, features: Sequence[int]) -> float:
+        """f of the batch of samples with these feature ids."""
+        return self.value(FeatureMultiset.from_features(features))
+
+    def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
+        """f of each prefix features[:1], features[:2], ..., in order."""
+        counts = Counter()
+        costs = []
+        for v in features:
+            counts[v] += 1
+            costs.append(self.value(FeatureMultiset(tuple(sorted(counts.items())))))
+        return np.array(costs, dtype=float)
 
     def curvature_exact(self) -> float | None:
         """Analytic curvature when a closed form is known, else None."""
@@ -135,6 +156,12 @@ class _CountCost(CostFunction):
     def value(self, x: FeatureMultiset) -> float:
         return self.count_value(len(x))
 
+    def batch_cost(self, features: Sequence[int]) -> float:
+        return self.count_value(len(features))
+
+    def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
+        return self.count_values(np.arange(1, len(features) + 1))
+
 
 @dataclass(frozen=True)
 class SqrtCount(_CountCost):
@@ -144,9 +171,6 @@ class SqrtCount(_CountCost):
 
     def count_value(self, size: int) -> float:
         return math.sqrt(size)
-
-    def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.asarray(sizes, dtype=float))
 
     def curvature_exact(self) -> float:
         # inf sqrt(a+b)/(sqrt(a)+sqrt(b)) is attained at a == b.
@@ -164,9 +188,6 @@ class Log1pCount(_CountCost):
 
     def count_value(self, size: int) -> float:
         return math.log1p(size)
-
-    def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        return np.log1p(np.asarray(sizes, dtype=float))
 
     def curvature_exact(self) -> float:
         # log(1+2a)/(2 log(1+a)) decreases to 1/2 as a grows; the infimum
@@ -195,9 +216,6 @@ class CappedLinear(_CountCost):
     def count_value(self, size: int) -> float:
         return float(min(self.slope * size, self.cap))
 
-    def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        return np.minimum(self.slope * np.asarray(sizes, dtype=float), self.cap)
-
     def curvature_exact(self) -> float:
         # The cap saturates at every size >= cap/slope, so two saturated
         # halves merge at exactly half their separate cost.
@@ -219,10 +237,6 @@ class ConstantCost(_CountCost):
 
     def count_value(self, size: int) -> float:
         return float(self.c) if size > 0 else 0.0
-
-    def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        sizes = np.asarray(sizes)
-        return np.where(sizes > 0, self.c, 0.0)
 
     def curvature_exact(self) -> float | None:
         return 0.5 if self.c > 0 else None
@@ -255,12 +269,6 @@ class CountTable(_CountCost):
         if size >= len(self.values):
             raise ValueError("cost table too short")
         return float(self.values[size])
-
-    def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        sizes = np.asarray(sizes)
-        if sizes.size and int(sizes.max()) >= len(self.values):
-            raise ValueError("cost table too short")
-        return np.asarray(self.values, dtype=float)[sizes]
 
     def spec_string(self) -> str:
         return "table:" + ",".join(f"{v:g}" for v in self.values)
@@ -338,8 +346,12 @@ def random_multiset(rng: np.random.Generator, universe_size: int, max_size: int)
 
 def size_pairs(f: CostFunction, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every size pair 1 <= a <= b with a + b <= limit, in ascending (a, b)
-    order, and the count-based ``f`` tabulated as g[k] = f(k), k <= limit."""
-    g = np.array([f.count_value(k) for k in range(limit + 1)], dtype=float)
+    order, and the count-based ``f`` tabulated as g[k] = f(k), k <= limit.
+
+    A ``CountTable`` clamps ``limit`` to the last size its table covers."""
+    if isinstance(f, CountTable):
+        limit = min(limit, len(f.values) - 1)
+    g = f.count_values(np.arange(limit + 1))
     a, b = np.triu_indices(limit + 1)
     keep = (a >= 1) & (a + b <= limit)
     return a[keep], b[keep], g
@@ -370,10 +382,8 @@ def validate_assumption1(
         violations.append(Violation("empty-zero", detail=f"f(empty) = {empty_val!r}"))
 
     if f.count_based:
-        if isinstance(f, CountTable):
-            max_batch = min(max_batch, len(f.values) - 1)
         a, b, g = size_pairs(f, max_batch)
-        checked += max_batch + a.size
+        checked += len(g) - 1 + a.size
         gv = g.tolist()  # Python floats, so details print as plain reprs
         for k in np.flatnonzero(g[:-1] > g[1:] + _SUBADD_TOL).tolist():
             violations.append(Violation("monotone", sizes=(k, k + 1),
@@ -431,10 +441,7 @@ def curvature_info(
         return CurvatureResult(f.gamma_hint, exact=True, upper_bound_only=False)
 
     if f.count_based:
-        limit = max_batch
-        if isinstance(f, CountTable):
-            limit = min(limit, len(f.values) - 1)
-        a, b, g = size_pairs(f, limit)
+        a, b, g = size_pairs(f, max_batch)
         if not g.any():
             raise ValueError("curvature undefined: cost is identically zero on the search range")
         denom = g[a] + g[b]

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset
+from .cost import CostFunction
 
 __all__ = [
     "ProblemInstance",
@@ -74,10 +74,6 @@ class ProblemInstance:
     @cached_property
     def times_array(self) -> np.ndarray:
         return np.asarray(self.times, dtype=float)
-
-    def multiset(self, lo: int, hi: int) -> FeatureMultiset:
-        """Feature multiset of samples lo..hi (1-based, inclusive)."""
-        return FeatureMultiset.from_features(self.features[lo - 1:hi])
 
     def shifted(self, delta: float) -> "ProblemInstance":
         return ProblemInstance(tuple(t + delta for t in self.times), self.features)
@@ -171,16 +167,8 @@ def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> Schedule
     """
     sched.validate_for(inst)
     n = inst.n
-    wait_terms = []
-    proc_terms = []
-    for b in sched.batches:
-        wait_terms.extend(b.time - inst.times[i] for i in range(b.lo - 1, b.hi))
-        if f.count_based:
-            proc_terms.append(f.count_value(b.hi - b.lo + 1))
-        else:
-            proc_terms.append(f.value(inst.multiset(b.lo, b.hi)))
-    waiting = math.fsum(wait_terms) / n
-    processing = math.fsum(proc_terms) / n
+    waiting = math.fsum((sched.processing_times(inst) - inst.times_array).tolist()) / n
+    processing = math.fsum(f.batch_cost(inst.features[b.lo - 1:b.hi]) for b in sched.batches) / n
     return ScheduleCost(waiting, processing, waiting + processing)
 
 

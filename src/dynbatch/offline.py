@@ -24,13 +24,12 @@ enumeration of all consecutive partitions for small n, which prunes nothing.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cost import CostFunction, FeatureMultiset
+from .cost import CostFunction
 from .instance import Batch, ProblemInstance, Schedule, ScheduleCost, cost_of, merge_coincident
 
 __all__ = [
@@ -69,19 +68,14 @@ class EdgeWeightOracle:
         spans = a[i - 1:] - a[i - 1]
         sizes = np.arange(1, len(spans) + 1)
         waits = sizes * spans - np.cumsum(spans)
-        if self.f.count_based:
-            return self.f.count_values(sizes) + waits
-        return np.array(_set_costs(self.inst, self.f, i - 1, len(spans))) + waits
+        return self.f.prefix_costs(self.inst.features[i - 1:]) + waits
 
     def weight(self, i: int, j: int) -> float:
         if not (1 <= i < j <= self.n + 1):
             raise ValueError(f"edge ({i}, {j}) outside 1 <= i < j <= n+1")
         a = self.inst.times
         spans = [a[k] - a[i - 1] for k in range(i - 1, j - 1)]
-        if self.f.count_based:
-            cost = self.f.count_value(j - i)
-        else:
-            cost = self.f.value(self.inst.multiset(i, j - 1))
+        cost = self.f.batch_cost(self.inst.features[i - 1:j - 1])
         return cost + ((j - i) * spans[-1] - math.fsum(spans))
 
 
@@ -101,7 +95,7 @@ def _window_widths(inst: ProblemInstance, f: CostFunction) -> np.ndarray:
     if f.count_based:
         single = f.count_value(1)
     else:
-        by_feature = {v: f.value(FeatureMultiset.of_size(1, v)) for v in set(inst.features)}
+        by_feature = {v: f.batch_cost((v,)) for v in set(inst.features)}
         single = np.array([by_feature[v] for v in inst.features])
     reach = a + single * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
     # A negative single-sample cost, outside Assumption 1, must still leave
@@ -130,7 +124,8 @@ def _edge_rows(inst: ProblemInstance, f: CostFunction, reverse: bool = False):
 
     Rows are built a block at a time, one vector operation per step across
     the whole block, so memory stays O(n + _BLOCK_ENTRIES).  A count cost
-    is evaluated only up to the widest window.
+    is tabulated once, up to the widest window, instead of priced row by
+    row with ``prefix_costs``.
     """
     a = inst.times_array
     widths = _window_widths(inst, f)
@@ -151,22 +146,12 @@ def _edge_rows(inst: ProblemInstance, f: CostFunction, reverse: bool = False):
         else:
             costs = np.zeros((hi - lo, w))
             for i in range(lo, hi):
-                costs[i - lo, :widths[i]] = _set_costs(inst, f, i, widths[i])
+                costs[i - lo, :widths[i]] = f.prefix_costs(inst.features[i:i + widths[i]])
             e += costs
         rows = e.tolist()
         order = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         for i in order:
             yield i, rows[i - lo][:widths[i]]
-
-
-def _set_costs(inst: ProblemInstance, f: CostFunction, i: int, width: int) -> list[float]:
-    """f of the batches of samples i+1..i+1+d (0-based i), for d < width."""
-    counts = Counter()
-    costs = []
-    for v in inst.features[i:i + width]:
-        counts[v] += 1
-        costs.append(f.value(FeatureMultiset(tuple(sorted(counts.items())))))
-    return costs
 
 
 def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, ScheduleCost]:
@@ -215,11 +200,7 @@ def _batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float
     for lo in range(1, n + 1):
         for hi in range(lo, n + 1):
             wait = sum(a[hi - 1] - a[k - 1] for k in range(lo, hi + 1))
-            if f.count_based:
-                proc = f.count_value(hi - lo + 1)
-            else:
-                proc = f.value(inst.multiset(lo, hi))
-            table[lo][hi] = proc + wait
+            table[lo][hi] = f.batch_cost(inst.features[lo - 1:hi]) + wait
     return table
 
 

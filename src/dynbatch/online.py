@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cost import CostFunction, FeatureMultiset
+from .cost import CostFunction
 from .instance import Batch, ProblemInstance, Schedule, ScheduleCost, cost_of, merge_coincident
 
 __all__ = [
@@ -61,7 +61,7 @@ class Wta:
         itself.
         """
         alpha = self.alpha
-        times = inst.times
+        times, features = inst.times, inst.features
         n = inst.n
         batches: list[Batch] = []
         i = 0  # next unarrived sample, 0-based
@@ -75,7 +75,7 @@ class Wta:
             accrued = 0.0
             while True:
                 pending = i - lo
-                target = alpha * _pending_cost(inst, f, lo, i - 1)
+                target = alpha * f.batch_cost(features[lo:i])
                 if target <= accrued:
                     batches.append(Batch(lo + 1, i, t))
                     break
@@ -181,13 +181,6 @@ def run_policy(
     """
     sched = Schedule(merge_coincident(policy.batches(inst, f)))
     return sched, cost_of(inst, sched, f)
-
-
-def _pending_cost(inst: ProblemInstance, f: CostFunction, lo: int, hi: int) -> float:
-    # lo..hi are 0-based inclusive sample indices here.
-    if f.count_based:
-        return f.count_value(hi - lo + 1)
-    return f.value(FeatureMultiset.from_features(inst.features[lo:hi + 1]))
 
 
 def competitive_ratio_bound(alpha: float, gamma: float) -> float:

@@ -121,7 +121,8 @@ def test_criterion_3_wta_identities(corpus):
             prev = 0.0
             for b in sched.batches:
                 accrued = curve.integral_between(prev, b.time)
-                target = alpha * f.value(inst.multiset(b.lo, b.hi))
+                batch = FeatureMultiset.from_features(inst.features[b.lo - 1:b.hi])
+                target = alpha * f.value(batch)
                 assert _rel_close(accrued, target), (inst.times[:3], alpha, b)
                 prev = b.time
             checked += 1

@@ -76,6 +76,31 @@ class TestEvaluate:
         assert f.value(FeatureMultiset.empty()) == 0.0
 
 
+COUNT_COSTS = (*BUILTIN_COSTS, CountTable(tuple(math.sqrt(k) for k in range(65))))
+PRICED_COSTS = (
+    *COUNT_COSTS,
+    CustomSetFunction(lambda x: len(x.counts) + 0.25 * math.sqrt(len(x)), universe_size=3,
+                      name="distinct+sqrt"),
+)
+
+
+@pytest.mark.parametrize("f", COUNT_COSTS, ids=lambda f: f.spec_string()[:16])
+def test_count_values_is_count_value(f):
+    # One formula per count cost: the array form must agree bit for bit
+    # (log1p once differed by one ulp at sizes 2, 13 and 47).
+    assert f.count_values(np.arange(65)).tolist() == [f.count_value(k) for k in range(65)]
+
+
+@pytest.mark.parametrize("f", PRICED_COSTS, ids=lambda f: f.spec_string()[:16])
+def test_batch_cost_and_prefix_costs_price_every_prefix(f):
+    features = (2, 0, 2, 1, 0, 0, 2, 1, 1, 2)
+    prefixes = [features[:k] for k in range(1, len(features) + 1)]
+    want = [f.value(FeatureMultiset.from_features(p)) for p in prefixes]
+    assert [f.batch_cost(p) for p in prefixes] == want
+    assert f.prefix_costs(features).tolist() == want
+    assert f.prefix_costs(()).tolist() == []
+
+
 class TestValidateAssumption1:
     def test_sqrt_clean(self):
         report = validate_assumption1(SqrtCount(), max_batch=64)

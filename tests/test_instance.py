@@ -28,7 +28,7 @@ class TestProblemInstance:
     def test_basic(self):
         inst = ProblemInstance((0.0, 1.0), (0, 1))
         assert inst.n == 2
-        assert inst.multiset(1, 2).counts == ((0, 1), (1, 1))
+        assert inst.features == (0, 1)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty instance"):

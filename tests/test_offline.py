@@ -261,18 +261,23 @@ def test_osp_runtime_scales_near_linearly():
     """The windowed sweep does O(n w) work for windows of w samples, so
     doubling n at a fixed rate should about double the wall time: at most
     3x, where a full O(n^2) sweep reads about 4x.  n = 1e5 at rate 2 solves
-    in under a second."""
+    in under a second.
+
+    The two sizes are timed in alternation, so a change of host speed
+    during the test slows both sides' repetitions alike."""
+    def solve_time(inst):
+        t0 = time.perf_counter()
+        optimal_schedule(inst, SqrtCount())
+        return time.perf_counter() - t0
+
     def best_of(n, reps):
         inst = gen_poisson(ConstantRate(2), n, seed=5)
-        best = math.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            optimal_schedule(inst, SqrtCount())
-            best = min(best, time.perf_counter() - t0)
-        return best
+        return min(solve_time(inst) for _ in range(reps))
 
     best_of(256, 3)  # warm up allocators and caches
-    ratio = best_of(8192, 5) / best_of(4096, 5)
+    small, large = (gen_poisson(ConstantRate(2), n, seed=5) for n in (4096, 8192))
+    pairs = [(solve_time(small), solve_time(large)) for _ in range(5)]
+    ratio = min(t for _, t in pairs) / min(t for t, _ in pairs)
     assert ratio <= 3.0, f"scaling ratio {ratio}"
     seconds = best_of(100_000, 2)
     assert seconds < 1.0, f"n = 1e5 took {seconds:.3f} s"
