@@ -11,10 +11,24 @@ upper-bounds the offline optimum, which pins the policy's competitive
 ratio from below.
 
 Only deterministic policies are meaningful here: the construction observes
-the policy's flush times and must be able to replay them.  Since every
-policy in this package is a pure function of the arrivals seen so far, the
-interaction is realized by re-running the policy on each growing prefix;
-decisions strictly before a release are unaffected by it.
+the policy's flush times and must be able to replay them.  The interaction
+is realized by replaying the policy after each release, but only from the
+first sample of the previous prefix's last batch.  That is exact for every
+policy in this package, for two reasons:
+
+- every batch before the last one of a prefix's schedule is processed
+  strictly before the last one, hence before the next release, and was
+  closed by arrivals inside the prefix, so no later release can change it;
+- each policy restarts its state at a batch boundary, so the replay from
+  that boundary emits the same batches as a run from the first sample.
+
+The last batch itself is never taken as final, even when it is processed
+before the next release: ``FixedSize`` processes a trailing partial batch
+at the last arrival only because the instance ends there, and a release
+whose gap rounds to zero lands on the last flush instant and joins that
+batch.  A release thus replays the open batch and its own group, not the
+whole prefix, so the construction's work grows linearly with the rounds
+as long as the policy keeps flushing.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, CustomSetFunction, FeatureMultiset, random_multiset, size_pairs
-from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
+from .instance import ProblemInstance, Schedule, ScheduleCost
 from .offline import optimal_schedule
 from .online import PolicyConfig, run_policy
 
@@ -104,23 +118,7 @@ def run_adversary(
     emitted schedules, which is all an adversary may observe.
     """
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(policy, f, cfg.x1)
-    times: list[float] = []
-    feats: list[int] = []
-    wave_last_index: list[int] = []  # 1-based index of each release's last sample
-    flush_times: list[float] = []
-    t_prev = 0.0
-    for wave in range(2 * cfg.rounds):
-        group = cfg.x1 if wave % 2 == 0 else cfg.x2
-        release = t_prev + epsilon
-        _release(group, release, times, feats)
-        wave_last_index.append(len(times))
-        inst = ProblemInstance(tuple(times), tuple(feats))
-        sched, _ = run_policy(inst, f, policy)
-        t_j = _processing_time_of(sched, wave_last_index[-1])
-        if t_j - release > cfg.timeout:
-            raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
-        flush_times.append(t_j)
-        t_prev = t_j
+    times, feats, wave_last_index, flush_times = _realize_waves(policy, f, cfg, epsilon)
 
     inst = ProblemInstance(tuple(times), tuple(feats))
     sched, alg_cost = run_policy(inst, f, policy)
@@ -163,6 +161,41 @@ def run_adversary(
     )
 
 
+def _realize_waves(
+    policy: PolicyConfig, f: CostFunction, cfg: AdversaryConfig, epsilon: float
+) -> tuple[list[float], list[int], list[int], list[float]]:
+    """Release the alternating groups, each ``epsilon`` after the policy
+    flushed the previous one.
+
+    Returns the arrival times and feature ids, the 1-based index of each
+    release's last sample, and each release's flush time.  After a release
+    only the samples from the previous prefix's last batch on are replayed
+    (see the module docstring for why that is exact).
+    """
+    times: list[float] = []
+    feats: list[int] = []
+    wave_last_index: list[int] = []
+    flush_times: list[float] = []
+    start = 0  # 0-based first sample of the previous prefix's last batch
+    t_prev = 0.0
+    for wave in range(2 * cfg.rounds):
+        group = cfg.x1 if wave % 2 == 0 else cfg.x2
+        release = t_prev + epsilon
+        _release(group, release, times, feats)
+        wave_last_index.append(len(times))
+        open_part = ProblemInstance(tuple(times[start:]), tuple(feats[start:]))
+        sched, _ = run_policy(open_part, f, policy)
+        # The release's last sample is the prefix's last, so its batch is
+        # the schedule's last.
+        last = sched.batches[-1]
+        if last.time - release > cfg.timeout:
+            raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
+        flush_times.append(last.time)
+        t_prev = last.time
+        start += last.lo - 1
+    return times, feats, wave_last_index, flush_times
+
+
 def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) -> float:
     """1e-6 times the policy's flush delay on a lone first group."""
     times: list[float] = []
@@ -181,19 +214,16 @@ def _release(group: FeatureMultiset, t: float, times: list[float], feats: list[i
         feats.extend([fid] * mult)
 
 
-def _processing_time_of(sched: Schedule, index: int) -> float:
-    for b in sched.batches:
-        if b.lo <= index <= b.hi:
-            return b.time
-    raise RuntimeError(f"sample {index} missing from the policy's schedule")
-
-
 def _count_split_waves(sched: Schedule, wave_last_index: list[int]) -> int:
+    """Releases whose samples ``sched`` spreads over more than one batch."""
     splits = 0
+    batches = iter(sched.batches)
+    batch = next(batches)
     wave_lo = 1
     for last in wave_last_index:
-        first_batch = next(b for b in sched.batches if b.lo <= wave_lo <= b.hi)
-        if first_batch.hi < last:
+        while batch.hi < wave_lo:
+            batch = next(batches)
+        if batch.hi < last:
             splits += 1
         wave_lo = last + 1
     return splits
@@ -232,6 +262,8 @@ def worst_pair_search(
 
     # Any other cost must be count-based; size_pairs raises TypeError if not.
     a, b, g = size_pairs(f, max_size)
+    if a.size == 0:  # only a CountTable clamps the range below two sizes
+        raise ValueError(f"no size pair: the cost table covers only sizes 0..{len(g) - 1}")
     denom = g[a + b]
     admissible = np.flatnonzero(denom != 0.0)
     if admissible.size == 0:

@@ -13,7 +13,11 @@ Every policy is a frozen dataclass with one method,
 ``run_policy`` is the one runner that merges coincident batches and prices
 the resulting schedule.  All policies consult only arrivals at or before
 the current simulation time, so their decisions are online: truncating the
-future leaves past decisions unchanged.
+future leaves past decisions unchanged.  The one exception is the end of
+the instance: ``FixedSize`` processes a trailing partial batch at the last
+arrival, a batch that more arrivals would have extended.  No policy keeps
+state across a batch boundary, so a run started at a batch's first sample
+emits the rest of the schedule unchanged.
 """
 
 from __future__ import annotations

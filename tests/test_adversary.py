@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+import dynbatch.adversary as adversary
 from dynbatch import (
     AdversaryConfig,
     CappedLinear,
@@ -9,6 +11,8 @@ from dynbatch import (
     CountTable,
     FeatureMultiset,
     FixedDelay,
+    FixedSize,
+    ProblemInstance,
     SqrtCount,
     Wta,
     cost_of,
@@ -119,6 +123,65 @@ class TestRunAdversary:
             AdversaryConfig(x1=ONE, x2=ONE, rounds=3, epsilon=0.0)
 
 
+def _prefix_replay_waves(policy, f, cfg, epsilon):
+    """Reference for ``adversary._realize_waves``: re-run the policy on the
+    whole growing prefix after every release."""
+    times, feats, wave_last_index, flush_times = [], [], [], []
+    t_prev = 0.0
+    for wave in range(2 * cfg.rounds):
+        group = cfg.x1 if wave % 2 == 0 else cfg.x2
+        release = t_prev + epsilon
+        for fid, mult in group.counts:
+            times.extend([release] * mult)
+            feats.extend([fid] * mult)
+        wave_last_index.append(len(times))
+        sched, _ = run_policy(ProblemInstance(tuple(times), tuple(feats)), f, policy)
+        t_j = next(b.time for b in sched.batches if b.lo <= len(times) <= b.hi)
+        if t_j - release > cfg.timeout:
+            raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
+        flush_times.append(t_j)
+        t_prev = t_j
+    return times, feats, wave_last_index, flush_times
+
+
+class TestOpenBatchReplay:
+    @pytest.mark.parametrize("policy", [Wta(0.5), Wta(3.0), FixedSize(3), FixedDelay(0.3),
+                                        FixedDelay(0.0)], ids=lambda p: p.spec_string())
+    @pytest.mark.parametrize("f", [ConstantCost(1), SqrtCount()], ids=lambda f: f.spec_string())
+    def test_matches_whole_prefix_replay(self, policy, f, monkeypatch):
+        # epsilon 1e-30 rounds onto the previous flush once times are
+        # large, so a release can join and revise the last batch.
+        for sizes in ((1, 1), (2, 3)):
+            for epsilon in (1e-6, None, 1e-30, 0.7):
+                cfg = AdversaryConfig(FeatureMultiset.of_size(sizes[0]),
+                                      FeatureMultiset.of_size(sizes[1]), rounds=20,
+                                      epsilon=epsilon)
+                rep = run_adversary(policy, f, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(adversary, "_realize_waves", _prefix_replay_waves)
+                    expected = run_adversary(policy, f, cfg)
+                assert rep == expected, (sizes, epsilon)
+                # split_waves by its definition: a batch ends inside a release
+                lasts = list(itertools.accumulate(sizes * cfg.rounds))
+                firsts = [1] + [last + 1 for last in lasts[:-1]]
+                assert rep.split_waves == sum(
+                    any(lo <= b.hi < last for b in rep.schedule.batches)
+                    for lo, last in zip(firsts, lasts))
+
+    def test_replay_work_is_linear_in_rounds(self, monkeypatch):
+        # Samples replayed, not wall time: the count is exact on any host.
+        replayed = []
+
+        def counting_run_policy(inst, f, policy):
+            replayed.append(inst.n)
+            return run_policy(inst, f, policy)
+
+        monkeypatch.setattr(adversary, "run_policy", counting_run_policy)
+        rep = run_adversary(Wta(0.5), ConstantCost(1), config(400))
+        assert len(replayed) == 2 * 400 + 1
+        assert sum(replayed) <= 3 * rep.instance.n
+
+
 class TestWorstPairSearch:
     def test_constant_any_pair_bound_two(self):
         x1, x2, bound = worst_pair_search(ConstantCost(1), 8)
@@ -160,6 +223,11 @@ class TestWorstPairSearch:
         # The scan clamps to the sizes the table covers, like the other two.
         table = CountTable((0.0, 1.0, 1.5))
         assert worst_pair_search(table, 3) == worst_pair_search(table, 2)
+
+    @pytest.mark.parametrize("values", [(0.0, 1.0), (0.0,)])
+    def test_table_covering_no_pair_names_its_sizes(self, values):
+        with pytest.raises(ValueError, match=rf"covers only sizes 0\.\.{len(values) - 1}$"):
+            worst_pair_search(CountTable(values), 2)
 
     def test_size_cap_validated(self):
         with pytest.raises(ValueError):

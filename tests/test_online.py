@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynbatch import (
     Batch,
     CappedLinear,
     ConstantCost,
     CountTable,
+    CustomSetFunction,
     FixedDelay,
     FixedSize,
     Log1pCount,
@@ -262,6 +265,39 @@ def test_policies_emit_valid_schedules(policy):
         sched, cost = run_policy(inst, SqrtCount(), policy)
         sched.validate_for(inst)  # raises on any structural violation
         assert cost.total == cost.waiting + cost.processing
+
+
+@st.composite
+def coincident_instances(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 1.0, 2.5]),
+                         min_size=n, max_size=n))
+    feats = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    return ProblemInstance(tuple(float(t) for t in np.cumsum(gaps)), tuple(feats))
+
+
+RESTART_COSTS = COSTS + [
+    CountTable((0.0,) * 16),
+    CustomSetFunction(lambda x: len(x.counts) + math.sqrt(len(x)), universe_size=3,
+                      name="distinct+sqrt"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=coincident_instances(),
+       policy=st.sampled_from([Wta(0.5), Wta(3.0), FixedSize(1), FixedSize(3),
+                               FixedDelay(0.0), FixedDelay(0.3)]),
+       f=st.sampled_from(RESTART_COSTS))
+def test_policies_restart_at_batch_boundaries(inst, policy, f):
+    # A run from any batch's first sample emits the remaining batches: the
+    # policies keep no state across a batch boundary, which the adversary's
+    # open-batch replay relies on.
+    batches = policy.batches(inst, f)
+    for k, b in enumerate(batches):
+        shift = b.lo - 1
+        suffix = ProblemInstance(inst.times[shift:], inst.features[shift:])
+        replayed = [Batch(c.lo + shift, c.hi + shift, c.time) for c in policy.batches(suffix, f)]
+        assert replayed == batches[k:]
 
 
 class TestPolicySpec:
