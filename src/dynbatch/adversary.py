@@ -11,24 +11,15 @@ upper-bounds the offline optimum, which pins the policy's competitive
 ratio from below.
 
 Only deterministic policies are meaningful here: the construction observes
-the policy's flush times and must be able to replay them.  The interaction
-is realized by replaying the policy after each release, but only from the
-first sample of the previous prefix's last batch.  That is exact for every
-policy in this package, for two reasons:
-
-- every batch before the last one of a prefix's schedule is processed
-  strictly before the last one, hence before the next release, and was
-  closed by arrivals inside the prefix, so no later release can change it;
-- each policy restarts its state at a batch boundary, so the replay from
-  that boundary emits the same batches as a run from the first sample.
-
-The last batch itself is never taken as final, even when it is processed
-before the next release: ``FixedSize`` processes a trailing partial batch
-at the last arrival only because the instance ends there, and a release
-whose gap rounds to zero lands on the last flush instant and joins that
-batch.  A release thus replays the open batch and its own group, not the
-whole prefix, so the construction's work grows linearly with the rounds
-as long as the policy keeps flushing.
+the policy's flush times as they happen, through its ``close`` rule.
+After each release it closes batches from the first sample of the open
+batch until one holds the release.  A batch closed while a later sample
+was already waiting is final, since each rule reads no arrival past the
+first one it leaves out.  The open batch is closed again after every
+release: a release whose gap rounds to zero lands on that batch's flush
+instant and joins it, and ``FixedSize`` processes a trailing partial batch
+only because the arrivals end there.  The construction's work thus grows
+linearly with the rounds as long as the policy keeps flushing.
 """
 
 from __future__ import annotations
@@ -168,31 +159,29 @@ def _realize_waves(
     flushed the previous one.
 
     Returns the arrival times and feature ids, the 1-based index of each
-    release's last sample, and each release's flush time.  After a release
-    only the samples from the previous prefix's last batch on are replayed
-    (see the module docstring for why that is exact).
+    release's last sample, and each release's flush time.
     """
+    close = policy.close
     times: list[float] = []
     feats: list[int] = []
     wave_last_index: list[int] = []
     flush_times: list[float] = []
-    start = 0  # 0-based first sample of the previous prefix's last batch
+    lo = 0  # 0-based first sample of the open batch
     t_prev = 0.0
     for wave in range(2 * cfg.rounds):
         group = cfg.x1 if wave % 2 == 0 else cfg.x2
         release = t_prev + epsilon
         _release(group, release, times, feats)
-        wave_last_index.append(len(times))
-        open_part = ProblemInstance(tuple(times[start:]), tuple(feats[start:]))
-        sched, _ = run_policy(open_part, f, policy)
-        # The release's last sample is the prefix's last, so its batch is
-        # the schedule's last.
-        last = sched.batches[-1]
-        if last.time - release > cfg.timeout:
+        n = len(times)
+        wave_last_index.append(n)
+        hi, t = close(times, feats, f, lo)
+        while hi < n:
+            lo = hi
+            hi, t = close(times, feats, f, lo)
+        if t - release > cfg.timeout:
             raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
-        flush_times.append(last.time)
-        t_prev = last.time
-        start += last.lo - 1
+        flush_times.append(t)
+        t_prev = t
     return times, feats, wave_last_index, flush_times
 
 
@@ -201,9 +190,9 @@ def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) ->
     times: list[float] = []
     feats: list[int] = []
     _release(x1, 0.0, times, feats)
-    inst = ProblemInstance(tuple(times), tuple(feats))
-    sched, _ = run_policy(inst, f, policy)
-    gap = sched.batches[-1].time
+    # The group arrives at one instant, so every batch is processed at
+    # the time of the first.
+    _, gap = policy.close(times, feats, f, 0)
     return 1e-6 * gap if gap > 0 else 1e-6
 
 

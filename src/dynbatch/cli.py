@@ -113,16 +113,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     f = _cost(args.cost)
-    if args.rate_fn:
-        try:
-            rates = [parse_rate_spec(args.rate_fn)]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    else:
-        try:
-            rates = [parse_rate_spec(p) for p in args.rate.split(",") if p.strip()]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    # A sin: spec holds commas, so --rate-fn is one spec and never split.
+    rate_specs = [args.rate_fn] if args.rate_fn else [p for p in args.rate.split(",") if p.strip()]
+    try:
+        rates = [parse_rate_spec(p) for p in rate_specs]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if (args.horizon is None) == (args.n is None):
         raise UsageError("give exactly one of --n or --horizon")
     n_values = _parse_int_list(args.n) if args.n is not None else None

@@ -167,8 +167,6 @@ class _CountCost(CostFunction):
 class SqrtCount(_CountCost):
     """f(X) = sqrt(|X|)."""
 
-    gamma_hint: float | None = None
-
     def count_value(self, size: int) -> float:
         return math.sqrt(size)
 
@@ -183,8 +181,6 @@ class SqrtCount(_CountCost):
 @dataclass(frozen=True)
 class Log1pCount(_CountCost):
     """f(X) = log(1 + |X|)."""
-
-    gamma_hint: float | None = None
 
     def count_value(self, size: int) -> float:
         return math.log1p(size)
@@ -205,7 +201,6 @@ class CappedLinear(_CountCost):
 
     slope: float
     cap: float
-    gamma_hint: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.slope > 0 and math.isfinite(self.slope)):

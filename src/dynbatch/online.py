@@ -1,5 +1,16 @@
 """Online batching policies, run as exact event-driven simulations.
 
+Each policy is a frozen dataclass with one rule,
+``close(times, features, f, lo) -> (hi, t)``: the samples lo..hi-1
+(0-based) waiting from ``lo`` on are processed together at ``t``.  The
+rule reads only arrivals at or before ``t``, so every decision is online
+by construction.  The one exception is the end of the instance:
+``FixedSize`` processes a trailing partial batch at the last arrival, a
+batch that more arrivals would have extended.
+``batches(inst, f)`` is the one driver: it closes a batch, starts the next
+at the first sample left out, and so on to the end.  ``run_policy`` merges
+batches processed at the same instant and prices the schedule.
+
 The waiting policy ("wta") accumulates the waiting time of pending samples
 and flushes them all as one batch the instant that accumulated waiting
 equals alpha times the cost of processing them together.  Between arrivals
@@ -7,22 +18,12 @@ the accumulated waiting grows linearly with slope equal to the pending
 count while the flush target is constant, so the trigger instant is solved
 in closed form per inter-event interval; no time stepping is involved and
 the flush identity holds to machine precision.
-
-Every policy is a frozen dataclass with one method,
-``batches(inst, f) -> list[Batch]``, that simulates it on an instance;
-``run_policy`` is the one runner that merges coincident batches and prices
-the resulting schedule.  All policies consult only arrivals at or before
-the current simulation time, so their decisions are online: truncating the
-future leaves past decisions unchanged.  The one exception is the end of
-the instance: ``FixedSize`` processes a trailing partial batch at the last
-arrival, a batch that more arrivals would have extended.  No policy keeps
-state across a batch boundary, so a run started at a batch's first sample
-emits the rest of the schedule unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cost import CostFunction
@@ -39,8 +40,25 @@ __all__ = [
 ]
 
 
+class _Policy:
+    """The one simulation driver, over a policy's ``close`` rule."""
+
+    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
+        """Close batches from the first sample on until every sample is in one."""
+        close = self.close
+        times, features = inst.times, inst.features
+        n = inst.n
+        batches = []
+        lo = 0
+        while lo < n:
+            hi, t = close(times, features, f, lo)
+            batches.append(Batch(lo + 1, hi, t))
+            lo = hi
+        return batches
+
+
 @dataclass(frozen=True)
-class Wta:
+class Wta(_Policy):
     """Flush all pending samples once their accumulated waiting time
     reaches ``alpha`` times the cost of processing them together."""
 
@@ -53,8 +71,9 @@ class Wta:
     def spec_string(self) -> str:
         return f"wta:{self.alpha:g}"
 
-    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
-        """Exact simulation of the waiting policy with balance factor ``alpha``.
+    def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
+              lo: int) -> tuple[int, float]:
+        """Exact simulation of one flush cycle with balance factor ``alpha``.
 
         Arrivals sharing a time instant are absorbed as one event.  An arrival
         landing exactly on a candidate flush instant is absorbed first (pending
@@ -65,39 +84,31 @@ class Wta:
         itself.
         """
         alpha = self.alpha
-        times, features = inst.times, inst.features
-        n = inst.n
-        batches: list[Batch] = []
-        i = 0  # next unarrived sample, 0-based
-        while i < n:
-            # new cycle: pending was empty, so waiting starts accruing at the
-            # next arrival instant
-            lo = i
-            t = times[i]
-            while i < n and times[i] == t:
-                i += 1
-            accrued = 0.0
-            while True:
-                pending = i - lo
-                target = alpha * f.batch_cost(features[lo:i])
-                if target <= accrued:
-                    batches.append(Batch(lo + 1, i, t))
-                    break
-                t_star = t + (target - accrued) / pending
-                if i < n and t_star >= times[i]:
-                    t_next = times[i]
-                    accrued += pending * (t_next - t)
-                    t = t_next
-                    while i < n and times[i] == t:
-                        i += 1
-                    continue
-                batches.append(Batch(lo + 1, i, t_star))
-                break
-        return batches
+        n = len(times)
+        # pending was empty, so waiting starts accruing at the first arrival
+        i = lo
+        t = times[i]
+        while i < n and times[i] == t:
+            i += 1
+        accrued = 0.0
+        while True:
+            pending = i - lo
+            target = alpha * f.batch_cost(features[lo:i])
+            if target <= accrued:
+                return i, t
+            t_star = t + (target - accrued) / pending
+            if i < n and t_star >= times[i]:
+                t_next = times[i]
+                accrued += pending * (t_next - t)
+                t = t_next
+                while i < n and times[i] == t:
+                    i += 1
+                continue
+            return i, t_star
 
 
 @dataclass(frozen=True)
-class FixedSize:
+class FixedSize(_Policy):
     """Process every k-th arrival together with the k-1 before it."""
 
     k: int
@@ -109,21 +120,16 @@ class FixedSize:
     def spec_string(self) -> str:
         return f"fixed-size:{self.k}"
 
-    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
-        """Process every ``k`` consecutive arrivals at the k-th arrival's time;
-        a final partial batch is processed at the last arrival."""
-        n = inst.n
-        batches = []
-        lo = 1
-        while lo <= n:
-            hi = min(lo + self.k - 1, n)
-            batches.append(Batch(lo, hi, inst.times[hi - 1]))
-            lo = hi + 1
-        return batches
+    def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
+              lo: int) -> tuple[int, float]:
+        """The next ``k`` arrivals, at the k-th arrival's time; a final
+        partial batch is processed at the last arrival."""
+        hi = min(lo + self.k, len(times))
+        return hi, times[hi - 1]
 
 
 @dataclass(frozen=True)
-class FixedDelay:
+class FixedDelay(_Policy):
     """Flush all pending samples when the oldest has waited ``delay``."""
 
     delay: float
@@ -135,24 +141,20 @@ class FixedDelay:
     def spec_string(self) -> str:
         return f"fixed-delay:{self.delay:g}"
 
-    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
-        """Flush all pending samples once the oldest has waited ``delay``.
+    def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
+              lo: int) -> tuple[int, float]:
+        """Flush once the oldest pending sample has waited ``delay``.
 
         Every sample that has arrived by the flush instant joins the batch.
         With ``delay`` 0 this degenerates to processing each arrival instant's
         samples immediately.
         """
-        n = inst.n
-        batches = []
-        lo = 1
-        while lo <= n:
-            flush = inst.times[lo - 1] + self.delay
-            hi = lo
-            while hi < n and inst.times[hi] <= flush:
-                hi += 1
-            batches.append(Batch(lo, hi, flush))
-            lo = hi + 1
-        return batches
+        flush = times[lo] + self.delay
+        n = len(times)
+        hi = lo + 1
+        while hi < n and times[hi] <= flush:
+            hi += 1
+        return hi, flush
 
 
 PolicyConfig = Wta | FixedSize | FixedDelay

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -322,18 +323,15 @@ def run_study(
         for lo in range(0, trials, _CHUNK):
             tasks.append((gi, n, rate, tuple(policies), cost_fn,
                           lo, min(lo + _CHUNK, trials), seed, horizon))
-    if parallelism > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            chunks = list(pool.map(_run_chunk, tasks, chunksize=1))
-    else:
-        chunks = []
-        for k, task in enumerate(tasks):
-            chunks.append(_run_chunk(task))
+    parallel = parallelism > 1 and len(tasks) > 1
+    records: list[TrialRecord] = []
+    with (ProcessPoolExecutor(max_workers=parallelism) if parallel else nullcontext()) as pool:
+        chunks = pool.map(_run_chunk, tasks, chunksize=1) if parallel else map(_run_chunk, tasks)
+        # Both maps yield the chunks in task order without waiting for the rest.
+        for k, chunk in enumerate(chunks):
+            records.extend(chunk)
             if progress:
                 print(f"chunk {k + 1}/{len(tasks)} done", file=sys.stderr)
-    records: list[TrialRecord] = []
-    for chunk in chunks:
-        records.extend(chunk)
     return records
 
 

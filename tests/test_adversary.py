@@ -169,17 +169,19 @@ class TestOpenBatchReplay:
                     for lo, last in zip(firsts, lasts))
 
     def test_replay_work_is_linear_in_rounds(self, monkeypatch):
-        # Samples replayed, not wall time: the count is exact on any host.
-        replayed = []
+        # Samples closed over, not wall time: the count is exact on any host.
+        # The final full run closes every sample once more.
+        closed = []
+        close = Wta.close
 
-        def counting_run_policy(inst, f, policy):
-            replayed.append(inst.n)
-            return run_policy(inst, f, policy)
+        def counting_close(self, times, features, f, lo):
+            hi, t = close(self, times, features, f, lo)
+            closed.append(hi - lo)
+            return hi, t
 
-        monkeypatch.setattr(adversary, "run_policy", counting_run_policy)
+        monkeypatch.setattr(Wta, "close", counting_close)
         rep = run_adversary(Wta(0.5), ConstantCost(1), config(400))
-        assert len(replayed) == 2 * 400 + 1
-        assert sum(replayed) <= 3 * rep.instance.n
+        assert sum(closed) <= 3 * rep.instance.n
 
 
 class TestWorstPairSearch:

@@ -316,3 +316,32 @@ def test_windowed_solvers_match_brute_force(inst):
         lam1 = dual_recursion(inst, f).lambdas[0]
         assert math.isclose(cost.total, bf.total, rel_tol=1e-9, abs_tol=1e-12), f
         assert math.isclose(lam1, bf.total, rel_tol=1e-9, abs_tol=1e-12), f
+
+
+@st.composite
+def shifted_instances(draw):
+    """An instance on the 2^-10 grid below 4 and the same one shifted by an
+    integer below 2^31: every shifted time is exact in a double."""
+    ticks = sorted(draw(st.lists(st.integers(min_value=0, max_value=4 * 1024 - 1),
+                                 min_size=1, max_size=12)))
+    feats = tuple(draw(st.lists(st.integers(min_value=0, max_value=2),
+                                min_size=len(ticks), max_size=len(ticks))))
+    shift = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    times = tuple(k / 1024 for k in ticks)
+    return (ProblemInstance(times, feats),
+            ProblemInstance(tuple(t + shift for t in times), feats), shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=shifted_instances())
+def test_time_shift_leaves_the_optimum_unchanged(pair):
+    inst, shifted, shift = pair
+    for f in PROPERTY_COSTS:
+        sched, cost = optimal_schedule(inst, f)
+        shifted_sched, shifted_cost = optimal_schedule(shifted, f)
+        assert _partition(shifted_sched) == _partition(sched), f
+        assert [b.time for b in shifted_sched.batches] == [b.time + shift for b in sched.batches]
+        assert shifted_cost == cost, f
+        dual, shifted_dual = dual_recursion(inst, f), dual_recursion(shifted, f)
+        assert shifted_dual.lambdas == dual.lambdas, f
+        assert shifted_dual.successors == dual.successors, f

@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import warnings
@@ -298,6 +299,20 @@ def test_policies_restart_at_batch_boundaries(inst, policy, f):
         suffix = ProblemInstance(inst.times[shift:], inst.features[shift:])
         replayed = [Batch(c.lo + shift, c.hi + shift, c.time) for c in policy.batches(suffix, f)]
         assert replayed == batches[k:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coincident_instances(),
+       policy=st.sampled_from([Wta(0.5), Wta(1.0), Wta(3.0), FixedSize(1), FixedSize(3),
+                               FixedDelay(0.0), FixedDelay(0.3)]),
+       f=st.sampled_from(RESTART_COSTS + [ConstantCost(0)]))
+def test_policies_are_online(inst, policy, f):
+    # Every batch is decided from the arrivals at or before its processing
+    # time: closing it with all later arrivals cut off gives the same batch.
+    for b in policy.batches(inst, f):
+        seen = bisect.bisect_right(inst.times, b.time)
+        closed = policy.close(inst.times[:seen], inst.features[:seen], f, b.lo - 1)
+        assert closed == (b.hi, b.time)
 
 
 class TestPolicySpec:

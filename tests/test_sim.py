@@ -160,6 +160,13 @@ class TestRunStudy:
         parallel = run_study(parallelism=2, **kwargs)
         assert serial == parallel
 
+    def test_progress_reports_every_chunk_in_parallel(self, capsys):
+        # one chunk per grid point
+        run_study(n_values=[5, 8], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                  cost_fn=SqrtCount(), trials=3, seed=0, parallelism=2, progress=True)
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["chunk 1/2 done", "chunk 2/2 done"]
+
     def test_seed_field_regenerates_instance(self):
         records = run_study(
             n_values=[6], rates=[ConstantRate(2.0)], policies=[Wta(1.0)],
