@@ -12,8 +12,10 @@ All types are immutable after construction; the operations are pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "StepCurve",
     "InfeasibleScheduleError",
     "cost_of",
+    "chunk_costs",
     "pending_count_curve",
     "positive_excess_integral",
 ]
@@ -170,6 +173,48 @@ def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> Schedule
     waiting = math.fsum((sched.processing_times(inst) - inst.times_array).tolist()) / n
     processing = math.fsum(f.batch_cost(inst.features[b.lo - 1:b.hi]) for b in sched.batches) / n
     return ScheduleCost(waiting, processing, waiting + processing)
+
+
+def chunk_costs(a: np.ndarray, ends: Sequence[Sequence[int]], stamps: Sequence[Sequence[float]],
+                f: CostFunction) -> list[ScheduleCost]:
+    """``cost_of`` of T schedules in one pass, under a count cost ``f``.
+
+    Row t of the (T, n) arrival times ``a`` is an instance.  Its schedule's
+    k-th batch ends at sample ends[t][k] (1-based) and is processed at
+    stamps[t][k]; batches processed at one instant are merged first, as
+    ``merge_coincident`` does.  The values equal ``cost_of``'s bit for
+    bit: each trial's waits and batch costs are the same floats, summed
+    exactly by ``math.fsum``.  An invalid schedule raises the error of
+    ``Schedule.validate_for``.
+    """
+    T, n = a.shape
+    counts = [len(e) for e in ends]
+    hi = np.fromiter(chain.from_iterable(ends), np.intp, sum(counts))
+    t = np.fromiter(chain.from_iterable(stamps), float, len(hi))
+    trial = np.repeat(np.arange(T), counts)
+    keep = np.ones(len(hi), bool)
+    keep[:-1] = (trial[1:] != trial[:-1]) | (t[1:] != t[:-1])
+    hi, t, trial = hi[keep], t[keep], trial[keep]
+    first = np.ones(len(hi), bool)
+    first[1:] = trial[1:] != trial[:-1]
+    last = np.append(first[1:], True)
+    sizes = hi - np.where(first, 0, np.roll(hi, 1))
+    # The three conditions of validate_for, for all T schedules at once.
+    valid = (min(counts) > 0 and (sizes >= 1).all() and (hi[last] == n).all()
+             and (t[1:] > t[:-1])[~first[1:]].all() and (t >= a[trial, hi - 1]).all())
+    if not valid:
+        for row, e, s in zip(a.tolist(), ends, stamps):
+            batches = [Batch(lo + 1, h, x) for lo, h, x in zip([0, *e], e, s)]
+            Schedule(merge_coincident(batches)).validate_for(ProblemInstance.from_times(row))
+    waits = np.repeat(t, sizes).reshape(T, n) - a
+    g = f.count_values(np.arange(int(sizes.max()) + 1))[sizes].tolist()
+    bounds = [*np.flatnonzero(first).tolist(), len(g)]
+    costs = []
+    for w, lo, up in zip(waits, bounds, bounds[1:]):
+        waiting = math.fsum(w.tolist()) / n
+        processing = math.fsum(g[lo:up]) / n
+        costs.append(ScheduleCost(waiting, processing, waiting + processing))
+    return costs
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ batch ends at an arrival within f({v_i}) of a_i.  On arrivals at rate r a
 window holds about r * f({v}) + 1 samples, so a solve does O(n w) work for
 the widest window w instead of O(n^2).
 
+``lockstep_ends`` runs the same sweep on T instances of one size at once,
+for a count cost: it relaxes row i of all T instances in one vector step,
+over edge entries built by the same formulas as the per-instance rows, and
+returns exactly the batches ``optimal_schedule`` finds.  The study runner
+uses it, because a study's instances are small and a per-instance solve is
+then mostly per-call overhead.
+
 Three independent routes to the optimum are provided and cross-checked in
 the test suite: the windowed forward sweep, a windowed backward value
 recursion equal to the dual of the path linear program, and a brute-force
@@ -37,6 +44,7 @@ __all__ = [
     "DualSolution",
     "IlpConstraintViolation",
     "optimal_schedule",
+    "lockstep_ends",
     "brute_force_optimum",
     "dual_recursion",
     "schedule_from_dual",
@@ -88,25 +96,22 @@ _WINDOW_SLACK = 1e-9
 _BLOCK_ENTRIES = 1 << 14
 
 
-def _window_widths(inst: ProblemInstance, f: CostFunction) -> np.ndarray:
-    """w[i]: the number of batches, of sizes 1..w[i], that start at sample
-    i+1 (0-based i) and end at an arrival within f({v_{i+1}}) of its own."""
-    a = inst.times_array
-    if f.count_based:
-        single = f.count_value(1)
-    else:
-        by_feature = {v: f.batch_cost((v,)) for v in set(inst.features)}
-        single = np.array([by_feature[v] for v in inst.features])
+def _window_widths(a: np.ndarray, single) -> np.ndarray:
+    """w[t, i]: the number of batches, of sizes 1..w[t, i], that start at
+    sample i+1 (0-based i) of row t of the (T, n) arrival times ``a`` and
+    end at an arrival within ``single`` = f({v_{i+1}}) of its own."""
     reach = a + single * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
+    ends = np.array([np.searchsorted(row, r, side="right") for row, r in zip(a, reach)])
     # A negative single-sample cost, outside Assumption 1, must still leave
     # the singleton edge that keeps every node reachable.
-    return np.maximum(np.searchsorted(a, reach, side="right") - np.arange(inst.n), 1)
+    return np.maximum(ends - np.arange(a.shape[1]), 1)
 
 
 def _block_bounds(widths: np.ndarray) -> list[int]:
     """Row indices 0 = b_0 < b_1 < ... = n splitting the rows into blocks of
     at most _BLOCK_ENTRIES entries each (rows times the block's widest
-    window), or of one row where that row alone is wider."""
+    ``widths``, a row's window times the trials), or of one row where that
+    row alone is wider."""
     n = len(widths)
     bounds = [0]
     while bounds[-1] < n:
@@ -117,41 +122,75 @@ def _block_bounds(widths: np.ndarray) -> list[int]:
     return bounds
 
 
+def _wait_blocks(a: np.ndarray, widths: np.ndarray, reverse: bool = False):
+    """Yield (lo, hi, waits) for blocks of rows lo..hi-1 of the (T, n)
+    arrival times ``a``, in ascending order or descending if ``reverse``:
+    waits[t, i-lo, d] is the waiting part of e(i+1, i+2+d) in row t, for d
+    below the block's widest window in ``widths``.
+
+    Each entry depends only on its own row's prefix, so padding a row to
+    the block's widest window changes no value.  A block holds at most
+    _BLOCK_ENTRIES entries, or one row, so memory stays O(T n +
+    _BLOCK_ENTRIES).
+    """
+    T = len(a)
+    row_widths = widths.max(axis=0)
+    # Past the last sample, windows read copies of it; the callers cut
+    # those entries off.
+    padded = np.concatenate((a, np.repeat(a[:, -1:], int(row_widths.max()) - 1, axis=1)), axis=1)
+    bounds = _block_bounds(T * row_widths)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    for lo, hi in reversed(blocks) if reverse else blocks:
+        w = int(row_widths[lo:hi].max())
+        spans = sliding_window_view(padded[:, lo:hi + w - 1], w, axis=1) - a[:, lo:hi, None]
+        # (1..w) * spans - cumsum(spans), in two arrays of the block's size.
+        waits = np.cumsum(spans, axis=2)
+        spans *= np.arange(1, w + 1)
+        yield lo, hi, np.subtract(spans, waits, out=waits)
+
+
 def _edge_rows(inst: ProblemInstance, f: CostFunction, reverse: bool = False):
     """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
     i+1..i+1+d (0-based i) inside row i's window, in ascending i, or in
     descending i if ``reverse``.
 
-    Rows are built a block at a time, one vector operation per step across
-    the whole block, so memory stays O(n + _BLOCK_ENTRIES).  A count cost
-    is tabulated once, up to the widest window, instead of priced row by
-    row with ``prefix_costs``.
+    Rows are built a block at a time by ``_wait_blocks``.  A count cost is
+    tabulated once, up to the widest window, instead of priced row by row
+    with ``prefix_costs``.
     """
-    a = inst.times_array
-    widths = _window_widths(inst, f)
-    widest = int(widths.max())
-    g = f.count_values(np.arange(widest + 1)) if f.count_based else None
-    # Past the last sample, windows read copies of it; those entries are
-    # cut off before a row is yielded.
-    padded = np.concatenate((a, np.full(widest - 1, a[-1])))
-    bounds = _block_bounds(widths)
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    widths = widths.tolist()
-    for lo, hi in reversed(blocks) if reverse else blocks:
-        w = max(widths[lo:hi])
-        spans = sliding_window_view(padded[lo:hi + w - 1], w) - a[lo:hi, None]
-        e = np.arange(1, w + 1) * spans - np.cumsum(spans, axis=1)
+    a = inst.times_array[None]
+    if f.count_based:
+        single = f.count_value(1)
+    else:
+        by_feature = {v: f.batch_cost((v,)) for v in set(inst.features)}
+        single = np.array([by_feature[v] for v in inst.features])
+    widths = _window_widths(a, single)
+    g = f.count_values(np.arange(int(widths.max()) + 1)) if f.count_based else None
+    w_of = widths[0].tolist()
+    for lo, hi, waits in _wait_blocks(a, widths, reverse):
+        e = waits[0]
+        w = e.shape[1]
         if g is not None:
             e += g[1:w + 1]
         else:
             costs = np.zeros((hi - lo, w))
             for i in range(lo, hi):
-                costs[i - lo, :widths[i]] = f.prefix_costs(inst.features[i:i + widths[i]])
+                costs[i - lo, :w_of[i]] = f.prefix_costs(inst.features[i:i + w_of[i]])
             e += costs
         rows = e.tolist()
         order = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         for i in order:
-            yield i, rows[i - lo][:widths[i]]
+            yield i, rows[i - lo][:w_of[i]]
+
+
+def _batch_ends(pred: list[int], n: int) -> list[int]:
+    """The last sample (1-based) of each batch on the path that ``pred``
+    traces back from node n, in order."""
+    ends = [n]
+    while pred[ends[-1]]:
+        ends.append(pred[ends[-1]])
+    ends.reverse()
+    return ends
 
 
 def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, ScheduleCost]:
@@ -175,16 +214,40 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
             if cand < dist[j]:
                 dist[j] = cand
                 pred[j] = i
-    cuts = [n]
-    while cuts[-1]:
-        cuts.append(pred[cuts[-1]])
-    cuts.reverse()
-    batches = [
-        Batch(lo + 1, hi, inst.times[hi - 1])
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
+    ends = _batch_ends(pred, n)
+    batches = [Batch(lo + 1, hi, inst.times[hi - 1]) for lo, hi in zip([0, *ends], ends)]
     sched = Schedule(merge_coincident(batches))
     return sched, cost_of(inst, sched, f)
+
+
+def lockstep_ends(a: np.ndarray, f: CostFunction) -> list[list[int]]:
+    """``optimal_schedule`` of every row of the (T, n) arrival times ``a``
+    at once, for a count cost ``f``: the last sample (1-based) of each of
+    its batches before coincident batches merge, one list per row.
+
+    The sweep relaxes row i of all T instances in one vector step.  Entries
+    past a row's own window are inf, so they never win.  Within one row
+    the target nodes are distinct, so a strict ``<`` mask keeps the scalar
+    loop's tie rule, and every sum is the same float operation: the ends
+    are those of ``optimal_schedule`` exactly.
+    """
+    T, n = a.shape
+    widths = _window_widths(a, f.count_value(1))
+    g = f.count_values(np.arange(int(widths.max()) + 1))
+    dist = np.full((T, n + 1), math.inf)
+    dist[:, 0] = 0.0
+    pred = np.zeros((T, n + 1), dtype=np.intp)
+    for lo, hi, e in _wait_blocks(a, widths):
+        w = e.shape[2]
+        e += g[1:w + 1]
+        np.copyto(e, math.inf, where=np.arange(w) >= widths[:, lo:hi, None])
+        for i in range(lo, hi):
+            m = min(w, n - i)
+            cand = dist[:, i, None] + e[:, i - lo, :m]
+            better = cand < dist[:, i + 1:i + 1 + m]
+            np.copyto(dist[:, i + 1:i + 1 + m], cand, where=better)
+            np.copyto(pred[:, i + 1:i + 1 + m], i, where=better)
+    return [_batch_ends(p, n) for p in pred.tolist()]
 
 
 def _batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float]]:

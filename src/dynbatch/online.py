@@ -7,9 +7,11 @@ rule reads only arrivals at or before ``t``, so every decision is online
 by construction.  The one exception is the end of the instance:
 ``FixedSize`` processes a trailing partial batch at the last arrival, a
 batch that more arrivals would have extended.
-``batches(inst, f)`` is the one driver: it closes a batch, starts the next
-at the first sample left out, and so on to the end.  ``run_policy`` merges
-batches processed at the same instant and prices the schedule.
+``flushes(times, features, f)`` is the one driver: it closes a batch,
+starts the next at the first sample left out, and so on to the end.
+``batches(inst, f)`` turns its output into ``Batch`` objects, and
+``run_policy`` merges batches processed at the same instant and prices the
+schedule; the study runner prices ``flushes`` of many instances at once.
 
 The waiting policy ("wta") accumulates the waiting time of pending samples
 and flushes them all as one batch the instant that accumulated waiting
@@ -43,18 +45,24 @@ __all__ = [
 class _Policy:
     """The one simulation driver, over a policy's ``close`` rule."""
 
-    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
-        """Close batches from the first sample on until every sample is in one."""
+    def flushes(self, times: Sequence[float], features: Sequence[int],
+                f: CostFunction) -> tuple[list[int], list[float]]:
+        """Close batches from the first sample on until every sample is in
+        one: the last sample (1-based) of each batch, and its time."""
         close = self.close
-        times, features = inst.times, inst.features
-        n = inst.n
-        batches = []
-        lo = 0
-        while lo < n:
-            hi, t = close(times, features, f, lo)
-            batches.append(Batch(lo + 1, hi, t))
-            lo = hi
-        return batches
+        n = len(times)
+        ends, stamps = [], []
+        hi = 0
+        while hi < n:
+            hi, t = close(times, features, f, hi)
+            ends.append(hi)
+            stamps.append(t)
+        return ends, stamps
+
+    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
+        """The batches of ``flushes``, in order."""
+        ends, stamps = self.flushes(inst.times, inst.features, f)
+        return [Batch(lo + 1, hi, t) for lo, hi, t in zip([0, *ends], ends, stamps)]
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,7 @@ class Wta(_Policy):
         itself.
         """
         alpha = self.alpha
+        count_based = f.count_based
         n = len(times)
         # pending was empty, so waiting starts accruing at the first arrival
         i = lo
@@ -93,7 +102,9 @@ class Wta(_Policy):
         accrued = 0.0
         while True:
             pending = i - lo
-            target = alpha * f.batch_cost(features[lo:i])
+            # A count cost needs only the size, not a copy of the features.
+            target = alpha * (f.count_value(pending) if count_based
+                              else f.batch_cost(features[lo:i]))
             if target <= accrued:
                 return i, t
             t_star = t + (target - accrued) / pending

@@ -9,6 +9,16 @@ exact offline optimum, and emit one flat record per (trial, policy).
 Per-trial seeds are derived from the master seed together with the grid
 point and trial indices, so records are bit-identical for a given
 configuration at any worker count.
+
+Trials run in chunks of up to 250 per grid point.  In ``n_values`` mode
+under a count cost, every instance of a chunk has the same n, so the chunk
+runs in lockstep: ``offline.lockstep_ends`` solves all of its optima in one
+vector sweep, and ``instance.chunk_costs`` prices the optima, then each
+policy's schedules, in one pass each.  Only the policies' event loops run
+trial by trial.  The records are those of the per-trial path bit for bit.
+Set-function costs, ``horizon`` mode and any chunk in which a trial fails
+take the per-trial path, so a failed trial gets its NaN records and its
+stderr line exactly as before.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .cost import CostFunction
-from .instance import ProblemInstance, ScheduleCost
-from .offline import optimal_schedule
+from .instance import ProblemInstance, ScheduleCost, chunk_costs
+from .offline import lockstep_ends, optimal_schedule
 from .online import PolicyConfig, run_policy
 
 __all__ = [
@@ -261,10 +271,16 @@ _TRIAL_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 
 def _run_chunk(args) -> list[TrialRecord]:
     (grid_index, n, rate, policies, cost_fn, trial_lo, trial_hi, master_seed, horizon) = args
+    trials = range(trial_lo, trial_hi)
+    seeds = [_trial_seed(master_seed, grid_index, ti) for ti in trials]
+    if horizon is None and cost_fn.count_based:
+        try:
+            return _lockstep_chunk(grid_index, n, rate, policies, cost_fn, trials, seeds)
+        except _TRIAL_ERRORS:
+            pass  # trial by trial below, for each failure's own record and line
     records: list[TrialRecord] = []
-    for ti in range(trial_lo, trial_hi):
+    for ti, seed in zip(trials, seeds):
         trial = f"g{grid_index}.t{ti}"
-        seed = _trial_seed(master_seed, grid_index, ti)
         try:
             if horizon is None:
                 inst = gen_poisson(rate, n, seed)
@@ -284,6 +300,25 @@ def _run_chunk(args) -> list[TrialRecord]:
                 continue
             records.append(_record(trial, seed, inst.n, policy, c, opt.total))
     return records
+
+
+def _lockstep_chunk(grid_index, n, rate, policies, cost_fn, trials, seeds) -> list[TrialRecord]:
+    """The chunk's records, as the per-trial loop makes them when no trial
+    fails: one lockstep sweep solves every trial, and ``chunk_costs``
+    prices the optima and each policy's schedules in one pass each."""
+    insts = [gen_poisson(rate, n, seed) for seed in seeds]
+    a = np.array([inst.times for inst in insts])
+    ends = lockstep_ends(a, cost_fn)
+    stamps = [[inst.times[hi - 1] for hi in e] for inst, e in zip(insts, ends)]
+    opt = chunk_costs(a, ends, stamps, cost_fn)
+    costs = []
+    for policy in policies:
+        ends, stamps = zip(*(policy.flushes(inst.times, inst.features, cost_fn)
+                             for inst in insts))
+        costs.append(chunk_costs(a, ends, stamps, cost_fn))
+    return [_record(f"g{grid_index}.t{ti}", seed, n, policy, c[k], opt[k].total)
+            for k, (ti, seed) in enumerate(zip(trials, seeds))
+            for policy, c in zip(policies, costs)]
 
 
 _CHUNK = 250

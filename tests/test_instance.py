@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from dynbatch import (
     Batch,
     ConstantCost,
+    CountTable,
     InfeasibleScheduleError,
     ProblemInstance,
     Schedule,
     SqrtCount,
     cost_of,
+    parse_policy_spec,
     pending_count_curve,
     positive_excess_integral,
 )
-from dynbatch.instance import merge_coincident
+from dynbatch.instance import chunk_costs, merge_coincident
 
 
 def singleton_batches(inst):
@@ -88,6 +90,43 @@ class TestCostOf:
         inst = ProblemInstance.from_times([0.0, 0.0])
         with pytest.raises(InfeasibleScheduleError, match="strictly increasing"):
             cost_of(inst, Schedule((Batch(1, 1, 0.5), Batch(2, 2, 0.5))), SqrtCount())
+
+
+class TestChunkCosts:
+    """chunk_costs prices T schedules as cost_of prices each of them."""
+
+    CHUNK = [[0.0, 0.0, 0.3, 0.3, 0.3, 2.0], [1.0] * 6, [0.1, 0.2, 0.4, 0.8, 1.6, 3.2],
+             [0.0, 0.5, 0.5, 0.5, 0.6, 0.6]]
+
+    @pytest.mark.parametrize("spec", ["wta:0.5", "wta:2", "fixed-size:4", "fixed-delay:0",
+                                      "fixed-delay:0.4"])
+    @pytest.mark.parametrize("f", [SqrtCount(), ConstantCost(0),
+                                   CountTable((0, 1, 1.5, 2, 2.5, 3, 3.5))],
+                             ids=lambda f: f.spec_string())
+    def test_policy_schedules_match_cost_of(self, spec, f):
+        # Coincident arrivals make the policies emit batches at one instant.
+        policy = parse_policy_spec(spec)
+        insts = [ProblemInstance.from_times(times) for times in self.CHUNK]
+        ends, stamps = zip(*(policy.flushes(inst.times, inst.features, f) for inst in insts))
+        want = [cost_of(inst, Schedule(merge_coincident(policy.batches(inst, f))), f)
+                for inst in insts]
+        assert chunk_costs(np.array(self.CHUNK), ends, stamps, f) == want
+
+    @pytest.mark.parametrize("ends,stamps", [
+        ([1], [0.0]),  # covers 1..1 of 2
+        ([2], [0.5]),  # before its last arrival
+        ([1, 2], [0.5, 0.4]),  # processing times decrease
+        ([], []),  # no batches
+    ])
+    def test_invalid_schedule_raises_validate_for_error(self, ends, stamps):
+        inst = ProblemInstance.from_times([0.0, 1.0])
+        sched = Schedule(tuple(Batch(lo + 1, hi, t) for lo, hi, t in zip([0, *ends], ends, stamps)))
+        with pytest.raises(InfeasibleScheduleError) as want:
+            cost_of(inst, sched, SqrtCount())
+        a = np.array([[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(InfeasibleScheduleError) as got:
+            chunk_costs(a, [[2], ends], [[1.0], stamps], SqrtCount())
+        assert str(got.value) == str(want.value)
 
 
 class TestMergeCoincident:

@@ -1,5 +1,6 @@
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynbatch import (
+    BUILTIN_COSTS,
     Batch,
     CappedLinear,
     ConstantCost,
@@ -28,6 +30,7 @@ from dynbatch import (
     schedule_from_dual,
 )
 from dynbatch import offline
+from dynbatch.instance import chunk_costs, merge_coincident
 from dynbatch.sim import ConstantRate, SinusoidRate
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
@@ -345,3 +348,40 @@ def test_time_shift_leaves_the_optimum_unchanged(pair):
         dual, shifted_dual = dual_recursion(inst, f), dual_recursion(shifted, f)
         assert shifted_dual.lambdas == dual.lambdas, f
         assert shifted_dual.successors == dual.successors, f
+
+
+LOCKSTEP_COSTS = [
+    *BUILTIN_COSTS,
+    ConstantCost(0),
+    CappedLinear(0.5, 2),
+    CountTable(tuple(min(k, 2 + 0.25 * k) for k in range(13))),
+]
+
+
+@st.composite
+def equal_n_chunks(draw):
+    """1 to 6 instances of one size n <= 12; an instance's gaps are often 0,
+    and some instances arrive all at once."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    gaps = st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5])
+                    | st.floats(min_value=0.0, max_value=4.0), min_size=n, max_size=n)
+    chunk = draw(st.lists(gaps | st.just([1.5] + [0.0] * (n - 1)), min_size=1, max_size=6))
+    return [ProblemInstance.from_times(np.cumsum(g)) for g in chunk]
+
+
+@pytest.mark.parametrize("block_entries", [offline._BLOCK_ENTRIES, 8])
+@settings(max_examples=60, deadline=None)
+@given(chunk=equal_n_chunks())
+def test_lockstep_sweep_matches_optimal_schedule(chunk, block_entries):
+    # With 8 entries per block, a block of the chunk often holds one row
+    # that is wider than the block on its own.
+    with mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries):
+        a = np.array([inst.times for inst in chunk])
+        for f in LOCKSTEP_COSTS:
+            ends = offline.lockstep_ends(a, f)
+            stamps = [[inst.times[hi - 1] for hi in e] for inst, e in zip(chunk, ends)]
+            costs = chunk_costs(a, ends, stamps, f)
+            for inst, e, cost in zip(chunk, ends, costs):
+                sched = Schedule(merge_coincident(
+                    [Batch(lo + 1, hi, inst.times[hi - 1]) for lo, hi in zip([0, *e], e)]))
+                assert (sched, cost) == optimal_schedule(inst, f), f

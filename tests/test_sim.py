@@ -9,6 +9,7 @@ from dynbatch import (
     ConstantRate,
     CountTable,
     CustomSetFunction,
+    FixedDelay,
     SinusoidRate,
     SqrtCount,
     TableRate,
@@ -16,12 +17,15 @@ from dynbatch import (
     Wta,
     gen_poisson,
     gen_poisson_horizon,
+    optimal_schedule,
     parse_policy_spec,
     parse_rate_spec,
+    run_policy,
     run_study,
     summarize,
     write_results,
 )
+from dynbatch import sim
 from dynbatch.online import FixedSize
 
 
@@ -215,6 +219,76 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             run_study(n_values=[], rates=[ConstantRate(1.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=1, seed=0)
+
+
+def _per_trial_study(n_values, rate, policies, f, trials, seed):
+    """run_study's records and stderr lines, one trial and one call at a time."""
+    records, lines = [], []
+
+    def record(trial, s, n, p, c=None, opt=math.nan):
+        metrics = (c.total, c.waiting, c.processing, opt, c.total / opt) if c else [math.nan] * 5
+        records.append(TrialRecord(trial, s, n, p.spec_string(), getattr(p, "alpha", None),
+                                   *metrics))
+
+    for gi, n in enumerate(n_values):
+        for ti in range(trials):
+            trial, s = f"g{gi}.t{ti}", sim._trial_seed(seed, gi, ti)
+            inst = gen_poisson(rate, n, s)
+            try:
+                _, opt = optimal_schedule(inst, f)
+            except ValueError as exc:
+                lines.append(f"trial {trial}: {exc}")
+                for p in policies:
+                    record(trial, s, n, p)
+                continue
+            for p in policies:
+                try:
+                    _, c = run_policy(inst, f, p)
+                except ValueError as exc:
+                    lines.append(f"trial {trial} policy {p.spec_string()}: {exc}")
+                    record(trial, s, n, p)
+                    continue
+                record(trial, s, n, p, c, opt.total)
+    return records, lines
+
+
+class TestLockstepChunks:
+    """Count-cost chunks in n_values mode are solved and priced in lockstep;
+    the records must be those of solving and pricing trial by trial."""
+
+    POLICIES = [Wta(0.5), Wta(2.0), FixedDelay(1.5)]
+
+    def test_partly_covering_table_matches_per_trial_loop(self, capsys):
+        # sqrt(0..6) covers every window of the n=5 chunk, but only some
+        # trials of the n=30 chunk: there the optimum or a policy fails.
+        table = CountTable(tuple(math.sqrt(k) for k in range(7)))
+        kwargs = dict(n_values=[5, 30], rate=ConstantRate(2.0), policies=self.POLICIES,
+                      f=table, trials=12, seed=4)
+        want, want_lines = _per_trial_study(**kwargs)
+        assert capsys.readouterr().err == ""
+        records = run_study(n_values=kwargs["n_values"], rates=[kwargs["rate"]],
+                            policies=self.POLICIES, cost_fn=table, trials=12, seed=4)
+        assert [repr(r) for r in records] == [repr(r) for r in want]
+        assert capsys.readouterr().err.splitlines() == want_lines
+        failed = {r.trial for r in records if math.isnan(r.ratio)}
+        assert not any(t.startswith("g0.") for t in failed)
+        assert failed and not {f"g1.t{ti}" for ti in range(12)} <= failed
+        assert any("policy" in line for line in want_lines)
+        assert any("policy" not in line for line in want_lines)
+
+    def test_set_function_study_runs_trial_by_trial(self, monkeypatch):
+        count = run_study(n_values=[12], rates=[ConstantRate(2.0)], policies=self.POLICIES,
+                          cost_fn=SqrtCount(), trials=6, seed=8)
+
+        def no_lockstep(*args):
+            raise AssertionError("a set-function chunk took the lockstep path")
+
+        monkeypatch.setattr(sim, "lockstep_ends", no_lockstep)
+        # sqrt(|X|) as a set function: the same floats, priced trial by trial.
+        f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=1)
+        records = run_study(n_values=[12], rates=[ConstantRate(2.0)], policies=self.POLICIES,
+                            cost_fn=f, trials=6, seed=8)
+        assert [repr(r) for r in records] == [repr(r) for r in count]
 
 
 class TestGoldenStudy:
