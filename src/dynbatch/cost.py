@@ -12,8 +12,9 @@ two batches into one and parameterizes both the online guarantee and the
 adversarial lower bound implemented elsewhere in this package.
 
 This module is the only one that knows how a batch is priced.  Callers
-price a batch from its samples' feature ids with ``batch_cost``, or every
-prefix of a run of samples at once with ``prefix_costs``; both take the
+price a batch from its samples' feature ids with ``batch_cost``, every
+batch of a run of schedules at once with ``batch_costs``, or every prefix
+of a run of samples at once with ``prefix_costs``; all three take the
 count-based shortcut themselves where the cost depends only on the batch
 size.
 
@@ -28,6 +29,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -110,10 +112,10 @@ class FeatureMultiset:
 class CostFunction:
     """Base class for batch processing-cost functions.
 
-    ``batch_cost`` and ``prefix_costs`` are the pricing entry points.
-    Count-based kinds depend only on the batch size; each states its
-    formula once, as ``count_value``, and ``count_values`` tabulates it
-    over an array of sizes.
+    ``batch_cost``, ``batch_costs`` and ``prefix_costs`` are the pricing
+    entry points.  Count-based kinds depend only on the batch size; each
+    states its formula once, as ``count_value``, and ``count_values``
+    tabulates it over an array of sizes.
     """
 
     count_based: ClassVar[bool] = False
@@ -132,6 +134,13 @@ class CostFunction:
     def batch_cost(self, features: Sequence[int]) -> float:
         """f of the batch of samples with these feature ids."""
         return self.value(FeatureMultiset.from_features(features))
+
+    def batch_costs(self, rows: Iterable[Sequence[int]], sizes: np.ndarray) -> np.ndarray:
+        """f of each batch, in order, for batches of ``sizes`` samples that
+        run through the feature ``rows`` one row after another."""
+        features = list(chain.from_iterable(rows))
+        ends = np.cumsum(sizes).tolist()
+        return np.array([self.batch_cost(features[lo:hi]) for lo, hi in zip([0, *ends], ends)])
 
     def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
         """f of each prefix features[:1], features[:2], ..., in order."""
@@ -158,6 +167,9 @@ class _CountCost(CostFunction):
 
     def batch_cost(self, features: Sequence[int]) -> float:
         return self.count_value(len(features))
+
+    def batch_costs(self, rows: Iterable[Sequence[int]], sizes: np.ndarray) -> np.ndarray:
+        return self.count_values(np.arange(int(sizes.max()) + 1))[sizes]
 
     def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
         return self.count_values(np.arange(1, len(features) + 1))

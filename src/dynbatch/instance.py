@@ -6,6 +6,9 @@ batches processed at strictly increasing times, no earlier than the last
 arrival of each batch.  The objective is the per-sample average waiting
 time plus the per-sample average batch processing cost.
 
+``chunk_costs`` is the one pricer: it prices the schedules of many
+equal-size instances at once, and ``cost_of`` runs its summation for one.
+
 All types are immutable after construction; the operations are pure.
 """
 
@@ -104,36 +107,39 @@ class Schedule:
         """
         if not self.batches:
             raise InfeasibleScheduleError("infeasible schedule: no batches")
+        times = inst.times
+        n = len(times)
         expect_lo = 1
         prev_time = -math.inf
         for b in self.batches:
-            if b.lo != expect_lo or b.hi < b.lo:
+            if b.lo != expect_lo or not b.lo <= b.hi <= n:
                 raise InfeasibleScheduleError(
-                    f"infeasible schedule: batches must partition 1..n consecutively "
+                    f"infeasible schedule: batches must partition 1..{n} consecutively "
                     f"(got [{b.lo}, {b.hi}], expected lo={expect_lo})")
             if not b.time > prev_time:
                 raise InfeasibleScheduleError(
                     "infeasible schedule: processing times must be strictly increasing")
-            if b.time < inst.times[b.hi - 1]:
+            if b.time < times[b.hi - 1]:
                 raise InfeasibleScheduleError(
                     f"infeasible schedule: batch [{b.lo}, {b.hi}] processed at {b.time!r} "
-                    f"before its last arrival {inst.times[b.hi - 1]!r}")
+                    f"before its last arrival {times[b.hi - 1]!r}")
             expect_lo = b.hi + 1
             prev_time = b.time
-        if expect_lo != inst.n + 1:
+        if expect_lo != n + 1:
             raise InfeasibleScheduleError(
-                f"infeasible schedule: covers 1..{expect_lo - 1} but instance has n={inst.n}")
+                f"infeasible schedule: covers 1..{expect_lo - 1} but instance has n={n}")
+
+    @staticmethod
+    def from_ends(ends: Sequence[int], stamps: Sequence[float]) -> "Schedule":
+        """The schedule whose k-th batch ends at sample ends[k] (1-based) and
+        is processed at stamps[k], with batches processed at one instant
+        merged into one."""
+        return Schedule(merge_coincident(
+            [Batch(lo + 1, hi, t) for lo, hi, t in zip([0, *ends], ends, stamps)]))
 
     @property
     def m(self) -> int:
         return len(self.batches)
-
-    def processing_times(self, inst: ProblemInstance) -> np.ndarray:
-        """Per-sample processing time d_i, as an array indexed 0..n-1."""
-        d = np.empty(inst.n, dtype=float)
-        for b in self.batches:
-            d[b.lo - 1:b.hi] = b.time
-        return d
 
 
 def merge_coincident(batches: list[Batch]) -> tuple[Batch, ...]:
@@ -146,8 +152,7 @@ def merge_coincident(batches: list[Batch]) -> tuple[Batch, ...]:
     merged: list[Batch] = []
     for b in batches:
         if merged and b.time == merged[-1].time:
-            last = merged[-1]
-            merged[-1] = Batch(last.lo, b.hi, b.time)
+            merged[-1] = Batch(merged[-1].lo, b.hi, b.time)
         else:
             merged.append(b)
     return tuple(merged)
@@ -163,56 +168,60 @@ class ScheduleCost:
 
 
 def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> ScheduleCost:
-    """Objective value of ``sched`` on ``inst`` under cost function ``f``.
-
-    Waiting sums use exact compensated summation so large instances with
-    many small increments evaluate reproducibly.
-    """
+    """Objective value of ``sched`` on ``inst`` under cost function ``f``:
+    one row of ``chunk_costs``, without its checks once ``validate_for``
+    has passed."""
     sched.validate_for(inst)
-    n = inst.n
-    waiting = math.fsum((sched.processing_times(inst) - inst.times_array).tolist()) / n
-    processing = math.fsum(f.batch_cost(inst.features[b.lo - 1:b.hi]) for b in sched.batches) / n
-    return ScheduleCost(waiting, processing, waiting + processing)
+    t = np.array([b.time for b in sched.batches], dtype=float)
+    sizes = np.array([b.hi - b.lo + 1 for b in sched.batches])
+    return _row_costs(inst.times_array[None], [inst.features], t, sizes, [sched.m], f)[0]
 
 
-def chunk_costs(a: np.ndarray, ends: Sequence[Sequence[int]], stamps: Sequence[Sequence[float]],
-                f: CostFunction) -> list[ScheduleCost]:
-    """``cost_of`` of T schedules in one pass, under a count cost ``f``.
+def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: Sequence[Sequence[int]],
+                stamps: Sequence[Sequence[float]], f: CostFunction) -> list[ScheduleCost]:
+    """The objective of T schedules, one on each row of the (T, n) arrival
+    times ``a``, whose samples carry the feature ids features[t].
 
-    Row t of the (T, n) arrival times ``a`` is an instance.  Its schedule's
-    k-th batch ends at sample ends[t][k] (1-based) and is processed at
-    stamps[t][k]; batches processed at one instant are merged first, as
-    ``merge_coincident`` does.  The values equal ``cost_of``'s bit for
-    bit: each trial's waits and batch costs are the same floats, summed
-    exactly by ``math.fsum``.  An invalid schedule raises the error of
+    Row t's k-th batch ends at sample ends[t][k] (1-based) and is processed
+    at stamps[t][k]; batches processed at one instant are merged first, as
+    by ``Schedule.from_ends``.  An invalid schedule raises the error of
     ``Schedule.validate_for``.
     """
     T, n = a.shape
     counts = [len(e) for e in ends]
     hi = np.fromiter(chain.from_iterable(ends), np.intp, sum(counts))
     t = np.fromiter(chain.from_iterable(stamps), float, len(hi))
-    trial = np.repeat(np.arange(T), counts)
-    keep = np.ones(len(hi), bool)
-    keep[:-1] = (trial[1:] != trial[:-1]) | (t[1:] != t[:-1])
-    hi, t, trial = hi[keep], t[keep], trial[keep]
-    first = np.ones(len(hi), bool)
-    first[1:] = trial[1:] != trial[:-1]
-    last = np.append(first[1:], True)
-    sizes = hi - np.where(first, 0, np.roll(hi, 1))
-    # The three conditions of validate_for, for all T schedules at once.
-    valid = (min(counts) > 0 and (sizes >= 1).all() and (hi[last] == n).all()
-             and (t[1:] > t[:-1])[~first[1:]].all() and (t >= a[trial, hi - 1]).all())
+    row = np.repeat(np.arange(T), counts)
+    keep = np.append((t[1:] != t[:-1]) | (row[1:] != row[:-1]), True)
+    hi, t, row = hi[keep], t[keep], row[keep]
+    end = hi + n * row  # 1-based positions in a.ravel()
+    sizes = np.diff(end, prepend=0)
+    # Rising ends, none past n and one at n per row: each row's batches
+    # partition 1..n, and ``sizes`` are their sizes.  Then the times must
+    # rise within each row and no batch may precede its last arrival.
+    valid = (np.count_nonzero(hi == n) == T and hi.max() <= n and sizes.min() >= 1
+             and ((t[1:] > t[:-1]) | (row[1:] != row[:-1])).all()
+             and (t >= a.ravel()[end - 1]).all())
     if not valid:
-        for row, e, s in zip(a.tolist(), ends, stamps):
-            batches = [Batch(lo + 1, h, x) for lo, h, x in zip([0, *e], e, s)]
-            Schedule(merge_coincident(batches)).validate_for(ProblemInstance.from_times(row))
-    waits = np.repeat(t, sizes).reshape(T, n) - a
-    g = f.count_values(np.arange(int(sizes.max()) + 1))[sizes].tolist()
-    bounds = [*np.flatnonzero(first).tolist(), len(g)]
+        for times, e, s in zip(a.tolist(), ends, stamps):
+            Schedule.from_ends(e, s).validate_for(ProblemInstance.from_times(times))
+    return _row_costs(a, features, t, sizes, (np.flatnonzero(hi == n) + 1).tolist(), f)
+
+
+def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], t: np.ndarray,
+               sizes: np.ndarray, tops: list[int], f: CostFunction) -> list[ScheduleCost]:
+    """The pricing of ``chunk_costs``: each batch's processing time ``t``
+    and size, row after row, with row r's last batch at tops[r] - 1.  Each
+    row's waits and batch prices are summed exactly by ``math.fsum``, so a
+    row's cost does not depend on the rows priced with it."""
+    n = a.shape[1]
+    # Memoryviews hand fsum the floats one at a time, without a list.
+    waits = memoryview(np.repeat(t, sizes) - a.ravel())
+    prices = memoryview(f.batch_costs(features, sizes))
     costs = []
-    for w, lo, up in zip(waits, bounds, bounds[1:]):
-        waiting = math.fsum(w.tolist()) / n
-        processing = math.fsum(g[lo:up]) / n
+    for first, lo, top in zip(range(0, a.size, n), [0, *tops], tops):
+        waiting = math.fsum(waits[first:first + n]) / n
+        processing = math.fsum(prices[lo:top]) / n
         costs.append(ScheduleCost(waiting, processing, waiting + processing))
     return costs
 
@@ -260,13 +269,13 @@ def pending_count_curve(inst: ProblemInstance, sched: Schedule) -> StepCurve:
     total integral equals n times the schedule's average waiting time.
     """
     sched.validate_for(inst)
-    d = sched.processing_times(inst)
     deltas: dict[float, int] = {}
-    for i in range(inst.n):
-        a_i, d_i = inst.times[i], float(d[i])
-        if d_i > a_i:
-            deltas[a_i] = deltas.get(a_i, 0) + 1
-            deltas[d_i] = deltas.get(d_i, 0) - 1
+    for b in sched.batches:
+        d = float(b.time)
+        for a_i in inst.times[b.lo - 1:b.hi]:
+            if d > a_i:
+                deltas[a_i] = deltas.get(a_i, 0) + 1
+                deltas[d] = deltas.get(d, 0) - 1
     if not deltas:
         return StepCurve((), ())
     times = sorted(deltas)

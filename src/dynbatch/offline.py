@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost import CostFunction
-from .instance import Batch, ProblemInstance, Schedule, ScheduleCost, cost_of, merge_coincident
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 
 __all__ = [
     "EdgeWeightOracle",
@@ -215,8 +215,7 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
                 dist[j] = cand
                 pred[j] = i
     ends = _batch_ends(pred, n)
-    batches = [Batch(lo + 1, hi, inst.times[hi - 1]) for lo, hi in zip([0, *ends], ends)]
-    sched = Schedule(merge_coincident(batches))
+    sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
     return sched, cost_of(inst, sched, f)
 
 
@@ -294,12 +293,8 @@ def brute_force_optimum(
         if best_key is None or key < best_key:
             best_key = key
             best_splits = splits
-    batches = []
-    lo = 1
-    for k in (*best_splits, n):
-        batches.append(Batch(lo, k, inst.times[k - 1]))
-        lo = k + 1
-    sched = Schedule(merge_coincident(batches))
+    ends = [*best_splits, n]
+    sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
     return sched, cost_of(inst, sched, f)
 
 
@@ -338,13 +333,12 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
 
 def schedule_from_dual(inst: ProblemInstance, dual: DualSolution) -> Schedule:
     """Schedule obtained by following the dual argmin successors from node 1."""
-    batches = []
+    ends = []
     i = 1
     while i <= inst.n:
-        j = dual.successors[i - 1]
-        batches.append(Batch(i, j - 1, inst.times[j - 2]))
-        i = j
-    return Schedule(merge_coincident(batches))
+        i = dual.successors[i - 1]
+        ends.append(i - 1)
+    return Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
 
 
 class IlpConstraintViolation(ValueError):

@@ -9,9 +9,9 @@ by construction.  The one exception is the end of the instance:
 batch that more arrivals would have extended.
 ``flushes(times, features, f)`` is the one driver: it closes a batch,
 starts the next at the first sample left out, and so on to the end.
-``batches(inst, f)`` turns its output into ``Batch`` objects, and
-``run_policy`` merges batches processed at the same instant and prices the
-schedule; the study runner prices ``flushes`` of many instances at once.
+``run_policy`` builds its output with ``Schedule.from_ends``, which merges
+batches processed at one instant, and prices it; the study runner prices
+``flushes`` of many instances at once.
 
 The waiting policy ("wta") accumulates the waiting time of pending samples
 and flushes them all as one batch the instant that accumulated waiting
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .cost import CostFunction
-from .instance import Batch, ProblemInstance, Schedule, ScheduleCost, cost_of, merge_coincident
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 
 __all__ = [
     "Wta",
@@ -58,11 +58,6 @@ class _Policy:
             ends.append(hi)
             stamps.append(t)
         return ends, stamps
-
-    def batches(self, inst: ProblemInstance, f: CostFunction) -> list[Batch]:
-        """The batches of ``flushes``, in order."""
-        ends, stamps = self.flushes(inst.times, inst.features, f)
-        return [Batch(lo + 1, hi, t) for lo, hi, t in zip([0, *ends], ends, stamps)]
 
 
 @dataclass(frozen=True)
@@ -196,7 +191,7 @@ def run_policy(
 
     Batches processed at the same instant are merged into one.
     """
-    sched = Schedule(merge_coincident(policy.batches(inst, f)))
+    sched = Schedule.from_ends(*policy.flushes(inst.times, inst.features, f))
     return sched, cost_of(inst, sched, f)
 
 

@@ -15,10 +15,11 @@ under a count cost, every instance of a chunk has the same n, so the chunk
 runs in lockstep: ``offline.lockstep_ends`` solves all of its optima in one
 vector sweep, and ``instance.chunk_costs`` prices the optima, then each
 policy's schedules, in one pass each.  Only the policies' event loops run
-trial by trial.  The records are those of the per-trial path bit for bit.
-Set-function costs, ``horizon`` mode and any chunk in which a trial fails
-take the per-trial path, so a failed trial gets its NaN records and its
-stderr line exactly as before.
+trial by trial.  Set-function costs, ``horizon`` mode and any chunk in
+which a trial fails take the per-trial path, so a failed trial gets its NaN
+records and its stderr line exactly as before.  Both paths price with the
+summation of ``chunk_costs``, which ``cost_of`` runs per trial, so their
+records are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class RateFunction:
     def max_rate(self) -> float:
         raise NotImplementedError
 
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantRate(RateFunction):
@@ -79,9 +77,6 @@ class ConstantRate(RateFunction):
 
     def max_rate(self) -> float:
         return self.rate
-
-    def spec_string(self) -> str:
-        return f"{self.rate:g}"
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,6 @@ class SinusoidRate(RateFunction):
 
     def max_rate(self) -> float:
         return self.base + abs(self.amplitude)
-
-    def spec_string(self) -> str:
-        return f"sin:{self.base:g},{self.amplitude:g},{self.period:g}"
 
 
 @dataclass(frozen=True)
@@ -130,9 +122,6 @@ class TableRate(RateFunction):
 
     def max_rate(self) -> float:
         return max(self.rates)
-
-    def spec_string(self) -> str:
-        return "table:" + ",".join(f"{b:g}:{r:g}" for b, r in zip(self.breaks, self.rates))
 
 
 def parse_rate_spec(spec: str) -> RateFunction:
@@ -178,11 +167,10 @@ def _instance(
 ) -> ProblemInstance:
     """``times`` with ``feature`` on every sample, or features drawn by the
     sampler in arrival order from the same generator."""
-    if feature_sampler is None:
-        feats = (feature,) * len(times)
-    else:
-        feats = tuple(int(feature_sampler(rng, float(t))) for t in times)
-    return ProblemInstance(tuple(float(t) for t in times), feats)
+    times = np.asarray(times, dtype=float).tolist()
+    feats = ((feature,) * len(times) if feature_sampler is None
+             else tuple(int(feature_sampler(rng, t)) for t in times))
+    return ProblemInstance(tuple(times), feats)
 
 
 def gen_poisson(
@@ -310,12 +298,13 @@ def _lockstep_chunk(grid_index, n, rate, policies, cost_fn, trials, seeds) -> li
     a = np.array([inst.times for inst in insts])
     ends = lockstep_ends(a, cost_fn)
     stamps = [[inst.times[hi - 1] for hi in e] for inst, e in zip(insts, ends)]
-    opt = chunk_costs(a, ends, stamps, cost_fn)
+    features = [inst.features for inst in insts]
+    opt = chunk_costs(a, features, ends, stamps, cost_fn)
     costs = []
     for policy in policies:
         ends, stamps = zip(*(policy.flushes(inst.times, inst.features, cost_fn)
                              for inst in insts))
-        costs.append(chunk_costs(a, ends, stamps, cost_fn))
+        costs.append(chunk_costs(a, features, ends, stamps, cost_fn))
     return [_record(f"g{grid_index}.t{ti}", seed, n, policy, c[k], opt[k].total)
             for k, (ti, seed) in enumerate(zip(trials, seeds))
             for policy, c in zip(policies, costs)]

@@ -6,14 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynbatch import (
+    BUILTIN_COSTS,
     Batch,
     ConstantCost,
     CountTable,
+    CustomSetFunction,
+    FixedDelay,
+    FixedSize,
     InfeasibleScheduleError,
     ProblemInstance,
     Schedule,
+    ScheduleCost,
     SqrtCount,
+    Wta,
     cost_of,
+    optimal_schedule,
     parse_policy_spec,
     pending_count_curve,
     positive_excess_integral,
@@ -22,8 +29,18 @@ from dynbatch.instance import chunk_costs, merge_coincident
 
 
 def singleton_batches(inst):
-    return Schedule(merge_coincident(
-        [Batch(i, i, inst.times[i - 1]) for i in range(1, inst.n + 1)]))
+    return Schedule.from_ends(range(1, inst.n + 1), inst.times)
+
+
+def reference_cost(inst, sched, f):
+    """The objective batch by batch: the fsum of the per-sample waits and the
+    fsum of the per-batch prices, each divided by n."""
+    sched.validate_for(inst)
+    waits = [b.time - inst.times[i] for b in sched.batches for i in range(b.lo - 1, b.hi)]
+    waiting = math.fsum(waits) / inst.n
+    processing = math.fsum(f.batch_cost(inst.features[b.lo - 1:b.hi])
+                           for b in sched.batches) / inst.n
+    return ScheduleCost(waiting, processing, waiting + processing)
 
 
 class TestProblemInstance:
@@ -91,9 +108,15 @@ class TestCostOf:
         with pytest.raises(InfeasibleScheduleError, match="strictly increasing"):
             cost_of(inst, Schedule((Batch(1, 1, 0.5), Batch(2, 2, 0.5))), SqrtCount())
 
+    def test_infeasible_batch_past_n(self):
+        inst = ProblemInstance.from_times([0.0, 1.0])
+        with pytest.raises(InfeasibleScheduleError, match=r"1\.\.2 consecutively \(got \[1, 5\]"):
+            cost_of(inst, Schedule((Batch(1, 5, 9.0),)), SqrtCount())
+
 
 class TestChunkCosts:
-    """chunk_costs prices T schedules as cost_of prices each of them."""
+    """chunk_costs prices T schedules as the batch-by-batch reference prices
+    each of them."""
 
     CHUNK = [[0.0, 0.0, 0.3, 0.3, 0.3, 2.0], [1.0] * 6, [0.1, 0.2, 0.4, 0.8, 1.6, 3.2],
              [0.0, 0.5, 0.5, 0.5, 0.6, 0.6]]
@@ -108,25 +131,43 @@ class TestChunkCosts:
         policy = parse_policy_spec(spec)
         insts = [ProblemInstance.from_times(times) for times in self.CHUNK]
         ends, stamps = zip(*(policy.flushes(inst.times, inst.features, f) for inst in insts))
-        want = [cost_of(inst, Schedule(merge_coincident(policy.batches(inst, f))), f)
-                for inst in insts]
-        assert chunk_costs(np.array(self.CHUNK), ends, stamps, f) == want
+        scheds = [Schedule.from_ends(e, s) for e, s in zip(ends, stamps)]
+        want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
+        assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
+        features = [inst.features for inst in insts]
+        assert chunk_costs(np.array(self.CHUNK), features, ends, stamps, f) == want
 
-    @pytest.mark.parametrize("ends,stamps", [
-        ([1], [0.0]),  # covers 1..1 of 2
-        ([2], [0.5]),  # before its last arrival
-        ([1, 2], [0.5, 0.4]),  # processing times decrease
-        ([], []),  # no batches
+    @pytest.mark.parametrize("batches", [
+        pytest.param([Batch(1, 1, 0.0)], id="incomplete"),
+        pytest.param([Batch(1, 2, 0.5)], id="before-last-arrival"),
+        pytest.param([Batch(1, 1, 0.5), Batch(2, 2, 0.4)], id="decreasing-times"),
+        pytest.param([], id="no-batches"),
+        pytest.param([Batch(1, 1, 0.0), Batch(3, 3, 1.0)], id="gap"),
+        pytest.param([Batch(1, 1, 1.0), Batch(2, 2, 1.0)], id="one-instant"),
+        pytest.param([Batch(1, 5, 9.0)], id="past-n"),
     ])
-    def test_invalid_schedule_raises_validate_for_error(self, ends, stamps):
+    def test_invalid_schedule_raises_validate_for_error(self, batches):
         inst = ProblemInstance.from_times([0.0, 1.0])
-        sched = Schedule(tuple(Batch(lo + 1, hi, t) for lo, hi, t in zip([0, *ends], ends, stamps)))
+        sched = Schedule(tuple(batches))
         with pytest.raises(InfeasibleScheduleError) as want:
-            cost_of(inst, sched, SqrtCount())
-        a = np.array([[0.0, 1.0], [0.0, 1.0]])
+            sched.validate_for(inst)
+        # cost_of takes the schedule as given: it merges no batches.
         with pytest.raises(InfeasibleScheduleError) as got:
-            chunk_costs(a, [[2], ends], [[1.0], stamps], SqrtCount())
+            cost_of(inst, sched, SqrtCount())
         assert str(got.value) == str(want.value)
+        # chunk_costs reads the batch ends and merges as Schedule.from_ends.
+        ends, stamps = [b.hi for b in batches], [b.time for b in batches]
+        merged = Schedule.from_ends(ends, stamps)
+        args = (np.array([[0.0, 1.0], [0.0, 1.0]]), [inst.features] * 2,
+                [[2], ends], [[1.0], stamps], SqrtCount())
+        try:
+            merged.validate_for(inst)
+        except InfeasibleScheduleError as exc:
+            with pytest.raises(InfeasibleScheduleError) as got:
+                chunk_costs(*args)
+            assert str(got.value) == str(exc)
+        else:
+            assert chunk_costs(*args)[1] == reference_cost(inst, merged, SqrtCount())
 
 
 class TestMergeCoincident:
@@ -235,3 +276,44 @@ def test_cost_invariant_under_time_translation(pair, delta):
     shifted_sched = Schedule(tuple(Batch(b.lo, b.hi, b.time + delta) for b in sched.batches))
     shifted = cost_of(inst.shifted(delta), shifted_sched, f)
     assert math.isclose(base.total, shifted.total, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@st.composite
+def coincident_chunks(draw):
+    """One to three instances of one size, with coincident arrivals and
+    feature ids 0..2."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    insts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 1.0, 2.5]),
+                             min_size=n, max_size=n))
+        feats = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+        insts.append(ProblemInstance(tuple(np.cumsum(gaps).tolist()), tuple(feats)))
+    return insts
+
+
+PRICED_COSTS = [
+    *BUILTIN_COSTS,
+    ConstantCost(0),
+    CountTable(tuple(math.sqrt(k) for k in range(16))),
+    CustomSetFunction(lambda x: len(x.counts) + math.sqrt(len(x)), universe_size=3,
+                      name="distinct+sqrt"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(insts=coincident_chunks(), f=st.sampled_from(PRICED_COSTS))
+def test_pricing_matches_batch_by_batch_reference(insts, f):
+    # The optimum's schedules, then each policy's flushes, unmerged for
+    # chunk_costs and merged by Schedule.from_ends for cost_of.
+    a = np.array([inst.times for inst in insts])
+    features = [inst.features for inst in insts]
+    opt = [optimal_schedule(inst, f)[0] for inst in insts]
+    runs = [([[b.hi for b in s.batches] for s in opt], [[b.time for b in s.batches] for s in opt])]
+    for policy in [Wta(0.5), Wta(3.0), FixedSize(3), FixedDelay(0.0), FixedDelay(0.3)]:
+        runs.append(tuple(zip(*(policy.flushes(inst.times, inst.features, f) for inst in insts))))
+    for ends, stamps in runs:
+        scheds = [Schedule.from_ends(e, s) for e, s in zip(ends, stamps)]
+        want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
+        assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
+        assert chunk_costs(a, features, ends, stamps, f) == want

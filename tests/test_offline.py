@@ -30,7 +30,7 @@ from dynbatch import (
     schedule_from_dual,
 )
 from dynbatch import offline
-from dynbatch.instance import chunk_costs, merge_coincident
+from dynbatch.instance import chunk_costs
 from dynbatch.sim import ConstantRate, SinusoidRate
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
@@ -380,8 +380,6 @@ def test_lockstep_sweep_matches_optimal_schedule(chunk, block_entries):
         for f in LOCKSTEP_COSTS:
             ends = offline.lockstep_ends(a, f)
             stamps = [[inst.times[hi - 1] for hi in e] for inst, e in zip(chunk, ends)]
-            costs = chunk_costs(a, ends, stamps, f)
-            for inst, e, cost in zip(chunk, ends, costs):
-                sched = Schedule(merge_coincident(
-                    [Batch(lo + 1, hi, inst.times[hi - 1]) for lo, hi in zip([0, *e], e)]))
-                assert (sched, cost) == optimal_schedule(inst, f), f
+            costs = chunk_costs(a, [inst.features for inst in chunk], ends, stamps, f)
+            for e, s, cost, inst in zip(ends, stamps, costs, chunk):
+                assert (Schedule.from_ends(e, s), cost) == optimal_schedule(inst, f), f

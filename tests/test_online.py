@@ -217,13 +217,8 @@ def _all_optimal_schedules(inst, f, tol=1e-12):
     partitions = []
     for mask in range(1 << (n - 1)):
         splits = [k for k in range(1, n) if mask >> (k - 1) & 1]
-        batches = []
-        lo = 1
-        for hi in [*splits, n]:
-            batches.append(Batch(lo, hi, inst.times[hi - 1]))
-            lo = hi + 1
-        from dynbatch.instance import merge_coincident
-        sched = Schedule(merge_coincident(batches))
+        ends = [*splits, n]
+        sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
         total = cost_of(inst, sched, f).total
         partitions.append((total, sched))
         best = min(best, total)
@@ -293,12 +288,11 @@ def test_policies_restart_at_batch_boundaries(inst, policy, f):
     # A run from any batch's first sample emits the remaining batches: the
     # policies keep no state across a batch boundary, which the adversary's
     # open-batch replay relies on.
-    batches = policy.batches(inst, f)
-    for k, b in enumerate(batches):
-        shift = b.lo - 1
-        suffix = ProblemInstance(inst.times[shift:], inst.features[shift:])
-        replayed = [Batch(c.lo + shift, c.hi + shift, c.time) for c in policy.batches(suffix, f)]
-        assert replayed == batches[k:]
+    ends, stamps = policy.flushes(inst.times, inst.features, f)
+    for k, lo in enumerate([0, *ends[:-1]]):
+        suffix_ends, suffix_stamps = policy.flushes(inst.times[lo:], inst.features[lo:], f)
+        assert [hi + lo for hi in suffix_ends] == ends[k:]
+        assert suffix_stamps == stamps[k:]
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,10 +303,10 @@ def test_policies_restart_at_batch_boundaries(inst, policy, f):
 def test_policies_are_online(inst, policy, f):
     # Every batch is decided from the arrivals at or before its processing
     # time: closing it with all later arrivals cut off gives the same batch.
-    for b in policy.batches(inst, f):
-        seen = bisect.bisect_right(inst.times, b.time)
-        closed = policy.close(inst.times[:seen], inst.features[:seen], f, b.lo - 1)
-        assert closed == (b.hi, b.time)
+    ends, stamps = policy.flushes(inst.times, inst.features, f)
+    for lo, hi, t in zip([0, *ends], ends, stamps):
+        seen = bisect.bisect_right(inst.times, t)
+        assert policy.close(inst.times[:seen], inst.features[:seen], f, lo) == (hi, t)
 
 
 class TestPolicySpec:
