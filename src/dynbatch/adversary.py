@@ -16,10 +16,11 @@ After each release it closes batches from the first sample of the open
 batch until one holds the release.  A batch closed while a later sample
 was already waiting is final, since each rule reads no arrival past the
 first one it leaves out.  The open batch is closed again after every
-release: a release whose gap rounds to zero lands on that batch's flush
-instant and joins it, and ``FixedSize`` processes a trailing partial batch
-only because the arrivals end there.  The construction's work thus grows
-linearly with the rounds as long as the policy keeps flushing.
+release: ``FixedSize`` processes a trailing partial batch only because
+the arrivals end there.  The construction's work thus grows
+linearly with the rounds as long as the policy keeps flushing.  A release
+gap that rounds to zero against the last flush time is an input error: the
+release would join the flushed batch instead of following it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, CustomSetFunction, FeatureMultiset, random_multiset, size_pairs
+from .cost import CostFunction, FeatureMultiset, batch_pairs
 from .instance import ProblemInstance, Schedule, ScheduleCost
 from .offline import optimal_schedule
 from .online import PolicyConfig, run_policy
@@ -171,6 +172,8 @@ def _realize_waves(
     for wave in range(2 * cfg.rounds):
         group = cfg.x1 if wave % 2 == 0 else cfg.x2
         release = t_prev + epsilon
+        if release == t_prev:
+            raise ValueError(f"epsilon {epsilon!r} rounds to zero after the flush at t={t_prev!r}")
         _release(group, release, times, feats)
         n = len(times)
         wave_last_index.append(n)
@@ -231,34 +234,15 @@ def worst_pair_search(
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    if isinstance(f, CustomSetFunction):
-        rng = np.random.default_rng(seed)
-        best = None
-        for _ in range(samples):
-            x = random_multiset(rng, f.universe_size, max_size)
-            y = random_multiset(rng, f.universe_size, max_size)
-            if len(x) == 0 or len(y) == 0:
-                continue
-            denom = f.value(x.union(y))
-            if denom == 0.0:
-                continue
-            ratio = (f.value(x) + f.value(y)) / denom
-            if best is None or ratio > best[2]:
-                best = (x, y, ratio)
-        if best is None:
-            raise ValueError("no admissible pair found by sampling")
-        return best
-
-    # Any other cost must be count-based; size_pairs raises TypeError if not.
-    a, b, g = size_pairs(f, max_size)
-    if a.size == 0:  # only a CountTable clamps the range below two sizes
-        raise ValueError(f"no size pair: the cost table covers only sizes 0..{len(g) - 1}")
-    denom = g[a + b]
-    admissible = np.flatnonzero(denom != 0.0)
+    xs, ys, fx, fy, fu = batch_pairs(f, max_size, samples, seed)
+    if f.count_based and not xs:  # only a CountTable clamps the range below two sizes
+        raise ValueError(f"no size pair: the cost table covers only sizes 0..{len(f.values) - 1}")
+    nonempty = np.array([bool(x.counts and y.counts) for x, y in zip(xs, ys)], dtype=bool)
+    admissible = np.flatnonzero(nonempty & (fu != 0.0))
     if admissible.size == 0:
-        raise ValueError("no admissible pair: cost is zero on every size in range")
-    ratios = (g[a] + g[b])[admissible] / denom[admissible]
+        raise ValueError("no admissible pair: cost is zero on every size in range" if f.count_based
+                         else "no admissible pair found by sampling")
+    ratios = (fx + fy)[admissible] / fu[admissible]
     k = int(np.argmax(ratios))  # the first maximum, as in a scan with strict >
     pair = admissible[k]
-    return (FeatureMultiset.of_size(int(a[pair])), FeatureMultiset.of_size(int(b[pair])),
-            float(ratios[k]))
+    return xs[pair], ys[pair], float(ratios[k])

@@ -18,6 +18,11 @@ of a run of samples at once with ``prefix_costs``; all three take the
 count-based shortcut themselves where the cost depends only on the batch
 size.
 
+``batch_pairs`` is the one scan over pairs of batches (X, Y) behind
+admissibility validation, the curvature search and the adversary's
+worst-pair search: every size pair of a count-based cost, or random pairs
+of multisets for a set function, with f(X), f(Y) and f(X u Y) as arrays.
+
 Cost functions are immutable and safe to share across worker processes;
 ``value`` is pure.
 """
@@ -152,8 +157,9 @@ class CostFunction:
         return np.array(costs, dtype=float)
 
     def curvature_exact(self) -> float | None:
-        """Analytic curvature when a closed form is known, else None."""
-        return None
+        """Analytic curvature when a closed form is known, else
+        ``gamma_hint`` (None when unset)."""
+        return self.gamma_hint
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -285,9 +291,8 @@ class CountTable(_CountCost):
 class CustomSetFunction(CostFunction):
     """Arbitrary feature-dependent cost given by a user callable.
 
-    ``universe_size`` bounds the feature ids the evaluator understands; it
-    is used to sample random multisets when validating the admissibility
-    conditions or estimating the curvature.
+    ``universe_size`` bounds the feature ids the evaluator understands;
+    ``batch_pairs`` samples random multisets over it.
     """
 
     fn: Callable[[FeatureMultiset], float]
@@ -364,9 +369,34 @@ def size_pairs(f: CostFunction, limit: int) -> tuple[np.ndarray, np.ndarray, np.
     return a[keep], b[keep], g
 
 
+def batch_pairs(
+    f: CostFunction, max_size: int, samples: int, seed: int, universe_size: int | None = None
+) -> tuple[list[FeatureMultiset], list[FeatureMultiset], np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs of batches (X, Y) with f(X), f(Y) and f(X u Y) as float arrays.
+
+    For a count-based ``f`` the pairs are ``size_pairs(f, max_size)``, as
+    multisets of feature 0; ``samples`` and ``seed`` are unused.  For a set
+    function they are ``samples`` pairs of ``random_multiset`` draws, X
+    then Y, over ``universe_size`` features (default ``f.universe_size``).
+    """
+    if f.count_based:
+        a, b, g = size_pairs(f, max_size)
+        of_size = [FeatureMultiset.of_size(k) for k in range(len(g))]
+        return ([of_size[k] for k in a.tolist()], [of_size[k] for k in b.tolist()],
+                g[a], g[b], g[a + b])
+    universe = f.universe_size if universe_size is None else universe_size
+    rng = np.random.default_rng(seed)
+    pairs = [(random_multiset(rng, universe, max_size), random_multiset(rng, universe, max_size))
+             for _ in range(samples)]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    return (xs, ys, np.array([f.value(x) for x in xs], dtype=float),
+            np.array([f.value(y) for y in ys], dtype=float),
+            np.array([f.value(x.union(y)) for x, y in pairs], dtype=float))
+
+
 def validate_assumption1(
     f: CostFunction,
-    universe_size: int = 1,
+    universe_size: int | None = None,
     max_batch: int = 64,
     samples: int = 200,
     seed: int = 0,
@@ -375,8 +405,8 @@ def validate_assumption1(
 
     Count-based kinds are checked exhaustively for batch sizes up to
     ``max_batch``; set functions are checked on ``samples`` random multiset
-    pairs drawn from ``universe_size`` features.  Violations are report
-    contents, never exceptions.
+    pairs drawn from ``universe_size`` features (default: the function's
+    own universe).  Violations are report contents, never exceptions.
     """
     if max_batch < 1:
         raise ValueError("max_batch must be at least 1")
@@ -400,19 +430,18 @@ def validate_assumption1(
             violations.append(Violation("subadditive", sizes=(x, y),
                                         detail=f"g({x + y})={gv[x + y]!r} > g({x})+g({y})"))
     else:
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = random_multiset(rng, universe_size, max_batch)
-            y = random_multiset(rng, universe_size, max_batch)
-            u = x.union(y)
-            fx, fy, fu = f.value(x), f.value(y), f.value(u)
-            checked += 2
-            if fu > fx + fy + _SUBADD_TOL * max(1.0, fx + fy):
+        xs, ys, fx, fy, fu = batch_pairs(f, max_batch, samples, seed, universe_size)
+        checked += 2 * len(xs)
+        sub = fu > fx + fy + _SUBADD_TOL * np.maximum(1.0, fx + fy)
+        mono = fx > fu + _SUBADD_TOL * np.maximum(1.0, fu)
+        for i in np.flatnonzero(sub | mono).tolist():
+            x, y, vx, vy, vu = xs[i], ys[i], float(fx[i]), float(fy[i]), float(fu[i])
+            if sub[i]:
                 violations.append(Violation("subadditive", sizes=(len(x), len(y)),
-                                            detail=f"f({x.counts} u {y.counts}) = {fu!r} > {fx!r} + {fy!r}"))
-            if fx > fu + _SUBADD_TOL * max(1.0, fu):
-                violations.append(Violation("monotone", sizes=(len(x), len(u)),
-                                            detail=f"f({x.counts}) = {fx!r} > f(union) = {fu!r}"))
+                                            detail=f"f({x.counts} u {y.counts}) = {vu!r} > {vx!r} + {vy!r}"))
+            if mono[i]:
+                violations.append(Violation("monotone", sizes=(len(x), len(x) + len(y)),
+                                            detail=f"f({x.counts}) = {vx!r} > f(union) = {vu!r}"))
     return ValidationReport(tuple(violations), checked)
 
 
@@ -433,10 +462,10 @@ def curvature_info(
 ) -> CurvatureResult:
     """Curvature of ``f``: inf f(X u Y) / (f(X) + f(Y)) over pairs.
 
-    Closed forms are returned exactly where known.  For count tables the
-    infimum is searched over all size pairs within ``max_batch``; for set
-    functions it is estimated from random pairs.  Finite searches can only
-    overestimate the infimum, so such results are flagged.
+    Closed forms and ``gamma_hint`` are returned exactly.  For count tables
+    the infimum is searched over all size pairs within ``max_batch``; for
+    set functions it is estimated from random pairs.  Finite searches can
+    only overestimate the infimum, so such results are flagged.
     """
     if max_batch < 2:
         raise ValueError("max_batch must be at least 2")
@@ -444,37 +473,21 @@ def curvature_info(
     exact = f.curvature_exact()
     if exact is not None:
         return CurvatureResult(exact, exact=True, upper_bound_only=False)
-    if f.gamma_hint is not None:
-        return CurvatureResult(f.gamma_hint, exact=True, upper_bound_only=False)
 
-    if f.count_based:
-        a, b, g = size_pairs(f, max_batch)
-        if not g.any():
+    xs, ys, fx, fy, fu = batch_pairs(f, max_batch, samples, seed)
+    denom = fx + fy
+    # two empty batches, a 0/0 pair or a zero denominator beside a
+    # monotonicity violation (reported by the validator) say nothing
+    some_sample = np.array([bool(x.counts or y.counts) for x, y in zip(xs, ys)], dtype=bool)
+    informative = some_sample & (denom != 0.0)
+    if not informative.any():
+        if not f.count_based:
+            raise ValueError("curvature undefined: all sampled pairs were degenerate")
+        # g over the whole range, even where the table leaves no size pair
+        if not size_pairs(f, max_batch)[2].any():
             raise ValueError("curvature undefined: cost is identically zero on the search range")
-        denom = g[a] + g[b]
-        # a zero denominator is a 0/0 pair or implies a monotonicity
-        # violation (reported by the validator); neither is informative
-        informative = denom != 0.0
-        if not informative.any():
-            raise ValueError("curvature undefined: no informative size pair in range")
-        best = float(np.min(g[(a + b)[informative]] / denom[informative]))
-        return CurvatureResult(_clamp_curvature(best), exact=False, upper_bound_only=True)
-
-    assert isinstance(f, CustomSetFunction)
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(samples):
-        x = random_multiset(rng, f.universe_size, max_batch)
-        y = random_multiset(rng, f.universe_size, max_batch)
-        if len(x) == 0 and len(y) == 0:
-            continue
-        denom = f.value(x) + f.value(y)
-        num = f.value(x.union(y))
-        if denom == 0.0:
-            continue
-        best = min(best, num / denom)
-    if not math.isfinite(best):
-        raise ValueError("curvature undefined: all sampled pairs were degenerate")
+        raise ValueError("curvature undefined: no informative size pair in range")
+    best = float(np.min(fu[informative] / denom[informative]))
     return CurvatureResult(_clamp_curvature(best), exact=False, upper_bound_only=True)
 
 

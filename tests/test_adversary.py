@@ -149,13 +149,20 @@ class TestOpenBatchReplay:
                                         FixedDelay(0.0)], ids=lambda p: p.spec_string())
     @pytest.mark.parametrize("f", [ConstantCost(1), SqrtCount()], ids=lambda f: f.spec_string())
     def test_matches_whole_prefix_replay(self, policy, f, monkeypatch):
-        # epsilon 1e-30 rounds onto the previous flush once times are
-        # large, so a release can join and revise the last batch.
+        # epsilon 1e-30 rounds to zero against the first flush time of a
+        # policy that waits, which is an input error; fixed-size:3 and
+        # fixed-delay:0 flush at release instants, where it never rounds.
+        waits = policy.spec_string() not in ("fixed-size:3", "fixed-delay:0")
         for sizes in ((1, 1), (2, 3)):
             for epsilon in (1e-6, None, 1e-30, 0.7):
                 cfg = AdversaryConfig(FeatureMultiset.of_size(sizes[0]),
                                       FeatureMultiset.of_size(sizes[1]), rounds=20,
                                       epsilon=epsilon)
+                if epsilon == 1e-30 and waits:
+                    with pytest.raises(ValueError,
+                                       match=r"^epsilon 1e-30 rounds to zero after the flush at t=\S+$"):
+                        run_adversary(policy, f, cfg)
+                    continue
                 rep = run_adversary(policy, f, cfg)
                 with monkeypatch.context() as m:
                     m.setattr(adversary, "_realize_waves", _prefix_replay_waves)

@@ -21,7 +21,7 @@ from dynbatch import (
     validate_assumption1,
     worst_pair_search,
 )
-from dynbatch.cost import CurvatureResult, Violation
+from dynbatch.cost import CurvatureResult, ValidationReport, Violation, random_multiset
 
 
 def ms(*features):
@@ -131,6 +131,16 @@ class TestValidateAssumption1:
         report = validate_assumption1(f, universe_size=3, max_batch=16, samples=200, seed=1)
         assert report.ok
 
+    def test_set_function_default_universe_is_its_own(self):
+        # superadditive only in feature 1, so sampling feature 0 alone sees
+        # a clean sqrt
+        f = CustomSetFunction(lambda x: math.sqrt(dict(x.counts).get(0, 0))
+                              + dict(x.counts).get(1, 0) ** 2, universe_size=2)
+        report = validate_assumption1(f, max_batch=16)
+        assert any(v.condition == "subadditive" for v in report.violations)
+        assert report == validate_assumption1(f, universe_size=2, max_batch=16)
+        assert validate_assumption1(f, universe_size=1, max_batch=16).ok
+
 
 class TestPairScanPins:
     """Exact outputs of the exhaustive size-pair scans on count tables."""
@@ -203,6 +213,102 @@ def test_pair_scans_match_loop_reference(values, max_batch):
     if best is not None and limit == max_batch:
         x1, x2, bound = worst_pair_search(table, max_batch)
         assert (len(x1), len(x2), bound) == best
+
+
+def _reference_validate(f, max_batch, samples, seed):
+    """The sampling loop ``validate_assumption1`` ran on set functions."""
+    violations = []
+    checked = 1
+    empty_val = f.value(FeatureMultiset.empty())
+    if empty_val != 0.0:
+        violations.append(Violation("empty-zero", detail=f"f(empty) = {empty_val!r}"))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = random_multiset(rng, f.universe_size, max_batch)
+        y = random_multiset(rng, f.universe_size, max_batch)
+        u = x.union(y)
+        fx, fy, fu = f.value(x), f.value(y), f.value(u)
+        checked += 2
+        if fu > fx + fy + 1e-12 * max(1.0, fx + fy):
+            violations.append(Violation("subadditive", sizes=(len(x), len(y)),
+                                        detail=f"f({x.counts} u {y.counts}) = {fu!r} > {fx!r} + {fy!r}"))
+        if fx > fu + 1e-12 * max(1.0, fu):
+            violations.append(Violation("monotone", sizes=(len(x), len(u)),
+                                        detail=f"f({x.counts}) = {fx!r} > f(union) = {fu!r}"))
+    return ValidationReport(tuple(violations), checked)
+
+
+def _reference_curvature(f, max_batch, samples, seed):
+    """The sampling loop ``curvature_info`` ran on set functions."""
+    rng = np.random.default_rng(seed)
+    best = math.inf
+    for _ in range(samples):
+        x = random_multiset(rng, f.universe_size, max_batch)
+        y = random_multiset(rng, f.universe_size, max_batch)
+        if len(x) == 0 and len(y) == 0:
+            continue
+        denom = f.value(x) + f.value(y)
+        if denom == 0.0:
+            continue
+        best = min(best, f.value(x.union(y)) / denom)
+    if not math.isfinite(best):
+        raise ValueError("curvature undefined: all sampled pairs were degenerate")
+    return CurvatureResult(min(max(best, 0.5), 1.0), exact=False, upper_bound_only=True)
+
+
+def _reference_worst_pair(f, max_size, samples, seed):
+    """The sampling loop ``worst_pair_search`` ran on set functions."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(samples):
+        x = random_multiset(rng, f.universe_size, max_size)
+        y = random_multiset(rng, f.universe_size, max_size)
+        if len(x) == 0 or len(y) == 0:
+            continue
+        denom = f.value(x.union(y))
+        if denom == 0.0:
+            continue
+        ratio = (f.value(x) + f.value(y)) / denom
+        if best is None or ratio > best[2]:
+            best = (x, y, ratio)
+    if best is None:
+        raise ValueError("no admissible pair found by sampling")
+    return best
+
+
+def _outcome(fn, *args, **kwargs):
+    """The return value, or the ValueError's message; warnings ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn(*args, **kwargs)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+
+SET_FUNCTIONS = (
+    CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3, name="sqrt"),
+    CustomSetFunction(lambda x: len(x.counts) + 0.25 * math.sqrt(len(x)), universe_size=3,
+                      name="distinct+sqrt"),
+    CustomSetFunction(lambda x: float(len(x)) ** 2, universe_size=3, name="square"),
+    CustomSetFunction(lambda x: 0.0, universe_size=3, name="zero"),
+    # f(empty) = 1: only a pair of empty batches reaches the ratio 1/2
+    CustomSetFunction(lambda x: 1.0 + len(x), universe_size=3, name="affine"),
+)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("max_size", [2, 3, 16])
+@pytest.mark.parametrize("f", SET_FUNCTIONS, ids=lambda f: f.name)
+def test_set_function_pair_scans_match_loop_reference(f, max_size, seed):
+    """The vectorised scans over sampled pairs agree exactly with plain loops."""
+    samples = 150
+    assert _outcome(validate_assumption1, f, max_batch=max_size, samples=samples, seed=seed) == \
+        _reference_validate(f, max_size, samples, seed)
+    assert _outcome(curvature_info, f, max_batch=max_size, samples=samples, seed=seed) == \
+        _outcome(_reference_curvature, f, max_size, samples, seed)
+    assert _outcome(worst_pair_search, f, max_size, samples=samples, seed=seed) == \
+        _outcome(_reference_worst_pair, f, max_size, samples, seed)
 
 
 class TestCurvature:

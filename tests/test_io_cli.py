@@ -208,6 +208,13 @@ class TestCli:
         assert float(rows[0]["limit_bound"]) == 2.0
         assert rows[0]["policy"] == "wta:0.5"
 
+    def test_adversary_gap_rounding_to_zero_exits_1(self, capsys):
+        rc = cli_main(["adversary", "--cost", "const:1", "--policy", "wta:0.5",
+                       "--rounds", "5", "--epsilon", "1e-30"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "dynbatch: epsilon 1e-30 rounds to zero after the flush at t=0.5\n")
+
     def test_unknown_cost_spec_exits_2(self, capsys):
         assert cli_main(["gamma", "--cost", "cubic"]) == 2
         assert "unknown cost spec" in capsys.readouterr().err
