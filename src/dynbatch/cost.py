@@ -18,6 +18,13 @@ of a run of samples at once with ``prefix_costs``; all three take the
 count-based shortcut themselves where the cost depends only on the batch
 size.
 
+A ``FeatureMultiset`` is validated once, when it is built from a counts
+tuple, and that check also sets its ``size``.  ``FeatureMultiset.plus``
+adds one sample by sorted insertion, so the multiset it returns is
+canonical by construction and is not validated again: ``prefix_costs`` and
+the waiting policy grow one multiset a sample at a time instead of
+rebuilding it for every prefix.
+
 ``batch_pairs`` is the one scan over pairs of batches (X, Y) behind
 admissibility validation, the curvature search and the adversary's
 worst-pair search: every size pair of a count-based cost, or random pairs
@@ -31,10 +38,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -65,19 +72,26 @@ class FeatureMultiset:
     """Multiset of feature ids, stored as a sorted (id, multiplicity) tuple.
 
     The representation is canonical: equal multisets compare and hash equal.
-    Union adds multiplicities (it never deduplicates), so X u X != X.
+    Validation also sets ``size``, the number of samples.  ``plus`` keeps
+    the representation canonical by construction, so a multiset grown one
+    sample at a time is never re-validated.  Union adds multiplicities (it
+    never deduplicates), so X u X != X.
     """
 
     counts: tuple[tuple[int, int], ...]
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev = -1
+        size = 0
         for fid, mult in self.counts:
             if fid < 0 or fid <= prev:
                 raise ValueError("feature ids must be non-negative, strictly sorted")
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
             prev = fid
+            size += mult
+        object.__setattr__(self, "size", size)
 
     @staticmethod
     def empty() -> "FeatureMultiset":
@@ -95,12 +109,26 @@ class FeatureMultiset:
             raise ValueError("size must be non-negative")
         return FeatureMultiset(((feature, size),) if size else ())
 
-    @cached_property
-    def size(self) -> int:
-        return sum(m for _, m in self.counts)
-
     def __len__(self) -> int:
         return self.size
+
+    def plus(self, fid: int) -> "FeatureMultiset":
+        """This multiset with one more copy of feature ``fid``.
+
+        The new id is inserted at its sorted place, so only it is checked.
+        """
+        if fid < 0:
+            raise ValueError("feature ids must be non-negative, strictly sorted")
+        counts = self.counts
+        k = bisect_left(counts, (fid,))
+        if k < len(counts) and counts[k][0] == fid:
+            counts = counts[:k] + ((fid, counts[k][1] + 1),) + counts[k + 1:]
+        else:
+            counts = counts[:k] + ((fid, 1),) + counts[k:]
+        grown = object.__new__(FeatureMultiset)
+        object.__setattr__(grown, "counts", counts)
+        object.__setattr__(grown, "size", self.size + 1)
+        return grown
 
     def union(self, other: "FeatureMultiset") -> "FeatureMultiset":
         c = Counter(dict(self.counts))
@@ -148,13 +176,12 @@ class CostFunction:
         return np.array([self.batch_cost(features[lo:hi]) for lo, hi in zip([0, *ends], ends)])
 
     def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
-        """f of each prefix features[:1], features[:2], ..., in order."""
-        counts = Counter()
-        costs = []
-        for v in features:
-            counts[v] += 1
-            costs.append(self.value(FeatureMultiset(tuple(sorted(counts.items())))))
-        return np.array(costs, dtype=float)
+        """f of each prefix features[:1], features[:2], ..., in order, each
+        prefix's multiset grown from the one before by ``plus``."""
+        value = self.value
+        prefixes = accumulate(features, FeatureMultiset.plus, initial=FeatureMultiset.empty())
+        next(prefixes)
+        return np.fromiter((value(x) for x in prefixes), dtype=float)
 
     def curvature_exact(self) -> float | None:
         """Analytic curvature when a closed form is known, else
@@ -432,8 +459,9 @@ def validate_assumption1(
     else:
         xs, ys, fx, fy, fu = batch_pairs(f, max_batch, samples, seed, universe_size)
         checked += 2 * len(xs)
-        sub = fu > fx + fy + _SUBADD_TOL * np.maximum(1.0, fx + fy)
-        mono = fx > fu + _SUBADD_TOL * np.maximum(1.0, fu)
+        # written as "not within bounds", so a NaN value is a violation
+        sub = ~(fu <= fx + fy + _SUBADD_TOL * np.maximum(1.0, fx + fy))
+        mono = ~(fx <= fu + _SUBADD_TOL * np.maximum(1.0, fu))
         for i in np.flatnonzero(sub | mono).tolist():
             x, y, vx, vy, vu = xs[i], ys[i], float(fx[i]), float(fy[i]), float(fu[i])
             if sub[i]:

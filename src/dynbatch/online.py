@@ -28,7 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .cost import CostFunction
+from .cost import CostFunction, FeatureMultiset
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 
 __all__ = [
@@ -95,11 +95,19 @@ class Wta(_Policy):
         while i < n and times[i] == t:
             i += 1
         accrued = 0.0
+        # A count cost needs only the pending count.  A set function prices
+        # the pending multiset, features[lo:priced], grown by each event.
+        batch = None if count_based else FeatureMultiset.empty()
+        priced = lo
         while True:
             pending = i - lo
-            # A count cost needs only the size, not a copy of the features.
-            target = alpha * (f.count_value(pending) if count_based
-                              else f.batch_cost(features[lo:i]))
+            if count_based:
+                target = alpha * f.count_value(pending)
+            else:
+                for k in range(priced, i):
+                    batch = batch.plus(features[k])
+                priced = i
+                target = alpha * f.value(batch)
             if target <= accrued:
                 return i, t
             t_star = t + (target - accrued) / pending

@@ -1,9 +1,10 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynbatch import (
@@ -48,11 +49,23 @@ class TestFeatureMultiset:
         assert len(FeatureMultiset.of_size(4)) == 4
         assert FeatureMultiset.of_size(0) == FeatureMultiset.empty()
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_keeps_size_and_equality(self, protocol):
+        for x in (ms(3, 1, 3), FeatureMultiset.empty().plus(3).plus(1).plus(3),
+                  FeatureMultiset.empty()):
+            y = pickle.loads(pickle.dumps(x, protocol))
+            assert y == x and hash(y) == hash(x)
+            assert y.size == x.size == len(y)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             FeatureMultiset(((1, 0),))
         with pytest.raises(ValueError):
             FeatureMultiset(((2, 1), (1, 1)))
+        # a multiset grown one sample at a time checks each new id
+        f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            f.prefix_costs((1, 0, -1))
 
 
 class TestEvaluate:
@@ -92,13 +105,25 @@ def test_count_values_is_count_value(f):
 
 
 @pytest.mark.parametrize("f", PRICED_COSTS, ids=lambda f: f.spec_string()[:16])
-def test_batch_cost_and_prefix_costs_price_every_prefix(f):
-    features = (2, 0, 2, 1, 0, 0, 2, 1, 1, 2)
+@settings(max_examples=60, deadline=None)
+@given(features=st.lists(st.integers(min_value=0, max_value=4), max_size=40).map(tuple))
+@example(features=(2, 0, 2, 1, 0, 0, 2, 1, 1, 2))
+def test_batch_cost_and_prefix_costs_price_every_prefix(f, features):
     prefixes = [features[:k] for k in range(1, len(features) + 1)]
-    want = [f.value(FeatureMultiset.from_features(p)) for p in prefixes]
+    fresh = [FeatureMultiset.from_features(p) for p in prefixes]
+    want = [f.value(x) for x in fresh]
     assert [f.batch_cost(p) for p in prefixes] == want
     assert f.prefix_costs(features).tolist() == want
     assert f.prefix_costs(()).tolist() == []
+    # The multisets that a set function sees, grown one sample at a time,
+    # are the ones built from scratch.
+    seen = []
+    recorded = CustomSetFunction(lambda x: seen.append(x) or f.value(x), universe_size=5)
+    assert recorded.prefix_costs(features).tolist() == want
+    assert [x.counts for x in seen] == [x.counts for x in fresh]
+    assert [len(x) for x in seen] == [len(x) for x in fresh]
+    assert seen == fresh
+    assert [hash(x) for x in seen] == [hash(x) for x in fresh]
 
 
 class TestValidateAssumption1:
@@ -130,6 +155,15 @@ class TestValidateAssumption1:
         f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3)
         report = validate_assumption1(f, universe_size=3, max_batch=16, samples=200, seed=1)
         assert report.ok
+
+    def test_nan_value_is_a_violation(self):
+        # Every comparison with NaN is false, so a check written as
+        # "value > bound" would let NaN through.
+        f = CustomSetFunction(lambda x: math.nan if len(x) > 3 else math.sqrt(len(x)), 2)
+        report = validate_assumption1(f)
+        assert not report.ok
+        assert {v.condition for v in report.violations} == {"subadditive", "monotone"}
+        assert all("nan" in v.detail and "\n" not in v.detail for v in report.violations)
 
     def test_set_function_default_universe_is_its_own(self):
         # superadditive only in feature 1, so sampling feature 0 alone sees

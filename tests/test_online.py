@@ -309,6 +309,44 @@ def test_policies_are_online(inst, policy, f):
         assert policy.close(inst.times[:seen], inst.features[:seen], f, lo) == (hi, t)
 
 
+def _reference_wta_close(alpha, times, features, f, lo):
+    """Wta.close with the flush target priced from the batch's features on
+    every event, f.batch_cost(features[lo:i])."""
+    n = len(times)
+    i = lo
+    t = times[i]
+    while i < n and times[i] == t:
+        i += 1
+    accrued = 0.0
+    while True:
+        pending = i - lo
+        target = alpha * f.batch_cost(features[lo:i])
+        if target <= accrued:
+            return i, t
+        t_star = t + (target - accrued) / pending
+        if i < n and t_star >= times[i]:
+            t_next = times[i]
+            accrued += pending * (t_next - t)
+            t = t_next
+            while i < n and times[i] == t:
+                i += 1
+            continue
+        return i, t_star
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coincident_instances(), alpha=st.sampled_from([0.5, 1.0, 3.0]),
+       f=st.sampled_from([*(f for f in RESTART_COSTS if not f.count_based),
+                          CustomSetFunction(lambda x: 0.0, 3, name="zero")]))
+def test_wta_close_matches_per_event_pricing(inst, alpha, f):
+    # The running multiset prices every event as a fresh one would.
+    lo = 0
+    while lo < inst.n:
+        want = _reference_wta_close(alpha, inst.times, inst.features, f, lo)
+        assert Wta(alpha).close(inst.times, inst.features, f, lo) == want
+        lo = want[0]
+
+
 class TestPolicySpec:
     @pytest.mark.parametrize("spec,expected", [
         ("wta:0.5", Wta(0.5)),
