@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset, batch_pairs
+from .cost import CostFunction, FeatureMultiset, batch_pairs, pair_ratios
 from .instance import ProblemInstance, Schedule, ScheduleCost
 from .offline import optimal_schedule
 from .online import PolicyConfig, run_policy
@@ -207,18 +207,12 @@ def _release(group: FeatureMultiset, t: float, times: list[float], feats: list[i
 
 
 def _count_split_waves(sched: Schedule, wave_last_index: list[int]) -> int:
-    """Releases whose samples ``sched`` spreads over more than one batch."""
-    splits = 0
-    batches = iter(sched.batches)
-    batch = next(batches)
-    wave_lo = 1
-    for last in wave_last_index:
-        while batch.hi < wave_lo:
-            batch = next(batches)
-        if batch.hi < last:
-            splits += 1
-        wave_lo = last + 1
-    return splits
+    """Releases whose samples ``sched`` spreads over more than one batch:
+    those with a batch ending before their last sample."""
+    lasts = np.array(wave_last_index)
+    firsts = np.concatenate(([1], lasts[:-1] + 1))
+    ends = np.array(sched.ends)
+    return int(np.count_nonzero(np.searchsorted(ends, firsts) != np.searchsorted(ends, lasts)))
 
 
 def worst_pair_search(
@@ -234,7 +228,8 @@ def worst_pair_search(
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    xs, ys, fx, fy, fu = batch_pairs(f, max_size, samples, seed)
+    pairs = batch_pairs(f, max_size, samples, seed)
+    xs, ys, fx, fy, fu = pairs
     if f.count_based and not xs:  # only a CountTable clamps the range below two sizes
         raise ValueError(f"no size pair: the cost table covers only sizes 0..{len(f.values) - 1}")
     nonempty = np.array([bool(x.counts and y.counts) for x, y in zip(xs, ys)], dtype=bool)
@@ -242,7 +237,7 @@ def worst_pair_search(
     if admissible.size == 0:
         raise ValueError("no admissible pair: cost is zero on every size in range" if f.count_based
                          else "no admissible pair found by sampling")
-    ratios = (fx + fy)[admissible] / fu[admissible]
+    ratios = pair_ratios(pairs, fx + fy, fu, admissible, "worst-pair ratio")
     k = int(np.argmax(ratios))  # the first maximum, as in a scan with strict >
     pair = admissible[k]
     return xs[pair], ys[pair], float(ratios[k])

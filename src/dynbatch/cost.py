@@ -147,8 +147,9 @@ class CostFunction:
 
     ``batch_cost``, ``batch_costs`` and ``prefix_costs`` are the pricing
     entry points.  Count-based kinds depend only on the batch size; each
-    states its formula once, as ``count_value``, and ``count_values``
-    tabulates it over an array of sizes.
+    states its formula once, as ``count_value``; ``count_values``
+    tabulates it over an array of sizes, and ``count_table`` keeps one such
+    table per cost object.
     """
 
     count_based: ClassVar[bool] = False
@@ -163,6 +164,17 @@ class CostFunction:
     def count_values(self, sizes: np.ndarray) -> np.ndarray:
         """``count_value`` of each size, as a float array."""
         return np.array([self.count_value(k) for k in np.asarray(sizes).tolist()], dtype=float)
+
+    def count_table(self, top: int) -> np.ndarray:
+        """g(0), ..., g(top) as a read-only float array: ``count_values``
+        tabulated once per cost object, and again only for a larger size.
+        The table is no dataclass field: equality, hashing and repr skip it."""
+        g = self.__dict__.get("_count_table")
+        if g is None or len(g) <= top:
+            g = self.count_values(np.arange(top + 1))
+            g.flags.writeable = False
+            object.__setattr__(self, "_count_table", g)
+        return g[:top + 1]
 
     def batch_cost(self, features: Sequence[int]) -> float:
         """f of the batch of samples with these feature ids."""
@@ -202,7 +214,8 @@ class _CountCost(CostFunction):
         return self.count_value(len(features))
 
     def batch_costs(self, rows: Iterable[Sequence[int]], sizes: np.ndarray) -> np.ndarray:
-        return self.count_values(np.arange(int(sizes.max()) + 1))[sizes]
+        # argmax: max's Python wrapper costs more than a small lookup
+        return self.count_table(int(sizes[sizes.argmax()]))[sizes]
 
     def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
         return self.count_values(np.arange(1, len(features) + 1))
@@ -411,7 +424,10 @@ def batch_pairs(
         of_size = [FeatureMultiset.of_size(k) for k in range(len(g))]
         return ([of_size[k] for k in a.tolist()], [of_size[k] for k in b.tolist()],
                 g[a], g[b], g[a + b])
-    universe = f.universe_size if universe_size is None else universe_size
+    universe = getattr(f, "universe_size", None) if universe_size is None else universe_size
+    if universe is None:
+        raise ValueError(f"{type(f).__name__} is not count-based and has no universe_size "
+                         "to sample feature ids from")
     rng = np.random.default_rng(seed)
     pairs = [(random_multiset(rng, universe, max_size), random_multiset(rng, universe, max_size))
              for _ in range(samples)]
@@ -419,6 +435,23 @@ def batch_pairs(
     return (xs, ys, np.array([f.value(x) for x in xs], dtype=float),
             np.array([f.value(y) for y in ys], dtype=float),
             np.array([f.value(x.union(y)) for x, y in pairs], dtype=float))
+
+
+def pair_ratios(pairs, top: np.ndarray, bottom: np.ndarray, picked: np.ndarray,
+                what: str) -> np.ndarray:
+    """top / bottom at the ``picked`` pairs of ``batch_pairs`` output
+    ``pairs``; a NaN ratio, of ``what``, is a one-line ValueError naming the
+    first such pair."""
+    with np.errstate(invalid="ignore"):
+        ratios = top[picked] / bottom[picked]
+    nan = picked[np.isnan(ratios)]
+    if nan.size:
+        xs, ys, fx, fy, fu = pairs
+        i = nan[0]
+        raise ValueError(f"{what} undefined: f(X)={float(fx[i])!r}, f(Y)={float(fy[i])!r} and "
+                         f"f(X u Y)={float(fu[i])!r} give a NaN ratio for X={xs[i].counts}, "
+                         f"Y={ys[i].counts}")
+    return ratios
 
 
 def validate_assumption1(
@@ -502,7 +535,8 @@ def curvature_info(
     if exact is not None:
         return CurvatureResult(exact, exact=True, upper_bound_only=False)
 
-    xs, ys, fx, fy, fu = batch_pairs(f, max_batch, samples, seed)
+    pairs = batch_pairs(f, max_batch, samples, seed)
+    xs, ys, fx, fy, fu = pairs
     denom = fx + fy
     # two empty batches, a 0/0 pair or a zero denominator beside a
     # monotonicity violation (reported by the validator) say nothing
@@ -515,7 +549,8 @@ def curvature_info(
         if not size_pairs(f, max_batch)[2].any():
             raise ValueError("curvature undefined: cost is identically zero on the search range")
         raise ValueError("curvature undefined: no informative size pair in range")
-    best = float(np.min(fu[informative] / denom[informative]))
+    ratios = pair_ratios(pairs, fu, denom, np.flatnonzero(informative), "curvature")
+    best = float(np.min(ratios))
     return CurvatureResult(_clamp_curvature(best), exact=False, upper_bound_only=True)
 
 

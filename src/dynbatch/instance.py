@@ -6,8 +6,10 @@ batches processed at strictly increasing times, no earlier than the last
 arrival of each batch.  The objective is the per-sample average waiting
 time plus the per-sample average batch processing cost.
 
-``chunk_costs`` is the one pricer: it prices the schedules of many
-equal-size instances at once, and ``cost_of`` runs its summation for one.
+A ``Schedule`` is two tuples: each batch's last sample and its time.
+``chunk_costs`` is the one validator and pricer, in array operations over
+the schedules of many equal-size instances; ``cost_of`` and
+``Schedule.validate_for`` run it on one.
 
 All types are immutable after construction; the operations are pure.
 """
@@ -18,7 +20,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 
 import numpy as np
 
@@ -96,7 +99,16 @@ class Batch:
 
 @dataclass(frozen=True)
 class Schedule:
-    batches: tuple[Batch, ...]
+    """Consecutive batches: the k-th ends at sample ends[k] (1-based), starts
+    after the one before it, and is processed at stamps[k].  Tuples keep a
+    schedule hashable; ``validate_for`` checks it against an instance."""
+
+    ends: tuple[int, ...]
+    stamps: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.ends) != len(self.stamps):
+            raise ValueError("ends and stamps must have equal length")
 
     def validate_for(self, inst: ProblemInstance) -> None:
         """Raise InfeasibleScheduleError unless this schedule covers ``inst``.
@@ -105,57 +117,31 @@ class Schedule:
         increasing processing times, and never process a sample before it
         arrives.
         """
-        if not self.batches:
-            raise InfeasibleScheduleError("infeasible schedule: no batches")
-        times = inst.times
-        n = len(times)
-        expect_lo = 1
-        prev_time = -math.inf
-        for b in self.batches:
-            if b.lo != expect_lo or not b.lo <= b.hi <= n:
-                raise InfeasibleScheduleError(
-                    f"infeasible schedule: batches must partition 1..{n} consecutively "
-                    f"(got [{b.lo}, {b.hi}], expected lo={expect_lo})")
-            if not b.time > prev_time:
-                raise InfeasibleScheduleError(
-                    "infeasible schedule: processing times must be strictly increasing")
-            if b.time < times[b.hi - 1]:
-                raise InfeasibleScheduleError(
-                    f"infeasible schedule: batch [{b.lo}, {b.hi}] processed at {b.time!r} "
-                    f"before its last arrival {times[b.hi - 1]!r}")
-            expect_lo = b.hi + 1
-            prev_time = b.time
-        if expect_lo != n + 1:
-            raise InfeasibleScheduleError(
-                f"infeasible schedule: covers 1..{expect_lo - 1} but instance has n={n}")
+        _checked(inst.times_array[None], *self._arrays())
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The ends and stamps as the arrays ``_checked`` reads, on row 0."""
+        m = len(self.ends)
+        return np.fromiter(self.ends, np.intp, m), np.fromiter(self.stamps, float, m), 0
 
     @staticmethod
     def from_ends(ends: Sequence[int], stamps: Sequence[float]) -> "Schedule":
         """The schedule whose k-th batch ends at sample ends[k] (1-based) and
         is processed at stamps[k], with batches processed at one instant
-        merged into one."""
-        return Schedule(merge_coincident(
-            [Batch(lo + 1, hi, t) for lo, hi, t in zip([0, *ends], ends, stamps)]))
+        merged into one, as the schedule model requires strictly increasing
+        times: policies emit several when arrivals coincide."""
+        keep = [*map(ne, stamps, stamps[1:]), True]
+        return Schedule(tuple(compress(ends, keep)), tuple(compress(stamps, keep)))
 
     @property
     def m(self) -> int:
-        return len(self.batches)
+        return len(self.ends)
 
-
-def merge_coincident(batches: list[Batch]) -> tuple[Batch, ...]:
-    """Merge consecutive batches that share a processing time.
-
-    Policies built from per-arrival rules can emit several batches at one
-    instant when arrivals coincide; the schedule model requires strictly
-    increasing times, so such batches are one batch.
-    """
-    merged: list[Batch] = []
-    for b in batches:
-        if merged and b.time == merged[-1].time:
-            merged[-1] = Batch(merged[-1].lo, b.hi, b.time)
-        else:
-            merged.append(b)
-    return tuple(merged)
+    @property
+    def batches(self) -> tuple[Batch, ...]:
+        """The batches one by one, for printing and for tests."""
+        return tuple(Batch(lo + 1, hi, t)
+                     for lo, hi, t in zip((0, *self.ends), self.ends, self.stamps))
 
 
 @dataclass(frozen=True)
@@ -169,12 +155,10 @@ class ScheduleCost:
 
 def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> ScheduleCost:
     """Objective value of ``sched`` on ``inst`` under cost function ``f``:
-    one row of ``chunk_costs``, without its checks once ``validate_for``
-    has passed."""
-    sched.validate_for(inst)
-    t = np.array([b.time for b in sched.batches], dtype=float)
-    sizes = np.array([b.hi - b.lo + 1 for b in sched.batches])
-    return _row_costs(inst.times_array[None], [inst.features], t, sizes, [sched.m], f)[0]
+    one row of ``chunk_costs``, with the batches taken as given, unmerged."""
+    a = inst.times_array[None]
+    sizes, waits = _checked(a, *sched._arrays())
+    return _row_costs(a, [inst.features], waits, sizes, [len(sizes)], f)[0]
 
 
 def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: Sequence[Sequence[int]],
@@ -187,36 +171,82 @@ def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: Sequence
     by ``Schedule.from_ends``.  An invalid schedule raises the error of
     ``Schedule.validate_for``.
     """
-    T, n = a.shape
+    n = a.shape[1]
     counts = [len(e) for e in ends]
     hi = np.fromiter(chain.from_iterable(ends), np.intp, sum(counts))
     t = np.fromiter(chain.from_iterable(stamps), float, len(hi))
-    row = np.repeat(np.arange(T), counts)
-    keep = np.append((t[1:] != t[:-1]) | (row[1:] != row[:-1]), True)
-    hi, t, row = hi[keep], t[keep], row[keep]
+    row = np.arange(len(counts)).repeat(counts)
+    keep = (t != np.roll(t, -1)) | (np.diff(row, append=len(a)) != 0)
+    hi = hi[keep]
+    sizes, waits = _checked(a, hi, t[keep], row[keep])
+    return _row_costs(a, features, waits, sizes, (np.flatnonzero(hi == n) + 1).tolist(), f)
+
+
+def _checked(a: np.ndarray, hi: np.ndarray, t: np.ndarray,
+             row: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """The size of each batch on the rows of the (T, n) arrival times ``a``,
+    and each sample's wait, row after row.  Batch k ends at sample hi[k]
+    (1-based) of row row[k], rows ascending, or of row ``row`` if it is an
+    int, and is processed at t[k].  Raises the InfeasibleScheduleError of
+    the first row whose batches are not a valid schedule."""
+    T, n = a.shape
     end = hi + n * row  # 1-based positions in a.ravel()
-    sizes = np.diff(end, prepend=0)
+    sizes = end.copy()
+    sizes[1:] -= end[:-1]
+    last = hi == n
+    rise = t[1:] > t[:-1]
+    rise |= last[:-1]
     # Rising ends, none past n and one at n per row: each row's batches
-    # partition 1..n, and ``sizes`` are their sizes.  Then the times must
-    # rise within each row and no batch may precede its last arrival.
-    valid = (np.count_nonzero(hi == n) == T and hi.max() <= n and sizes.min() >= 1
-             and ((t[1:] > t[:-1]) | (row[1:] != row[:-1])).all()
-             and (t >= a.ravel()[end - 1]).all())
-    if not valid:
-        for times, e, s in zip(a.tolist(), ends, stamps):
-            Schedule.from_ends(e, s).validate_for(ProblemInstance.from_times(times))
-    return _row_costs(a, features, t, sizes, (np.flatnonzero(hi == n) + 1).tolist(), f)
+    # partition 1..n and end at ``last``; then times rise within each row.
+    # (x[x.argmin()] and count_nonzero stand for x.min() and x.all(), whose
+    # Python wrappers cost more than a small instance's whole check.)
+    if (np.count_nonzero(last) == T and hi[hi.argmax()] <= n and sizes[sizes.argmin()] >= 1
+            and np.count_nonzero(rise) == rise.size):
+        waits = t.repeat(sizes) - a.ravel()
+        # Arrivals rise within a batch: no wait is negative or NaN unless
+        # a batch precedes its last arrival.
+        if waits[waits.argmin()] >= 0:
+            return sizes, waits
+    raise _first_fault(a, hi, t, row)
 
 
-def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], t: np.ndarray,
+def _first_fault(a: np.ndarray, hi: np.ndarray, t: np.ndarray,
+                 row: np.ndarray | int) -> InfeasibleScheduleError:
+    """The error of the first fault met reading the rows, and each row's
+    batches, in order: a row with no batches, or a batch outside the
+    partition, not after the batch before it, before its last arrival, or
+    last in a row that ends before n."""
+    T, n = a.shape
+    row = np.broadcast_to(row, hi.shape)
+    first = np.diff(row, prepend=-1) != 0
+    lo = np.where(first, 1, np.roll(hi, 1) + 1)
+    arrival = a[row, np.clip(hi, 1, n) - 1]
+    # One line per fault, in the order each batch is checked.
+    faults = np.array([(hi < lo) | (hi > n), ~(t > np.where(first, -math.inf, np.roll(t, 1))),
+                       t < arrival, (np.diff(row, append=T) != 0) & (hi != n)])
+    bad = np.flatnonzero(faults.any(axis=0))
+    empty = np.setdiff1d(np.arange(T), row)
+    if empty.size and (not bad.size or empty[0] < row[bad[0]]):
+        return InfeasibleScheduleError("infeasible schedule: no batches")
+    k = bad[0]
+    b_lo, b_hi, b_t, b_a = (x[k].item() for x in (lo, hi, t, arrival))
+    return InfeasibleScheduleError("infeasible schedule: " + [
+        f"batches must partition 1..{n} consecutively (got [{b_lo}, {b_hi}], expected lo={b_lo})",
+        "processing times must be strictly increasing",
+        f"batch [{b_lo}, {b_hi}] processed at {b_t!r} before its last arrival {b_a!r}",
+        f"covers 1..{b_hi} but instance has n={n}",
+    ][faults[:, k].argmax()])
+
+
+def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], waits: np.ndarray,
                sizes: np.ndarray, tops: list[int], f: CostFunction) -> list[ScheduleCost]:
-    """The pricing of ``chunk_costs``: each batch's processing time ``t``
-    and size, row after row, with row r's last batch at tops[r] - 1.  Each
+    """The pricing of ``chunk_costs``: each sample's wait and each batch's
+    size, row after row, with row r's last batch at tops[r] - 1.  Each
     row's waits and batch prices are summed exactly by ``math.fsum``, so a
     row's cost does not depend on the rows priced with it."""
     n = a.shape[1]
     # Memoryviews hand fsum the floats one at a time, without a list.
-    waits = memoryview(np.repeat(t, sizes) - a.ravel())
+    waits = memoryview(waits)
     prices = memoryview(f.batch_costs(features, sizes))
     costs = []
     for first, lo, top in zip(range(0, a.size, n), [0, *tops], tops):

@@ -7,10 +7,13 @@ write/read cycle reproduces records exactly.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .adversary import AdversaryConfig, AdversaryReport
 from .instance import ProblemInstance
@@ -39,7 +42,10 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
 
     Rows are stably sorted by time if needed (with a warning), so equal
     times keep their file order.  Times are taken as given, never rebased.
-    Malformed rows raise with their line number.
+    The body is parsed in one ``np.loadtxt`` call if every row is a plain
+    ``time,feature`` pair of valid values; any other body (quoted fields,
+    blank features, time-only rows, bad values) is read row by row, which
+    gives the same instance or raises with the bad row's line number.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -51,31 +57,60 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
         cols = [c.strip().lower() for c in header]
         if not cols or cols[0] != "time" or (len(cols) > 1 and cols[1] != "feature"):
             raise ValueError(f"{path}: line 1: expected header 'time[,feature]', got {header!r}")
-        rows: list[tuple[float, int]] = []
-        for ln, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                t = float(row[0])
-            except ValueError:
-                raise ValueError(f"{path}: line {ln}: bad time {row[0]!r}") from None
-            if not math.isfinite(t) or t < 0:
-                raise ValueError(f"{path}: line {ln}: time must be finite and non-negative, got {row[0]!r}")
-            feature = 0
-            if len(row) > 1 and row[1].strip():
-                try:
-                    feature = int(row[1])
-                except ValueError:
-                    raise ValueError(f"{path}: line {ln}: bad feature {row[1]!r}") from None
-                if feature < 0:
-                    raise ValueError(f"{path}: line {ln}: feature must be non-negative")
-            rows.append((t, feature))
-    if not rows:
-        raise ValueError(f"{path}: empty arrivals file")
-    if any(a[0] > b[0] for a, b in zip(rows, rows[1:])):
+        body = fh.read()
+    rows = _parsed(body)
+    times, features = _read_rows(path, body) if rows is None else (rows["t"], rows["f"].tolist())
+    t = np.asarray(times, dtype=float)
+    if (t[1:] < t[:-1]).any():
         warnings.warn(f"{path}: arrivals not sorted by time; sorting", stacklevel=2)
-        rows.sort(key=lambda r: r[0])
-    return ProblemInstance(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
+        order = np.argsort(t, kind="stable")
+        t, features = t[order], [features[i] for i in order.tolist()]
+    return ProblemInstance(tuple(t.tolist()), tuple(features))
+
+
+def _parsed(body: str) -> np.ndarray | None:
+    """The rows after the header, parsed in one ``np.loadtxt`` call, or None
+    unless each is a ``time,feature`` pair of valid values."""
+    try:
+        # numpy 1.x parses "2.0" as the integer 2 with a DeprecationWarning,
+        # and an empty body warns.  Lines end at "\n" alone, as for csv.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
+                              dtype=[("t", float), ("f", np.int64)], ndmin=1)
+    except (ValueError, Warning):
+        return None
+    t, f = rows["t"], rows["f"]
+    return rows if rows.size and np.isfinite(t).all() and t.min() >= 0 and f.min() >= 0 else None
+
+
+def _read_rows(path: Path, body: str) -> tuple[list[float], list[int]]:
+    """The times and feature ids of the rows after the header, in file
+    order, read one at a time: a malformed row raises with its line number."""
+    times: list[float] = []
+    features: list[int] = []
+    for ln, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            t = float(row[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {ln}: bad time {row[0]!r}") from None
+        if not math.isfinite(t) or t < 0:
+            raise ValueError(f"{path}: line {ln}: time must be finite and non-negative, got {row[0]!r}")
+        feature = 0
+        if len(row) > 1 and row[1].strip():
+            try:
+                feature = int(row[1])
+            except ValueError:
+                raise ValueError(f"{path}: line {ln}: bad feature {row[1]!r}") from None
+            if feature < 0:
+                raise ValueError(f"{path}: line {ln}: feature must be non-negative")
+        times.append(t)
+        features.append(feature)
+    if not times:
+        raise ValueError(f"{path}: empty arrivals file")
+    return times, features
 
 
 def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:

@@ -165,7 +165,7 @@ def _edge_rows(inst: ProblemInstance, f: CostFunction, reverse: bool = False):
         by_feature = {v: f.batch_cost((v,)) for v in set(inst.features)}
         single = np.array([by_feature[v] for v in inst.features])
     widths = _window_widths(a, single)
-    g = f.count_values(np.arange(int(widths.max()) + 1)) if f.count_based else None
+    g = f.count_table(int(widths.max())) if f.count_based else None
     w_of = widths[0].tolist()
     for lo, hi, waits in _wait_blocks(a, widths, reverse):
         e = waits[0]
@@ -232,7 +232,7 @@ def lockstep_ends(a: np.ndarray, f: CostFunction) -> list[list[int]]:
     """
     T, n = a.shape
     widths = _window_widths(a, f.count_value(1))
-    g = f.count_values(np.arange(int(widths.max()) + 1))
+    g = f.count_table(int(widths.max()))
     dist = np.full((T, n + 1), math.inf)
     dist[:, 0] = 0.0
     pred = np.zeros((T, n + 1), dtype=np.intp)
@@ -384,7 +384,7 @@ def ilp_certificate(
     schedule's cost.
     """
     sched.validate_for(inst)
-    x = {(b.lo, b.hi + 1): 1 for b in sched.batches}
+    x = {(lo + 1, hi + 1): 1 for lo, hi in zip((0, *sched.ends), sched.ends)}
     check_ilp_assignment(inst.n, x)
     oracle = EdgeWeightOracle(inst, f)
     objective = math.fsum(oracle.weight(i, j) for (i, j), v in x.items() if v) / inst.n

@@ -8,10 +8,12 @@ by construction.  The one exception is the end of the instance:
 ``FixedSize`` processes a trailing partial batch at the last arrival, a
 batch that more arrivals would have extended.
 ``flushes(times, features, f)`` is the one driver: it closes a batch,
-starts the next at the first sample left out, and so on to the end.
-``run_policy`` builds its output with ``Schedule.from_ends``, which merges
-batches processed at one instant, and prices it; the study runner prices
-``flushes`` of many instances at once.
+starts the next at the first sample left out, and so on to the end, and
+returns the batches as two lists, their last samples and their times.
+``run_policy`` turns those into a ``Schedule`` with ``Schedule.from_ends``,
+which merges batches processed at one instant, and prices it; no per-batch
+object is built.  The study runner prices ``flushes`` of many instances at
+once.
 
 The waiting policy ("wta") accumulates the waiting time of pending samples
 and flushes them all as one batch the instant that accumulated waiting

@@ -92,13 +92,12 @@ class TestRunAdversary:
         inst = rep.instance
         # even benchmark: merge release pairs (2k-1, 2k), processed at the
         # even release's arrival instant
-        from dynbatch import Batch, Schedule
-        batches = []
+        from dynbatch import Schedule
+        ends = []
         for k in range(cfg.rounds):
             lo = 2 * k * len(cfg.x1) + 1
-            hi = lo + len(cfg.x1) + len(cfg.x2) - 1
-            batches.append(Batch(lo, hi, inst.times[hi - 1]))
-        even = cost_of(inst, Schedule(tuple(batches)), f)
+            ends.append(lo + len(cfg.x1) + len(cfg.x2) - 1)
+        even = cost_of(inst, Schedule(tuple(ends), tuple(inst.times[hi - 1] for hi in ends)), f)
         assert math.isclose(even.total * inst.n, rep.even_cost, rel_tol=1e-9)
         assert rep.opt_exact <= rep.opt_upper + 1e-12
 

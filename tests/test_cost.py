@@ -11,6 +11,7 @@ from dynbatch import (
     BUILTIN_COSTS,
     CappedLinear,
     ConstantCost,
+    CostFunction,
     CountTable,
     CustomSetFunction,
     FeatureMultiset,
@@ -104,6 +105,38 @@ def test_count_values_is_count_value(f):
     assert f.count_values(np.arange(65)).tolist() == [f.count_value(k) for k in range(65)]
 
 
+class _CountedSqrt(SqrtCount):
+    """sqrt, recording the number of sizes each ``count_values`` call tabulates."""
+
+    def count_values(self, sizes):
+        self.__dict__.setdefault("calls", []).append(len(sizes))
+        return super().count_values(sizes)
+
+
+def test_count_table_is_kept_per_cost_object_and_grown():
+    f = _CountedSqrt()
+    rows = [[0] * 12]
+    assert f.batch_costs(rows, np.array([3, 7, 2])).tolist() == [math.sqrt(k) for k in (3, 7, 2)]
+    assert f.batch_costs(rows, np.array([5, 7])).tolist() == [math.sqrt(5), math.sqrt(7)]
+    assert f.calls == [8]
+    assert f.batch_costs(rows, np.array([12])).tolist() == [math.sqrt(12)]
+    assert f.count_table(4).tolist() == [math.sqrt(k) for k in range(5)]
+    assert f.calls == [8, 13]
+    with pytest.raises(ValueError, match="read-only"):
+        f.count_table(4)[0] = 1.0
+    # The table is no field: equality, hashing, repr and pickling ignore it.
+    g = SqrtCount()
+    g.count_table(9)
+    assert (g, hash(g), repr(g)) == (SqrtCount(), hash(SqrtCount()), repr(SqrtCount()))
+    assert pickle.loads(pickle.dumps(g)) == g
+    # A table too short for a batch raises, and leaves the shorter table.
+    table = CountTable((0.0, 1.0, 1.5))
+    assert table.batch_costs(rows, np.array([1, 2])).tolist() == [1.0, 1.5]
+    with pytest.raises(ValueError, match="cost table too short"):
+        table.batch_costs(rows, np.array([3]))
+    assert table.batch_costs(rows, np.array([2])).tolist() == [1.5]
+
+
 @pytest.mark.parametrize("f", PRICED_COSTS, ids=lambda f: f.spec_string()[:16])
 @settings(max_examples=60, deadline=None)
 @given(features=st.lists(st.integers(min_value=0, max_value=4), max_size=40).map(tuple))
@@ -164,6 +197,32 @@ class TestValidateAssumption1:
         assert not report.ok
         assert {v.condition for v in report.violations} == {"subadditive", "monotone"}
         assert all("nan" in v.detail and "\n" not in v.detail for v in report.violations)
+
+    @pytest.mark.parametrize("search", [curvature_info, worst_pair_search])
+    def test_nan_ratio_raises_naming_the_pair(self, search):
+        # np.min and argmax would return the NaN, and no range check sees it.
+        f = CustomSetFunction(lambda x: math.nan if len(x) > 3 else math.sqrt(len(x)), 2)
+        what = "curvature" if search is curvature_info else "worst-pair ratio"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{what} undefined: f\(X\)=") as err:
+                search(f, 16)
+        message = str(err.value)
+        assert "\n" not in message
+        x, y = message.split(" for X=")[1].split(", Y=")
+        x, y = FeatureMultiset(eval(x)), FeatureMultiset(eval(y))
+        assert math.isnan((f.value(x) + f.value(y)) / f.value(x.union(y)))
+
+    def test_sampling_needs_a_universe(self):
+        class Bare(CostFunction):
+            def value(self, x):
+                return math.sqrt(len(x))
+
+        message = "^Bare is not count-based and has no universe_size to sample feature ids from$"
+        for search in (curvature_info, worst_pair_search):
+            with pytest.raises(ValueError, match=message):
+                search(Bare(), 4)
+        assert validate_assumption1(Bare(), universe_size=2, max_batch=4).ok
 
     def test_set_function_default_universe_is_its_own(self):
         # superadditive only in feature 1, so sampling feature 0 alone sees

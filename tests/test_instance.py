@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dynbatch import (
     pending_count_curve,
     positive_excess_integral,
 )
-from dynbatch.instance import chunk_costs, merge_coincident
+from dynbatch.instance import chunk_costs
 
 
 def singleton_batches(inst):
@@ -71,47 +72,49 @@ class TestProblemInstance:
 class TestCostOf:
     def test_single_sample(self):
         inst = ProblemInstance.from_times([0.0])
-        c = cost_of(inst, Schedule((Batch(1, 1, 0.0),)), SqrtCount())
+        c = cost_of(inst, Schedule((1,), (0.0,)), SqrtCount())
         assert (c.waiting, c.processing, c.total) == (0.0, 1.0, 1.0)
 
     def test_two_singletons_no_wait(self):
         inst = ProblemInstance.from_times([0.0, 100.0])
-        c = cost_of(inst, Schedule((Batch(1, 1, 0.0), Batch(2, 2, 100.0))), SqrtCount())
+        c = cost_of(inst, Schedule((1, 2), (0.0, 100.0)), SqrtCount())
         assert (c.waiting, c.processing, c.total) == (0.0, 1.0, 1.0)
 
     def test_merged_pair(self):
         # hand evaluation: waits (100, 0), one batch of two
         inst = ProblemInstance.from_times([0.0, 100.0])
-        c = cost_of(inst, Schedule((Batch(1, 2, 100.0),)), SqrtCount())
+        c = cost_of(inst, Schedule((2,), (100.0,)), SqrtCount())
         assert c.waiting == 50.0
         assert abs(c.processing - math.sqrt(2) / 2) <= 1e-15
         assert abs(c.total - 50.70710678118655) <= 1e-9
         assert c.total == c.waiting + c.processing
 
     def test_infeasible_gap_in_partition(self):
+        # Each batch starts after the one before it, so a partition can break
+        # only by ends that do not rise, or one past n.
         inst = ProblemInstance.from_times([0.0, 1.0, 2.0])
         with pytest.raises(InfeasibleScheduleError, match="infeasible schedule"):
-            cost_of(inst, Schedule((Batch(1, 1, 0.0), Batch(3, 3, 2.0))), SqrtCount())
+            cost_of(inst, Schedule((2, 1, 3), (1.0, 1.5, 2.0)), SqrtCount())
 
     def test_infeasible_incomplete(self):
         inst = ProblemInstance.from_times([0.0, 1.0])
         with pytest.raises(InfeasibleScheduleError):
-            cost_of(inst, Schedule((Batch(1, 1, 0.0),)), SqrtCount())
+            cost_of(inst, Schedule((1,), (0.0,)), SqrtCount())
 
     def test_infeasible_before_arrival(self):
         inst = ProblemInstance.from_times([0.0, 1.0])
         with pytest.raises(InfeasibleScheduleError, match="before its last arrival"):
-            cost_of(inst, Schedule((Batch(1, 2, 0.5),)), SqrtCount())
+            cost_of(inst, Schedule((2,), (0.5,)), SqrtCount())
 
     def test_infeasible_non_increasing_times(self):
         inst = ProblemInstance.from_times([0.0, 0.0])
         with pytest.raises(InfeasibleScheduleError, match="strictly increasing"):
-            cost_of(inst, Schedule((Batch(1, 1, 0.5), Batch(2, 2, 0.5))), SqrtCount())
+            cost_of(inst, Schedule((1, 2), (0.5, 0.5)), SqrtCount())
 
     def test_infeasible_batch_past_n(self):
         inst = ProblemInstance.from_times([0.0, 1.0])
         with pytest.raises(InfeasibleScheduleError, match=r"1\.\.2 consecutively \(got \[1, 5\]"):
-            cost_of(inst, Schedule((Batch(1, 5, 9.0),)), SqrtCount())
+            cost_of(inst, Schedule((5,), (9.0,)), SqrtCount())
 
 
 class TestChunkCosts:
@@ -148,15 +151,15 @@ class TestChunkCosts:
     ])
     def test_invalid_schedule_raises_validate_for_error(self, batches):
         inst = ProblemInstance.from_times([0.0, 1.0])
-        sched = Schedule(tuple(batches))
+        ends, stamps = [b.hi for b in batches], [b.time for b in batches]
+        sched = Schedule(tuple(ends), tuple(stamps))
         with pytest.raises(InfeasibleScheduleError) as want:
             sched.validate_for(inst)
         # cost_of takes the schedule as given: it merges no batches.
         with pytest.raises(InfeasibleScheduleError) as got:
             cost_of(inst, sched, SqrtCount())
         assert str(got.value) == str(want.value)
-        # chunk_costs reads the batch ends and merges as Schedule.from_ends.
-        ends, stamps = [b.hi for b in batches], [b.time for b in batches]
+        # chunk_costs merges as Schedule.from_ends.
         merged = Schedule.from_ends(ends, stamps)
         args = (np.array([[0.0, 1.0], [0.0, 1.0]]), [inst.features] * 2,
                 [[2], ends], [[1.0], stamps], SqrtCount())
@@ -170,20 +173,84 @@ class TestChunkCosts:
             assert chunk_costs(*args)[1] == reference_cost(inst, merged, SqrtCount())
 
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_first_faulty_row_wins(self, order):
+        # Row 0 has a batch before its last arrival, row 1 no batches: the
+        # error is that of the earlier row.
+        rows = [([2], [0.5]), ([], [])][::order]
+        ends, stamps = zip(*rows)
+        want = ("infeasible schedule: batch [1, 2] processed at 0.5 before its last arrival 1.0"
+                if order == 1 else "infeasible schedule: no batches")
+        with pytest.raises(InfeasibleScheduleError, match=re.escape(want)):
+            chunk_costs(np.array([[0.0, 1.0]] * 2), [(0, 0)] * 2, ends, stamps, SqrtCount())
+
+
 class TestMergeCoincident:
+    """Schedule.from_ends merges batches processed at one instant."""
+
     def test_merges_equal_times(self):
-        merged = merge_coincident([Batch(1, 1, 0.5), Batch(2, 3, 0.5), Batch(4, 4, 1.0)])
-        assert merged == (Batch(1, 3, 0.5), Batch(4, 4, 1.0))
+        merged = Schedule.from_ends([1, 3, 4], [0.5, 0.5, 1.0])
+        assert merged == Schedule((3, 4), (0.5, 1.0))
+        assert merged.batches == (Batch(1, 3, 0.5), Batch(4, 4, 1.0))
 
     def test_keeps_distinct(self):
-        batches = [Batch(1, 1, 0.0), Batch(2, 2, 1.0)]
-        assert merge_coincident(batches) == tuple(batches)
+        batches = (Batch(1, 1, 0.0), Batch(2, 2, 1.0))
+        assert Schedule.from_ends([1, 2], [0.0, 1.0]).batches == batches
+
+    @pytest.mark.parametrize("ends, stamps, want", [
+        ([], [], ((), ())),
+        ([4], [2.0], ((4,), (2.0,))),
+        ([1, 2, 3, 4], [1.0] * 4, ((4,), (1.0,))),
+        ([1, 2, 3, 5, 6], [0.0, 0.0, 1.0, 2.0, 2.0], ((2, 3, 6), (0.0, 1.0, 2.0))),
+        # Only neighbours merge, as the policies emit them.
+        ([1, 2, 3], [1.0, 2.0, 1.0], ((1, 2, 3), (1.0, 2.0, 1.0))),
+    ])
+    def test_merge_table(self, ends, stamps, want):
+        assert Schedule.from_ends(ends, stamps) == Schedule(*want)
+
+
+class TestSchedule:
+    def test_equal_schedules_hash_equal(self):
+        a = Schedule.from_ends([1, 2, 4], [0.5, 0.5, 3.0])
+        b = Schedule((2, 4), (0.5, 3.0))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Schedule((2, 4), (0.5, 3.5))}) == 2
+        assert Schedule((2, 4), (0.5, 3.0)) != Schedule((1, 4), (0.5, 3.0))
+
+    def test_batches_round_trip(self):
+        sched = Schedule((2, 3, 7), (0.5, 1.0, 4.25))
+        assert sched.batches == (Batch(1, 2, 0.5), Batch(3, 3, 1.0), Batch(4, 7, 4.25))
+        assert sched.m == 3
+        assert Schedule.from_ends([b.hi for b in sched.batches],
+                                  [b.time for b in sched.batches]) == sched
+        assert Schedule((), ()).batches == ()
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Schedule((1, 2), (0.0,))
+
+    @pytest.mark.parametrize("ends, stamps, message", [
+        ((), (), "no batches"),
+        ((1,), (0.0,), "covers 1..1 but instance has n=3"),
+        ((2, 1, 3), (1.0, 1.5, 2.0), r"batches must partition 1..3 consecutively \(got \[3, 1\], expected lo=3\)"),
+        ((0, 3), (0.0, 2.0), r"batches must partition 1..3 consecutively \(got \[1, 0\], expected lo=1\)"),
+        ((1, 4), (0.0, 9.0), r"batches must partition 1..3 consecutively \(got \[2, 4\], expected lo=2\)"),
+        ((1, 3), (0.5, 0.5), "processing times must be strictly increasing"),
+        ((1, 3), (float("nan"), 2.0), "processing times must be strictly increasing"),
+        ((1, 3), (0.0, 1.5), r"batch \[2, 3\] processed at 1.5 before its last arrival 2.0"),
+        # The first fault in batch order wins.
+        ((2, 3, 1), (0.5, 2.0, 3.0), r"batch \[1, 2\] processed at 0.5 before its last arrival 1.0"),
+    ])
+    def test_validate_for_messages(self, ends, stamps, message):
+        inst = ProblemInstance.from_times([0.0, 1.0, 2.0])
+        with pytest.raises(InfeasibleScheduleError, match=f"^infeasible schedule: {message}$"):
+            Schedule(ends, stamps).validate_for(inst)
 
 
 class TestPendingCountCurve:
     def test_single_sample(self):
         inst = ProblemInstance.from_times([0.0])
-        curve = pending_count_curve(inst, Schedule((Batch(1, 1, 0.5),)))
+        curve = pending_count_curve(inst, Schedule((1,), (0.5,)))
         assert curve.times == (0.0, 0.5)
         assert curve.counts == (1,)
         assert curve.integral() == 0.5
@@ -195,19 +262,19 @@ class TestPendingCountCurve:
         # equals the flush target 0.5 * sqrt(2)
         inst = ProblemInstance.from_times([0.0, 0.2])
         t_star = 0.2 + (0.5 * math.sqrt(2) - 0.2) / 2
-        curve = pending_count_curve(inst, Schedule((Batch(1, 2, t_star),)))
+        curve = pending_count_curve(inst, Schedule((2,), (t_star,)))
         assert abs(curve.integral() - 0.5 * math.sqrt(2)) <= 1e-12
 
     def test_zero_wait_support(self):
         inst = ProblemInstance.from_times([0.0, 1.0])
         curve = pending_count_curve(
-            inst, Schedule((Batch(1, 1, 0.0), Batch(2, 2, 1.0))))
+            inst, Schedule((1, 2), (0.0, 1.0)))
         assert curve.integral() == 0.0
         assert curve.times == ()
 
     def test_integral_between(self):
         inst = ProblemInstance.from_times([0.0, 1.0])
-        curve = pending_count_curve(inst, Schedule((Batch(1, 2, 3.0),)))
+        curve = pending_count_curve(inst, Schedule((2,), (3.0,)))
         assert curve.integral_between(0.0, 1.0) == 1.0
         assert curve.integral_between(1.0, 3.0) == 4.0
         assert curve.integral_between(-5.0, 10.0) == 5.0
@@ -217,15 +284,15 @@ class TestPendingCountCurve:
 class TestPositiveExcess:
     def test_known_curves(self):
         inst = ProblemInstance.from_times([0.0, 1.0])
-        late = pending_count_curve(inst, Schedule((Batch(1, 2, 3.0),)))
-        early = pending_count_curve(inst, Schedule((Batch(1, 1, 0.5), Batch(2, 2, 1.0))))
+        late = pending_count_curve(inst, Schedule((2,), (3.0,)))
+        early = pending_count_curve(inst, Schedule((1, 2), (0.5, 1.0)))
         # late has 1 pending on [0,1) and 2 on [1,3); early has 1 on [0,0.5)
         assert positive_excess_integral(late, early) == 0.5 * 0 + 0.5 * 1 + 2 * 2
         assert positive_excess_integral(early, late) == 0.0
 
     def test_against_self(self):
         inst = ProblemInstance.from_times([0.0, 0.3, 0.9])
-        curve = pending_count_curve(inst, Schedule((Batch(1, 3, 2.0),)))
+        curve = pending_count_curve(inst, Schedule((3,), (2.0,)))
         assert positive_excess_integral(curve, curve) == 0.0
 
 
@@ -246,15 +313,13 @@ def instance_and_schedule(draw):
                                  max_size=n - 1))) if n > 1 else []
     lags = draw(st.lists(st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
                          min_size=len(splits) + 1, max_size=len(splits) + 1))
-    batches = []
-    lo = 1
+    ends = (*splits, n)
+    stamps = []
     prev_time = -math.inf
-    for idx, hi in enumerate([*splits, n]):
-        t_b = max(times[hi - 1] + lags[idx], prev_time + 1e-6)
-        batches.append(Batch(lo, hi, t_b))
-        prev_time = t_b
-        lo = hi + 1
-    return inst, Schedule(tuple(batches))
+    for idx, hi in enumerate(ends):
+        prev_time = max(times[hi - 1] + lags[idx], prev_time + 1e-6)
+        stamps.append(prev_time)
+    return inst, Schedule(ends, tuple(stamps))
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,7 +338,7 @@ def test_cost_invariant_under_time_translation(pair, delta):
     inst, sched = pair
     f = SqrtCount()
     base = cost_of(inst, sched, f)
-    shifted_sched = Schedule(tuple(Batch(b.lo, b.hi, b.time + delta) for b in sched.batches))
+    shifted_sched = Schedule(sched.ends, tuple(t + delta for t in sched.stamps))
     shifted = cost_of(inst.shifted(delta), shifted_sched, f)
     assert math.isclose(base.total, shifted.total, rel_tol=1e-9, abs_tol=1e-9)
 
@@ -317,3 +382,65 @@ def test_pricing_matches_batch_by_batch_reference(insts, f):
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
         assert chunk_costs(a, features, ends, stamps, f) == want
+
+
+def _reference_fault(inst, ends, stamps):
+    """The message of the first fault found by the batch-by-batch loop that
+    the array check in ``Schedule.validate_for`` replaced, or None."""
+    if not ends:
+        return "infeasible schedule: no batches"
+    times = inst.times
+    n = len(times)
+    lo, prev_time = 1, -math.inf
+    for hi, t in zip(ends, stamps):
+        if not lo <= hi <= n:
+            return (f"infeasible schedule: batches must partition 1..{n} consecutively "
+                    f"(got [{lo}, {hi}], expected lo={lo})")
+        if not t > prev_time:
+            return "infeasible schedule: processing times must be strictly increasing"
+        if t < times[hi - 1]:
+            return (f"infeasible schedule: batch [{lo}, {hi}] processed at {t!r} "
+                    f"before its last arrival {times[hi - 1]!r}")
+        lo, prev_time = hi + 1, t
+    if lo != n + 1:
+        return f"infeasible schedule: covers 1..{lo - 1} but instance has n={n}"
+    return None
+
+
+@st.composite
+def schedule_arrays(draw):
+    """An instance with coincident arrivals, and ends and stamps that are
+    often invalid for it."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
+    inst = ProblemInstance.from_times(np.cumsum(gaps).tolist())
+    m = draw(st.integers(min_value=0, max_value=6))
+    ends = draw(st.lists(st.integers(min_value=-1, max_value=n + 1), min_size=m, max_size=m))
+    stamps = draw(st.lists(st.sampled_from([*inst.times, -1.0, 0.25, 9.0, math.nan, -math.inf]),
+                           min_size=m, max_size=m))
+    return inst, tuple(ends), tuple(stamps)
+
+
+def _fault(fn, *args):
+    try:
+        fn(*args)
+    except InfeasibleScheduleError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=schedule_arrays(), first=st.booleans())
+def test_array_check_matches_batch_by_batch_reference(case, first):
+    inst, ends, stamps = case
+    sched = Schedule(ends, stamps)
+    want = _reference_fault(inst, ends, stamps)
+    assert _fault(sched.validate_for, inst) == want
+    assert _fault(cost_of, inst, sched, SqrtCount()) == want
+    # chunk_costs merges first, and reports the first faulty row, here
+    # beside a valid one.
+    merged = Schedule.from_ends(ends, stamps)
+    rows = [(merged.ends, merged.stamps), ((inst.n,), (inst.times[-1],))]
+    rows = rows if first else rows[::-1]
+    args = (np.array([inst.times] * 2), [inst.features] * 2, *zip(*rows), SqrtCount())
+    assert _fault(chunk_costs, *args) == _reference_fault(inst, merged.ends, merged.stamps)

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,16 +13,86 @@ from dynbatch import (
     save_arrivals,
     write_results,
 )
+from dynbatch import io_csv
 from dynbatch.cli import cli_main
 
 FIXTURE = Path(__file__).parent / "data" / "arrivals5.csv"
+#: FIXTURE with quoted times and blank features, which only the row-by-row
+#: reader accepts.
+QUOTED_FIXTURE = FIXTURE.with_name("arrivals5_quoted.csv")
+
+HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
+UNSORTED = "arrivals not sorted by time; sorting"
+
+#: (file text, whether np.loadtxt parses it, the instance as (times,
+#: features) or the error message after "<path>: ", warnings after "<path>: ")
+LOAD_CASES = {
+    "plain": ("time,feature\n0.5,1\n1.5,0\n", True, ((0.5, 1.5), (1, 0)), []),
+    "crlf-no-final-newline": ("time,feature\r\n0.5,1\r\n1.5,0", True, ((0.5, 1.5), (1, 0)), []),
+    "blank-lines": ("time,feature\n\n0.5,1\n\n1.5,2\n\n", True, ((0.5, 1.5), (1, 2)), []),
+    "overflowing-time": (f"time,feature\n{HALFWAY},0\n1e-400,0\n2e308,1\n", False,
+                      "line 4: time must be finite and non-negative, got '2e308'", []),
+    "exact-floats": (f"Time, Feature\n{HALFWAY},0\n5e-324,0\n", True,
+                     ((5e-324, float(HALFWAY)), (0, 0)), [UNSORTED]),
+    "unsorted-stable": ("time,feature\n5,1\n1,2\n5,3\n1,4\n", True,
+                        ((1.0, 1.0, 5.0, 5.0), (2, 4, 1, 3)), [UNSORTED]),
+    "whitespace-line": ("time,feature\n0.5,1\n   \n1.5,2\n", False, ((0.5, 1.5), (1, 2)), []),
+    "quoted-time": ('time,feature\n"0.5",1\n1.5,2\n', False, ((0.5, 1.5), (1, 2)), []),
+    "underscore": ("time,feature\n1_0,1\n", False, ((10.0,), (1,)), []),
+    "blank-feature": ("time,feature\n0.5,\n1.5,3\n", False, ((0.5, 1.5), (0, 3)), []),
+    "time-only": ("time\n0\n2.5\n", False, ((0.0, 2.5), (0, 0)), []),
+    "20-digit-feature": ("time,feature\n1.0,12345678901234567890\n", False,
+                         ((1.0,), (12345678901234567890,)), []),
+    "extra-column": ("time,feature\n0.5,1,x\n", False, ((0.5,), (1,)), []),
+    # csv ends rows at "\r" and "\n" only; a form feed stays in the field.
+    "form-feed": ("time,feature\n1.0,2\x0c3.0,4\n", False, "line 2: bad feature '2\\x0c3.0'", []),
+    "unsorted-fallback": ("time,feature\n5,\n1,2\n5,3\n", False,
+                          ((1.0, 5.0, 5.0), (2, 0, 3)), [UNSORTED]),
+    "bad-time": ("time,feature\n0.5,1\noops,2\n", False, "line 3: bad time 'oops'", []),
+    "nan-time": ("time,feature\n0.5,0\nnan,0\n", False,
+                 "line 3: time must be finite and non-negative, got 'nan'", []),
+    "negative-time": ("time\n1\n-2\n", False,
+                      "line 3: time must be finite and non-negative, got '-2'", []),
+    "negative-feature": ("time,feature\n0.5,1\n1.0,-2\n", False,
+                         "line 3: feature must be non-negative", []),
+    "float-feature": ("time,feature\n0.5,3.0\n", False, "line 2: bad feature '3.0'", []),
+    "header-only": ("time,feature\n", False, "empty arrivals file", []),
+    "header-and-blank-lines": ("time,feature\n\n \n", False, "empty arrivals file", []),
+    "bad-header": ("when\n0\n", None,
+                   "line 1: expected header 'time[,feature]', got ['when']", []),
+}
 
 
 class TestLoadArrivals:
+    @pytest.mark.parametrize("case", LOAD_CASES)
+    def test_load_table(self, case, tmp_path, monkeypatch):
+        text, parsed, want, warned = LOAD_CASES[case]
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        fallbacks = []
+        read_rows = io_csv._read_rows
+        monkeypatch.setattr(io_csv, "_read_rows",
+                            lambda path, body: fallbacks.append(path) or read_rows(path, body))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as err:
+                    load_arrivals(p)
+                assert str(err.value) == f"{p}: {want}"
+            else:
+                inst = load_arrivals(p)
+                assert inst == ProblemInstance(*want)
+                assert [type(v) for v in inst.times + inst.features] == \
+                    [float] * inst.n + [int] * inst.n
+        assert [str(w.message) for w in caught] == [f"{p}: {m}" for m in warned]
+        if parsed is not None:
+            assert fallbacks == ([] if parsed else [p])
+
     def test_fixture(self):
         inst = load_arrivals(FIXTURE)
         assert inst.n == 5
         assert inst.times == (0.0, 0.4, 1.1, 5.0, 5.3)
+        assert load_arrivals(QUOTED_FIXTURE) == inst
 
     def test_time_only_column(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -117,6 +188,12 @@ class TestCli:
         assert cli_main(["offline", "--arrivals", str(FIXTURE), "--cost", "sqrt"]) == 0
         out = capsys.readouterr().out
         assert "batch 1" in out and "J=" in out
+
+    def test_offline_reads_the_quoted_fixture_alike(self, capsys):
+        assert cli_main(["offline", "--arrivals", str(FIXTURE), "--cost", "sqrt"]) == 0
+        parsed = capsys.readouterr().out
+        assert cli_main(["offline", "--arrivals", str(QUOTED_FIXTURE), "--cost", "sqrt"]) == 0
+        assert capsys.readouterr().out == parsed
 
     def test_offline_matches_oracle(self, capsys):
         cli_main(["offline", "--arrivals", str(FIXTURE), "--cost", "sqrt"])
@@ -214,6 +291,16 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == (
             "dynbatch: epsilon 1e-30 rounds to zero after the flush at t=0.5\n")
+
+    def test_gamma_nan_cost_exits_1(self, capsys, monkeypatch):
+        from dynbatch import CustomSetFunction, cli
+        f = CustomSetFunction(lambda x: math.nan if len(x) > 3 else math.sqrt(len(x)), 2)
+        monkeypatch.setattr(cli, "parse_cost_spec", lambda spec: f)
+        assert cli_main(["gamma", "--cost", "nan-above-3", "--max-batch", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dynbatch: curvature undefined: f(X)=")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_cost_spec_exits_2(self, capsys):
         assert cli_main(["gamma", "--cost", "cubic"]) == 2

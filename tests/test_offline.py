@@ -236,7 +236,7 @@ class TestDualRecursion:
 class TestIlpCertificate:
     def test_two_singletons(self):
         inst = ProblemInstance.from_times([0.0, 5.0])
-        sched = Schedule((Batch(1, 1, 0.0), Batch(2, 2, 5.0)))
+        sched = Schedule((1, 2), (0.0, 5.0))
         x = ilp_certificate(inst, SqrtCount(), sched)
         assert x == {(1, 2): 1, (2, 3): 1}
 
