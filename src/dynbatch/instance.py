@@ -8,8 +8,11 @@ time plus the per-sample average batch processing cost.
 
 A ``Schedule`` is two tuples: each batch's last sample and its time.
 ``chunk_costs`` is the one validator and pricer, in array operations over
-the schedules of many equal-size instances; ``cost_of`` and
-``Schedule.validate_for`` run it on one.
+the schedules of many equal-size instances, given as flat arrays of batch
+ends, stamps and rows; ``cost_of`` and ``Schedule.validate_for`` run it on
+one.  ``path_nodes`` follows a table of pointers, such as each batch's
+successor, along every row at once, so that the schedules of many
+instances come out in that flat form.
 
 All types are immutable after construction; the operations are pure.
 """
@@ -20,7 +23,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from operator import ne
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
     "InfeasibleScheduleError",
     "cost_of",
     "chunk_costs",
+    "path_nodes",
     "pending_count_curve",
     "positive_excess_integral",
 ]
@@ -161,25 +165,50 @@ def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> Schedule
     return _row_costs(a, [inst.features], waits, sizes, [len(sizes)], f)[0]
 
 
-def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: Sequence[Sequence[int]],
-                stamps: Sequence[Sequence[float]], f: CostFunction) -> list[ScheduleCost]:
+def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: np.ndarray,
+                stamps: np.ndarray, rows: np.ndarray, f: CostFunction) -> list[ScheduleCost]:
     """The objective of T schedules, one on each row of the (T, n) arrival
     times ``a``, whose samples carry the feature ids features[t].
 
-    Row t's k-th batch ends at sample ends[t][k] (1-based) and is processed
-    at stamps[t][k]; batches processed at one instant are merged first, as
-    by ``Schedule.from_ends``.  An invalid schedule raises the error of
+    The schedules' batches come as three flat arrays, rows ascending: batch
+    k ends at sample ends[k] (1-based) of row rows[k] and is processed at
+    stamps[k].  Batches processed at one instant are merged first, as by
+    ``Schedule.from_ends``.  An invalid schedule raises the error of
     ``Schedule.validate_for``.
     """
     n = a.shape[1]
-    counts = [len(e) for e in ends]
-    hi = np.fromiter(chain.from_iterable(ends), np.intp, sum(counts))
-    t = np.fromiter(chain.from_iterable(stamps), float, len(hi))
-    row = np.arange(len(counts)).repeat(counts)
-    keep = (t != np.roll(t, -1)) | (np.diff(row, append=len(a)) != 0)
-    hi = hi[keep]
-    sizes, waits = _checked(a, hi, t[keep], row[keep])
+    keep = (stamps != np.roll(stamps, -1)) | (np.diff(rows, append=len(a)) != 0)
+    hi = ends[keep]
+    sizes, waits = _checked(a, hi, stamps[keep], rows[keep])
     return _row_costs(a, features, waits, sizes, (np.flatnonzero(hi == n) + 1).tolist(), f)
+
+
+def path_nodes(nxt: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes that the pointer table ``nxt`` reaches from ``root`` in
+    each of its rows, as (rows, nodes) in row-major order: row r's node u
+    points to nxt[r, u], and the path ends at the one node that points to
+    itself, which is left out.
+
+    Pointer doubling: a node's first 2^(j+1) successors are its first 2^j
+    successors and the 2^j-th successors of those, so about log2 of the
+    longest path's length steps, each over the whole table, mark every
+    node on it.
+    """
+    T, m = nxt.shape
+    # Flat indices throughout: row r's node u is r * m + u.
+    jump = (nxt + np.arange(0, T * m, m)[:, None]).ravel()
+    fixed = jump == np.arange(T * m)
+    roots = np.arange(root, T * m, m)
+    # jump[u] is the 2^j-th successor of u, and ``seen`` holds each root's
+    # first 2^j nodes, until the root's 2^j-th successor ends the path.
+    seen = roots
+    while not fixed[jump[roots]].all():
+        seen = np.concatenate((seen, jump[seen]))
+        jump = jump[jump]
+    on = np.zeros(T * m, dtype=bool)
+    on[seen] = True
+    on &= ~fixed
+    return np.divmod(np.flatnonzero(on), m)
 
 
 def _checked(a: np.ndarray, hi: np.ndarray, t: np.ndarray,

@@ -17,10 +17,11 @@ the widest window w instead of O(n^2).
 
 ``lockstep_ends`` runs the same sweep on T instances of one size at once,
 for a count cost: it relaxes row i of all T instances in one vector step,
-over edge entries built by the same formulas as the per-instance rows, and
-returns exactly the batches ``optimal_schedule`` finds.  The study runner
-uses it, because a study's instances are small and a per-instance solve is
-then mostly per-call overhead.
+over edge entries built by the same formulas as the per-instance rows,
+follows every row's predecessors back at once with ``instance.path_nodes``,
+and returns exactly the batches ``optimal_schedule`` finds, as flat
+arrays.  The study runner uses it, because a study's instances are small
+and a per-instance solve is then mostly per-call overhead.
 
 Three independent routes to the optimum are provided and cross-checked in
 the test suite: the windowed forward sweep, a windowed backward value
@@ -37,7 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost import CostFunction
-from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
 
 __all__ = [
     "EdgeWeightOracle",
@@ -219,16 +220,19 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     return sched, cost_of(inst, sched, f)
 
 
-def lockstep_ends(a: np.ndarray, f: CostFunction) -> list[list[int]]:
+def lockstep_ends(a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``optimal_schedule`` of every row of the (T, n) arrival times ``a``
-    at once, for a count cost ``f``: the last sample (1-based) of each of
-    its batches before coincident batches merge, one list per row.
+    at once, for a count cost ``f``, as the flat (ends, stamps, rows) that
+    ``chunk_costs`` reads: batch k ends at sample ends[k] (1-based) of row
+    rows[k], at that sample's arrival stamps[k], before coincident batches
+    merge.
 
     The sweep relaxes row i of all T instances in one vector step.  Entries
     past a row's own window are inf, so they never win.  Within one row
     the target nodes are distinct, so a strict ``<`` mask keeps the scalar
     loop's tie rule, and every sum is the same float operation: the ends
-    are those of ``optimal_schedule`` exactly.
+    are those of ``optimal_schedule`` exactly.  ``path_nodes`` then follows
+    every row's predecessors back from n at once.
     """
     T, n = a.shape
     widths = _window_widths(a, f.count_value(1))
@@ -246,7 +250,8 @@ def lockstep_ends(a: np.ndarray, f: CostFunction) -> list[list[int]]:
             better = cand < dist[:, i + 1:i + 1 + m]
             np.copyto(dist[:, i + 1:i + 1 + m], cand, where=better)
             np.copyto(pred[:, i + 1:i + 1 + m], i, where=better)
-    return [_batch_ends(p, n) for p in pred.tolist()]
+    rows, ends = path_nodes(pred, n)
+    return ends, a[rows, ends - 1], rows
 
 
 def _batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float]]:

@@ -12,8 +12,13 @@ starts the next at the first sample left out, and so on to the end, and
 returns the batches as two lists, their last samples and their times.
 ``run_policy`` turns those into a ``Schedule`` with ``Schedule.from_ends``,
 which merges batches processed at one instant, and prices it; no per-batch
-object is built.  The study runner prices ``flushes`` of many instances at
-once.
+object is built.
+
+For a count cost, ``close_all(a, f)`` applies ``close`` from every start
+of every row of a (T, n) array of arrival times at once, and
+``flushes_all(a, f)`` follows each row's batches from sample 0 with
+``instance.path_nodes``: the study runner's lockstep chunks get every
+trial's ``flushes`` as three flat arrays, the same bit for bit.
 
 The waiting policy ("wta") accumulates the waiting time of pending samples
 and flushes them all as one batch the instant that accumulated waiting
@@ -30,8 +35,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cost import CostFunction, FeatureMultiset
-from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
 
 __all__ = [
     "Wta",
@@ -45,7 +52,9 @@ __all__ = [
 
 
 class _Policy:
-    """The one simulation driver, over a policy's ``close`` rule."""
+    """The simulation drivers over a policy's ``close`` rule: ``flushes``
+    for one instance, and ``flushes_all``, over the policy's ``close_all``,
+    for many of one size at once."""
 
     def flushes(self, times: Sequence[float], features: Sequence[int],
                 f: CostFunction) -> tuple[list[int], list[float]]:
@@ -60,6 +69,18 @@ class _Policy:
             ends.append(hi)
             stamps.append(t)
         return ends, stamps
+
+    def flushes_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray,
+                                                                     np.ndarray]:
+        """``flushes`` of every row of the (T, n) arrival times ``a`` at once,
+        for a count cost ``f``, as the flat (ends, stamps, rows) that
+        ``chunk_costs`` reads: ``close_all`` from every start, then the
+        starts that ``path_nodes`` reaches from sample 0, where each start's
+        batch points to the next."""
+        T, n = a.shape
+        hi, t = self.close_all(a, f)
+        rows, lo = path_nodes(np.concatenate((hi, np.full((T, 1), n)), axis=1), 0)
+        return hi[rows, lo], t[rows, lo], rows
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,48 @@ class Wta(_Policy):
                 continue
             return i, t_star
 
+    def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+        """``close`` from every start lo of every row of the (T, n) arrival
+        times ``a``, for a count cost ``f``: hi[r, lo] and t[r, lo].
+
+        For finite arrival times.  Steps the pending count p = 1, 2, ...
+        over the starts whose batch is still open, with ``close``'s own
+        float operations and tests, so every batch is the same bit for bit.
+        Inside a group of coincident arrivals the accrued waiting grows by
+        0.  Where a group ends, a met target closes the batch at the
+        group's time; otherwise it closes at ``t_star`` unless ``t_star``
+        is at or after the next arrival, and at the last sample in any
+        case.  The work is the sum of the batch sizes over all starts.
+        """
+        alpha = self.alpha
+        T, n = a.shape
+        # Row r's sample j at r * (n + 1) + j; the inf after each row ends
+        # its last group, where every batch still open closes.
+        times = np.concatenate((a, np.full((T, 1), math.inf)), axis=1).ravel()
+        last = np.arange(T * (n + 1)) % (n + 1) == n
+        size = np.empty(T * n, dtype=np.intp)
+        stamp = np.empty(T * n)
+        start = np.arange(T * n)
+        after = start + start // n + 1  # the sample after each open batch
+        x = times[after - 1]
+        accrued = np.zeros(T * n)
+        p = 1
+        while start.size:
+            nxt = times[after]
+            target = alpha * f.count_value(p)
+            met = target <= accrued
+            t_star = x + (target - accrued) / p
+            closing = ((nxt != x) & (met | ~(t_star >= nxt))) | last[after]
+            done = np.flatnonzero(closing)
+            closed = start[done]
+            size[closed] = p
+            stamp[closed] = np.where(met, x, t_star)[done]
+            going = np.flatnonzero(~closing)
+            accrued += p * (nxt - x)
+            start, after, accrued, x = start[going], after[going] + 1, accrued[going], nxt[going]
+            p += 1
+        return np.arange(n) + size.reshape(T, n), stamp.reshape(T, n)
+
 
 @dataclass(frozen=True)
 class FixedSize(_Policy):
@@ -142,6 +205,11 @@ class FixedSize(_Policy):
         partial batch is processed at the last arrival."""
         hi = min(lo + self.k, len(times))
         return hi, times[hi - 1]
+
+    def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+        """``close`` from every start of every row of ``a``, in closed form."""
+        hi = np.minimum(np.arange(self.k, a.shape[1] + self.k), a.shape[1])
+        return np.broadcast_to(hi, a.shape), a[:, hi - 1]
 
 
 @dataclass(frozen=True)
@@ -171,6 +239,12 @@ class FixedDelay(_Policy):
         while hi < n and times[hi] <= flush:
             hi += 1
         return hi, flush
+
+    def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+        """``close`` from every start of every row of ``a``: the samples up
+        to each flush instant, found by one ``searchsorted`` per row."""
+        flush = a + self.delay
+        return np.array([np.searchsorted(r, fl, side="right") for r, fl in zip(a, flush)]), flush
 
 
 PolicyConfig = Wta | FixedSize | FixedDelay

@@ -12,14 +12,18 @@ configuration at any worker count.
 
 Trials run in chunks of up to 250 per grid point.  In ``n_values`` mode
 under a count cost, every instance of a chunk has the same n, so the chunk
-runs in lockstep: ``offline.lockstep_ends`` solves all of its optima in one
-vector sweep, and ``instance.chunk_costs`` prices the optima, then each
-policy's schedules, in one pass each.  Only the policies' event loops run
-trial by trial.  Set-function costs, ``horizon`` mode and any chunk in
-which a trial fails take the per-trial path, so a failed trial gets its NaN
-records and its stderr line exactly as before.  Both paths price with the
-summation of ``chunk_costs``, which ``cost_of`` runs per trial, so their
-records are the same bit for bit.
+runs in lockstep, as arrays from the seeds to the records: the chunk's
+arrival times are the rows of one (T, n) array, ``offline.lockstep_ends``
+solves all of its optima in one vector sweep, each policy's
+``flushes_all`` finds every trial's batches at once, and
+``instance.chunk_costs`` prices the optima, then each policy's batches, in
+one pass each.  No ``ProblemInstance`` is built.  Set-function costs,
+``horizon`` mode and any chunk in which a trial fails take the per-trial
+path, so a failed trial gets its NaN records and its stderr line exactly
+as before.  Both paths price with the summation of ``chunk_costs``, which
+``cost_of`` runs per trial, so their records are the same bit for bit.  A
+trial whose optimum costs 0 has no ratio: on either path it fails, with
+NaN records and one stderr line.
 """
 
 from __future__ import annotations
@@ -173,6 +177,20 @@ def _instance(
     return ProblemInstance(tuple(times), feats)
 
 
+def _poisson_times(rate: RateFunction, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Exactly ``n`` Poisson arrival times under ``rate``, drawn from ``rng``.
+
+    Constant rates use i.i.d. exponential gaps directly; time-varying rates
+    are thinned against their maximum until ``n`` proposals are accepted.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if isinstance(rate, ConstantRate):
+        return np.cumsum(rng.exponential(1.0 / rate.rate, size=n))
+    return np.fromiter(islice(_thinned_arrivals(rate, rng, budget=100_000 * n + 100_000), n),
+                       float, n)
+
+
 def gen_poisson(
     rate: RateFunction,
     n: int,
@@ -180,21 +198,14 @@ def gen_poisson(
     feature: int = 0,
     feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
 ) -> ProblemInstance:
-    """Generate exactly ``n`` Poisson arrivals under ``rate``.
+    """Generate exactly ``n`` Poisson arrivals under ``rate``, as
+    ``_poisson_times`` draws them.
 
-    Constant rates use i.i.d. exponential gaps directly; time-varying rates
-    are thinned against their maximum until ``n`` proposals are accepted.
     Deterministic for a given seed.  All samples carry ``feature`` unless a
     sampler is supplied.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    if isinstance(rate, ConstantRate):
-        times = np.cumsum(rng.exponential(1.0 / rate.rate, size=n))
-    else:
-        times = list(islice(_thinned_arrivals(rate, rng, budget=100_000 * n + 100_000), n))
-    return _instance(times, rng, feature, feature_sampler)
+    return _instance(_poisson_times(rate, n, rng), rng, feature, feature_sampler)
 
 
 def gen_poisson_horizon(
@@ -242,28 +253,31 @@ def _trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _record(trial: str, seed: int, n: int, policy: PolicyConfig,
+def _record(trial: str, seed: int, n: int, label: tuple[str, float | None],
             cost: ScheduleCost | None = None, opt: float = math.nan) -> TrialRecord:
     """One policy run's record; a failed run (``cost`` None) has NaN metrics."""
     if cost is None:
-        J = W = F = ratio = math.nan
-    else:
-        J, W, F, ratio = cost.total, cost.waiting, cost.processing, cost.total / opt
-    return TrialRecord(trial, seed, n, policy.spec_string(), getattr(policy, "alpha", None),
-                       J, W, F, opt, ratio)
+        return TrialRecord(trial, seed, n, *label, math.nan, math.nan, math.nan, math.nan,
+                           math.nan)
+    return TrialRecord(trial, seed, n, *label, cost.total, cost.waiting, cost.processing, opt,
+                       cost.total / opt)
 
 
 #: Failures that make a trial a NaN record; anything else is a bug and propagates.
 _TRIAL_ERRORS = (ValueError, ArithmeticError, RuntimeError)
+#: Why a trial whose optimum costs 0 fails: no policy has a ratio to it.
+_ZERO_OPTIMUM = "ratio undefined: the optimal cost is 0"
 
 
 def _run_chunk(args) -> list[TrialRecord]:
     (grid_index, n, rate, policies, cost_fn, trial_lo, trial_hi, master_seed, horizon) = args
     trials = range(trial_lo, trial_hi)
     seeds = [_trial_seed(master_seed, grid_index, ti) for ti in trials]
+    # Each policy's policy and alpha fields, once for all its records.
+    labels = [(p.spec_string(), getattr(p, "alpha", None)) for p in policies]
     if horizon is None and cost_fn.count_based:
         try:
-            return _lockstep_chunk(grid_index, n, rate, policies, cost_fn, trials, seeds)
+            return _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials, seeds)
         except _TRIAL_ERRORS:
             pass  # trial by trial below, for each failure's own record and line
     records: list[TrialRecord] = []
@@ -275,39 +289,50 @@ def _run_chunk(args) -> list[TrialRecord]:
             else:
                 inst = gen_poisson_horizon(rate, horizon, seed)
             _, opt = optimal_schedule(inst, cost_fn)
+            if opt.total == 0:
+                raise ZeroDivisionError(_ZERO_OPTIMUM)
         except _TRIAL_ERRORS as exc:
             print(f"trial {trial}: {exc}", file=sys.stderr)
-            records.extend(_record(trial, seed, n or 0, p) for p in policies)
+            records.extend(_record(trial, seed, n or 0, label) for label in labels)
             continue
-        for policy in policies:
+        for policy, label in zip(policies, labels):
             try:
                 _, c = run_policy(inst, cost_fn, policy)
             except _TRIAL_ERRORS as exc:
-                print(f"trial {trial} policy {policy.spec_string()}: {exc}", file=sys.stderr)
-                records.append(_record(trial, seed, inst.n, policy))
+                print(f"trial {trial} policy {label[0]}: {exc}", file=sys.stderr)
+                records.append(_record(trial, seed, inst.n, label))
                 continue
-            records.append(_record(trial, seed, inst.n, policy, c, opt.total))
+            records.append(_record(trial, seed, inst.n, label, c, opt.total))
     return records
 
 
-def _lockstep_chunk(grid_index, n, rate, policies, cost_fn, trials, seeds) -> list[TrialRecord]:
+def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
+                    seeds) -> list[TrialRecord]:
     """The chunk's records, as the per-trial loop makes them when no trial
-    fails: one lockstep sweep solves every trial, and ``chunk_costs``
-    prices the optima and each policy's schedules in one pass each."""
-    insts = [gen_poisson(rate, n, seed) for seed in seeds]
-    a = np.array([inst.times for inst in insts])
-    ends = lockstep_ends(a, cost_fn)
-    stamps = [[inst.times[hi - 1] for hi in e] for inst, e in zip(insts, ends)]
-    features = [inst.features for inst in insts]
-    opt = chunk_costs(a, features, ends, stamps, cost_fn)
-    costs = []
-    for policy in policies:
-        ends, stamps = zip(*(policy.flushes(inst.times, inst.features, cost_fn)
-                             for inst in insts))
-        costs.append(chunk_costs(a, features, ends, stamps, cost_fn))
-    return [_record(f"g{grid_index}.t{ti}", seed, n, policy, c[k], opt[k].total)
-            for k, (ti, seed) in enumerate(zip(trials, seeds))
-            for policy, c in zip(policies, costs)]
+    fails, in array operations from the seeds on: the arrival times of
+    every trial as the rows of one array, one lockstep sweep for the
+    optima, each policy's batches from every start at once, and one
+    ``chunk_costs`` pass for the optima and for each policy."""
+    a = np.empty((len(seeds), n))
+    for row, seed in zip(a, seeds):
+        row[:] = _poisson_times(rate, n, np.random.default_rng(seed))
+    if not np.isfinite(a).all():
+        # gen_poisson's ProblemInstance rejects the trial: its own record below
+        raise ValueError("arrival times must be finite")
+    # The samples all carry feature 0, which a count cost does not read.
+    features = [(0,) * n] * len(a)
+    opt = chunk_costs(a, features, *lockstep_ends(a, cost_fn), cost_fn)
+    costs = [chunk_costs(a, features, *p.flushes_all(a, cost_fn), cost_fn) for p in policies]
+    records: list[TrialRecord] = []
+    for k, (ti, seed) in enumerate(zip(trials, seeds)):
+        trial, J_opt = f"g{grid_index}.t{ti}", opt[k].total
+        if J_opt == 0:
+            print(f"trial {trial}: {_ZERO_OPTIMUM}", file=sys.stderr)
+            records.extend(_record(trial, seed, n, label) for label in labels)
+            continue
+        records.extend(_record(trial, seed, n, label, c[k], J_opt)
+                       for label, c in zip(labels, costs))
+    return records
 
 
 _CHUNK = 250

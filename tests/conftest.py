@@ -1,4 +1,4 @@
-"""Shared corpora of random problem instances."""
+"""Shared corpora of random problem instances, and the flat schedule form."""
 
 from __future__ import annotations
 
@@ -26,6 +26,15 @@ def random_instances(count: int, max_n: int = 14, seed: int = 0) -> list[Problem
     out.append(ProblemInstance.from_times([0.0, 0.0, 0.0]))
     out.append(ProblemInstance.from_times([1.5] * 6))
     return out
+
+
+def flat(ends, stamps):
+    """Per-row lists of batch ends and stamps as the flat (ends, stamps,
+    rows) arrays that chunk_costs reads and flushes_all returns."""
+    counts = [len(e) for e in ends]
+    return (np.array([hi for e in ends for hi in e], dtype=np.intp),
+            np.array([t for s in stamps for t in s], dtype=float),
+            np.arange(len(counts)).repeat(counts))
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,8 @@ from dynbatch import (
 )
 from dynbatch.instance import chunk_costs
 
+from conftest import flat
+
 
 def singleton_batches(inst):
     return Schedule.from_ends(range(1, inst.n + 1), inst.times)
@@ -138,7 +140,7 @@ class TestChunkCosts:
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
         features = [inst.features for inst in insts]
-        assert chunk_costs(np.array(self.CHUNK), features, ends, stamps, f) == want
+        assert chunk_costs(np.array(self.CHUNK), features, *flat(ends, stamps), f) == want
 
     @pytest.mark.parametrize("batches", [
         pytest.param([Batch(1, 1, 0.0)], id="incomplete"),
@@ -162,7 +164,7 @@ class TestChunkCosts:
         # chunk_costs merges as Schedule.from_ends.
         merged = Schedule.from_ends(ends, stamps)
         args = (np.array([[0.0, 1.0], [0.0, 1.0]]), [inst.features] * 2,
-                [[2], ends], [[1.0], stamps], SqrtCount())
+                *flat([[2], ends], [[1.0], stamps]), SqrtCount())
         try:
             merged.validate_for(inst)
         except InfeasibleScheduleError as exc:
@@ -182,7 +184,7 @@ class TestChunkCosts:
         want = ("infeasible schedule: batch [1, 2] processed at 0.5 before its last arrival 1.0"
                 if order == 1 else "infeasible schedule: no batches")
         with pytest.raises(InfeasibleScheduleError, match=re.escape(want)):
-            chunk_costs(np.array([[0.0, 1.0]] * 2), [(0, 0)] * 2, ends, stamps, SqrtCount())
+            chunk_costs(np.array([[0.0, 1.0]] * 2), [(0, 0)] * 2, *flat(ends, stamps), SqrtCount())
 
 
 class TestMergeCoincident:
@@ -381,7 +383,7 @@ def test_pricing_matches_batch_by_batch_reference(insts, f):
         scheds = [Schedule.from_ends(e, s) for e, s in zip(ends, stamps)]
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
-        assert chunk_costs(a, features, ends, stamps, f) == want
+        assert chunk_costs(a, features, *flat(ends, stamps), f) == want
 
 
 def _reference_fault(inst, ends, stamps):
@@ -442,5 +444,5 @@ def test_array_check_matches_batch_by_batch_reference(case, first):
     merged = Schedule.from_ends(ends, stamps)
     rows = [(merged.ends, merged.stamps), ((inst.n,), (inst.times[-1],))]
     rows = rows if first else rows[::-1]
-    args = (np.array([inst.times] * 2), [inst.features] * 2, *zip(*rows), SqrtCount())
+    args = (np.array([inst.times] * 2), [inst.features] * 2, *flat(*zip(*rows)), SqrtCount())
     assert _fault(chunk_costs, *args) == _reference_fault(inst, merged.ends, merged.stamps)

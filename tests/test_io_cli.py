@@ -264,6 +264,18 @@ class TestCli:
         assert rc == 0
         assert "median=" in capsys.readouterr().out
 
+    def test_simulate_zero_optimum_exits_1(self, capsys):
+        # Every trial's optimum costs 0: each fails with one stderr line,
+        # and with no ratio left the summary fails in one line, not a
+        # traceback.
+        rc = cli_main(["simulate", "--cost", "const:0", "--policy", "wta:0.5",
+                       "--n", "20", "--trials", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [*(f"trial g0.t{k}: ratio undefined: the optimal cost is 0"
+                         for k in range(3)),
+                       "chunk 1/1 done", "dynbatch: all records failed; nothing to summarize"]
+
     def test_simulate_needs_exactly_one_mode(self, capsys):
         assert cli_main(["simulate", "--cost", "sqrt", "--trials", "2"]) == 2
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5",

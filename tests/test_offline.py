@@ -378,8 +378,10 @@ def test_lockstep_sweep_matches_optimal_schedule(chunk, block_entries):
     with mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries):
         a = np.array([inst.times for inst in chunk])
         for f in LOCKSTEP_COSTS:
-            ends = offline.lockstep_ends(a, f)
-            stamps = [[inst.times[hi - 1] for hi in e] for inst, e in zip(chunk, ends)]
-            costs = chunk_costs(a, [inst.features for inst in chunk], ends, stamps, f)
-            for e, s, cost, inst in zip(ends, stamps, costs, chunk):
-                assert (Schedule.from_ends(e, s), cost) == optimal_schedule(inst, f), f
+            ends, stamps, rows = offline.lockstep_ends(a, f)
+            assert (np.diff(rows) >= 0).all(), f
+            assert (stamps == a[rows, ends - 1]).all(), f
+            costs = chunk_costs(a, [inst.features for inst in chunk], ends, stamps, rows, f)
+            for r, (cost, inst) in enumerate(zip(costs, chunk)):
+                sched = Schedule.from_ends(ends[rows == r].tolist(), stamps[rows == r].tolist())
+                assert (sched, cost) == optimal_schedule(inst, f), f

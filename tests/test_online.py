@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynbatch import (
+    BUILTIN_COSTS,
     Batch,
     CappedLinear,
     ConstantCost,
@@ -31,6 +32,9 @@ from dynbatch import (
     positive_excess_integral,
     run_policy,
 )
+from dynbatch.instance import path_nodes
+
+from conftest import flat
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 ALPHAS = [0.5, math.sqrt(0.5), 1.0]
@@ -345,6 +349,131 @@ def test_wta_close_matches_per_event_pricing(inst, alpha, f):
         want = _reference_wta_close(alpha, inst.times, inst.features, f, lo)
         assert Wta(alpha).close(inst.times, inst.features, f, lo) == want
         lo = want[0]
+
+
+@st.composite
+def equal_n_rows(draw):
+    """1 to 5 rows of n <= 12 arrival times each, rounded so that arrivals
+    often coincide; some rows arrive all at once."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    gaps = st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5])
+                    | st.floats(min_value=0.0, max_value=4.0).map(lambda g: round(g, 1)),
+                    min_size=n, max_size=n)
+    rows = draw(st.lists(gaps | st.just([1.5] + [0.0] * (n - 1)), min_size=1, max_size=5))
+    return np.cumsum(rows, axis=1)
+
+
+CLOSE_ALL_COSTS = [
+    *BUILTIN_COSTS,
+    ConstantCost(0),
+    CappedLinear(0.5, 2),
+    # Under Wta(1e308) even one sample's target overflows to inf.
+    ConstantCost(10),
+    # Too short for batches of more than 5 samples.
+    CountTable((0.0, 1.0, 1.4, 1.7, 2.0, 2.2)),
+]
+
+
+def _close_or_error(policy, times, f, lo):
+    try:
+        return policy.close(times, (0,) * len(times), f, lo)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=equal_n_rows(), f=st.sampled_from(CLOSE_ALL_COSTS),
+       policy=st.sampled_from([Wta(0.5), Wta(0.707107), Wta(1.0), Wta(3.0), Wta(1e308),
+                               FixedSize(1), FixedSize(4), FixedDelay(0.0), FixedDelay(0.5)]))
+def test_close_all_matches_close_from_every_start(a, f, policy):
+    # Bit for bit, from every start of every row; where close fails from
+    # some start, close_all fails with its error.  A target that overflows
+    # to inf closes at the last sample at time inf, as in close.
+    want = [[_close_or_error(policy, row, f, lo) for lo in range(a.shape[1])]
+            for row in a.tolist()]
+    errors = {w for row in want for w in row if isinstance(w, str)}
+    if errors:
+        with pytest.raises(ValueError) as exc:
+            policy.close_all(a, f)
+        assert {str(exc.value)} == errors
+        return
+    hi, t = policy.close_all(a, f)
+    assert hi.shape == t.shape == a.shape
+    assert [list(zip(h, s)) for h, s in zip(hi.tolist(), t.tolist())] == want
+
+
+@pytest.mark.parametrize("f", [ConstantCost(10), SqrtCount()], ids=["const:10", "sqrt"])
+@pytest.mark.parametrize("alpha", [0.5, 1e308])
+def test_close_all_matches_close_where_waits_overflow(alpha, f):
+    # Near the largest double the accrued waiting overflows to inf: an inf
+    # target is then met (inf <= inf) though t_star is NaN, and a NaN
+    # t_star closes the batch, as in close.
+    row = [0.0, 0.0, 1e308, 1.2e308, 1.3e308]
+    policy = Wta(alpha)
+    want = [policy.close(row, (0,) * 5, f, lo) for lo in range(5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, t = policy.close_all(np.array([row]), f)
+    assert repr(list(zip(hi[0].tolist(), t[0].tolist()))) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=equal_n_rows(), f=st.sampled_from(CLOSE_ALL_COSTS[:-1]),
+       policy=st.sampled_from([Wta(0.5), Wta(3.0), FixedSize(3), FixedDelay(0.0),
+                               FixedDelay(0.5)]))
+def test_flushes_all_matches_flushes(a, f, policy):
+    ends, stamps, rows = policy.flushes_all(a, f)
+    assert (ends.dtype, stamps.dtype, rows.dtype) == (np.intp, float, np.intp)
+    want = flat(*zip(*(policy.flushes(row, (0,) * a.shape[1], f) for row in a.tolist())))
+    assert [x.tolist() for x in (ends, stamps, rows)] == [x.tolist() for x in want]
+
+
+def _walk(nxt_row, root):
+    """The nodes that one row of a pointer table reaches from ``root``,
+    its fixed point left out, one pointer at a time."""
+    out, u = [], root
+    while nxt_row[u] != u:
+        out.append(u)
+        u = nxt_row[u]
+    return sorted(out)
+
+
+@st.composite
+def pointer_tables(draw):
+    """(table, root): T rows over m nodes, each pointing forward towards
+    node m - 1 from root 0, or backward towards node 0 from root m - 1."""
+    m = draw(st.integers(min_value=2, max_value=40))
+    T = draw(st.integers(min_value=1, max_value=4))
+    forward = draw(st.booleans())
+    rows = []
+    for _ in range(T):
+        if forward:
+            row = [draw(st.integers(min_value=u + 1, max_value=m - 1)) for u in range(m - 1)]
+            rows.append(row + [m - 1])
+        else:
+            rows.append([0] + [draw(st.integers(min_value=0, max_value=u - 1))
+                               for u in range(1, m)])
+    return np.array(rows, dtype=np.intp), 0 if forward else m - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pointer_tables())
+def test_path_nodes_matches_a_pointer_walk(case):
+    nxt, root = case
+    rows, nodes = path_nodes(nxt, root)
+    want = [(r, u) for r, row in enumerate(nxt.tolist()) for u in _walk(row, root)]
+    assert list(zip(rows.tolist(), nodes.tolist())) == want
+
+
+@pytest.mark.parametrize("nxt,root,want", [
+    pytest.param([[1, 1]], 0, [(0, 0)], id="n=1-forward"),
+    pytest.param([[0, 0]], 1, [(0, 1)], id="n=1-backward"),
+    pytest.param([[5, 2, 3, 4, 5, 5], [1, 2, 3, 4, 5, 5]], 0,
+                 [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], id="one-batch-row"),
+    pytest.param([[0, 0, 0, 0, 0]], 4, [(0, 4)], id="one-batch-backward"),
+])
+def test_path_nodes_edge_cases(nxt, root, want):
+    rows, nodes = path_nodes(np.array(nxt), root)
+    assert list(zip(rows.tolist(), nodes.tolist())) == want
 
 
 class TestPolicySpec:

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from dynbatch import (
+    ConstantCost,
     ConstantRate,
     CountTable,
     CustomSetFunction,
@@ -275,6 +276,82 @@ class TestLockstepChunks:
         assert failed and not {f"g1.t{ti}" for ti in range(12)} <= failed
         assert any("policy" in line for line in want_lines)
         assert any("policy" not in line for line in want_lines)
+
+    def test_wta_on_the_partly_covering_table_stays_in_lockstep(self, monkeypatch, capsys):
+        # At rate 1 no batch of the n=30 chunk outgrows sqrt(0..6), from
+        # any start, though the chunk's 30 samples do: the table grows only
+        # to the sizes reached, and the chunk runs in lockstep.
+        table = CountTable(tuple(math.sqrt(k) for k in range(7)))
+        want, want_lines = _per_trial_study([30], ConstantRate(1.0), self.POLICIES, table, 12, 4)
+        assert want_lines == [] and not any(math.isnan(r.ratio) for r in want)
+        calls = []
+        gen_poisson = sim.gen_poisson
+        monkeypatch.setattr(sim, "gen_poisson", lambda *args: calls.append(args) or
+                            gen_poisson(*args))
+        records = run_study(n_values=[30], rates=[ConstantRate(1.0)], policies=self.POLICIES,
+                            cost_fn=table, trials=12, seed=4)
+        assert calls == []
+        assert [repr(r) for r in records] == [repr(r) for r in want]
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_target_stays_in_lockstep(self, monkeypatch, capsys):
+        # Under wta:1e308 and const:10 every target overflows to inf: each
+        # trial is one batch processed at time inf, an inf ratio, as in the
+        # per-trial loop.
+        policies, f = [Wta(1e308), Wta(0.5)], ConstantCost(10)
+        want, want_lines = _per_trial_study([3, 16, 40], ConstantRate(2.0), policies, f, 5, 6)
+        assert want_lines == [] and all(r.ratio == math.inf for r in want[::2])
+        calls = []
+        gen_poisson = sim.gen_poisson
+        monkeypatch.setattr(sim, "gen_poisson", lambda *args: calls.append(args) or
+                            gen_poisson(*args))
+        records = run_study(n_values=[3, 16, 40], rates=[ConstantRate(2.0)], policies=policies,
+                            cost_fn=f, trials=5, seed=6)
+        assert calls == []
+        assert [repr(r) for r in records] == [repr(r) for r in want]
+        assert capsys.readouterr().err == ""
+
+    def test_non_finite_times_fail_trial_by_trial(self, monkeypatch, capsys):
+        # At rate 1e-307 the arrival times overflow to inf: the chunk falls
+        # back to the per-trial loop, where each trial fails on its
+        # ProblemInstance with its own line.
+        calls = []
+        gen_poisson = sim.gen_poisson
+        monkeypatch.setattr(sim, "gen_poisson", lambda *args: calls.append(args) or
+                            gen_poisson(*args))
+        with np.errstate(over="ignore"):
+            records = run_study(n_values=[40], rates=[ConstantRate(1e-307)],
+                                policies=self.POLICIES, cost_fn=SqrtCount(), trials=3, seed=0)
+        assert len(calls) == 3
+        assert len(records) == 9
+        assert all(math.isnan(x) for r in records for x in (r.J, r.W, r.F, r.J_opt, r.ratio))
+        assert capsys.readouterr().err.splitlines() == [
+            f"trial g0.t{k}: arrival times must be finite and non-negative, got inf"
+            for k in range(3)]
+
+    def test_zero_optimum_fails_the_trial_on_both_paths(self, monkeypatch, capsys):
+        # Under const:0 every sample goes free at its arrival, so the
+        # optimum costs 0 and no ratio is defined.  The lockstep chunk and
+        # the per-trial loop (for a set function of the same values) fail
+        # each trial alike: NaN records and one stderr line.
+        kwargs = dict(n_values=[20], rates=[ConstantRate(2.0)], policies=self.POLICIES,
+                      trials=3, seed=0)
+        calls = []
+        gen_poisson = sim.gen_poisson
+        monkeypatch.setattr(sim, "gen_poisson", lambda *args: calls.append(args) or
+                            gen_poisson(*args))
+        lockstep = run_study(cost_fn=ConstantCost(0), **kwargs)
+        lines = capsys.readouterr().err.splitlines()
+        assert calls == []
+        per_trial = run_study(cost_fn=CustomSetFunction(lambda x: 0.0, universe_size=1),
+                              **kwargs)
+        assert len(calls) == 3
+        assert capsys.readouterr().err.splitlines() == lines
+        assert [repr(r) for r in lockstep] == [repr(r) for r in per_trial]
+        assert len(lockstep) == 9
+        assert all(math.isnan(x) for r in lockstep for x in (r.J, r.W, r.F, r.J_opt, r.ratio))
+        assert lines == [f"trial g0.t{k}: ratio undefined: the optimal cost is 0"
+                         for k in range(3)]
 
     def test_set_function_study_runs_trial_by_trial(self, monkeypatch):
         count = run_study(n_values=[12], rates=[ConstantRate(2.0)], policies=self.POLICIES,
