@@ -15,13 +15,23 @@ batch ends at an arrival within f({v_i}) of a_i.  On arrivals at rate r a
 window holds about r * f({v}) + 1 samples, so a solve does O(n w) work for
 the widest window w instead of O(n^2).
 
-``lockstep_ends`` runs the same sweep on T instances of one size at once,
-for a count cost: it relaxes row i of all T instances in one vector step,
-over edge entries built by the same formulas as the per-instance rows,
-follows every row's predecessors back at once with ``instance.path_nodes``,
-and returns exactly the batches ``optimal_schedule`` finds, as flat
-arrays.  The study runner uses it, because a study's instances are small
-and a per-instance solve is then mostly per-call overhead.
+No batch crosses from a sample to the next where the windows of that
+sample and of all before it end at it; under a count cost these are the
+samples whose window holds only themselves.  Each instance falls apart
+there into pieces, solved each on its own: distances restart at 0 at the
+start of every piece.  The sweep has two routes.  The row loop relaxes
+one node at a time in Python.  The lockstep relaxes node i of every piece
+longer than i in one vector step, over all the pieces of all the
+instances it is given, so a group of pieces takes as many steps as its
+longest piece; the groups keep its distance ring within O(n) entries.  A
+count cost takes the lockstep unless the steps of its longest piece
+would cost more than the rows of the row loop, as where one piece is
+most of the rows; set functions take the row loop.  Within a piece both
+routes make the same float operations, so they agree exactly.
+``optimal_schedule`` sweeps one instance, ``lockstep_ends`` T instances
+of one size (a study chunk); both follow every row's predecessors back
+at once with ``instance.path_nodes``, and ``lockstep_ends`` returns the
+batches as flat arrays.
 
 Three independent routes to the optimum are provided and cross-checked in
 the test suite: the windowed forward sweep, a windowed backward value
@@ -32,7 +42,9 @@ enumeration of all consecutive partitions for small n, which prunes nothing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,15 +104,27 @@ class EdgeWeightOracle:
 #: and an edge beyond it is dominated by more than rounding can hide, so
 #: pruning never decides a tie.
 _WINDOW_SLACK = 1e-9
-#: Entries (rows times widest window) of one block of edge rows, unless a
-#: single row is wider.
+#: Entries of one block of edge entries (rows of the row loop, or columns of
+#: the lockstep, times the block's widest window), unless one row or one
+#: lockstep step is wider; and of a lockstep distance ring, unless its
+#: group's nodes take more (see ``_groups``).
 _BLOCK_ENTRIES = 1 << 14
+#: A lockstep step costs about as much as this many rows of the row loop.
+#: On one piece of 800 samples with windows of 2, a step took 15 us and a
+#: row 1.5 us (2-vCPU host, numpy 2.4).
+_STEP_ROWS = 10
 
 
-def _window_widths(a: np.ndarray, single) -> np.ndarray:
+def _window_widths(a: np.ndarray, f: CostFunction, features=None) -> np.ndarray:
     """w[t, i]: the number of batches, of sizes 1..w[t, i], that start at
     sample i+1 (0-based i) of row t of the (T, n) arrival times ``a`` and
-    end at an arrival within ``single`` = f({v_{i+1}}) of its own."""
+    end at an arrival within f({v_{i+1}}) of its own.  A set function reads
+    the one row's feature ids ``features``."""
+    if f.count_based:
+        single = f.count_value(1)
+    else:
+        by_feature = {v: f.batch_cost((v,)) for v in set(features)}
+        single = np.array([by_feature[v] for v in features])
     reach = a + single * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
     ends = np.array([np.searchsorted(row, r, side="right") for row, r in zip(a, reach)])
     # A negative single-sample cost, outside Assumption 1, must still leave
@@ -108,11 +132,23 @@ def _window_widths(a: np.ndarray, single) -> np.ndarray:
     return np.maximum(ends - np.arange(a.shape[1]), 1)
 
 
+def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of the rows of the (T, n) window ``widths``, as the flat
+    (starts, lengths) of their samples in row-major order.  A row is cut
+    after every sample that no window crosses, which under a count cost is
+    every sample whose window holds only itself, and after its last
+    sample, so no batch of an optimal schedule spans two pieces."""
+    n = widths.shape[1]
+    reach = np.maximum.accumulate(widths + np.arange(n), axis=1)
+    ends = np.flatnonzero(reach == np.arange(1, n + 1)) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    return starts, ends - starts
+
+
 def _block_bounds(widths: np.ndarray) -> list[int]:
     """Row indices 0 = b_0 < b_1 < ... = n splitting the rows into blocks of
     at most _BLOCK_ENTRIES entries each (rows times the block's widest
-    ``widths``, a row's window times the trials), or of one row where that
-    row alone is wider."""
+    ``widths``), or of one row where that row alone is wider."""
     n = len(widths)
     bounds = [0]
     while bounds[-1] < n:
@@ -123,75 +159,229 @@ def _block_bounds(widths: np.ndarray) -> list[int]:
     return bounds
 
 
-def _wait_blocks(a: np.ndarray, widths: np.ndarray, reverse: bool = False):
-    """Yield (lo, hi, waits) for blocks of rows lo..hi-1 of the (T, n)
-    arrival times ``a``, in ascending order or descending if ``reverse``:
-    waits[t, i-lo, d] is the waiting part of e(i+1, i+2+d) in row t, for d
-    below the block's widest window in ``widths``.
+def _waits(spans: np.ndarray) -> np.ndarray:
+    """The waiting parts of the batches whose arrival offsets from their
+    first sample are spans[d], d = 0, 1, ...: (d+1) * spans[d] minus the sum
+    of spans[0..d], added in order, in place of ``spans``.  Entry d reads
+    only offsets 0..d, so the floats do not depend on how far an array is
+    padded."""
+    if 16 * len(spans) > spans[0].size:
+        waits = np.cumsum(spans, axis=0)
+    else:
+        # numpy accumulates along axis 0 one column at a time, which is
+        # slow for many short columns; add whole rows instead.
+        waits = spans.copy()
+        for d in range(1, len(waits)):
+            waits[d] += waits[d - 1]
+    spans *= np.arange(1, len(spans) + 1)[:, None]
+    return np.subtract(spans, waits, out=waits)
 
-    Each entry depends only on its own row's prefix, so padding a row to
-    the block's widest window changes no value.  A block holds at most
-    _BLOCK_ENTRIES entries, or one row, so memory stays O(T n +
-    _BLOCK_ENTRIES).
+
+def _wait_blocks(a: np.ndarray, widths: np.ndarray, reverse: bool = False):
+    """Yield (lo, hi, waits) for blocks of rows lo..hi-1 of the arrival
+    times ``a``, in ascending order or descending if ``reverse``: waits[d,
+    i-lo] is the waiting part of e(i+1, i+2+d), for d below the block's
+    widest window in ``widths``.  A block holds at most _BLOCK_ENTRIES
+    entries, or one row, so memory stays O(n + _BLOCK_ENTRIES).
     """
-    T = len(a)
-    row_widths = widths.max(axis=0)
     # Past the last sample, windows read copies of it; the callers cut
     # those entries off.
-    padded = np.concatenate((a, np.repeat(a[:, -1:], int(row_widths.max()) - 1, axis=1)), axis=1)
-    bounds = _block_bounds(T * row_widths)
+    padded = np.concatenate((a, np.repeat(a[-1:], int(widths.max()) - 1)))
+    bounds = _block_bounds(widths)
     blocks = list(zip(bounds[:-1], bounds[1:]))
     for lo, hi in reversed(blocks) if reverse else blocks:
-        w = int(row_widths[lo:hi].max())
-        spans = sliding_window_view(padded[:, lo:hi + w - 1], w, axis=1) - a[:, lo:hi, None]
-        # (1..w) * spans - cumsum(spans), in two arrays of the block's size.
-        waits = np.cumsum(spans, axis=2)
-        spans *= np.arange(1, w + 1)
-        yield lo, hi, np.subtract(spans, waits, out=waits)
+        w = int(widths[lo:hi].max())
+        spans = sliding_window_view(padded[lo:hi + w - 1], hi - lo) - a[lo:hi]
+        yield lo, hi, _waits(spans[:w])
 
 
-def _edge_rows(inst: ProblemInstance, f: CostFunction, reverse: bool = False):
+def _edge_rows(a: np.ndarray, f: CostFunction, widths: np.ndarray, features=None,
+               reverse: bool = False):
     """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
-    i+1..i+1+d (0-based i) inside row i's window, in ascending i, or in
-    descending i if ``reverse``.
+    i+1..i+1+d (0-based i) of the arrival times ``a`` inside row i's window
+    of ``widths``, in ascending i, or in descending i if ``reverse``.
 
     Rows are built a block at a time by ``_wait_blocks``.  A count cost is
     tabulated once, up to the widest window, instead of priced row by row
-    with ``prefix_costs``.
+    with ``prefix_costs``; a set function reads the feature ids.
     """
-    a = inst.times_array[None]
-    if f.count_based:
-        single = f.count_value(1)
-    else:
-        by_feature = {v: f.batch_cost((v,)) for v in set(inst.features)}
-        single = np.array([by_feature[v] for v in inst.features])
-    widths = _window_widths(a, single)
     g = f.count_table(int(widths.max())) if f.count_based else None
-    w_of = widths[0].tolist()
-    for lo, hi, waits in _wait_blocks(a, widths, reverse):
-        e = waits[0]
-        w = e.shape[1]
+    w_of = widths.tolist()
+    for lo, hi, e in _wait_blocks(a, widths, reverse):
+        w = len(e)
         if g is not None:
-            e += g[1:w + 1]
+            e += g[1:w + 1, None]
         else:
             costs = np.zeros((hi - lo, w))
             for i in range(lo, hi):
-                costs[i - lo, :w_of[i]] = f.prefix_costs(inst.features[i:i + w_of[i]])
-            e += costs
-        rows = e.tolist()
+                costs[i - lo, :w_of[i]] = f.prefix_costs(features[i:i + w_of[i]])
+            e += costs.T
+        rows = e.T.tolist()
         order = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         for i in order:
             yield i, rows[i - lo][:w_of[i]]
 
 
-def _batch_ends(pred: list[int], n: int) -> list[int]:
-    """The last sample (1-based) of each batch on the path that ``pred``
-    traces back from node n, in order."""
-    ends = [n]
-    while pred[ends[-1]]:
-        ends.append(pred[ends[-1]])
-    ends.reverse()
-    return ends
+def _row_loop(rows, lengths: list[int]) -> list[int]:
+    """pred[k] of consecutive pieces of ``lengths`` samples, from their edge
+    ``rows`` (see ``_edge_rows``): the node k' < k after which the last
+    batch of the cheapest schedule up to node k starts.  Distances start
+    at 0 at the first node of each piece."""
+    dist = [math.inf] * (sum(lengths) + 1)
+    pred = [0] * len(dist)
+    lo = 0
+    for length in lengths:
+        # Every batch into node lo has been relaxed: its pred is final.
+        dist[lo] = 0.0
+        for i, row in islice(rows, length):
+            base = dist[i]
+            for j, e in enumerate(row, i + 1):
+                cand = base + e
+                if cand < dist[j]:
+                    dist[j] = cand
+                    pred[j] = i
+        lo += length
+    return pred
+
+
+def _relax(cand: np.ndarray, dist: np.ndarray, via: np.ndarray, i: int) -> None:
+    """Lower ``dist`` to ``cand`` wherever that is strictly less and record
+    step ``i`` in ``via`` there: the row loop's rule, for one lockstep
+    step of every piece at once."""
+    better = cand < dist
+    np.copyto(dist, cand, where=better)
+    np.copyto(via, i, where=better)
+
+
+def _ring_span(top):
+    """Rows of ``_lockstep``'s distance ring for windows of up to ``top``
+    samples: top + 1 nodes in reach of a step, and room to move on about
+    top / 2 steps between shifts."""
+    return top + 1 + np.maximum(1, top // 2)
+
+
+def _groups(lengths: np.ndarray, tops: np.ndarray) -> list[int]:
+    """Piece indices 0 = b_0 < b_1 < ... = len(lengths) splitting pieces
+    sorted longest first, with widest windows ``tops``, into groups that
+    ``_lockstep`` sweeps one after another.  A piece joins the group while
+    the group's ring span is at most twice its nodes (its length + 1), or
+    while the ring holds at most _BLOCK_ENTRIES entries.  A window is no
+    wider than its piece, so the first piece always fits, and a ring holds
+    at most max(_BLOCK_ENTRIES, twice its group's nodes) entries.  Each
+    group ends at a piece with fewer nodes than half its span, so spans
+    shrink by about a quarter from group to group."""
+    bounds = [0]
+    while bounds[-1] < len(lengths):
+        lo = bounds[-1]
+        span = _ring_span(np.maximum.accumulate(tops[lo:]))
+        fits = ((span <= 2 * (lengths[lo:] + 1))
+                | (span * np.arange(1, len(span) + 1) <= _BLOCK_ENTRIES))
+        bounds.append(len(lengths) if fits.all() else lo + int(np.argmin(fits)))
+    return bounds
+
+
+def _lockstep(t: np.ndarray, widths: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+              g: np.ndarray, pred: np.ndarray) -> None:
+    """Write pred[k + 1] for each flat sample k of the pieces (``starts``,
+    ``lengths``), longest first, of the flat arrival times ``t`` and
+    window ``widths``, under the count cost table ``g``: the flat node
+    after which the batch that ends at sample k starts.
+
+    Step i relaxes node i of every piece longer than i, so the active
+    pieces are a shrinking prefix and the loop runs as many steps as the
+    longest piece.  The edge entries are built from the times with
+    ``_waits``, as ``_edge_rows`` builds them, a block of steps at a time:
+    the same floats, and the same strict ``<`` in the same order within a
+    piece.  Distances live in a ring of ``_ring_span`` nodes per piece,
+    which ``_groups`` bounds.
+    """
+    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    # Column c of the edge entries starts at sample lo[c]: position 0 of
+    # every piece, then position 1 of the pieces longer than 1, and so on.
+    first = np.cumsum(active) - active
+    lo = (starts[np.arange(lengths.sum()) - np.repeat(first, active)]
+          + np.repeat(np.arange(len(active)), active))
+    top = int(widths[lo].max())
+    active, first = active.tolist(), first.tolist() + [len(lo)]
+    d = np.arange(top + 1)[:, None]
+    # dist[r, p] and via[r, p]: the distance to node off + r of piece p,
+    # from 0 at its node 0, and the node of p that its last batch starts
+    # after.  A step reads row i - off and writes the top rows after it.
+    span = int(_ring_span(top))
+    dist = np.full((span, len(lengths)), math.inf)
+    dist[0] = 0.0
+    via = np.zeros(dist.shape, dtype=np.int32)
+    off = 0
+
+    def settle(rows):
+        """Write pred for the nodes off + rows of every piece that has them."""
+        r, p = np.nonzero((off + rows[:, None] <= lengths) & (off + rows[:, None] >= 1))
+        pred[starts[p] + off + rows[r]] = starts[p] + via[rows[r], p]
+
+    step = 0
+    while step < len(active):
+        # Whole steps, up to _BLOCK_ENTRIES entries unless one step is wider.
+        stop = max(step + 1, bisect_right(first, first[step] + _BLOCK_ENTRIES // top) - 1)
+        block = lo[first[step]:first[stop]]
+        w = widths[block]
+        wmax = int(w.max())
+        # Entry (k, c): the batch of samples block[c]..block[c]+k.  Entries
+        # past a window read the next samples, or the last, and are set to
+        # inf.
+        e = t.take(block + d[:wmax], mode="clip")
+        e -= t[block]
+        e = _waits(e)
+        e += g[1:wmax + 1, None]
+        np.putmask(e, d[:wmax] >= w, math.inf)
+        for i in range(step, stop):
+            if i + top >= off + span:
+                settle(np.arange(i - off))
+                dist[:off + span - i] = dist[i - off:]
+                dist[off + span - i:] = math.inf
+                via[:off + span - i] = via[i - off:]
+                off = i
+            r, m, c = i - off, active[i], first[i] - first[step]
+            _relax(e[:, c:c + m] + dist[r, :m], dist[r + 1:r + 1 + wmax, :m],
+                   via[r + 1:r + 1 + wmax, :m], i)
+        step = stop
+    settle(np.arange(len(active) + 1 - off))
+
+
+def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum of every row of the (T, n) arrival times ``a``, as the
+    flat (rows, ends) of its batches: batch k ends at sample ends[k]
+    (1-based) of row rows[k], rows ascending, before coincident batches
+    merge.  Ties keep the earliest-relaxed predecessor within a piece.  A
+    set function reads the one row's feature ids.
+
+    The rows are cut into ``_pieces``, each solved on its own, with
+    distances from 0 at its start.  A count cost takes ``_lockstep``, one
+    group of pieces at a time, unless the steps of its longest piece
+    alone cost more than the rows of the row loop; a set function takes
+    the row loop.  The two routes make the same float operations, so they
+    find the same batches.
+    """
+    T, n = a.shape
+    widths = _window_widths(a, f, features)
+    starts, lengths = _pieces(widths)
+    t, widths = a.ravel(), widths.ravel()
+    # pred[j]: the node after which the last batch into node j starts,
+    # with nodes numbered flat: row t's node k is t * n + k.
+    if f.count_based and _STEP_ROWS * lengths.max() <= T * n:
+        order = np.argsort(-lengths, kind="stable")
+        tops = np.maximum.reduceat(widths, starts)[order]
+        starts, lengths = starts[order], lengths[order]
+        pred = np.zeros(T * n + 1, dtype=np.intp)
+        g = f.count_table(int(widths.max()))
+        groups = _groups(lengths, tops)
+        for lo, hi in zip(groups[:-1], groups[1:]):
+            _lockstep(t, widths, starts[lo:hi], lengths[lo:hi], g, pred)
+    else:
+        pred = np.array(_row_loop(_edge_rows(t, f, widths, features), lengths.tolist()),
+                        dtype=np.intp)
+    # Row t's last node is the next row's first: give every row its own.
+    pred = pred[1:].reshape(T, n) - np.arange(0, T * n, n)[:, None]
+    return path_nodes(np.concatenate((np.zeros((T, 1), dtype=np.intp), pred), axis=1), n)
 
 
 def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, ScheduleCost]:
@@ -201,21 +391,13 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     each node's outgoing edges inside its window (see the module docstring),
     which is exact for every f satisfying Assumption 1 (monotone): O(n w)
     work and cost evaluations for windows of at most w samples.  Ties keep
-    the earliest-relaxed predecessor, so the result is deterministic.
+    the earliest-relaxed predecessor, so the result is deterministic.  The
+    distances restart at 0 at each piece (see the module docstring), so a
+    tie inside a piece breaks as if the piece stood alone, whatever the
+    pieces before it cost; distances carried across pieces could round it
+    the other way.
     """
-    n = inst.n
-    # dist[k], pred[k]: cheapest cost of batching samples 1..k, and the
-    # k' < k after which that cost's last batch starts.
-    dist = [0.0] + [math.inf] * n
-    pred = [0] * (n + 1)
-    for i, row in _edge_rows(inst, f):
-        base = dist[i]
-        for j, e in enumerate(row, i + 1):
-            cand = base + e
-            if cand < dist[j]:
-                dist[j] = cand
-                pred[j] = i
-    ends = _batch_ends(pred, n)
+    ends = _sweep(inst.times_array[None], f, inst.features)[1].tolist()
     sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
     return sched, cost_of(inst, sched, f)
 
@@ -226,31 +408,8 @@ def lockstep_ends(a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarra
     ``chunk_costs`` reads: batch k ends at sample ends[k] (1-based) of row
     rows[k], at that sample's arrival stamps[k], before coincident batches
     merge.
-
-    The sweep relaxes row i of all T instances in one vector step.  Entries
-    past a row's own window are inf, so they never win.  Within one row
-    the target nodes are distinct, so a strict ``<`` mask keeps the scalar
-    loop's tie rule, and every sum is the same float operation: the ends
-    are those of ``optimal_schedule`` exactly.  ``path_nodes`` then follows
-    every row's predecessors back from n at once.
     """
-    T, n = a.shape
-    widths = _window_widths(a, f.count_value(1))
-    g = f.count_table(int(widths.max()))
-    dist = np.full((T, n + 1), math.inf)
-    dist[:, 0] = 0.0
-    pred = np.zeros((T, n + 1), dtype=np.intp)
-    for lo, hi, e in _wait_blocks(a, widths):
-        w = e.shape[2]
-        e += g[1:w + 1]
-        np.copyto(e, math.inf, where=np.arange(w) >= widths[:, lo:hi, None])
-        for i in range(lo, hi):
-            m = min(w, n - i)
-            cand = dist[:, i, None] + e[:, i - lo, :m]
-            better = cand < dist[:, i + 1:i + 1 + m]
-            np.copyto(dist[:, i + 1:i + 1 + m], cand, where=better)
-            np.copyto(pred[:, i + 1:i + 1 + m], i, where=better)
-    rows, ends = path_nodes(pred, n)
+    rows, ends = _sweep(a, f)
     return ends, a[rows, ends - 1], rows
 
 
@@ -322,10 +481,12 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
     ``optimal_schedule``; a dominated edge is never the argmin, so the
     values are those of the full recursion under Assumption 1."""
     n = inst.n
+    a = inst.times_array
+    widths = _window_widths(a[None], f, inst.features)[0]
     # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
     lam = [0.0] * (n + 1)
     succ = [0] * n
-    for i, row in _edge_rows(inst, f, reverse=True):
+    for i, row in _edge_rows(a, f, widths, inst.features, reverse=True):
         best, arg = math.inf, i + 1
         for j, e in enumerate(row, i + 1):
             val = e / n + lam[j]

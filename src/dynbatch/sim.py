@@ -397,11 +397,16 @@ class SummaryRow:
     max: float
 
 
+_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
 def summarize(records: Sequence[TrialRecord]) -> list[SummaryRow]:
     """Ratio distribution per (grid point, policy).
 
-    Quantiles use linear interpolation.  NaN (failed) records are excluded;
-    groups appear in first-seen record order.
+    Quantiles use linear interpolation; min and max are the sorted ends,
+    equal neighbours interpolate to their value and a neighbour of inf to
+    inf.  NaN (failed) records are excluded; groups appear in first-seen
+    record order.
     """
     if not records:
         raise ValueError("no records to summarize")
@@ -414,8 +419,13 @@ def summarize(records: Sequence[TrialRecord]) -> list[SummaryRow]:
         raise ValueError("all records failed; nothing to summarize")
     rows = []
     for (group, policy), rs in groups.items():
-        ratios = np.asarray([r.ratio for r in rs])
-        q = np.quantile(ratios, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
+        ratios = np.sort([r.ratio for r in rs])
+        with np.errstate(invalid="ignore"):
+            q = np.quantile(ratios, _QUANTILES, method="linear")
+        # numpy interpolates next to inf through inf - inf, a NaN.
+        pos = np.multiply(_QUANTILES, len(ratios) - 1)
+        below, above = ratios[np.floor(pos).astype(int)], ratios[np.ceil(pos).astype(int)]
+        q = np.where(below == above, below, np.where(np.isnan(q), above, q))
         rows.append(SummaryRow(group, policy, rs[0].n, len(rs),
                                float(q[0]), float(q[1]), float(q[2]), float(q[3]), float(q[4])))
     return rows

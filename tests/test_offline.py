@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -385,3 +386,199 @@ def test_lockstep_sweep_matches_optimal_schedule(chunk, block_entries):
             for r, (cost, inst) in enumerate(zip(costs, chunk)):
                 sched = Schedule.from_ends(ends[rows == r].tolist(), stamps[rows == r].tolist())
                 assert (sched, cost) == optimal_schedule(inst, f), f
+
+
+def _global_distance_ends(times, f):
+    """Batch ends of the optimum by the sweep as it stood before the rows
+    were cut into pieces: one distance list over the whole instance, each
+    row's entries built from the times by the waiting formula, then priced
+    by the count table.  Kept as the reference for both routes.  Also
+    returns whether a nonzero distance is carried into a later piece."""
+    n = len(times)
+    widths = offline._window_widths(times[None], f)[0].tolist()
+    g = f.count_table(max(widths))
+    dist = [0.0] + [math.inf] * n
+    pred = [0] * (n + 1)
+    for i, w in enumerate(widths):
+        spans = times[i:i + w] - times[i]
+        waits = np.cumsum(spans)
+        spans *= np.arange(1, w + 1)
+        row = np.subtract(spans, waits, out=waits) + g[1:w + 1]
+        for j, e in enumerate(row.tolist(), i + 1):
+            cand = dist[i] + e
+            if cand < dist[j]:
+                dist[j], pred[j] = cand, i
+    ends = [n]
+    while pred[ends[-1]]:
+        ends.append(pred[ends[-1]])
+    # Node k starts a piece where no window of samples 1..k reaches past it.
+    reach = np.maximum.accumulate(np.arange(n) + widths).tolist()
+    return ends[::-1], any(dist[k] != 0 for k in range(1, n) if reach[k - 1] == k)
+
+
+def _outcome(solve):
+    """What ``solve()`` returns, or the message of the ValueError it raises."""
+    try:
+        return solve()
+    except ValueError as exc:
+        return str(exc)
+
+
+#: Forces every piece through the lockstep (0) or through the row loop.
+ROUTES = {"lockstep": 0, "row loop": 1 << 40}
+
+ROUTE_COSTS = [
+    *BUILTIN_COSTS,
+    ConstantCost(0),
+    # Covers windows of up to 12 samples: a wider coincident burst raises.
+    CountTable(tuple(min(k, 2 + 0.25 * k) for k in range(13))),
+    # Not monotone, outside Assumption 1: a batch past a window can be the
+    # cheaper one, and the windows alone decide which batches are relaxed.
+    CountTable((0.0, 1.0, 0.4, 1.5, 0.2) + (0.1,) * 12),
+]
+
+
+@st.composite
+def piece_chunks(draw):
+    """1 to 5 rows of one size n <= 16, each a mix of gaps, all arrivals at
+    once, every sample its own piece (gaps wider than any g(1) here), or
+    one long piece of gaps far below every g(1) but const:0's."""
+    n = draw(st.integers(min_value=1, max_value=16))
+
+    def rows(gap):
+        return st.lists(gap, min_size=n, max_size=n)
+
+    row = st.one_of(
+        rows(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 2.5, 12.0]) | st.floats(0.0, 4.0)),
+        st.just([1.5] + [0.0] * (n - 1)),
+        rows(st.floats(11.0, 20.0)),
+        rows(st.floats(0.0, 0.05)),
+    )
+    return np.cumsum(draw(st.lists(row, min_size=1, max_size=5)), axis=1)
+
+
+def _schedule(times, ends):
+    return Schedule.from_ends(list(ends), [times[hi - 1] for hi in ends])
+
+
+def _reference(times, f):
+    """The copied loop's schedule and whether it carries a nonzero distance
+    into a later piece, or the message of the ValueError it raises."""
+    try:
+        ends, carried = _global_distance_ends(times, f)
+    except ValueError as exc:
+        return str(exc), False
+    return _schedule(times, ends), carried
+
+
+def _same_or_tied(got, want, carried, times, f):
+    """The schedule ``got`` is ``want``.  Only where the copied loop carries
+    a nonzero distance into a later piece may it instead price the same to
+    rounding: a tie in exact arithmetic, which distances from 0 at each
+    piece may break the other way."""
+    if got == want:
+        return True
+    if not carried or isinstance(got, str) or isinstance(want, str):
+        return False
+    inst = ProblemInstance.from_times(times)
+    return math.isclose(cost_of(inst, got, f).total, cost_of(inst, want, f).total,
+                        rel_tol=1e-12, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("block_entries", [offline._BLOCK_ENTRIES, 8])
+@settings(max_examples=50, deadline=None)
+@given(a=piece_chunks())
+def test_both_routes_match_the_global_distance_sweep(a, block_entries):
+    # With 8 entries per block, each lockstep step builds its own entries.
+    for f in ROUTE_COSTS:
+        want = [_reference(row, f) for row in a]
+        by_route = []
+        for step_rows in ROUTES.values():
+            with mock.patch.object(offline, "_STEP_ROWS", step_rows), \
+                    mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries):
+                solo = [_outcome(lambda: optimal_schedule(ProblemInstance.from_times(row), f)[0])
+                        for row in a]
+                chunk = _outcome(lambda: offline.lockstep_ends(a, f))
+            if isinstance(chunk, str):
+                assert chunk in solo, f
+            else:
+                ends, stamps, rows = chunk
+                assert [_schedule(row, ends[rows == r]) for r, row in enumerate(a)] == solo, f
+            by_route.append(solo)
+        assert by_route[0] == by_route[1], f
+        assert all(_same_or_tied(got, *ref, row, f)
+                   for got, ref, row in zip(by_route[0], want, a)), f
+
+
+@pytest.mark.parametrize("block_entries, steps", [(offline._BLOCK_ENTRIES, 9), (1, 9 + 5 + 2)])
+def test_lockstep_steps_as_often_as_the_longest_piece(block_entries, steps):
+    """Clusters 0.1 apart, 10 apart from each other, under sqrt (g(1) = 1):
+    every cluster is one piece, and the lockstep relaxes once per sample of
+    the longest, across all rows at once.  With a one-entry block the
+    pieces fall into groups by their own nodes against the ring's span:
+    9 and 7 (span 14), then 5, 4 and 3 (span 8), then the rest (span 4),
+    and the steps are those of each group's longest."""
+    def row(sizes):
+        gaps = [g for size in sizes for g in [10.0] + [0.1] * (size - 1)]
+        return np.cumsum(gaps)
+
+    a = np.array([row([3, 7, 1, 5]), row([1] * 16), row([2, 9, 4, 1])])
+    f = SqrtCount()
+    with mock.patch.object(offline, "_STEP_ROWS", 0), \
+            mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries), \
+            mock.patch.object(offline, "_relax", wraps=offline._relax) as relax:
+        ends, _, rows = offline.lockstep_ends(a, f)
+    assert relax.call_count == steps
+    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]):
+        want = [optimal_schedule(ProblemInstance.from_times(row), f)[0] for row in a]
+    assert [_schedule(row, ends[rows == r]) for r, row in enumerate(a)] == want
+
+
+def test_lockstep_memory_stays_linear_among_many_short_pieces():
+    """100 bursts of 60 samples 0.01 apart, then 10000 lone samples, under
+    sqrt: 10100 pieces and windows of up to 60 samples.  One distance ring
+    of 91 rows for every piece would take over 10 MB; grouped, the pieces
+    of one sample share a ring of 3 rows, and the solve's peak stays under
+    256 bytes a sample."""
+    times = np.concatenate([10 * k + 0.01 * np.arange(60) for k in range(100)]
+                           + [2000 + 10 * np.arange(10000)])
+    inst, f = ProblemInstance.from_times(times), SqrtCount()
+    with mock.patch.object(offline, "_lockstep", wraps=offline._lockstep) as lockstep:
+        tracemalloc.start()
+        try:
+            got = optimal_schedule(inst, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert lockstep.call_count >= 2
+    assert peak < 256 * inst.n
+    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]):
+        assert got == optimal_schedule(inst, f)
+
+
+def test_a_piece_breaks_its_ties_as_if_it_stood_alone():
+    """Seven samples 0.1 apart price 3 + 4 and 4 + 3 the same, to the last
+    bit here.  Distances start at 0 in each piece, so the tie goes to the
+    earliest split whatever the pieces before cost; carried across the
+    gap, they broke it the other way."""
+    times = np.cumsum([10.0, 0.1, 0.1, 10.0] + [0.1] * 6)
+    f = SqrtCount()
+    sizes = lambda inst: [b.hi - b.lo + 1 for b in optimal_schedule(inst, f)[0].batches]
+    assert sizes(ProblemInstance.from_times(times[3:])) == [3, 4]
+    assert sizes(ProblemInstance.from_times(times)) == [3, 3, 4]
+
+
+def test_lockstep_keeps_to_the_windows_outside_assumption_1():
+    """Under a cost that is not monotone a batch past a window can be the
+    cheaper one: four samples spanning 1.2 cost 0.1 + 1.8 as one batch,
+    while the window of the first holds two.  The coincident row widens
+    the lockstep's entries to four samples, and the ones past a window
+    must still not be taken."""
+    f = CountTable((0.0, 1.0, 5.0, 5.0, 0.1))
+    a = np.array([[0.0, 0.6, 1.2, 1.2], [5.0] * 4])
+    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]):
+        want = [optimal_schedule(ProblemInstance.from_times(row), f)[0] for row in a]
+    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["lockstep"]):
+        ends, _, rows = offline.lockstep_ends(a, f)
+    assert [_schedule(row, ends[rows == r]) for r, row in enumerate(a)] == want
+    assert want[0].ends != (4,)

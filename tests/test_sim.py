@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,28 @@ class TestSummarize:
             TrialRecord("g0.t1", 2, 5, "p", None, 2.0, 0, 2.0, 1.0, 2.0),
         ]
         assert summarize(recs)[0].median == 1.5
+
+    @staticmethod
+    def _ratios(*ratios):
+        return [TrialRecord(f"g0.t{k}", k, 5, "p", None, r, 0, r, 1.0, r)
+                for k, r in enumerate(ratios)]
+
+    def test_all_inf_group(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = summarize(self._ratios(math.inf, math.inf, math.inf))[0]
+        assert (row.min, row.q25, row.median, row.q75, row.max) == (math.inf,) * 5
+
+    def test_mixed_finite_and_inf_group(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = summarize(self._ratios(math.inf, 1.0, 3.0, math.inf, 2.0))[0]
+        assert (row.min, row.q25, row.median, row.q75, row.max) == (1.0, 2.0, 3.0, math.inf, math.inf)
+        # Between 3.0 and inf, a quarter of the way and three quarters.
+        row = summarize(self._ratios(1.0, 3.0, math.inf))[0]
+        assert (row.min, row.q25, row.median, row.q75, row.max) == (1.0, 2.0, 3.0, math.inf, math.inf)
+        row = summarize(self._ratios(1.0, math.inf))[0]
+        assert (row.q25, row.median, row.q75) == (math.inf,) * 3
 
     def test_row_per_grid_point(self):
         records = run_study(
