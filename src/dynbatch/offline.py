@@ -19,15 +19,16 @@ No batch crosses from a sample to the next where the windows of that
 sample and of all before it end at it; under a count cost these are the
 samples whose window holds only themselves.  Each instance falls apart
 there into pieces, solved each on its own: distances restart at 0 at the
-start of every piece.  The sweep has two routes.  The row loop relaxes
-one node at a time in Python.  The lockstep relaxes node i of every piece
-longer than i in one vector step, over all the pieces of all the
-instances it is given, so a group of pieces takes as many steps as its
-longest piece; the groups keep its distance ring within O(n) entries.  A
-count cost takes the lockstep unless the steps of its longest piece
-would cost more than the rows of the row loop, as where one piece is
-most of the rows; set functions take the row loop.  Within a piece both
-routes make the same float operations, so they agree exactly.
+start of every piece.  One builder, ``_blocks``, prices the edges a
+block at a time, and the sweep's two routes differ only in how they
+relax them, in the same order within a piece, so they agree exactly.
+The row loop relaxes one node at a time in Python.  The lockstep relaxes
+node i of every piece longer than i in one vector step, over all the
+pieces of all the instances it is given, so a group of pieces takes as
+many steps as its longest piece; the groups keep its distance ring
+within O(n) entries.  A count cost takes the lockstep unless the steps
+of its longest piece would cost more than the rows of the row loop, as
+where one piece is most of the rows; set functions take the row loop.
 ``optimal_schedule`` sweeps one instance, ``lockstep_ends`` T instances
 of one size (a study chunk); both follow every row's predecessors back
 at once with ``instance.path_nodes``, and ``lockstep_ends`` returns the
@@ -42,12 +43,10 @@ enumeration of all consecutive partitions for small n, which prunes nothing.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost import CostFunction
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
@@ -145,20 +144,6 @@ def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends - starts
 
 
-def _block_bounds(widths: np.ndarray) -> list[int]:
-    """Row indices 0 = b_0 < b_1 < ... = n splitting the rows into blocks of
-    at most _BLOCK_ENTRIES entries each (rows times the block's widest
-    ``widths``), or of one row where that row alone is wider."""
-    n = len(widths)
-    bounds = [0]
-    while bounds[-1] < n:
-        lo = bounds[-1]
-        head = widths[lo:lo + max(1, _BLOCK_ENTRIES // int(widths[lo]))]
-        entries = np.maximum.accumulate(head) * np.arange(1, len(head) + 1)
-        bounds.append(lo + max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right"))))
-    return bounds
-
-
 def _waits(spans: np.ndarray) -> np.ndarray:
     """The waiting parts of the batches whose arrival offsets from their
     first sample are spans[d], d = 0, 1, ...: (d+1) * spans[d] minus the sum
@@ -177,48 +162,58 @@ def _waits(spans: np.ndarray) -> np.ndarray:
     return np.subtract(spans, waits, out=waits)
 
 
-def _wait_blocks(a: np.ndarray, widths: np.ndarray, reverse: bool = False):
-    """Yield (lo, hi, waits) for blocks of rows lo..hi-1 of the arrival
-    times ``a``, in ascending order or descending if ``reverse``: waits[d,
-    i-lo] is the waiting part of e(i+1, i+2+d), for d below the block's
-    widest window in ``widths``.  A block holds at most _BLOCK_ENTRIES
-    entries, or one row, so memory stays O(n + _BLOCK_ENTRIES).
+def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarray,
+            f: CostFunction, features=None, reverse: bool = False):
+    """Yield (lo, hi, e) for runs of whole steps lo..hi-1, in ascending
+    order or descending if ``reverse``.  Step s starts batches at the flat
+    samples cols[first[s]:first[s + 1]] of the arrival times ``t``, and
+    e[d, c] = e(k+1, k+2+d) for the batch of samples k..k+d, k the block's
+    column c, priced by ``f``, or inf past k's window of ``widths``.  A set
+    function reads the one row's feature ids ``features``.
+
+    A block holds at most _BLOCK_ENTRIES entries (its columns times its
+    steps' widest window), or one step where that step alone is wider, so
+    memory stays O(n + _BLOCK_ENTRIES).  Past the last sample, entries
+    read copies of it; no entry's floats depend on the block (``_waits``).
     """
-    # Past the last sample, windows read copies of it; the callers cut
-    # those entries off.
-    padded = np.concatenate((a, np.repeat(a[-1:], int(widths.max()) - 1)))
-    bounds = _block_bounds(widths)
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    for lo, hi in reversed(blocks) if reverse else blocks:
-        w = int(widths[lo:hi].max())
-        spans = sliding_window_view(padded[lo:hi + w - 1], hi - lo) - a[lo:hi]
-        yield lo, hi, _waits(spans[:w])
-
-
-def _edge_rows(a: np.ndarray, f: CostFunction, widths: np.ndarray, features=None,
-               reverse: bool = False):
-    """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
-    i+1..i+1+d (0-based i) of the arrival times ``a`` inside row i's window
-    of ``widths``, in ascending i, or in descending i if ``reverse``.
-
-    Rows are built a block at a time by ``_wait_blocks``.  A count cost is
-    tabulated once, up to the widest window, instead of priced row by row
-    with ``prefix_costs``; a set function reads the feature ids.
-    """
-    g = f.count_table(int(widths.max())) if f.count_based else None
-    w_of = widths.tolist()
-    for lo, hi, e in _wait_blocks(a, widths, reverse):
-        w = len(e)
+    tops = np.maximum.reduceat(widths[cols], first[:-1])
+    blocks = []
+    lo = 0
+    while lo < len(tops):
+        head = np.maximum.accumulate(tops[lo:lo + max(1, _BLOCK_ENTRIES // int(tops[lo]))])
+        entries = head * (first[lo + 1:lo + 1 + len(head)] - first[lo])
+        k = max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES, side="right")))
+        blocks.append((lo, lo + k, int(head[k - 1])))
+        lo += k
+    d = np.arange(int(tops.max()))[:, None]
+    g = f.count_table(len(d)) if f.count_based else None
+    for lo, hi, w in reversed(blocks) if reverse else blocks:
+        c = cols[first[lo]:first[hi]]
+        e = t.take(c + d[:w], mode="clip")
+        e -= t[c]
+        e = _waits(e)
         if g is not None:
             e += g[1:w + 1, None]
         else:
-            costs = np.zeros((hi - lo, w))
-            for i in range(lo, hi):
-                costs[i - lo, :w_of[i]] = f.prefix_costs(features[i:i + w_of[i]])
+            costs = np.zeros((len(c), w))
+            for k, (i, wi) in enumerate(zip(c.tolist(), widths[c].tolist())):
+                costs[k, :wi] = f.prefix_costs(features[i:i + wi])
             e += costs.T
+        np.putmask(e, d[:w] >= widths[c], math.inf)
+        yield lo, hi, e
+
+
+def _edge_rows(t: np.ndarray, f: CostFunction, widths: np.ndarray, features=None,
+               reverse: bool = False):
+    """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
+    i+1..i+1+d (0-based i) of the arrival times ``t`` inside row i's window
+    of ``widths``, in ascending i, or in descending i if ``reverse``: the
+    entries of ``_blocks``, one row a step."""
+    w_of = widths.tolist()
+    steps = np.arange(len(t) + 1)
+    for lo, hi, e in _blocks(t, widths, steps[:-1], steps, f, features, reverse):
         rows = e.T.tolist()
-        order = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-        for i in order:
+        for i in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
             yield i, rows[i - lo][:w_of[i]]
 
 
@@ -281,29 +276,27 @@ def _groups(lengths: np.ndarray, tops: np.ndarray) -> list[int]:
 
 
 def _lockstep(t: np.ndarray, widths: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-              g: np.ndarray, pred: np.ndarray) -> None:
+              f: CostFunction, pred: np.ndarray) -> None:
     """Write pred[k + 1] for each flat sample k of the pieces (``starts``,
     ``lengths``), longest first, of the flat arrival times ``t`` and
-    window ``widths``, under the count cost table ``g``: the flat node
-    after which the batch that ends at sample k starts.
+    window ``widths``, under the count cost ``f``: the flat node after
+    which the batch that ends at sample k starts.
 
     Step i relaxes node i of every piece longer than i, so the active
     pieces are a shrinking prefix and the loop runs as many steps as the
-    longest piece.  The edge entries are built from the times with
-    ``_waits``, as ``_edge_rows`` builds them, a block of steps at a time:
-    the same floats, and the same strict ``<`` in the same order within a
-    piece.  Distances live in a ring of ``_ring_span`` nodes per piece,
-    which ``_groups`` bounds.
+    longest piece.  The edge entries come from ``_blocks``, as those of
+    the row loop do: the same floats, and the same strict ``<`` in the
+    same order within a piece.  Distances live in a ring of ``_ring_span``
+    nodes per piece, which ``_groups`` bounds.
     """
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
-    # Column c of the edge entries starts at sample lo[c]: position 0 of
-    # every piece, then position 1 of the pieces longer than 1, and so on.
-    first = np.cumsum(active) - active
-    lo = (starts[np.arange(lengths.sum()) - np.repeat(first, active)]
-          + np.repeat(np.arange(len(active)), active))
-    top = int(widths[lo].max())
-    active, first = active.tolist(), first.tolist() + [len(lo)]
-    d = np.arange(top + 1)[:, None]
+    # Step i starts batches at sample cols[c] for c in first[i]..first[i+1]-1:
+    # position i of each of the active[i] longest pieces.
+    first = np.concatenate(([0], np.cumsum(active)))
+    cols = (starts[np.arange(first[-1]) - np.repeat(first[:-1], active)]
+            + np.repeat(np.arange(len(active)), active))
+    top = int(widths[cols].max())
+    m_of, c_of = active.tolist(), first.tolist()
     # dist[r, p] and via[r, p]: the distance to node off + r of piece p,
     # from 0 at its node 0, and the node of p that its last batch starts
     # after.  A step reads row i - off and writes the top rows after it.
@@ -318,33 +311,20 @@ def _lockstep(t: np.ndarray, widths: np.ndarray, starts: np.ndarray, lengths: np
         r, p = np.nonzero((off + rows[:, None] <= lengths) & (off + rows[:, None] >= 1))
         pred[starts[p] + off + rows[r]] = starts[p] + via[rows[r], p]
 
-    step = 0
-    while step < len(active):
-        # Whole steps, up to _BLOCK_ENTRIES entries unless one step is wider.
-        stop = max(step + 1, bisect_right(first, first[step] + _BLOCK_ENTRIES // top) - 1)
-        block = lo[first[step]:first[stop]]
-        w = widths[block]
-        wmax = int(w.max())
-        # Entry (k, c): the batch of samples block[c]..block[c]+k.  Entries
-        # past a window read the next samples, or the last, and are set to
-        # inf.
-        e = t.take(block + d[:wmax], mode="clip")
-        e -= t[block]
-        e = _waits(e)
-        e += g[1:wmax + 1, None]
-        np.putmask(e, d[:wmax] >= w, math.inf)
-        for i in range(step, stop):
+    for lo, hi, e in _blocks(t, widths, cols, first, f):
+        w = len(e)
+        for i in range(lo, hi):
             if i + top >= off + span:
                 settle(np.arange(i - off))
                 dist[:off + span - i] = dist[i - off:]
                 dist[off + span - i:] = math.inf
                 via[:off + span - i] = via[i - off:]
                 off = i
-            r, m, c = i - off, active[i], first[i] - first[step]
-            _relax(e[:, c:c + m] + dist[r, :m], dist[r + 1:r + 1 + wmax, :m],
-                   via[r + 1:r + 1 + wmax, :m], i)
-        step = stop
-    settle(np.arange(len(active) + 1 - off))
+            r, m, c = i - off, m_of[i], c_of[i] - c_of[lo]
+            _relax(e[:, c:c + m] + dist[r, :m], dist[r + 1:r + 1 + w, :m],
+                   via[r + 1:r + 1 + w, :m], i)
+        del e  # free this block before ``_blocks`` builds the next
+    settle(np.arange(len(m_of) + 1 - off))
 
 
 def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, np.ndarray]:
@@ -372,10 +352,9 @@ def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, n
         tops = np.maximum.reduceat(widths, starts)[order]
         starts, lengths = starts[order], lengths[order]
         pred = np.zeros(T * n + 1, dtype=np.intp)
-        g = f.count_table(int(widths.max()))
         groups = _groups(lengths, tops)
         for lo, hi in zip(groups[:-1], groups[1:]):
-            _lockstep(t, widths, starts[lo:hi], lengths[lo:hi], g, pred)
+            _lockstep(t, widths, starts[lo:hi], lengths[lo:hi], f, pred)
     else:
         pred = np.array(_row_loop(_edge_rows(t, f, widths, features), lengths.tolist()),
                         dtype=np.intp)

@@ -137,9 +137,10 @@ def parse_rate_spec(spec: str) -> RateFunction:
             raise ValueError(f"bad rate spec {spec!r}: expected sin:<base>,<amp>,<period>")
         return SinusoidRate(float(parts[0]), float(parts[1]), float(parts[2]))
     try:
-        return ConstantRate(float(spec))
+        rate = float(spec)
     except ValueError:
         raise ValueError(f"unknown rate spec {spec!r}") from None
+    return ConstantRate(rate)
 
 
 def _thinned_arrivals(

@@ -281,6 +281,12 @@ class TestCli:
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5",
                          "--horizon", "10", "--trials", "2"]) == 2
 
+    @pytest.mark.parametrize("rate", ["0", "inf", "-2"])
+    def test_simulate_bad_rate_exits_2_with_the_reason(self, rate, capsys):
+        assert cli_main(["simulate", "--cost", "sqrt", "--n", "5", "--rate", rate,
+                         "--trials", "2"]) == 2
+        assert capsys.readouterr().err == "dynbatch: rate must be positive and finite\n"
+
     def test_adversary_outputs(self, tmp_path, capsys):
         report_path = tmp_path / "report.csv"
         inst_path = tmp_path / "inst.csv"

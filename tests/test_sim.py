@@ -59,6 +59,8 @@ class TestRateFunctions:
         assert parse_rate_spec("sin:2,1,3") == SinusoidRate(2.0, 1.0, 3.0)
         with pytest.raises(ValueError, match="unknown rate spec"):
             parse_rate_spec("ramp:1")
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            parse_rate_spec("0")
 
 
 class TestGenPoisson:
