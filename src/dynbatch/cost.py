@@ -21,9 +21,9 @@ size.
 A ``FeatureMultiset`` is validated once, when it is built from a counts
 tuple, and that check also sets its ``size``.  ``FeatureMultiset.plus``
 adds one sample by sorted insertion, so the multiset it returns is
-canonical by construction and is not validated again: ``prefix_costs`` and
-the waiting policy grow one multiset a sample at a time instead of
-rebuilding it for every prefix.
+canonical by construction and is not validated again: ``prefix_costs``,
+the waiting policy and the offline solver's set-function windows grow one
+multiset a sample at a time instead of rebuilding it for every prefix.
 
 ``batch_pairs`` is the one scan over pairs of batches (X, Y) behind
 admissibility validation, the curvature search and the adversary's

@@ -7,13 +7,20 @@ waiting-plus-processing cost of that batch.  Nodes are numbered 1..n+1 and
 (q_1, ..., q_{n+1}) is already a topological order, so the minimum-weight
 path is found by a single forward sweep.
 
-Almost all edges are dominated.  If the arrivals of batch i..j-1 span more
-than the single-sample cost f({v_i}), processing sample i alone at a_i and
-the rest at a_{j-1} is strictly cheaper, because f is monotone (Assumption
-1).  The solvers therefore relax only each row's window: the edges whose
-batch ends at an arrival within f({v_i}) of a_i.  On arrivals at rate r a
-window holds about r * f({v}) + 1 samples, so a solve does O(n w) work for
-the widest window w instead of O(n^2).
+Almost all edges are dominated.  Split batch i..j-1, processed at
+a = a_{j-1}, after its first m samples: processing those at a_{i+m-1}
+saves m (a - a_{i+m-1}) of waiting and costs at most f(first m), because
+f(rest) <= f(all) for a monotone f (Assumption 1).  So the batch is
+strictly beaten once a passes row i's reach, the least over m of
+a_{i+m-1} + f(first m) / m.  The solvers relax only each row's window:
+the edges whose batch ends at an arrival within that reach.  A count cost
+takes the m = 1 term, a_i + f(1), for every row at once.  A set function
+grows each row's prefix multiset one sample at a time and stops the row
+at the first arrival past the least term so far; the prices it takes on
+the way are the edges' prices, so every batch inside a window is priced
+exactly once, and both the sweep and the dual recursion read them.  On
+arrivals at rate r a window holds about r * f({v}) + 1 samples, so a
+solve does O(n w) work for the widest window w instead of O(n^2).
 
 No batch crosses from a sample to the next where the windows of that
 sample and of all before it end at it; under a count cost these are the
@@ -43,12 +50,13 @@ enumeration of all consecutive partitions for small n, which prunes nothing.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .cost import CostFunction
+from .cost import CostFunction, FeatureMultiset
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
 
 __all__ = [
@@ -99,9 +107,12 @@ class EdgeWeightOracle:
         return cost + ((j - i) * spans[-1] - math.fsum(spans))
 
 
-#: Relative slack on each window's reach.  It only ever keeps extra edges,
-#: and an edge beyond it is dominated by more than rounding can hide, so
-#: pruning never decides a tie.
+#: Relative slack on each term a_{i+m-1} + f(first m) / m of a window's
+#: reach, which also gets a margin of 4 ulps of a_{i+m-1}.  It only ever
+#: keeps extra edges, and an edge beyond it is dominated by more than
+#: rounding can hide, so pruning never decides a tie: under a cost that is
+#: not negative, a run of coincident arrivals, on which a split saves no
+#: waiting, is never cut.
 _WINDOW_SLACK = 1e-9
 #: Entries of one block of edge entries (rows of the row loop, or columns of
 #: the lockstep, times the block's widest window), unless one row or one
@@ -114,21 +125,58 @@ _BLOCK_ENTRIES = 1 << 14
 _STEP_ROWS = 10
 
 
-def _window_widths(a: np.ndarray, f: CostFunction, features=None) -> np.ndarray:
+def _window_widths(a: np.ndarray, f: CostFunction) -> np.ndarray:
     """w[t, i]: the number of batches, of sizes 1..w[t, i], that start at
     sample i+1 (0-based i) of row t of the (T, n) arrival times ``a`` and
-    end at an arrival within f({v_{i+1}}) of its own.  A set function reads
-    the one row's feature ids ``features``."""
-    if f.count_based:
-        single = f.count_value(1)
-    else:
-        by_feature = {v: f.batch_cost((v,)) for v in set(features)}
-        single = np.array([by_feature[v] for v in features])
-    reach = a + single * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
+    end at an arrival within f(1) of its own, under the count cost ``f``."""
+    reach = a + f.count_value(1) * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
     ends = np.array([np.searchsorted(row, r, side="right") for row, r in zip(a, reach)])
     # A negative single-sample cost, outside Assumption 1, must still leave
     # the singleton edge that keeps every node reachable.
     return np.maximum(ends - np.arange(a.shape[1]), 1)
+
+
+def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, n) window widths of the arrival times ``a`` with feature ids
+    ``features`` under the set function ``f``, and the flat prices of their
+    batches: f(v_{i+1}..v_{i+1+d}) at prices[o_i + d] for d < w[0, i], o_i
+    the sum of the widths before row i.
+
+    Row i grows its prefix multiset one sample at a time and prices each
+    prefix once.  It stops at the first arrival past its reach, the least
+    term a_k + f(first m) / m so far, with k = i + m - 1 and the slack and
+    margin of ``_WINDOW_SLACK``.  Its first sample is always in, so every
+    row keeps its singleton edge.  A NaN first term leaves the row
+    unbounded, as a NaN f(1) leaves every row of ``_window_widths``; a
+    NaN later term bounds nothing.
+    """
+    times = a.tolist()
+    margins = (4 * np.spacing(a)).tolist()
+    n, scale = len(times), 1 + _WINDOW_SLACK
+    value, plus, empty = f.value, FeatureMultiset.plus, FeatureMultiset.empty()
+    # The prices as raw doubles: no float object is kept per price.
+    widths, prices = [], array("d")
+    for i in range(n):
+        x, reach, k = empty, math.inf, i
+        while k < n and not times[k] > reach:
+            x = plus(x, features[k])
+            price = value(x)
+            prices.append(price)
+            term = times[k] + price / (k + 1 - i) * scale + margins[k]
+            if term < reach or k == i:
+                reach = term
+            k += 1
+        widths.append(k - i)
+    return np.array([widths]), np.frombuffer(prices)
+
+
+def _windows(a: np.ndarray, f: CostFunction, features=None):
+    """The (T, n) window widths of the arrival times ``a`` under ``f``, and
+    the prices that ``_blocks`` reads for a set function: ``_set_windows``
+    of the one row's feature ids ``features``, or None for a count cost."""
+    if f.count_based:
+        return _window_widths(a, f), None
+    return _set_windows(a[0], f, features)
 
 
 def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,13 +211,13 @@ def _waits(spans: np.ndarray) -> np.ndarray:
 
 
 def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarray,
-            f: CostFunction, features=None, reverse: bool = False):
+            f: CostFunction, prices=None, reverse: bool = False):
     """Yield (lo, hi, e) for runs of whole steps lo..hi-1, in ascending
     order or descending if ``reverse``.  Step s starts batches at the flat
     samples cols[first[s]:first[s + 1]] of the arrival times ``t``, and
     e[d, c] = e(k+1, k+2+d) for the batch of samples k..k+d, k the block's
     column c, priced by ``f``, or inf past k's window of ``widths``.  A set
-    function reads the one row's feature ids ``features``.
+    function's batches take their flat ``prices`` from ``_set_windows``.
 
     A block holds at most _BLOCK_ENTRIES entries (its columns times its
     steps' widest window), or one step where that step alone is wider, so
@@ -186,24 +234,25 @@ def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarr
         blocks.append((lo, lo + k, int(head[k - 1])))
         lo += k
     d = np.arange(int(tops.max()))[:, None]
-    g = f.count_table(len(d)) if f.count_based else None
+    if f.count_based:
+        g = f.count_table(len(d))
+    else:
+        row_start = np.cumsum(widths) - widths
     for lo, hi, w in reversed(blocks) if reverse else blocks:
         c = cols[first[lo]:first[hi]]
         e = t.take(c + d[:w], mode="clip")
         e -= t[c]
         e = _waits(e)
-        if g is not None:
+        if f.count_based:
             e += g[1:w + 1, None]
         else:
-            costs = np.zeros((len(c), w))
-            for k, (i, wi) in enumerate(zip(c.tolist(), widths[c].tolist())):
-                costs[k, :wi] = f.prefix_costs(features[i:i + wi])
-            e += costs.T
+            # Entries past a window read the next rows' prices: masked below.
+            e += prices.take(row_start[c] + d[:w], mode="clip")
         np.putmask(e, d[:w] >= widths[c], math.inf)
         yield lo, hi, e
 
 
-def _edge_rows(t: np.ndarray, f: CostFunction, widths: np.ndarray, features=None,
+def _edge_rows(t: np.ndarray, f: CostFunction, widths: np.ndarray, prices=None,
                reverse: bool = False):
     """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
     i+1..i+1+d (0-based i) of the arrival times ``t`` inside row i's window
@@ -211,7 +260,7 @@ def _edge_rows(t: np.ndarray, f: CostFunction, widths: np.ndarray, features=None
     entries of ``_blocks``, one row a step."""
     w_of = widths.tolist()
     steps = np.arange(len(t) + 1)
-    for lo, hi, e in _blocks(t, widths, steps[:-1], steps, f, features, reverse):
+    for lo, hi, e in _blocks(t, widths, steps[:-1], steps, f, prices, reverse):
         rows = e.T.tolist()
         for i in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
             yield i, rows[i - lo][:w_of[i]]
@@ -342,7 +391,7 @@ def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, n
     find the same batches.
     """
     T, n = a.shape
-    widths = _window_widths(a, f, features)
+    widths, prices = _windows(a, f, features)
     starts, lengths = _pieces(widths)
     t, widths = a.ravel(), widths.ravel()
     # pred[j]: the node after which the last batch into node j starts,
@@ -356,7 +405,7 @@ def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, n
         for lo, hi in zip(groups[:-1], groups[1:]):
             _lockstep(t, widths, starts[lo:hi], lengths[lo:hi], f, pred)
     else:
-        pred = np.array(_row_loop(_edge_rows(t, f, widths, features), lengths.tolist()),
+        pred = np.array(_row_loop(_edge_rows(t, f, widths, prices), lengths.tolist()),
                         dtype=np.intp)
     # Row t's last node is the next row's first: give every row its own.
     pred = pred[1:].reshape(T, n) - np.arange(0, T * n, n)[:, None]
@@ -461,11 +510,11 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
     values are those of the full recursion under Assumption 1."""
     n = inst.n
     a = inst.times_array
-    widths = _window_widths(a[None], f, inst.features)[0]
+    widths, prices = _windows(a[None], f, inst.features)
     # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
     lam = [0.0] * (n + 1)
     succ = [0] * n
-    for i, row in _edge_rows(a, f, widths, inst.features, reverse=True):
+    for i, row in _edge_rows(a, f, widths[0], prices, reverse=True):
         best, arg = math.inf, i + 1
         for j, e in enumerate(row, i + 1):
             val = e / n + lam[j]

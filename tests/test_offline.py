@@ -590,3 +590,159 @@ def test_lockstep_keeps_to_the_windows_outside_assumption_1():
         ends, _, rows = offline.lockstep_ends(a, f)
     assert [_schedule(row, ends[rows == r]) for r, row in enumerate(a)] == want
     assert want[0].ends != (4,)
+
+
+def _distinct_plus_sqrt(x):
+    """Distinct features in x plus sqrt(|x|): monotone and subadditive."""
+    return len(x.counts) + math.sqrt(len(x))
+
+
+class _Counted:
+    """A set function's callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def _reach_widths(inst, f):
+    """Each row's window by the min-over-m rule, one scalar at a time: row i
+    takes sample k while a_k is within the least term so far of
+    a_{i+m-1} + f(first m) / m, with the solver's slack and margin."""
+    a, n = inst.times, inst.n
+    widths = []
+    for i in range(n):
+        reach, k = math.inf, i
+        while k < n and a[k] <= reach:
+            price = f.batch_cost(inst.features[i:k + 1])
+            term = a[k] + price / (k + 1 - i) * (1 + offline._WINDOW_SLACK) + 4 * math.ulp(a[k])
+            reach = min(reach, term)
+            k += 1
+        widths.append(k - i)
+    return widths
+
+
+def _single_sample_widths(inst, f):
+    """Each row's window by the m = 1 rule alone, a_i + f({v_i})."""
+    a = inst.times_array
+    single = np.array([f.batch_cost((v,)) for v in inst.features])
+    reach = a + single * (1 + offline._WINDOW_SLACK) + 4 * np.spacing(a)
+    return np.maximum(np.searchsorted(a, reach, side="right") - np.arange(inst.n), 1)
+
+
+def _unpruned_optimum(inst, f):
+    """The forward sweep over every edge of the full ``EdgeWeightOracle``
+    rows, O(n^2), pruning nothing: the schedule and its path cost / n."""
+    oracle = EdgeWeightOracle(inst, f)
+    dist = [0.0] + [math.inf] * inst.n
+    pred = [0] * (inst.n + 1)
+    for i in range(inst.n):
+        for j, e in enumerate(oracle.row(i + 1).tolist(), i + 1):
+            if dist[i] + e < dist[j]:
+                dist[j], pred[j] = dist[i] + e, i
+    ends = [inst.n]
+    while pred[ends[-1]]:
+        ends.append(pred[ends[-1]])
+    return _schedule(inst.times, ends[::-1]), dist[-1] / inst.n
+
+
+class TestSetFunctionWindows:
+    def test_rows_stop_at_the_least_reach_and_price_each_prefix_once(self):
+        sample = lambda rng, t: int(rng.integers(8))
+        inst = gen_poisson(ConstantRate(20.0), 120, seed=3, feature_sampler=sample)
+        counted = _Counted(_distinct_plus_sqrt)
+        f = CustomSetFunction(counted, universe_size=8)
+        widths = offline._windows(inst.times_array[None], f, inst.features)[0][0]
+        assert widths.tolist() == _reach_widths(inst, f)
+        counted.calls = 0
+        sched, cost = optimal_schedule(inst, f)
+        solve_calls, counted.calls = counted.calls, 0
+        assert cost_of(inst, sched, f) == cost
+        assert solve_calls == widths.sum() + counted.calls
+        assert widths.sum() < _single_sample_widths(inst, f).sum()
+
+    @pytest.mark.parametrize("shift", [0.0, 1.7e9])
+    @pytest.mark.parametrize("n, seed", [(40, 1), (70, 2), (100, 3)])
+    def test_windowed_solvers_match_the_unpruned_sweep(self, n, seed, shift):
+        rng = np.random.default_rng(seed)
+        gaps = rng.exponential(0.05, n)
+        gaps[rng.random(n) < 0.25] = 0.0  # runs of coincident arrivals
+        times = tuple((np.cumsum(gaps) + shift).tolist())
+        for f in (CustomSetFunction(_weighted_distinct_plus_sqrt, universe_size=3),
+                  CustomSetFunction(_distinct_plus_sqrt, universe_size=8)):
+            inst = ProblemInstance(times, tuple(rng.integers(0, f.universe_size, n).tolist()))
+            want, total = _unpruned_optimum(inst, f)
+            sched, cost = optimal_schedule(inst, f)
+            assert sched == want
+            assert math.isclose(cost.total, total, rel_tol=1e-9)
+            assert math.isclose(cost_of(inst, want, f).total, total, rel_tol=1e-9)
+            assert math.isclose(dual_recursion(inst, f).lambdas[0], total, rel_tol=1e-9)
+
+
+#: Set functions outside Assumption 1, and on the instance below the batch
+#: ends of their optimum and the successors of their dual recursion, as the
+#: windows of the single-sample rule a_i + f({v_i}) gave them.
+ODD_SET_FUNCTIONS = {
+    "negative single feature 0": (
+        lambda x: -1.0 if x.counts == ((0, 1),) else _distinct_plus_sqrt(x),
+        (1, 2, 3, 5, 6, 7, 10, 11, 12), (2, 3, 4, 6, 6, 7, 8, 10, 10, 11, 12, 13)),
+    "NaN single feature 1": (
+        lambda x: math.nan if x.counts == ((1, 1),) else _distinct_plus_sqrt(x),
+        (5, 7, 10, 12), (6, 6, 8, 6, 8, 8, 8, 11, 11, 11, 13, 13)),
+    "NaN pairs": (
+        lambda x: math.nan if len(x) == 2 else _distinct_plus_sqrt(x),
+        (4, 7, 11, 12), (5, 8, 8, 5, 8, 7, 8, 12, 12, 11, 12, 13)),
+    "negative pairs": (
+        lambda x: -0.5 if len(x) == 2 else _distinct_plus_sqrt(x),
+        (2, 4, 6, 8, 10, 12), (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 13)),
+}
+
+
+@pytest.mark.parametrize("name", ODD_SET_FUNCTIONS)
+def test_negative_or_nan_prices_keep_every_row(name):
+    fn, ends, successors = ODD_SET_FUNCTIONS[name]
+    inst = ProblemInstance((0.0, 0.1, 0.3, 0.3, 0.6, 1.0, 1.1, 2.9, 3.0, 3.0, 3.2, 5.0),
+                           (0, 1, 0, 2, 1, 0, 0, 1, 2, 0, 1, 1))
+    f = CustomSetFunction(fn, universe_size=3)
+    widths = offline._windows(inst.times_array[None], f, inst.features)[0][0]
+    assert (widths >= 1).all()
+    # A row whose single-sample price is NaN has no reach, as under a count
+    # cost whose f(1) is NaN.
+    nan_rows = [i for i, v in enumerate(inst.features) if math.isnan(f.batch_cost((v,)))]
+    assert all(widths[i] == inst.n - i for i in nan_rows)
+    assert optimal_schedule(inst, f)[0].ends == ends
+    assert dual_recursion(inst, f).successors == successors
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.7e9])
+def test_coincident_runs_are_never_cut(shift):
+    """A split of a coincident run saves no waiting, so no row inside a run
+    stops before its end, under a zero cost too, whose terms are the
+    arrivals themselves."""
+    times = tuple(t + shift for t in [0.0] * 5 + [2.0] * 6 + [2.5, 9.0] + [9.0] * 4)
+    feats = tuple(k % 3 for k in range(len(times)))
+    inst = ProblemInstance(times, feats)
+    run_end = [max(k for k, t in enumerate(times) if t == times[i]) + 1 for i in range(inst.n)]
+    for fn in (_distinct_plus_sqrt, lambda x: 0.0):
+        f = CustomSetFunction(fn, universe_size=3)
+        widths = offline._windows(inst.times_array[None], f, feats)[0][0]
+        assert (np.arange(inst.n) + widths >= run_end).all()
+        want, total = _unpruned_optimum(inst, f)
+        sched, cost = optimal_schedule(inst, f)
+        assert sched == want
+        assert math.isclose(cost.total, total, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_set_function_single_sample():
+    inst = ProblemInstance((1.7e9,), (2,))
+    f = CustomSetFunction(_weighted_distinct_plus_sqrt, universe_size=3)
+    widths, prices = offline._windows(inst.times_array[None], f, inst.features)
+    assert widths.tolist() == [[1]]
+    assert prices.tolist() == [4.0]
+    sched, cost = optimal_schedule(inst, f)
+    assert sched.ends == (1,)
+    assert cost.total == 4.0
+    assert dual_recursion(inst, f).lambdas == (4.0, 0.0)
