@@ -162,13 +162,16 @@ def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> Schedule
     one row of ``chunk_costs``, with the batches taken as given, unmerged."""
     a = inst.times_array[None]
     sizes, waits = _checked(a, *sched._arrays())
-    return _row_costs(a, [inst.features], waits, sizes, [len(sizes)], f)[0]
+    (waiting,), (processing,) = _row_costs(a, [inst.features], waits, sizes, [len(sizes)], f)
+    return ScheduleCost(waiting, processing, waiting + processing)
 
 
 def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: np.ndarray,
-                stamps: np.ndarray, rows: np.ndarray, f: CostFunction) -> list[ScheduleCost]:
-    """The objective of T schedules, one on each row of the (T, n) arrival
-    times ``a``, whose samples carry the feature ids features[t].
+                stamps: np.ndarray, rows: np.ndarray,
+                f: CostFunction) -> tuple[list[float], list[float]]:
+    """The per-sample waiting and processing costs of T schedules, one on
+    each row of the (T, n) arrival times ``a``, whose samples carry the
+    feature ids features[t]; a row's objective is their sum.
 
     The schedules' batches come as three flat arrays, rows ascending: batch
     k ends at sample ends[k] (1-based) of row rows[k] and is processed at
@@ -268,7 +271,8 @@ def _first_fault(a: np.ndarray, hi: np.ndarray, t: np.ndarray,
 
 
 def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], waits: np.ndarray,
-               sizes: np.ndarray, tops: list[int], f: CostFunction) -> list[ScheduleCost]:
+               sizes: np.ndarray, tops: list[int],
+               f: CostFunction) -> tuple[list[float], list[float]]:
     """The pricing of ``chunk_costs``: each sample's wait and each batch's
     size, row after row, with row r's last batch at tops[r] - 1.  Each
     row's waits and batch prices are summed exactly by ``math.fsum``, so a
@@ -277,12 +281,9 @@ def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], waits: np.ndarr
     # Memoryviews hand fsum the floats one at a time, without a list.
     waits = memoryview(waits)
     prices = memoryview(f.batch_costs(features, sizes))
-    costs = []
-    for first, lo, top in zip(range(0, a.size, n), [0, *tops], tops):
-        waiting = math.fsum(waits[first:first + n]) / n
-        processing = math.fsum(prices[lo:top]) / n
-        costs.append(ScheduleCost(waiting, processing, waiting + processing))
-    return costs
+    fsum = math.fsum
+    return ([fsum(waits[first:first + n]) / n for first in range(0, a.size, n)],
+            [fsum(prices[lo:top]) / n for lo, top in zip([0, *tops], tops)])
 
 
 @dataclass(frozen=True)

@@ -121,17 +121,36 @@ def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:
             w.writerow([repr(t), v])
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(x)
+def _quoted(field: str) -> str:
+    """``field`` as ``csv.writer`` writes it: quoted if it holds a comma, a
+    quote or a line break, with each quote doubled."""
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def write_results(records: Sequence[TrialRecord], path: str | Path) -> None:
+    """The records as ``csv.writer`` rows, floats by repr and alpha None as
+    an empty field, written at once.  A trial's records share its label and
+    ``J_opt`` objects, formatted once per trial; each (policy, alpha object)
+    pair is formatted once, since -0.0 == 0.0."""
+    labels: dict = {}
+    trial = J_opt = None
+    lines = [",".join(RESULTS_HEADER)]
+    for r in records:
+        if r.trial is not trial:
+            trial, trial_s = r.trial, _quoted(r.trial)
+        if r.J_opt is not J_opt:
+            J_opt, J_opt_s = r.J_opt, repr(r.J_opt)
+        label = labels.get((r.policy, id(r.alpha)))
+        if label is None:
+            alpha = "" if r.alpha is None else _quoted(repr(r.alpha))
+            label = labels[r.policy, id(r.alpha)] = f"{_quoted(r.policy)},{alpha}"
+        lines.append(f"{trial_s},{r.seed},{r.n},{label},{r.J!r},{r.W!r},{r.F!r},{J_opt_s},"
+                     f"{r.ratio!r}")
+    lines.append("")
     with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESULTS_HEADER)
-        for r in records:
-            w.writerow([r.trial, r.seed, r.n, r.policy, _fmt(r.alpha),
-                        repr(r.J), repr(r.W), repr(r.F), repr(r.J_opt), repr(r.ratio)])
+        fh.write("\r\n".join(lines))
 
 
 def read_results(path: str | Path) -> list[TrialRecord]:

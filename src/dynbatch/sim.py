@@ -6,9 +6,13 @@ upper bound.  Studies sweep a grid of (sample count, rate) points, run a
 set of policies on each generated instance, compare every run against the
 exact offline optimum, and emit one flat record per (trial, policy).
 
-Per-trial seeds are derived from the master seed together with the grid
-point and trial indices, so records are bit-identical for a given
-configuration at any worker count.
+Trial t of grid point g has the seed that ``SeedSequence((master, g, t))``
+gives as one uint64, and its stream is ``default_rng(seed)``'s, so records
+are bit-identical for a given configuration at any worker count, and the
+``seed`` field regenerates the instance through ``gen_poisson``.  A chunk
+derives all of its seeds, then all of its PCG64 states, in one uint32 pass
+each over its trials: the hash of numpy's ``SeedSequence`` on columns of
+entropy words, then PCG64's two seeding steps on 128-bit ints.
 
 Trials run in chunks of up to 250 per grid point.  In ``n_values`` mode
 under a count cost, every instance of a chunk has the same n, so the chunk
@@ -249,9 +253,75 @@ class TrialRecord:
     ratio: float
 
 
-def _trial_seed(master_seed: int, grid_index: int, trial_index: int) -> int:
-    ss = np.random.SeedSequence((master_seed, grid_index, trial_index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+# numpy's SeedSequence hash (bit_generator.pyx) on a pool of 4 words, and
+# PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashmix(v: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    h2 = h * mult & 0xFFFFFFFF
+    v = (v ^ np.uint32(h)) * np.uint32(h2)
+    return v ^ v >> _SHIFT, h2
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> _SHIFT
+
+
+def _seed_state(entropy: list[np.ndarray], words: int) -> list[np.ndarray]:
+    """``SeedSequence(e).generate_state(words, np.uint32)`` for every row's
+    entropy words e, where entropy[k] is the uint32 column of words k."""
+    h, pool = _INIT_A, []
+    for w in entropy[:4] + [np.zeros_like(entropy[0])] * (4 - len(entropy)):
+        w, h = _hashmix(w, h, _MULT_A)
+        pool.append(w)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                w, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], w)
+    for w0 in entropy[4:]:
+        for dst in range(4):
+            w, h = _hashmix(w0, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], w)
+    h, state = _INIT_B, []
+    for k in range(words):
+        w, h = _hashmix(pool[k % 4], h, _MULT_B)
+        state.append(w)
+    return state
+
+
+def _uint64(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
+
+
+def _chunk_seeds(master_seed: int, grid_index: int, trials: range) -> np.ndarray:
+    """Each trial's seed, ``SeedSequence((master_seed, grid_index, trial))
+    .generate_state(1, np.uint64)[0]``, as a uint64 column."""
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    # SeedSequence reads an int as its 32-bit words, low first; 0 is one word.
+    words, x = [], master_seed
+    while x or not words:
+        words.append(x & 0xFFFFFFFF)
+        x >>= 32
+    return _uint64(*_seed_state([np.full_like(t, w) for w in (*words, grid_index)] + [t], 2))
+
+
+def _streams(seeds: np.ndarray) -> list[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` for each uint64
+    seed.  A seed below 2^32 is one entropy word, which SeedSequence pads
+    with a zero word, as its zero high word here."""
+    w = _seed_state([seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)], 8)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(_uint64(*w[k:k + 2]).tolist() for k in range(0, 8, 2))):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def _record(trial: str, seed: int, n: int, label: tuple[str, float | None],
@@ -273,7 +343,7 @@ _ZERO_OPTIMUM = "ratio undefined: the optimal cost is 0"
 def _run_chunk(args) -> list[TrialRecord]:
     (grid_index, n, rate, policies, cost_fn, trial_lo, trial_hi, master_seed, horizon) = args
     trials = range(trial_lo, trial_hi)
-    seeds = [_trial_seed(master_seed, grid_index, ti) for ti in trials]
+    seeds = _chunk_seeds(master_seed, grid_index, trials)
     # Each policy's policy and alpha fields, once for all its records.
     labels = [(p.spec_string(), getattr(p, "alpha", None)) for p in policies]
     if horizon is None and cost_fn.count_based:
@@ -282,7 +352,7 @@ def _run_chunk(args) -> list[TrialRecord]:
         except _TRIAL_ERRORS:
             pass  # trial by trial below, for each failure's own record and line
     records: list[TrialRecord] = []
-    for ti, seed in zip(trials, seeds):
+    for ti, seed in zip(trials, seeds.tolist()):
         trial = f"g{grid_index}.t{ti}"
         try:
             if horizon is None:
@@ -315,24 +385,29 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
     optima, each policy's batches from every start at once, and one
     ``chunk_costs`` pass for the optima and for each policy."""
     a = np.empty((len(seeds), n))
-    for row, seed in zip(a, seeds):
-        row[:] = _poisson_times(rate, n, np.random.default_rng(seed))
+    rng = np.random.default_rng()  # each row sets its trial's state
+    for row, state in zip(a, _streams(seeds)):
+        rng.bit_generator.state = state
+        row[:] = _poisson_times(rate, n, rng)
     if not np.isfinite(a).all():
         # gen_poisson's ProblemInstance rejects the trial: its own record below
         raise ValueError("arrival times must be finite")
     # The samples all carry feature 0, which a count cost does not read.
     features = [(0,) * n] * len(a)
     opt = chunk_costs(a, features, *lockstep_ends(a, cost_fn), cost_fn)
-    costs = [chunk_costs(a, features, *p.flushes_all(a, cost_fn), cost_fn) for p in policies]
+    costs = [(*label, *chunk_costs(a, features, *p.flushes_all(a, cost_fn), cost_fn))
+             for p, label in zip(policies, labels)]
     records: list[TrialRecord] = []
-    for k, (ti, seed) in enumerate(zip(trials, seeds)):
-        trial, J_opt = f"g{grid_index}.t{ti}", opt[k].total
+    for k, (ti, seed, W_opt, F_opt) in enumerate(zip(trials, seeds.tolist(), *opt)):
+        trial, J_opt = f"g{grid_index}.t{ti}", W_opt + F_opt
         if J_opt == 0:
             print(f"trial {trial}: {_ZERO_OPTIMUM}", file=sys.stderr)
             records.extend(_record(trial, seed, n, label) for label in labels)
             continue
-        records.extend(_record(trial, seed, n, label, c[k], J_opt)
-                       for label, c in zip(labels, costs))
+        for policy, alpha, W, F in costs:
+            J = W[k] + F[k]
+            records.append(TrialRecord(trial, seed, n, policy, alpha, J, W[k], F[k], J_opt,
+                                       J / J_opt))
     return records
 
 
@@ -362,6 +437,8 @@ def run_study(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if (horizon is None) == (n_values is None):
         raise ValueError("give exactly one of n_values or horizon")
     grid = [(n, rate) for n in (n_values if horizon is None else [None])
@@ -372,7 +449,7 @@ def run_study(
     for gi, (n, rate) in enumerate(grid):
         for lo in range(0, trials, _CHUNK):
             tasks.append((gi, n, rate, tuple(policies), cost_fn,
-                          lo, min(lo + _CHUNK, trials), seed, horizon))
+                          lo, min(lo + _CHUNK, trials), int(seed), horizon))
     parallel = parallelism > 1 and len(tasks) > 1
     records: list[TrialRecord] = []
     with (ProcessPoolExecutor(max_workers=parallelism) if parallel else nullcontext()) as pool:

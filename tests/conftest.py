@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dynbatch import ProblemInstance
+from dynbatch import ProblemInstance, ScheduleCost
+from dynbatch.instance import chunk_costs
 
 
 def random_instances(count: int, max_n: int = 14, seed: int = 0) -> list[ProblemInstance]:
@@ -35,6 +36,11 @@ def flat(ends, stamps):
     return (np.array([hi for e in ends for hi in e], dtype=np.intp),
             np.array([t for s in stamps for t in s], dtype=float),
             np.arange(len(counts)).repeat(counts))
+
+
+def row_costs(*args):
+    """chunk_costs(*args) as one ScheduleCost per row, as cost_of gives it."""
+    return [ScheduleCost(w, p, w + p) for w, p in zip(*chunk_costs(*args))]
 
 
 @pytest.fixture(scope="session")

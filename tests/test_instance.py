@@ -28,7 +28,7 @@ from dynbatch import (
 )
 from dynbatch.instance import chunk_costs
 
-from conftest import flat
+from conftest import flat, row_costs
 
 
 def singleton_batches(inst):
@@ -140,7 +140,7 @@ class TestChunkCosts:
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
         features = [inst.features for inst in insts]
-        assert chunk_costs(np.array(self.CHUNK), features, *flat(ends, stamps), f) == want
+        assert row_costs(np.array(self.CHUNK), features, *flat(ends, stamps), f) == want
 
     @pytest.mark.parametrize("batches", [
         pytest.param([Batch(1, 1, 0.0)], id="incomplete"),
@@ -172,7 +172,7 @@ class TestChunkCosts:
                 chunk_costs(*args)
             assert str(got.value) == str(exc)
         else:
-            assert chunk_costs(*args)[1] == reference_cost(inst, merged, SqrtCount())
+            assert row_costs(*args)[1] == reference_cost(inst, merged, SqrtCount())
 
 
     @pytest.mark.parametrize("order", [1, -1])
@@ -383,7 +383,7 @@ def test_pricing_matches_batch_by_batch_reference(insts, f):
         scheds = [Schedule.from_ends(e, s) for e, s in zip(ends, stamps)]
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
-        assert chunk_costs(a, features, *flat(ends, stamps), f) == want
+        assert row_costs(a, features, *flat(ends, stamps), f) == want
 
 
 def _reference_fault(inst, ends, stamps):

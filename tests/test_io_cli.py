@@ -149,6 +149,16 @@ class TestLoadArrivals:
         assert load_arrivals(p) == inst
 
 
+def _csv_writer_results(records, path):
+    """The results file as csv.writer writes it, row by row."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(io_csv.RESULTS_HEADER)
+        for r in records:
+            w.writerow([r.trial, r.seed, r.n, r.policy, "" if r.alpha is None else repr(r.alpha),
+                        repr(r.J), repr(r.W), repr(r.F), repr(r.J_opt), repr(r.ratio)])
+
+
 class TestResultsFile:
     def test_round_trip_identical(self, tmp_path):
         records = [
@@ -175,6 +185,43 @@ class TestResultsFile:
         write_results(records, p)
         for r in read_results(p):
             assert math.isclose(r.J, r.W + r.F, rel_tol=1e-9, abs_tol=1e-12)
+
+    def test_matches_csv_writer_bytes(self, tmp_path):
+        nan, inf = math.nan, math.inf
+        # Equal J_opt values held by distinct float objects, and 0.0 beside
+        # -0.0 in one trial and as one policy's alpha, where only the repr
+        # tells them apart.
+        j1, j2 = float("1.25"), float("1.25")
+        records = [
+            TrialRecord("g0.t0", 2**64 - 1, 30, "wta:0.5", 0.5, 1.5, 0.5, 1.0, j1, 1.2),
+            TrialRecord("g0.t0", 2**64 - 1, 30, "fixed-size:4", None, 2.5, 1.0, 1.5, j2, 2.0),
+            TrialRecord("g0.t1", 7, 30, "wta:0.5", 0.5, inf, inf, 1.0, 0.0, inf),
+            TrialRecord("g0.t1", 7, 30, "wta:0.5", -0.0, -inf, -0.0, -inf, -0.0, -inf),
+            TrialRecord("g0.t2", 8, 30, "wta:0.5", 0.5, nan, nan, nan, nan, nan),
+            TrialRecord("g0.t2", 8, 30, "fixed-size:4", None, nan, nan, nan, nan, nan),
+            TrialRecord('g1,"x".t0', 9, 4, 'my,"policy"', 2.0, 3.0, 1.0, 2.0, 1.5, 2.0),
+            TrialRecord('g1,"x".t0', 9, 4, "line\nbreak", 0.0, 3.0, 1.0, 2.0, 1.5, 2.0),
+            TrialRecord("g1.t1", 10, 4, "wta:0.5", 0.0, 3.0, 1.0, 2.0, 1.5, 2.0),
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_results(records, got)
+        _csv_writer_results(records, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert b'"g1,""x"".t0",9,4,"my,""policy""",2.0,' in got.read_bytes()
+        assert [repr(r) for r in read_results(got)] == [repr(r) for r in records]
+
+    def test_study_matches_csv_writer_bytes(self, tmp_path, capsys):
+        from dynbatch import ConstantRate, CountTable, FixedSize, Wta, run_study
+        # A short table fails some trials: NaN records among the others.
+        records = run_study(n_values=[5, 30], rates=[ConstantRate(2.0)],
+                            policies=[Wta(0.5), FixedSize(3)],
+                            cost_fn=CountTable(tuple(math.sqrt(k) for k in range(7))),
+                            trials=12, seed=4)
+        assert any(math.isnan(r.ratio) for r in records)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_results(records, got)
+        _csv_writer_results(records, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_rejects_wrong_header(self, tmp_path):
         p = tmp_path / "r.csv"
@@ -275,6 +322,13 @@ class TestCli:
         assert err == [*(f"trial g0.t{k}: ratio undefined: the optimal cost is 0"
                          for k in range(3)),
                        "chunk 1/1 done", "dynbatch: all records failed; nothing to summarize"]
+
+    def test_simulate_negative_seed_exits_1(self, capsys):
+        rc = cli_main(["simulate", "--cost", "sqrt", "--policy", "wta:0.5", "--n", "5",
+                       "--trials", "2", "--seed", "-1", "--parallelism", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "dynbatch: seed must be a non-negative integer, got -1\n")
 
     def test_simulate_needs_exactly_one_mode(self, capsys):
         assert cli_main(["simulate", "--cost", "sqrt", "--trials", "2"]) == 2

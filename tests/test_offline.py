@@ -31,8 +31,9 @@ from dynbatch import (
     schedule_from_dual,
 )
 from dynbatch import offline
-from dynbatch.instance import chunk_costs
 from dynbatch.sim import ConstantRate, SinusoidRate
+
+from conftest import row_costs
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 
@@ -390,7 +391,7 @@ def test_lockstep_sweep_matches_optimal_schedule(chunk, block_entries):
             ends, stamps, rows = offline.lockstep_ends(a, f)
             assert (np.diff(rows) >= 0).all(), f
             assert (stamps == a[rows, ends - 1]).all(), f
-            costs = chunk_costs(a, [inst.features for inst in chunk], ends, stamps, rows, f)
+            costs = row_costs(a, [inst.features for inst in chunk], ends, stamps, rows, f)
             for r, (cost, inst) in enumerate(zip(costs, chunk)):
                 sched = Schedule.from_ends(ends[rows == r].tolist(), stamps[rows == r].tolist())
                 assert (sched, cost) == optimal_schedule(inst, f), f

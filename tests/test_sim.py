@@ -225,6 +225,76 @@ class TestRunStudy:
                       cost_fn=SqrtCount(), trials=1, seed=0)
 
 
+def _trial_seed(master_seed, grid_index, trial_index):
+    """A trial's seed as numpy's own SeedSequence derives it."""
+    ss = np.random.SeedSequence((master_seed, grid_index, trial_index))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+class TestSeedsAndStreams:
+    """A chunk's seeds and PCG64 states, derived in one pass each, equal
+    SeedSequence's and default_rng's, trial by trial."""
+
+    # Masters of one, two and three entropy words, and their edges.
+    MASTERS = [0, 1, 5, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64,
+               2**64 + 5, 2**70, 2**96 + 3, 3**60]
+
+    def _triples(self):
+        rng = np.random.default_rng(16)
+        masters = self.MASTERS + [int(x) for x in rng.integers(0, 2**62, 6)]
+        for master in masters:
+            for gi, lo in [(0, 0), (0, 250), (3, 0), (11, 250)]:
+                yield master, gi, range(lo, lo + 125)
+
+    def test_chunk_seeds_match_seed_sequence(self):
+        count = 0
+        for master, gi, trials in self._triples():
+            got = sim._chunk_seeds(master, gi, trials)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [_trial_seed(master, gi, t) for t in trials], (master, gi)
+            count += len(trials)
+        assert count >= 10**4
+
+    def test_streams_match_default_rng(self):
+        seeds = [s for master, gi, trials in self._triples()
+                 for s in sim._chunk_seeds(master, gi, trials).tolist()]
+        # No derived seed is below 2^32: these are the one-word entropy tests.
+        seeds += [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+        got = sim._streams(np.array(seeds, dtype=np.uint64))
+        assert got == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+    def test_set_state_draws_the_seeds_stream(self):
+        seeds = [0, 2**32 - 1, 2**64 - 1, _trial_seed(7, 1, 300)]
+        rng = np.random.default_rng()
+        for seed, state in zip(seeds, sim._streams(np.array(seeds, dtype=np.uint64))):
+            rng.bit_generator.state = state
+            want = np.random.default_rng(seed).exponential(0.5, size=40)
+            assert rng.exponential(0.5, size=40).tolist() == want.tolist()
+
+    def test_large_masters_run_the_study(self):
+        for master in (2**64 + 5, 2**70):
+            records = run_study(n_values=[6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                                cost_fn=SqrtCount(), trials=3, seed=master)
+            assert [r.seed for r in records] == [_trial_seed(master, 0, t) for t in range(3)]
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None, np.float64(4.0)])
+    def test_bad_master_seed_fails_before_any_chunk(self, seed, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a chunk or a worker pool started")
+
+        monkeypatch.setattr(sim, "_run_chunk", never)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        with pytest.raises(ValueError) as exc:
+            run_study(n_values=[5, 6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                      cost_fn=SqrtCount(), trials=3, seed=seed, parallelism=2)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    def test_numpy_integer_master_seed(self):
+        kwargs = dict(n_values=[6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                      cost_fn=SqrtCount(), trials=3)
+        assert run_study(seed=np.uint64(9), **kwargs) == run_study(seed=9, **kwargs)
+
+
 def _per_trial_study(n_values, rate, policies, f, trials, seed):
     """run_study's records and stderr lines, one trial and one call at a time."""
     records, lines = [], []
@@ -236,7 +306,7 @@ def _per_trial_study(n_values, rate, policies, f, trials, seed):
 
     for gi, n in enumerate(n_values):
         for ti in range(trials):
-            trial, s = f"g{gi}.t{ti}", sim._trial_seed(seed, gi, ti)
+            trial, s = f"g{gi}.t{ti}", _trial_seed(seed, gi, ti)
             inst = gen_poisson(rate, n, s)
             try:
                 _, opt = optimal_schedule(inst, f)
