@@ -13,14 +13,19 @@ ratio from below.
 Only deterministic policies are meaningful here: the construction observes
 the policy's flush times as they happen, through its ``close`` rule.
 After each release it closes batches from the first sample of the open
-batch until one holds the release.  A batch closed while a later sample
-was already waiting is final, since each rule reads no arrival past the
-first one it leaves out.  The open batch is closed again after every
-release: ``FixedSize`` processes a trailing partial batch only because
-the arrivals end there.  The construction's work thus grows
-linearly with the rounds as long as the policy keeps flushing.  A release
-gap that rounds to zero against the last flush time is an input error: the
-release would join the flushed batch instead of following it.
+batch until one holds the release.  These closes are the policy's
+schedule on the realized instance, the one the report prices: a batch
+processed after its last arrival is final (see ``online``), since every
+rule reads only arrivals at or before its processing time and the next
+release comes strictly later.  Only an open batch processed at its own
+last arrival is closed again after a release: ``FixedSize`` processes a
+trailing partial batch there only because the arrivals end there, while a
+``FixedDelay(0)`` batch or a zero-cost ``Wta`` batch closes to itself
+again.  Every other sample is closed over once, so the construction's
+work grows linearly with the rounds as long as the policy keeps flushing.
+A release gap that rounds to zero against the last flush time is an
+input error: the release would join the flushed batch instead of
+following it.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, FeatureMultiset, batch_pairs, pair_ratios
-from .instance import ProblemInstance, Schedule, ScheduleCost
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 from .offline import optimal_schedule
-from .online import PolicyConfig, run_policy
+# run_policy is not called here, but perfbench/tracing.py wraps
+# ``adversary.run_policy`` by name and fails if the name is missing.
+from .online import PolicyConfig, run_policy  # noqa: F401
 
 __all__ = [
     "AdversaryConfig",
@@ -106,14 +113,17 @@ def run_adversary(
     realized instance with its cost ratios.
 
     Release j happens epsilon after the policy finished flushing release
-    j-1 (the first at epsilon); flush times are read off the policy's own
-    emitted schedules, which is all an adversary may observe.
+    j-1 (the first at epsilon); flush times are read off the batches the
+    policy closes, which is all an adversary may observe, and those
+    batches are the reported schedule.
     """
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(policy, f, cfg.x1)
-    times, feats, wave_last_index, flush_times = _realize_waves(policy, f, cfg, epsilon)
+    times, feats, wave_last_index, flush_times, ends, stamps = _realize_waves(
+        policy, f, cfg, epsilon)
 
     inst = ProblemInstance(tuple(times), tuple(feats))
-    sched, alg_cost = run_policy(inst, f, policy)
+    sched = Schedule.from_ends(ends, stamps)
+    alg_cost = cost_of(inst, sched, f)
     split_waves = _count_split_waves(sched, wave_last_index)
 
     f1 = f.value(cfg.x1)
@@ -155,55 +165,61 @@ def run_adversary(
 
 def _realize_waves(
     policy: PolicyConfig, f: CostFunction, cfg: AdversaryConfig, epsilon: float
-) -> tuple[list[float], list[int], list[int], list[float]]:
+) -> tuple[list[float], list[int], list[int], list[float], list[int], list[float]]:
     """Release the alternating groups, each ``epsilon`` after the policy
     flushed the previous one.
 
     Returns the arrival times and feature ids, the 1-based index of each
-    release's last sample, and each release's flush time.
+    release's last sample, each release's flush time, and the policy's
+    batches as ``flushes`` returns them: their last samples and times.
     """
     close = policy.close
+    groups = (_ids(cfg.x1), _ids(cfg.x2))
     times: list[float] = []
     feats: list[int] = []
     wave_last_index: list[int] = []
     flush_times: list[float] = []
-    lo = 0  # 0-based first sample of the open batch
-    t_prev = 0.0
+    ends: list[int] = []
+    stamps: list[float] = []
+    lo = hi = 0  # the open batch: samples lo..hi-1 (0-based)
+    t = 0.0
     for wave in range(2 * cfg.rounds):
-        group = cfg.x1 if wave % 2 == 0 else cfg.x2
-        release = t_prev + epsilon
-        if release == t_prev:
-            raise ValueError(f"epsilon {epsilon!r} rounds to zero after the flush at t={t_prev!r}")
-        _release(group, release, times, feats)
+        ids = groups[wave % 2]
+        release = t + epsilon
+        if release == t:
+            raise ValueError(f"epsilon {epsilon!r} rounds to zero after the flush at t={t!r}")
+        times.extend([release] * len(ids))
+        feats.extend(ids)
         n = len(times)
         wave_last_index.append(n)
-        hi, t = close(times, feats, f, lo)
+        if ends and t == times[hi - 1]:
+            # Processed at its own last arrival, the open batch may take
+            # the release: close it again.
+            del ends[-1], stamps[-1]
+            hi = lo
         while hi < n:
             lo = hi
             hi, t = close(times, feats, f, lo)
+            ends.append(hi)
+            stamps.append(t)
         if t - release > cfg.timeout:
             raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t)
-        t_prev = t
-    return times, feats, wave_last_index, flush_times
+    return times, feats, wave_last_index, flush_times, ends, stamps
 
 
 def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) -> float:
     """1e-6 times the policy's flush delay on a lone first group."""
-    times: list[float] = []
-    feats: list[int] = []
-    _release(x1, 0.0, times, feats)
+    feats = _ids(x1)
     # The group arrives at one instant, so every batch is processed at
     # the time of the first.
-    _, gap = policy.close(times, feats, f, 0)
+    _, gap = policy.close([0.0] * len(feats), feats, f, 0)
     return 1e-6 * gap if gap > 0 else 1e-6
 
 
-def _release(group: FeatureMultiset, t: float, times: list[float], feats: list[int]) -> None:
-    """Append every sample of ``group`` arriving at ``t``, feature by feature."""
-    for fid, mult in group.counts:
-        times.extend([t] * mult)
-        feats.extend([fid] * mult)
+def _ids(group: FeatureMultiset) -> list[int]:
+    """The feature id of every sample of ``group``, feature by feature."""
+    return [fid for fid, mult in group.counts for _ in range(mult)]
 
 
 def _count_split_waves(sched: Schedule, wave_last_index: list[int]) -> int:

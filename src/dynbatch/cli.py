@@ -26,7 +26,7 @@ from .io_csv import (
 )
 from .offline import brute_force_optimum, optimal_schedule
 from .online import PolicyConfig, Wta, parse_policy_spec, run_policy
-from .sim import parse_rate_spec, run_study, summarize
+from .sim import check_study_sizes, parse_rate_spec, run_study, summarize
 
 __all__ = ["cli_main", "main"]
 
@@ -122,6 +122,10 @@ def _cmd_simulate(args) -> int:
     if (args.horizon is None) == (args.n is None):
         raise UsageError("give exactly one of --n or --horizon")
     n_values = _parse_int_list(args.n) if args.n is not None else None
+    try:
+        check_study_sizes(n_values, args.trials)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     specs = args.policy if args.policy else ["wta"]
     policies = [_policy(s, args.alpha, f) for s in specs]
     records = run_study(

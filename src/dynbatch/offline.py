@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -252,39 +251,35 @@ def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarr
         yield lo, hi, e
 
 
-def _edge_rows(t: np.ndarray, f: CostFunction, widths: np.ndarray, prices=None,
-               reverse: bool = False):
-    """Yield (i, row) with row[d] = e(i+1, i+2+d) for every batch of samples
-    i+1..i+1+d (0-based i) of the arrival times ``t`` inside row i's window
-    of ``widths``, in ascending i, or in descending i if ``reverse``: the
-    entries of ``_blocks``, one row a step."""
+def _row_loop(t: np.ndarray, f: CostFunction, widths: np.ndarray, prices,
+              starts: list[int]) -> list[int]:
+    """pred[k] of the pieces that begin at flat samples ``starts`` of the
+    arrival times ``t``: the node k' < k after which the last batch of
+    the cheapest schedule up to node k starts.  Row i relaxes the batches
+    of samples i+1..i+1+d (0-based i) inside its window of ``widths``,
+    whose entries ``_blocks`` prices.  Distances start at 0 at the first
+    node of each piece."""
+    n = len(t)
     w_of = widths.tolist()
-    steps = np.arange(len(t) + 1)
-    for lo, hi, e in _blocks(t, widths, steps[:-1], steps, f, prices, reverse):
-        rows = e.T.tolist()
-        for i in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
-            yield i, rows[i - lo][:w_of[i]]
-
-
-def _row_loop(rows, lengths: list[int]) -> list[int]:
-    """pred[k] of consecutive pieces of ``lengths`` samples, from their edge
-    ``rows`` (see ``_edge_rows``): the node k' < k after which the last
-    batch of the cheapest schedule up to node k starts.  Distances start
-    at 0 at the first node of each piece."""
-    dist = [math.inf] * (sum(lengths) + 1)
-    pred = [0] * len(dist)
-    lo = 0
-    for length in lengths:
-        # Every batch into node lo has been relaxed: its pred is final.
-        dist[lo] = 0.0
-        for i, row in islice(rows, length):
+    first = set(starts)
+    dist = [math.inf] * (n + 1)
+    pred = [0] * (n + 1)
+    steps = np.arange(n + 1)
+    for lo, _, e in _blocks(t, widths, steps[:-1], steps, f, prices):
+        i = lo
+        for row in e.T.tolist():
+            if i in first:
+                # Every batch into node i has been relaxed: its pred is final.
+                dist[i] = 0.0
             base = dist[i]
-            for j, e in enumerate(row, i + 1):
-                cand = base + e
+            j = i
+            for e_ij in row[:w_of[i]]:
+                j += 1
+                cand = base + e_ij
                 if cand < dist[j]:
                     dist[j] = cand
                     pred[j] = i
-        lo += length
+            i += 1
     return pred
 
 
@@ -405,8 +400,7 @@ def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, n
         for lo, hi in zip(groups[:-1], groups[1:]):
             _lockstep(t, widths, starts[lo:hi], lengths[lo:hi], f, pred)
     else:
-        pred = np.array(_row_loop(_edge_rows(t, f, widths, prices), lengths.tolist()),
-                        dtype=np.intp)
+        pred = np.array(_row_loop(t, f, widths, prices, starts.tolist()), dtype=np.intp)
     # Row t's last node is the next row's first: give every row its own.
     pred = pred[1:].reshape(T, n) - np.arange(0, T * n, n)[:, None]
     return path_nodes(np.concatenate((np.zeros((T, 1), dtype=np.intp), pred), axis=1), n)
@@ -514,14 +508,20 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
     # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
     lam = [0.0] * (n + 1)
     succ = [0] * n
-    for i, row in _edge_rows(a, f, widths[0], prices, reverse=True):
-        best, arg = math.inf, i + 1
-        for j, e in enumerate(row, i + 1):
-            val = e / n + lam[j]
-            if val < best:
-                best, arg = val, j
-        lam[i] = best
-        succ[i] = arg + 1
+    w_of = widths[0].tolist()
+    steps = np.arange(n + 1)
+    for lo, hi, e in _blocks(a, widths[0], steps[:-1], steps, f, prices, reverse=True):
+        rows = e.T.tolist()
+        for i in range(hi - 1, lo - 1, -1):
+            best, arg = math.inf, i + 1
+            j = i
+            for e_ij in rows[i - lo][:w_of[i]]:
+                j += 1
+                val = e_ij / n + lam[j]
+                if val < best:
+                    best, arg = val, j
+            lam[i] = best
+            succ[i] = arg + 1
     return DualSolution(tuple(lam), tuple(succ))
 
 

@@ -6,7 +6,10 @@ Each policy is a frozen dataclass with one rule,
 rule reads only arrivals at or before ``t``, so every decision is online
 by construction.  The one exception is the end of the instance:
 ``FixedSize`` processes a trailing partial batch at the last arrival, a
-batch that more arrivals would have extended.
+batch that more arrivals would have extended.  So a batch processed
+after its last arrival is final: arrivals appended later than ``t`` leave
+it as it is.  Only a batch processed at its own last arrival may change
+when arrivals are appended, and the adversary closes such a batch again.
 ``flushes(times, features, f)`` is the one driver: it closes a batch,
 starts the next at the first sample left out, and so on to the end, and
 returns the batches as two lists, their last samples and their times.

@@ -414,6 +414,22 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
 _CHUNK = 250
 
 
+def _check_whole(name: str, value, least: int) -> None:
+    """Raise a one-line ValueError unless ``value`` is an integer, not a
+    bool, of at least ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def check_study_sizes(n_values: Sequence[int] | None, trials: int) -> None:
+    """Raise ``run_study``'s one-line ValueError unless ``trials`` and every
+    sample count in ``n_values`` (if given) is a positive integer."""
+    _check_whole("trials", trials, 1)
+    for n in () if n_values is None else n_values:
+        _check_whole("n", n, 1)
+
+
 def run_study(
     *,
     rates: Sequence[RateFunction],
@@ -433,12 +449,12 @@ def run_study(
     Records come back in grid-then-trial-then-policy order and are
     bit-identical for a given configuration regardless of ``parallelism``.
     A failing trial contributes NaN records (reported on stderr) without
-    aborting the study.
+    aborting the study.  A sample count, trial count or master seed that
+    is not a whole number in range raises a one-line ValueError before
+    any trial runs.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_study_sizes(n_values, trials)
+    _check_whole("seed", seed, 0)
     if (horizon is None) == (n_values is None):
         raise ValueError("give exactly one of n_values or horizon")
     grid = [(n, rate) for n in (n_values if horizon is None else [None])

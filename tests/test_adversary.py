@@ -9,6 +9,7 @@ from dynbatch import (
     CappedLinear,
     ConstantCost,
     CountTable,
+    CustomSetFunction,
     FeatureMultiset,
     FixedDelay,
     FixedSize,
@@ -124,7 +125,8 @@ class TestRunAdversary:
 
 def _prefix_replay_waves(policy, f, cfg, epsilon):
     """Reference for ``adversary._realize_waves``: re-run the policy on the
-    whole growing prefix after every release."""
+    whole growing prefix after every release.  The batches are those of
+    the last run, on the whole instance."""
     times, feats, wave_last_index, flush_times = [], [], [], []
     t_prev = 0.0
     for wave in range(2 * cfg.rounds):
@@ -140,23 +142,47 @@ def _prefix_replay_waves(policy, f, cfg, epsilon):
             raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t_j)
         t_prev = t_j
-    return times, feats, wave_last_index, flush_times
+    return times, feats, wave_last_index, flush_times, list(sched.ends), list(sched.stamps)
+
+
+#: Feature-dependent: one per distinct feature plus sqrt of the size, so
+#: ``Wta`` prices its pending batch as a multiset.
+DISTINCT_SQRT = CustomSetFunction(lambda x: len(x.counts) + math.sqrt(len(x)), universe_size=2,
+                                  name="distinct+sqrt")
+
+
+def _count_closes(monkeypatch, policy_class):
+    """The sizes of the batches that ``policy_class.close`` returns from now on."""
+    closed = []
+    close = policy_class.close
+
+    def counting_close(self, times, features, f, lo):
+        hi, t = close(self, times, features, f, lo)
+        closed.append(hi - lo)
+        return hi, t
+
+    monkeypatch.setattr(policy_class, "close", counting_close)
+    return closed
 
 
 class TestOpenBatchReplay:
     @pytest.mark.parametrize("policy", [Wta(0.5), Wta(3.0), FixedSize(3), FixedDelay(0.3),
                                         FixedDelay(0.0)], ids=lambda p: p.spec_string())
-    @pytest.mark.parametrize("f", [ConstantCost(1), SqrtCount()], ids=lambda f: f.spec_string())
+    @pytest.mark.parametrize("f", [ConstantCost(1), SqrtCount(), DISTINCT_SQRT],
+                             ids=lambda f: f.spec_string())
     def test_matches_whole_prefix_replay(self, policy, f, monkeypatch):
         # epsilon 1e-30 rounds to zero against the first flush time of a
         # policy that waits, which is an input error; fixed-size:3 and
         # fixed-delay:0 flush at release instants, where it never rounds.
         waits = policy.spec_string() not in ("fixed-size:3", "fixed-delay:0")
-        for sizes in ((1, 1), (2, 3)):
+        if f.count_based:
+            groups = [(FeatureMultiset.of_size(1), FeatureMultiset.of_size(1)),
+                      (FeatureMultiset.of_size(2), FeatureMultiset.of_size(3))]
+        else:
+            groups = [(FeatureMultiset.of_size(1, 0), FeatureMultiset.of_size(1, 1))]
+        for x1, x2 in groups:
             for epsilon in (1e-6, None, 1e-30, 0.7):
-                cfg = AdversaryConfig(FeatureMultiset.of_size(sizes[0]),
-                                      FeatureMultiset.of_size(sizes[1]), rounds=20,
-                                      epsilon=epsilon)
+                cfg = AdversaryConfig(x1, x2, rounds=20, epsilon=epsilon)
                 if epsilon == 1e-30 and waits:
                     with pytest.raises(ValueError,
                                        match=r"^epsilon 1e-30 rounds to zero after the flush at t=\S+$"):
@@ -166,28 +192,32 @@ class TestOpenBatchReplay:
                 with monkeypatch.context() as m:
                     m.setattr(adversary, "_realize_waves", _prefix_replay_waves)
                     expected = run_adversary(policy, f, cfg)
-                assert rep == expected, (sizes, epsilon)
+                assert rep == expected, (x1, x2, epsilon)
                 # split_waves by its definition: a batch ends inside a release
-                lasts = list(itertools.accumulate(sizes * cfg.rounds))
+                lasts = list(itertools.accumulate((len(x1), len(x2)) * cfg.rounds))
                 firsts = [1] + [last + 1 for last in lasts[:-1]]
                 assert rep.split_waves == sum(
                     any(lo <= b.hi < last for b in rep.schedule.batches)
                     for lo, last in zip(firsts, lasts))
 
     def test_replay_work_is_linear_in_rounds(self, monkeypatch):
-        # Samples closed over, not wall time: the count is exact on any host.
-        # The final full run closes every sample once more.
-        closed = []
-        close = Wta.close
-
-        def counting_close(self, times, features, f, lo):
-            hi, t = close(self, times, features, f, lo)
-            closed.append(hi - lo)
-            return hi, t
-
-        monkeypatch.setattr(Wta, "close", counting_close)
+        # Samples closed over, not wall time: the count is exact on any
+        # host.  Every wta batch here is processed after its last arrival,
+        # so it is final when closed: each sample is closed over once.
+        closed = _count_closes(monkeypatch, Wta)
         rep = run_adversary(Wta(0.5), ConstantCost(1), config(400))
-        assert sum(closed) <= 3 * rep.instance.n
+        assert sum(closed) == rep.instance.n
+
+    def test_batches_processed_at_their_last_arrival_are_closed_again(self, monkeypatch):
+        # A fixed-size:3 batch is processed at its last arrival, so each
+        # release closes the open batch again, and one more sample: a full
+        # batch's samples are closed over 1 + 2 + 3 times while it fills
+        # and 3 more times at the release after it.
+        closed = _count_closes(monkeypatch, FixedSize)
+        rep = run_adversary(FixedSize(3), ConstantCost(1), config(300))
+        batches = rep.schedule.m
+        assert rep.instance.n == 3 * batches
+        assert sum(closed) == 6 * batches + 3 * (batches - 1)
 
 
 class TestWorstPairSearch:
@@ -206,7 +236,6 @@ class TestWorstPairSearch:
         assert len(x1) == len(x2) == 4
 
     def test_custom_set_function_sampled(self):
-        from dynbatch import CustomSetFunction
         f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3)
         _, _, bound = worst_pair_search(f, 16, samples=500, seed=7)
         assert 1.0 <= bound <= math.sqrt(2) + 1e-9

@@ -330,6 +330,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             "dynbatch: seed must be a non-negative integer, got -1\n")
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n", "0", "n must be a positive integer, got 0"),
+        ("--n", "5,-2", "n must be a positive integer, got -2"),
+        ("--trials", "0", "trials must be a positive integer, got 0"),
+    ])
+    def test_simulate_bad_size_exits_2_with_the_reason(self, flag, value, message, capsys):
+        argv = ["simulate", "--cost", "sqrt", "--n", "5", "--trials", "2"]
+        argv[argv.index(flag) + 1] = value
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"dynbatch: {message}\n"
+
     def test_simulate_needs_exactly_one_mode(self, capsys):
         assert cli_main(["simulate", "--cost", "sqrt", "--trials", "2"]) == 2
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5",

@@ -289,6 +289,33 @@ class TestSeedsAndStreams:
                       cost_fn=SqrtCount(), trials=3, seed=seed, parallelism=2)
         assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
 
+    @pytest.mark.parametrize("n_values,trials,name,bad", [
+        ([0], 3, "n", 0),
+        ([5, -3], 3, "n", -3),
+        ([2.5], 3, "n", 2.5),
+        ([True], 3, "n", True),
+        ([5], 0, "trials", 0),
+        ([5], 2.5, "trials", 2.5),
+        ([5], True, "trials", True),
+        ([5], np.float64(3.0), "trials", np.float64(3.0)),
+    ])
+    def test_bad_sizes_fail_before_any_chunk(self, n_values, trials, name, bad, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a chunk or a worker pool started")
+
+        monkeypatch.setattr(sim, "_run_chunk", never)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        with pytest.raises(ValueError) as exc:
+            run_study(n_values=n_values, rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                      cost_fn=SqrtCount(), trials=trials, seed=1, parallelism=2)
+        assert str(exc.value) == f"{name} must be a positive integer, got {bad!r}"
+
+    def test_numpy_integer_sizes(self):
+        kwargs = dict(rates=[ConstantRate(2.0)], policies=[Wta(0.5)], cost_fn=SqrtCount(),
+                      seed=4)
+        assert (run_study(n_values=np.array([6, 7]), trials=np.int64(3), **kwargs)
+                == run_study(n_values=[6, 7], trials=3, **kwargs))
+
     def test_numpy_integer_master_seed(self):
         kwargs = dict(n_values=[6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=3)
