@@ -26,7 +26,7 @@ from .io_csv import (
 )
 from .offline import brute_force_optimum, optimal_schedule
 from .online import PolicyConfig, Wta, parse_policy_spec, run_policy
-from .sim import check_study_sizes, parse_rate_spec, run_study, summarize
+from .sim import check_study_args, parse_rate_spec, run_study, summarize
 
 __all__ = ["cli_main", "main"]
 
@@ -123,7 +123,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError("give exactly one of --n or --horizon")
     n_values = _parse_int_list(args.n) if args.n is not None else None
     try:
-        check_study_sizes(n_values, args.trials)
+        check_study_args(n_values, args.trials, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     specs = args.policy if args.policy else ["wta"]
@@ -246,3 +246,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

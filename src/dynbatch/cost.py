@@ -21,9 +21,13 @@ size.
 A ``FeatureMultiset`` is validated once, when it is built from a counts
 tuple, and that check also sets its ``size``.  ``FeatureMultiset.plus``
 adds one sample by sorted insertion, so the multiset it returns is
-canonical by construction and is not validated again: ``prefix_costs``,
-the waiting policy and the offline solver's set-function windows grow one
-multiset a sample at a time instead of rebuilding it for every prefix.
+canonical by construction and is not validated again: ``prefix_costs``
+and the waiting policy grow one multiset a sample at a time instead of
+rebuilding it for every prefix, and the offline solver's set-function
+windows grow theirs the same way inline.  A multiset has two slots and no
+``__dict__``; a grown one is made with ``object.__new__`` and the slots'
+own setters, so growing costs no dataclass ``__init__`` or frozen
+``__setattr__``.
 
 ``batch_pairs`` is the one scan over pairs of batches (X, Y) behind
 admissibility validation, the curvature search and the adversary's
@@ -67,7 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureMultiset:
     """Multiset of feature ids, stored as a sorted (id, multiplicity) tuple.
 
@@ -122,13 +126,15 @@ class FeatureMultiset:
         counts = self.counts
         k = bisect_left(counts, (fid,))
         if k < len(counts) and counts[k][0] == fid:
-            counts = counts[:k] + ((fid, counts[k][1] + 1),) + counts[k + 1:]
+            grown = list(counts)
+            grown[k] = (fid, counts[k][1] + 1)
+            counts = tuple(grown)
         else:
             counts = counts[:k] + ((fid, 1),) + counts[k:]
-        grown = object.__new__(FeatureMultiset)
-        object.__setattr__(grown, "counts", counts)
-        object.__setattr__(grown, "size", self.size + 1)
-        return grown
+        x = object.__new__(FeatureMultiset)
+        _set_counts(x, counts)
+        _set_size(x, self.size + 1)
+        return x
 
     def union(self, other: "FeatureMultiset") -> "FeatureMultiset":
         c = Counter(dict(self.counts))
@@ -140,6 +146,12 @@ class FeatureMultiset:
         """True if ``other`` is a sub-multiset of self."""
         mine = dict(self.counts)
         return all(mine.get(fid, 0) >= mult for fid, mult in other.counts)
+
+
+#: Setters of the two slots, past the frozen ``__setattr__``: for multisets
+#: canonical by construction, as ``plus`` builds them.
+_set_counts = FeatureMultiset.counts.__set__
+_set_size = FeatureMultiset.size.__set__
 
 
 class CostFunction:

@@ -1,7 +1,10 @@
 """Problem instances, batching schedules, and objective evaluation.
 
 An instance is a time-sorted sequence of samples, each carrying a feature
-id.  A schedule partitions the samples, in arrival order, into consecutive
+id.  It checks its times in one array pass and keeps that array,
+read-only, as ``times_array``: the loader and the generators hand in the
+array they already hold, and the solvers and ``cost_of`` read it.  A
+schedule partitions the samples, in arrival order, into consecutive
 batches processed at strictly increasing times, no earlier than the last
 arrival of each batch.  The objective is the per-sample average waiting
 time plus the per-sample average batch processing cost.
@@ -20,9 +23,10 @@ All types are immutable after construction; the operations are pure.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from contextlib import suppress
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
 
@@ -55,25 +59,61 @@ class ProblemInstance:
 
     Sample indices are 1-based throughout the package, matching the node
     numbering of the offline shortest-path graph.
+
+    The times are checked in one array pass, and that array is kept as
+    ``times_array``: read-only, C-contiguous, and the one that every solver
+    and ``cost_of`` reads.  It takes no part in equality, hashing or
+    the repr.  A bad time raises the error of the first fault met reading
+    the times in order.
     """
 
     times: tuple[float, ...]
     features: tuple[int, ...]
+    times_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.times) == 0:
+        self._check(None)
+
+    @classmethod
+    def _of_array(cls, a: np.ndarray, features: tuple[int, ...]) -> "ProblemInstance":
+        """The instance of the float array ``a``, checked as the constructor
+        checks its times and kept as ``times_array``.  ``a`` must own its
+        data: it is made read-only, not copied."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "times", tuple(a.tolist()))
+        object.__setattr__(inst, "features", features)
+        inst._check(a)
+        return inst
+
+    def _check(self, a: np.ndarray | None) -> None:
+        """Validate the instance, with its times as the array ``a`` if given,
+        and keep that array."""
+        times = self.times
+        if len(times) == 0:
             raise ValueError("empty instance")
-        if len(self.times) != len(self.features):
+        if len(times) != len(self.features):
             raise ValueError("times and features must have equal length")
-        prev = 0.0
-        for t in self.times:
-            if not math.isfinite(t) or t < 0:
-                raise ValueError(f"arrival times must be finite and non-negative, got {t!r}")
-            if t < prev:
-                raise ValueError("arrival times must be non-decreasing")
-            prev = t
-        if any(v < 0 for v in self.features):
+        error = None
+        if a is None:
+            try:
+                a = np.frombuffer(array("d", times))
+            except (TypeError, OverflowError) as exc:
+                # A time that is no real number: the times before it come first.
+                error, reals = exc, array("d")
+                with suppress(TypeError, OverflowError):
+                    reals.extend(times)
+                a = np.frombuffer(reals)
+        _check_times(times, a)
+        if error is not None:
+            raise error
+        if min(self.features) < 0:
             raise ValueError("feature ids must be non-negative")
+        a.flags.writeable = False
+        object.__setattr__(self, "times_array", a)
+
+    def __reduce__(self):
+        # Rebuilt by the constructor, so a copy's array is checked and read-only.
+        return ProblemInstance, (self.times, self.features)
 
     @staticmethod
     def from_times(times, feature: int = 0) -> "ProblemInstance":
@@ -84,12 +124,24 @@ class ProblemInstance:
     def n(self) -> int:
         return len(self.times)
 
-    @cached_property
-    def times_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
-
     def shifted(self, delta: float) -> "ProblemInstance":
-        return ProblemInstance(tuple(t + delta for t in self.times), self.features)
+        return ProblemInstance._of_array(self.times_array + delta, self.features)
+
+
+def _check_times(times: Sequence[float], a: np.ndarray) -> None:
+    """Raise unless the float array ``a`` of ``times`` is finite,
+    non-negative and non-decreasing, with the error of the first of
+    ``times`` that is not: a scan in order that compares each time with
+    the one before it, the first with 0."""
+    # Each time lies between the first and the last, and NaN fails every
+    # comparison, so three comparisons cover all four conditions.
+    if a.size and not (a[0] >= 0 and a[-1] < math.inf and (a[1:] >= a[:-1]).all()):
+        bad = ~(a >= 0) | (a == math.inf)
+        bad[1:] |= a[1:] < a[:-1]
+        t = times[bad.argmax()]
+        if not math.isfinite(t) or t < 0:
+            raise ValueError(f"arrival times must be finite and non-negative, got {t!r}")
+        raise ValueError("arrival times must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -121,12 +173,12 @@ class Schedule:
         increasing processing times, and never process a sample before it
         arrives.
         """
-        _checked(inst.times_array[None], *self._arrays())
+        _checked(inst.times_array[None], *self._arrays(), 0)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The ends and stamps as the arrays ``_checked`` reads, on row 0."""
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends and stamps as the arrays ``_checked`` reads."""
         m = len(self.ends)
-        return np.fromiter(self.ends, np.intp, m), np.fromiter(self.stamps, float, m), 0
+        return np.fromiter(self.ends, np.intp, m), np.fromiter(self.stamps, float, m)
 
     @staticmethod
     def from_ends(ends: Sequence[int], stamps: Sequence[float]) -> "Schedule":
@@ -160,8 +212,15 @@ class ScheduleCost:
 def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> ScheduleCost:
     """Objective value of ``sched`` on ``inst`` under cost function ``f``:
     one row of ``chunk_costs``, with the batches taken as given, unmerged."""
+    return _row_cost(inst, *sched._arrays(), f)
+
+
+def _row_cost(inst: ProblemInstance, hi: np.ndarray, t: np.ndarray,
+              f: CostFunction) -> ScheduleCost:
+    """``cost_of`` the batches of ``inst`` that end at samples hi[k]
+    (1-based) and are processed at t[k], given as arrays."""
     a = inst.times_array[None]
-    sizes, waits = _checked(a, *sched._arrays())
+    sizes, waits = _checked(a, hi, t, 0)
     (waiting,), (processing,) = _row_costs(a, [inst.features], waits, sizes, [len(sizes)], f)
     return ScheduleCost(waiting, processing, waiting + processing)
 

@@ -59,13 +59,17 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
             raise ValueError(f"{path}: line 1: expected header 'time[,feature]', got {header!r}")
         body = fh.read()
     rows = _parsed(body)
-    times, features = _read_rows(path, body) if rows is None else (rows["t"], rows["f"].tolist())
-    t = np.asarray(times, dtype=float)
+    if rows is None:
+        times, features = _read_rows(path, body)
+        t = np.array(times)
+    else:
+        # Copies out of the parsed rows, so the instance holds no view of them.
+        t, features = rows["t"].copy(), rows["f"].tolist()
     if (t[1:] < t[:-1]).any():
         warnings.warn(f"{path}: arrivals not sorted by time; sorting", stacklevel=2)
         order = np.argsort(t, kind="stable")
         t, features = t[order], [features[i] for i in order.tolist()]
-    return ProblemInstance(tuple(t.tolist()), tuple(features))
+    return ProblemInstance._of_array(t, tuple(features))
 
 
 def _parsed(body: str) -> np.ndarray | None:

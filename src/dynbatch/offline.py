@@ -50,13 +50,15 @@ enumeration of all consecutive partitions for small n, which prunes nothing.
 from __future__ import annotations
 
 import math
+import warnings
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset
-from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
+from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size
+from .instance import ProblemInstance, Schedule, ScheduleCost, _row_cost, cost_of, path_nodes
 
 __all__ = [
     "EdgeWeightOracle",
@@ -141,24 +143,36 @@ def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, 
     batches: f(v_{i+1}..v_{i+1+d}) at prices[o_i + d] for d < w[0, i], o_i
     the sum of the widths before row i.
 
-    Row i grows its prefix multiset one sample at a time and prices each
-    prefix once.  It stops at the first arrival past its reach, the least
-    term a_k + f(first m) / m so far, with k = i + m - 1 and the slack and
-    margin of ``_WINDOW_SLACK``.  Its first sample is always in, so every
-    row keeps its singleton edge.  A NaN first term leaves the row
-    unbounded, as a NaN f(1) leaves every row of ``_window_widths``; a
-    NaN later term bounds nothing.
+    Row i grows its prefix multiset one sample at a time, inline, as
+    ``FeatureMultiset.plus`` does, and prices each prefix once.  It stops
+    at the first arrival past its reach, the least term a_k + f(first m) / m
+    so far, with k = i + m - 1 and the slack and margin of
+    ``_WINDOW_SLACK``.  Its first sample is always in, so every row keeps
+    its singleton edge.  A NaN first term leaves the row unbounded, as a
+    NaN f(1) leaves every row of ``_window_widths``; a NaN later term
+    bounds nothing.
     """
     times = a.tolist()
     margins = (4 * np.spacing(a)).tolist()
     n, scale = len(times), 1 + _WINDOW_SLACK
-    value, plus, empty = f.value, FeatureMultiset.plus, FeatureMultiset.empty()
+    value, new, multiset, set_counts, set_size = (f.value, object.__new__, FeatureMultiset,
+                                                  _set_counts, _set_size)
     # The prices as raw doubles: no float object is kept per price.
     widths, prices = [], array("d")
     for i in range(n):
-        x, reach, k = empty, math.inf, i
+        counts, reach, k = (), math.inf, i
         while k < n and not times[k] > reach:
-            x = plus(x, features[k])
+            fid = features[k]
+            j = bisect_left(counts, (fid,))
+            if j < len(counts) and counts[j][0] == fid:
+                grown = list(counts)
+                grown[j] = (fid, counts[j][1] + 1)
+                counts = tuple(grown)
+            else:
+                counts = counts[:j] + ((fid, 1),) + counts[j:]
+            x = new(multiset)
+            set_counts(x, counts)
+            set_size(x, k + 1 - i)
             price = value(x)
             prices.append(price)
             term = times[k] + price / (k + 1 - i) * scale + margins[k]
@@ -172,10 +186,48 @@ def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, 
 def _windows(a: np.ndarray, f: CostFunction, features=None):
     """The (T, n) window widths of the arrival times ``a`` under ``f``, and
     the prices that ``_blocks`` reads for a set function: ``_set_windows``
-    of the one row's feature ids ``features``, or None for a count cost."""
+    of the one row's feature ids ``features``, or None for a count cost.
+    Warns if ``f`` is not monotone on them (``_warn_unless_monotone``)."""
     if f.count_based:
-        return _window_widths(a, f), None
-    return _set_windows(a[0], f, features)
+        widths, prices = _window_widths(a, f), None
+    else:
+        widths, prices = _set_windows(a[0], f, features)
+    _warn_unless_monotone(f, widths, prices)
+    return widths, prices
+
+
+def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices) -> None:
+    """Warn where a batch that the solve prices costs less, by more than
+    _WINDOW_SLACK relative, than the batch of its first samples but one.
+    Outside Assumption 1 the windows, not the cost, can then decide the
+    schedule.  The prices checked are those the solve reads anyway: a set
+    function's ``prices`` row by row, or a count cost's g(0..w) for the
+    widest window w; the check calls ``f`` no more.  One warning per
+    solve, for the first such batch, naming its first sample and size."""
+    n = widths.shape[1]
+    widths = widths.ravel()
+    count = prices is None
+    if count:
+        prices = f.count_table(int(widths.max()))
+        first = np.zeros(1, dtype=np.intp)
+    else:
+        first = np.cumsum(widths) - widths
+    # drop[k]: prices[k + 1] is a batch one sample larger than prices[k].
+    drop = prices[1:] < prices[:-1] - _WINDOW_SLACK * np.abs(prices[:-1])
+    drop[first[1:] - 1] = False
+    if not drop.any():
+        return
+    k = int(drop.argmax()) + 1
+    if count:
+        size, i = k, int(np.argmax(widths >= k)) % n
+    else:
+        i = int(np.searchsorted(first, k, side="right")) - 1
+        size = k - int(first[i]) + 1
+    warnings.warn(
+        f"cost is not monotone: the batch of {size} samples from sample {i + 1} costs "
+        f"{float(prices[k])!r}, less than the {float(prices[k - 1])!r} of its first {size - 1}; "
+        "the solver's windows assume a monotone cost (Assumption 1), so the schedule may "
+        "not be optimal", RuntimeWarning)
 
 
 def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,9 +471,13 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     pieces before it cost; distances carried across pieces could round it
     the other way.
     """
-    ends = _sweep(inst.times_array[None], f, inst.features)[1].tolist()
-    sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
-    return sched, cost_of(inst, sched, f)
+    a = inst.times_array
+    ends = _sweep(a[None], f, inst.features)[1]
+    stamps = a[ends - 1]
+    # Coincident batches merge, as by ``Schedule.from_ends``.
+    keep = np.append(stamps[1:] != stamps[:-1], True)
+    ends, stamps = ends[keep], stamps[keep]
+    return Schedule(tuple(ends.tolist()), tuple(stamps.tolist())), _row_cost(inst, ends, stamps, f)
 
 
 def lockstep_ends(a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

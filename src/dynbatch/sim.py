@@ -176,10 +176,10 @@ def _instance(
 ) -> ProblemInstance:
     """``times`` with ``feature`` on every sample, or features drawn by the
     sampler in arrival order from the same generator."""
-    times = np.asarray(times, dtype=float).tolist()
-    feats = ((feature,) * len(times) if feature_sampler is None
-             else tuple(int(feature_sampler(rng, t)) for t in times))
-    return ProblemInstance(tuple(times), feats)
+    a = np.asarray(times, dtype=float)
+    feats = ((feature,) * len(a) if feature_sampler is None
+             else tuple(int(feature_sampler(rng, t)) for t in a.tolist()))
+    return ProblemInstance._of_array(a, feats)
 
 
 def _poisson_times(rate: RateFunction, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -422,12 +422,14 @@ def _check_whole(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
-def check_study_sizes(n_values: Sequence[int] | None, trials: int) -> None:
+def check_study_args(n_values: Sequence[int] | None, trials: int, seed: int) -> None:
     """Raise ``run_study``'s one-line ValueError unless ``trials`` and every
-    sample count in ``n_values`` (if given) is a positive integer."""
+    sample count in ``n_values`` (if given) is a positive integer and the
+    master ``seed`` a non-negative one."""
     _check_whole("trials", trials, 1)
     for n in () if n_values is None else n_values:
         _check_whole("n", n, 1)
+    _check_whole("seed", seed, 0)
 
 
 def run_study(
@@ -453,8 +455,7 @@ def run_study(
     is not a whole number in range raises a one-line ValueError before
     any trial runs.
     """
-    check_study_sizes(n_values, trials)
-    _check_whole("seed", seed, 0)
+    check_study_args(n_values, trials, seed)
     if (horizon is None) == (n_values is None):
         raise ValueError("give exactly one of n_values or horizon")
     grid = [(n, rate) for n in (n_values if horizon is None else [None])

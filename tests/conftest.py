@@ -29,6 +29,15 @@ def random_instances(count: int, max_n: int = 14, seed: int = 0) -> list[Problem
     return out
 
 
+def assert_times_array(inst: ProblemInstance) -> None:
+    """``inst.times_array`` is the read-only, C-contiguous float array of its
+    times, and holds no view of another array."""
+    a = inst.times_array
+    assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+    assert not isinstance(a.base, np.ndarray)
+    np.testing.assert_array_equal(a, np.asarray(inst.times, dtype=float))
+
+
 def flat(ends, stamps):
     """Per-row lists of batch ends and stamps as the flat (ends, stamps,
     rows) arrays that chunk_costs reads and flushes_all returns."""

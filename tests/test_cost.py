@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import warnings
@@ -57,6 +58,32 @@ class TestFeatureMultiset:
             y = pickle.loads(pickle.dumps(x, protocol))
             assert y == x and hash(y) == hash(x)
             assert y.size == x.size == len(y)
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy"])
+    def test_copies_keep_size_and_equality(self, how):
+        for x in (ms(3, 1, 3), FeatureMultiset.empty().plus(3).plus(1).plus(3),
+                  FeatureMultiset.empty()):
+            y = getattr(copy, how)(x)
+            assert y == x and hash(y) == hash(x)
+            assert y.size == x.size == len(y)
+
+    def test_is_frozen_with_two_slots(self):
+        x = ms(1, 0, 1)
+        assert not hasattr(x, "__dict__")
+        for attr, value in (("counts", ()), ("size", 0), ("other", 1)):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(x, attr, value)
+        assert (x.counts, x.size) == (((0, 1), (1, 2)), 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=20))
+    def test_plus_grows_the_canonical_multiset(self, fids):
+        x = FeatureMultiset.empty()
+        for k, fid in enumerate(fids):
+            x = x.plus(fid)
+            want = FeatureMultiset.from_features(fids[:k + 1])
+            assert x == want and hash(x) == hash(want)
+            assert (x.counts, x.size, repr(x)) == (want.counts, want.size, repr(want))
 
     def test_invalid(self):
         with pytest.raises(ValueError):

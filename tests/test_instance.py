@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -28,7 +30,7 @@ from dynbatch import (
 )
 from dynbatch.instance import chunk_costs
 
-from conftest import flat, row_costs
+from conftest import assert_times_array, flat, row_costs
 
 
 def singleton_batches(inst):
@@ -46,7 +48,122 @@ def reference_cost(inst, sched, f):
     return ScheduleCost(waiting, processing, waiting + processing)
 
 
+def _reference_check(times, features):
+    """The constructor's checks as a scan in order: the reference that the
+    one-pass array check must match, error for error."""
+    if len(times) == 0:
+        raise ValueError("empty instance")
+    if len(times) != len(features):
+        raise ValueError("times and features must have equal length")
+    prev = 0.0
+    for t in times:
+        if not math.isfinite(t) or t < 0:
+            raise ValueError(f"arrival times must be finite and non-negative, got {t!r}")
+        if t < prev:
+            raise ValueError("arrival times must be non-decreasing")
+        prev = t
+    if any(v < 0 for v in features):
+        raise ValueError("feature ids must be non-negative")
+
+
+def _outcome(fn, *args):
+    """The exception type and message ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _zeros(*times):
+    """``times`` with feature 0 on every sample, as constructor arguments."""
+    return times, (0,) * len(times)
+
+
+BAD_INSTANCES = {
+    "nan": _zeros(0.5, math.nan, 1.0),
+    "nan-first": _zeros(math.nan, 1.0),
+    "inf": _zeros(0.0, math.inf),
+    "inf-then-less": _zeros(1.0, math.inf, 2.0),
+    "minus-inf": _zeros(-math.inf, 1.0),
+    "negative": _zeros(-1.0),
+    "negative-later": _zeros(0.0, 2.0, -1.0),
+    "decrease": _zeros(0.0, 2.0, 1.0),
+    "decrease-then-nan": _zeros(2.0, 1.0, math.nan),
+    "nan-after-decrease": _zeros(1.0, math.nan, 0.5),
+    "negative-int": _zeros(-1, 2),
+    "int-decrease": _zeros(3, 2),
+    "numpy-nan": _zeros(np.float64(1.0), np.float64(math.nan)),
+    "numpy-negative": _zeros(np.float32(-0.5)),
+    "numpy-int-decrease": _zeros(np.int64(3), np.int64(-1)),
+    "negative-zero-after-positive": _zeros(1.0, -0.0),
+    "not-a-number": _zeros(0.0, "x"),
+    "negative-before-not-a-number": _zeros(-1.0, "x"),
+    "none": _zeros(None),
+    "huge-int": _zeros(10**400),
+    "length": ((1.0, 2.0), (0,)),
+    "empty": ((), ()),
+    "negative-feature": ((1.0,), (-1,)),
+    "time-before-feature": ((2.0, 1.0), (-1, 0)),
+}
+
+GOOD_INSTANCES = {
+    "negative-zero": _zeros(-0.0, 0.0, -0.0),
+    "ints": _zeros(0, 1, 1, 5),
+    "numpy-scalars": _zeros(np.float32(0.25), np.float64(0.5), np.int64(2)),
+    "bool": _zeros(False, True),
+    "coincident": _zeros(*(2.0,) * 4),
+    "epoch-scale": _zeros(1.7e9, 1.7e9 + 1e-6),
+    "subnormal": _zeros(0.0, 5e-324),
+}
+
+
 class TestProblemInstance:
+    @pytest.mark.parametrize("case", [*BAD_INSTANCES, *GOOD_INSTANCES])
+    def test_check_matches_the_scan_in_order(self, case):
+        args = {**BAD_INSTANCES, **GOOD_INSTANCES}[case]
+        want = _outcome(_reference_check, *args)
+        assert _outcome(ProblemInstance, *args) == want
+        assert (want is None) == (case in GOOD_INSTANCES)
+        if want is None:
+            assert_times_array(ProblemInstance(*args))
+
+    @settings(max_examples=300, deadline=None)
+    @given(times=st.lists(st.one_of(
+        st.floats(min_value=-2.0, max_value=1e300),
+        st.integers(min_value=-3, max_value=10),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf, -math.inf])),
+        min_size=1, max_size=12))
+    def test_check_matches_the_scan_in_order_at_random(self, times):
+        args = _zeros(*times)
+        assert _outcome(ProblemInstance, *args) == _outcome(_reference_check, *args)
+
+    def test_times_array_is_kept_read_only(self):
+        inst = ProblemInstance((0.0, 0.5, 0.5, 2.0), (0, 1, 0, 2))
+        assert_times_array(inst)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.times_array[0] = 1.0
+        assert inst == ProblemInstance((0.0, 0.5, 0.5, 2.0), (0, 1, 0, 2))
+        assert "times_array" not in repr(inst)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.7e9, -0.5, math.nan])
+    def test_shifted_keeps_an_array_of_its_own(self, delta):
+        inst = ProblemInstance((0.5, 0.6, 2.0), (0, 1, 0))
+        want = _outcome(_reference_check, tuple(t + delta for t in inst.times), inst.features)
+        assert _outcome(inst.shifted, delta) == want
+        if want is None:
+            moved = inst.shifted(delta)
+            assert moved == ProblemInstance(tuple(t + delta for t in inst.times), inst.features)
+            assert_times_array(moved)
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_keep_a_read_only_array(self, how):
+        inst = ProblemInstance((0.0, 0.5, 2.0), (0, 1, 0))
+        twin = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                "copy": copy.copy, "deepcopy": copy.deepcopy}[how](inst)
+        assert twin == inst and hash(twin) == hash(inst)
+        assert_times_array(twin)
+
     def test_basic(self):
         inst = ProblemInstance((0.0, 1.0), (0, 1))
         assert inst.n == 2

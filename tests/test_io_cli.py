@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from dynbatch import (
 )
 from dynbatch import io_csv
 from dynbatch.cli import cli_main
+
+from conftest import assert_times_array
 
 FIXTURE = Path(__file__).parent / "data" / "arrivals5.csv"
 #: FIXTURE with quoted times and blank features, which only the row-by-row
@@ -84,6 +89,7 @@ class TestLoadArrivals:
                 assert inst == ProblemInstance(*want)
                 assert [type(v) for v in inst.times + inst.features] == \
                     [float] * inst.n + [int] * inst.n
+                assert_times_array(inst)
         assert [str(w.message) for w in caught] == [f"{p}: {m}" for m in warned]
         if parsed is not None:
             assert fallbacks == ([] if parsed else [p])
@@ -231,6 +237,22 @@ class TestResultsFile:
 
 
 class TestCli:
+    @pytest.mark.parametrize("module", ["dynbatch", "dynbatch.cli"])
+    def test_runs_as_a_module(self, module, capsys):
+        """``python -m`` runs the same command line as ``cli_main``."""
+        argv = ["offline", "--arrivals", str(FIXTURE), "--cost", "sqrt"]
+        assert cli_main(argv) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == capsys.readouterr().out
+        bad = subprocess.run([sys.executable, "-m", module, "gamma", "--cost", "cubic"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (bad.returncode, bad.stderr) == (2, "dynbatch: unknown cost spec 'cubic'\n")
+
     def test_offline(self, capsys):
         assert cli_main(["offline", "--arrivals", str(FIXTURE), "--cost", "sqrt"]) == 0
         out = capsys.readouterr().out
@@ -323,10 +345,10 @@ class TestCli:
                          for k in range(3)),
                        "chunk 1/1 done", "dynbatch: all records failed; nothing to summarize"]
 
-    def test_simulate_negative_seed_exits_1(self, capsys):
+    def test_simulate_negative_seed_exits_2(self, capsys):
         rc = cli_main(["simulate", "--cost", "sqrt", "--policy", "wta:0.5", "--n", "5",
                        "--trials", "2", "--seed", "-1", "--parallelism", "2"])
-        assert rc == 1
+        assert rc == 2
         assert capsys.readouterr().err == (
             "dynbatch: seed must be a non-negative integer, got -1\n")
 

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -494,6 +495,8 @@ def _same_or_tied(got, want, carried, times, f):
                         rel_tol=1e-12, abs_tol=1e-15)
 
 
+# The last of ROUTE_COSTS is not monotone: the solves warn of it.
+@pytest.mark.filterwarnings("ignore:cost is not monotone:RuntimeWarning")
 @pytest.mark.parametrize("block_entries", [offline._BLOCK_ENTRIES, 8])
 @settings(max_examples=50, deadline=None)
 @given(a=piece_chunks())
@@ -585,9 +588,11 @@ def test_lockstep_keeps_to_the_windows_outside_assumption_1():
     must still not be taken."""
     f = CountTable((0.0, 1.0, 5.0, 5.0, 0.1))
     a = np.array([[0.0, 0.6, 1.2, 1.2], [5.0] * 4])
-    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]):
+    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]), \
+            pytest.warns(RuntimeWarning, match="batch of 4 samples from sample 1 costs 0.1"):
         want = [optimal_schedule(ProblemInstance.from_times(row), f)[0] for row in a]
-    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["lockstep"]):
+    with mock.patch.object(offline, "_STEP_ROWS", ROUTES["lockstep"]), \
+            pytest.warns(RuntimeWarning, match="batch of 4 samples from sample 1 costs 0.1"):
         ends, _, rows = offline.lockstep_ends(a, f)
     assert [_schedule(row, ends[rows == r]) for r, row in enumerate(a)] == want
     assert want[0].ends != (4,)
@@ -702,6 +707,8 @@ ODD_SET_FUNCTIONS = {
 }
 
 
+# A NaN price compares as no drop; the negative pairs warn.
+@pytest.mark.filterwarnings("ignore:cost is not monotone:RuntimeWarning")
 @pytest.mark.parametrize("name", ODD_SET_FUNCTIONS)
 def test_negative_or_nan_prices_keep_every_row(name):
     fn, ends, successors = ODD_SET_FUNCTIONS[name]
@@ -747,3 +754,95 @@ def test_set_function_single_sample():
     assert sched.ends == (1,)
     assert cost.total == 4.0
     assert dual_recursion(inst, f).lambdas == (4.0, 0.0)
+
+
+def _minus_3_from_4(x):
+    """-3 on batches of 4 or more samples, distinct + sqrt below: a set
+    function outside Assumption 1 whose prices turn negative."""
+    return -3.0 if len(x) >= 4 else _distinct_plus_sqrt(x)
+
+
+def _from_ends_and_cost_of(inst, f):
+    """``optimal_schedule`` the long way: the sweep's ends as lists,
+    ``Schedule.from_ends`` on their arrivals, then ``cost_of``."""
+    ends = offline._sweep(inst.times_array[None], f, inst.features)[1].tolist()
+    sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
+    return (sched, cost_of(inst, sched, f)), len(ends)
+
+
+@pytest.mark.filterwarnings("ignore:cost is not monotone:RuntimeWarning")
+def test_schedule_and_cost_come_from_the_sweep_arrays():
+    """The arrays route of ``optimal_schedule`` equals ``from_ends`` and
+    ``cost_of`` on the same ends, coincident batches merged, float for
+    float; the negative pair prices cut coincident runs, so some do merge."""
+    rng = np.random.default_rng(18)
+    costs = [*COSTS, CountTable(tuple(min(k, 2 + 0.25 * k) for k in range(64))),
+             CustomSetFunction(_distinct_plus_sqrt, universe_size=3),
+             CustomSetFunction(ODD_SET_FUNCTIONS["negative pairs"][0], universe_size=3)]
+    merged = 0
+    for k in range(120):
+        n = int(rng.integers(1, 40))
+        gaps = rng.exponential(0.3, n)
+        gaps[rng.random(n) < 0.4] = 0.0
+        times = tuple((np.cumsum(gaps) + (1.7e9 if k % 3 == 0 else 0.0)).tolist())
+        inst = ProblemInstance(times, tuple(rng.integers(0, 3, n).tolist()))
+        for f in costs:
+            (want, batches) = _from_ends_and_cost_of(inst, f)
+            got = optimal_schedule(inst, f)
+            assert got == want
+            assert [type(v) for v in got[0].ends + got[0].stamps] == [int] * got[0].m + [float] * got[0].m
+            merged += got[0].m < batches
+    assert merged > 0
+
+
+def test_a_price_drop_warns_once_per_solve_naming_row_and_size():
+    """The FOUND's f: six coincident arrivals of one feature, then a lone
+    one.  Row 1 prices 2, 1 + sqrt 2, 1 + sqrt 3, then -3 for four."""
+    inst = ProblemInstance((0.0,) * 6 + (50.0,), (1,) * 7)
+    f = CustomSetFunction(_minus_3_from_4, universe_size=3)
+    message = (f"cost is not monotone: the batch of 4 samples from sample 1 costs -3.0, less "
+               f"than the {1 + math.sqrt(3)!r} of its first 3; the solver's windows assume a "
+               "monotone cost (Assumption 1), so the schedule may not be optimal")
+    for solve in (optimal_schedule, dual_recursion):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(inst, f)
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, message)]
+
+
+def test_a_count_cost_drop_names_the_first_window_that_holds_it():
+    """g(3) < g(2): samples 1-2 sit alone, so sample 3's window is the
+    first with room for three samples."""
+    f = CountTable((0.0, 1.0, 2.0, 1.5, 3.0))
+    inst = ProblemInstance.from_times([0.0, 5.0, 10.0, 10.1, 10.2, 10.3])
+    with pytest.warns(RuntimeWarning, match=r"batch of 3 samples from sample 3 costs 1\.5, "
+                                            r"less than the 2\.0 of its first 2;"):
+        optimal_schedule(inst, f)
+    with pytest.warns(RuntimeWarning, match="batch of 3 samples from sample 3"):
+        offline.lockstep_ends(np.array([inst.times_array, inst.times_array]), f)
+
+
+def test_a_drop_within_the_window_slack_does_not_warn():
+    f = CustomSetFunction(lambda x: 1.0 - 0.5e-9 * (len(x) - 1), universe_size=1)
+    inst = ProblemInstance.from_times([0.0, 0.1, 0.2, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimal_schedule(inst, f)
+    steeper = CustomSetFunction(lambda x: 1.0 - 2e-9 * (len(x) - 1), universe_size=1)
+    with pytest.warns(RuntimeWarning, match="batch of 2 samples from sample 1"):
+        optimal_schedule(inst, steeper)
+
+
+@pytest.mark.parametrize("f", [*BUILTIN_COSTS, ConstantCost(0),
+                               CustomSetFunction(_distinct_plus_sqrt, universe_size=3)],
+                         ids=lambda f: f.spec_string())
+def test_no_builtin_cost_warns(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, rate in enumerate((0.5, 2.0, 50.0)):
+            inst = gen_poisson(ConstantRate(rate), 80, seed=k,
+                               feature_sampler=lambda rng, t: int(rng.integers(3)))
+            optimal_schedule(inst, f)
+            dual_recursion(inst, f)
+            if f.count_based:
+                offline.lockstep_ends(np.array([inst.times_array] * 3), f)

@@ -30,6 +30,8 @@ from dynbatch import (
 from dynbatch import sim
 from dynbatch.online import FixedSize
 
+from conftest import assert_times_array
+
 
 class TestRateFunctions:
     def test_constant(self):
@@ -69,6 +71,15 @@ class TestGenPoisson:
         assert inst.n == 4
         assert all(a <= b for a, b in zip(inst.times, inst.times[1:]))
         assert inst.times[0] > 0.0
+
+    @pytest.mark.parametrize("rate", [ConstantRate(2.0), SinusoidRate(2, 1, 3)])
+    def test_times_array_is_its_own(self, rate):
+        sample = lambda rng, t: int(rng.integers(3))
+        for inst in (gen_poisson(rate, 40, seed=3),
+                     gen_poisson(rate, 40, seed=3, feature_sampler=sample),
+                     gen_poisson_horizon(rate, 20.0, seed=3)):
+            assert_times_array(inst)
+            assert [type(t) for t in inst.times] == [float] * inst.n
 
     def test_single_arrival(self):
         inst = gen_poisson(ConstantRate(5.0), 1, seed=0)
