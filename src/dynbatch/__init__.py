@@ -24,21 +24,13 @@ from .instance import (
     ProblemInstance,
     Schedule,
     ScheduleCost,
-    StepCurve,
     cost_of,
-    pending_count_curve,
-    positive_excess_integral,
 )
 from .offline import (
     DualSolution,
-    EdgeWeightOracle,
-    IlpConstraintViolation,
     brute_force_optimum,
-    check_ilp_assignment,
     dual_recursion,
-    ilp_certificate,
     optimal_schedule,
-    schedule_from_dual,
 )
 from .online import (
     FixedDelay,
@@ -51,7 +43,6 @@ from .online import (
 from .adversary import (
     AdversaryConfig,
     AdversaryReport,
-    finite_rounds_bound,
     run_adversary,
     worst_pair_search,
 )

@@ -47,7 +47,6 @@ __all__ = [
     "AdversaryReport",
     "run_adversary",
     "worst_pair_search",
-    "finite_rounds_bound",
 ]
 
 
@@ -98,12 +97,6 @@ class AdversaryReport:
     #: Number of releases the policy split across several batches (the
     #: benchmark accounting assumes whole-release flushes).
     split_waves: int
-
-
-def finite_rounds_bound(f1: float, f2: float, f12: float, rounds: int) -> float:
-    """Ratio guaranteed after finitely many rounds, before the release gap
-    correction: 2 (f1 + f2) / (2 f12 + (f1 + f2 - f12) / rounds)."""
-    return 2.0 * (f1 + f2) / (2.0 * f12 + (f1 + f2 - f12) / rounds)
 
 
 def run_adversary(

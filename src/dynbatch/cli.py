@@ -44,16 +44,16 @@ def _cost(spec: str) -> CostFunction:
 
 def _policy(spec: str, alpha: float | None, f: CostFunction) -> PolicyConfig:
     spec = spec.strip()
-    if spec == "wta":
-        # bare "wta" picks --alpha if given, else the cost's curvature
-        return Wta(alpha if alpha is not None else curvature(f))
+    if spec == "wta" and alpha is None:
+        # bare "wta" without --alpha picks the cost's curvature
+        return Wta(curvature(f))
     try:
+        if spec == "wta":
+            return Wta(alpha)
         policy = parse_policy_spec(spec)
+        return Wta(alpha) if alpha is not None and isinstance(policy, Wta) else policy
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if alpha is not None and isinstance(policy, Wta):
-        policy = Wta(alpha)
-    return policy
 
 
 def _print_run(sched: Schedule, cost: ScheduleCost) -> None:
@@ -119,14 +119,12 @@ def _cmd_simulate(args) -> int:
         rates = [parse_rate_spec(p) for p in rate_specs]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if (args.horizon is None) == (args.n is None):
-        raise UsageError("give exactly one of --n or --horizon")
     n_values = _parse_int_list(args.n) if args.n is not None else None
+    specs = args.policy if args.policy else ["wta"]
     try:
-        check_study_args(n_values, args.trials, args.seed)
+        check_study_args(n_values, args.horizon, rates, specs, args.trials, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    specs = args.policy if args.policy else ["wta"]
     policies = [_policy(s, args.alpha, f) for s in specs]
     records = run_study(
         n_values=n_values, horizon=args.horizon, rates=rates, policies=policies,

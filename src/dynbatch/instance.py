@@ -39,13 +39,10 @@ __all__ = [
     "Batch",
     "Schedule",
     "ScheduleCost",
-    "StepCurve",
     "InfeasibleScheduleError",
     "cost_of",
     "chunk_costs",
     "path_nodes",
-    "pending_count_curve",
-    "positive_excess_integral",
 ]
 
 
@@ -343,80 +340,3 @@ def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], waits: np.ndarr
     fsum = math.fsum
     return ([fsum(waits[first:first + n]) / n for first in range(0, a.size, n)],
             [fsum(prices[lo:top]) / n for lo, top in zip([0, *tops], tops)])
-
-
-@dataclass(frozen=True)
-class StepCurve:
-    """Right-continuous step function: value ``counts[k]`` on
-    [``times[k]``, ``times[k+1]``), and 0 outside [times[0], times[-1]).
-
-    ``times`` is strictly increasing; ``counts`` has one fewer entry than
-    ``times`` (the function returns to 0 at the final breakpoint).
-    """
-
-    times: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    def integral(self) -> float:
-        return math.fsum(
-            c * (self.times[k + 1] - self.times[k]) for k, c in enumerate(self.counts))
-
-    def integral_between(self, a: float, b: float) -> float:
-        """Exact integral over [a, b] (piecewise-constant, no quadrature)."""
-        if b <= a:
-            return 0.0
-        terms = []
-        for k, c in enumerate(self.counts):
-            lo = max(a, self.times[k])
-            hi = min(b, self.times[k + 1])
-            if hi > lo and c:
-                terms.append(c * (hi - lo))
-        return math.fsum(terms)
-
-    def value_at(self, t: float) -> int:
-        if not self.times or t < self.times[0] or t >= self.times[-1]:
-            return 0
-        k = np.searchsorted(np.asarray(self.times), t, side="right") - 1
-        return self.counts[k] if k < len(self.counts) else 0
-
-
-def pending_count_curve(inst: ProblemInstance, sched: Schedule) -> StepCurve:
-    """Number of samples arrived but not yet processed, as a step function.
-
-    The curve jumps up at each arrival and down at its batch's processing
-    time; samples processed at their arrival instant never appear.  Its
-    total integral equals n times the schedule's average waiting time.
-    """
-    sched.validate_for(inst)
-    deltas: dict[float, int] = {}
-    for b in sched.batches:
-        d = float(b.time)
-        for a_i in inst.times[b.lo - 1:b.hi]:
-            if d > a_i:
-                deltas[a_i] = deltas.get(a_i, 0) + 1
-                deltas[d] = deltas.get(d, 0) - 1
-    if not deltas:
-        return StepCurve((), ())
-    times = sorted(deltas)
-    counts = []
-    level = 0
-    for t in times[:-1]:
-        level += deltas[t]
-        counts.append(level)
-    return StepCurve(tuple(times), tuple(counts))
-
-
-def positive_excess_integral(a: StepCurve, b: StepCurve) -> float:
-    """Integral of max(a(t) - b(t), 0) over all time, exactly.
-
-    Both curves are piecewise constant, so the integrand is piecewise
-    constant on the merged breakpoints.
-    """
-    breaks = sorted(set(a.times) | set(b.times))
-    terms = []
-    for k in range(len(breaks) - 1):
-        lo, hi = breaks[k], breaks[k + 1]
-        excess = a.value_at(lo) - b.value_at(lo)
-        if excess > 0:
-            terms.append(excess * (hi - lo))
-    return math.fsum(terms)

@@ -44,7 +44,10 @@ batches as flat arrays.
 Three independent routes to the optimum are provided and cross-checked in
 the test suite: the windowed forward sweep, a windowed backward value
 recursion equal to the dual of the path linear program, and a brute-force
-enumeration of all consecutive partitions for small n, which prunes nothing.
+enumeration of all consecutive partitions for small n, which prunes nothing
+and reads every batch's price from the unpruned ``EdgeWeightOracle`` rows.
+The flow certificate of the path integer program, which checks a schedule
+against the rows, is a test helper and not part of this module.
 """
 
 from __future__ import annotations
@@ -63,14 +66,10 @@ from .instance import ProblemInstance, Schedule, ScheduleCost, _row_cost, cost_o
 __all__ = [
     "EdgeWeightOracle",
     "DualSolution",
-    "IlpConstraintViolation",
     "optimal_schedule",
     "lockstep_ends",
     "brute_force_optimum",
     "dual_recursion",
-    "schedule_from_dual",
-    "ilp_certificate",
-    "check_ilp_assignment",
 ]
 
 
@@ -81,15 +80,13 @@ class EdgeWeightOracle:
     processing cost plus the waiting of samples i..j-1 until the batch's
     last arrival.  Waits are summed from arrival offsets relative to a_i,
     so their precision does not depend on where the time axis starts.  The
-    solvers build their own windowed rows; this is the unpruned reference
-    that they are tested against, and it prices the edges of
-    ``ilp_certificate``.
+    solvers build their own windowed rows; these unpruned rows are the
+    reference that ``brute_force_optimum`` enumerates over.
     """
 
     def __init__(self, inst: ProblemInstance, f: CostFunction):
         self.inst = inst
         self.f = f
-        self.n = inst.n
 
     def row(self, i: int) -> np.ndarray:
         """Weights e(i, j) for j = i+1, ..., n+1, in order."""
@@ -98,14 +95,6 @@ class EdgeWeightOracle:
         sizes = np.arange(1, len(spans) + 1)
         waits = sizes * spans - np.cumsum(spans)
         return self.f.prefix_costs(self.inst.features[i - 1:]) + waits
-
-    def weight(self, i: int, j: int) -> float:
-        if not (1 <= i < j <= self.n + 1):
-            raise ValueError(f"edge ({i}, {j}) outside 1 <= i < j <= n+1")
-        a = self.inst.times
-        spans = [a[k] - a[i - 1] for k in range(i - 1, j - 1)]
-        cost = self.f.batch_cost(self.inst.features[i - 1:j - 1])
-        return cost + ((j - i) * spans[-1] - math.fsum(spans))
 
 
 #: Relative slack on each term a_{i+m-1} + f(first m) / m of a window's
@@ -491,23 +480,6 @@ def lockstep_ends(a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarra
     return ends, a[rows, ends - 1], rows
 
 
-def _batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float]]:
-    """e[lo][hi]: unnormalized cost of batching samples lo..hi at a_hi.
-
-    Computed by direct per-sample summation over every (lo, hi) pair,
-    independent of the solvers' windowed, blocked rows, so it can serve as
-    an oracle against them.
-    """
-    n = inst.n
-    a = inst.times
-    table = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for lo in range(1, n + 1):
-        for hi in range(lo, n + 1):
-            wait = sum(a[hi - 1] - a[k - 1] for k in range(lo, hi + 1))
-            table[lo][hi] = f.batch_cost(inst.features[lo - 1:hi]) + wait
-    return table
-
-
 def brute_force_optimum(
     inst: ProblemInstance, f: CostFunction, max_n: int = 20
 ) -> tuple[Schedule, ScheduleCost]:
@@ -515,12 +487,15 @@ def brute_force_optimum(
 
     Each batch is processed at its last arrival time.  Ties prefer fewer
     batches, then the lexicographically earliest split positions.  Only
-    usable for small n; intended as an independent oracle.
+    usable for small n; intended as an independent oracle: it prices every
+    batch from the unpruned ``EdgeWeightOracle`` rows, not the windows.
     """
     n = inst.n
     if n > max_n:
         raise ValueError(f"oracle size limit: n={n} exceeds max_n={max_n}")
-    e = _batch_cost_table(inst, f)
+    oracle = EdgeWeightOracle(inst, f)
+    # e[lo - 1][hi - lo]: the batch of samples lo..hi, processed at a_hi.
+    e = [oracle.row(lo).tolist() for lo in range(1, n + 1)]
     best_key: tuple | None = None
     best_splits: tuple[int, ...] = ()
     for mask in range(1 << (n - 1)):
@@ -528,9 +503,9 @@ def brute_force_optimum(
         total = 0.0
         lo = 1
         for k in splits:
-            total += e[lo][k]
+            total += e[lo - 1][k - lo]
             lo = k + 1
-        total += e[lo][n]
+        total += e[lo - 1][n - lo]
         key = (total, len(splits), splits)
         if best_key is None or key < best_key:
             best_key = key
@@ -579,67 +554,3 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
             lam[i] = best
             succ[i] = arg + 1
     return DualSolution(tuple(lam), tuple(succ))
-
-
-def schedule_from_dual(inst: ProblemInstance, dual: DualSolution) -> Schedule:
-    """Schedule obtained by following the dual argmin successors from node 1."""
-    ends = []
-    i = 1
-    while i <= inst.n:
-        i = dual.successors[i - 1]
-        ends.append(i - 1)
-    return Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
-
-
-class IlpConstraintViolation(ValueError):
-    """A 0/1 batch assignment violates the path flow constraints."""
-
-    def __init__(self, node: int, message: str):
-        super().__init__(message)
-        self.node = node
-
-
-def check_ilp_assignment(n: int, x: dict[tuple[int, int], int]) -> None:
-    """Verify the flow constraints of the path integer program.
-
-    ``x`` maps edges (i, j), 1 <= i < j <= n+1, to 0/1; missing edges are 0.
-    Exactly one unit must leave node 1, and flow must be conserved at every
-    node 2..n.  Raises IlpConstraintViolation naming the failing node.
-    """
-    for (i, j), v in x.items():
-        if v not in (0, 1):
-            raise ValueError(f"assignment x[{i},{j}] = {v!r} is not binary")
-        if not (1 <= i < j <= n + 1):
-            raise ValueError(f"edge ({i}, {j}) outside 1 <= i < j <= n+1")
-    out_flow = [0] * (n + 2)
-    in_flow = [0] * (n + 2)
-    for (i, j), v in x.items():
-        out_flow[i] += v
-        in_flow[j] += v
-    if out_flow[1] != 1:
-        raise IlpConstraintViolation(1, f"node 1 must emit exactly one batch, got {out_flow[1]}")
-    for i in range(2, n + 1):
-        if out_flow[i] != in_flow[i]:
-            raise IlpConstraintViolation(
-                i, f"flow conservation violated at node {i}: out {out_flow[i]} != in {in_flow[i]}")
-
-
-def ilp_certificate(
-    inst: ProblemInstance, f: CostFunction, sched: Schedule
-) -> dict[tuple[int, int], int]:
-    """0/1 edge assignment certifying ``sched`` as a valid flow of its cost.
-
-    Returns x with x[(lo, hi+1)] = 1 for every batch [lo, hi]; verifies the
-    flow constraints and that the assignment's objective matches the
-    schedule's cost.
-    """
-    sched.validate_for(inst)
-    x = {(lo + 1, hi + 1): 1 for lo, hi in zip((0, *sched.ends), sched.ends)}
-    check_ilp_assignment(inst.n, x)
-    oracle = EdgeWeightOracle(inst, f)
-    objective = math.fsum(oracle.weight(i, j) for (i, j), v in x.items() if v) / inst.n
-    ref = cost_of(inst, sched, f).total
-    if not math.isclose(objective, ref, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(
-            f"assignment objective {objective!r} does not match schedule cost {ref!r}")
-    return x

@@ -238,7 +238,8 @@ class TrialRecord:
     """One policy run on one generated instance.
 
     ``trial`` is "g<grid index>.t<trial index>"; ``seed`` regenerates the
-    instance via gen_poisson.  Failed trials carry NaN metrics.
+    instance via gen_poisson.  Failed trials carry NaN metrics and their
+    instance's ``n``, 0 for a horizon trial that drew no arrivals.
     """
 
     trial: str
@@ -354,17 +355,19 @@ def _run_chunk(args) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for ti, seed in zip(trials, seeds.tolist()):
         trial = f"g{grid_index}.t{ti}"
+        size = n or 0  # a horizon trial's size is 0 until it is drawn
         try:
             if horizon is None:
                 inst = gen_poisson(rate, n, seed)
             else:
                 inst = gen_poisson_horizon(rate, horizon, seed)
+            size = inst.n
             _, opt = optimal_schedule(inst, cost_fn)
             if opt.total == 0:
                 raise ZeroDivisionError(_ZERO_OPTIMUM)
         except _TRIAL_ERRORS as exc:
             print(f"trial {trial}: {exc}", file=sys.stderr)
-            records.extend(_record(trial, seed, n or 0, label) for label in labels)
+            records.extend(_record(trial, seed, size, label) for label in labels)
             continue
         for policy, label in zip(policies, labels):
             try:
@@ -422,14 +425,24 @@ def _check_whole(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
-def check_study_args(n_values: Sequence[int] | None, trials: int, seed: int) -> None:
+def check_study_args(n_values: Sequence[int] | None, horizon: float | None,
+                     rates: Sequence[RateFunction], policies: Sequence,
+                     trials: int, seed: int) -> None:
     """Raise ``run_study``'s one-line ValueError unless ``trials`` and every
-    sample count in ``n_values`` (if given) is a positive integer and the
-    master ``seed`` a non-negative one."""
+    sample count in ``n_values`` (if given) is a positive integer, the
+    master ``seed`` a non-negative one, exactly one of ``n_values`` and
+    ``horizon`` is given, a horizon is positive and finite, and the grid
+    and ``policies`` are not empty."""
     _check_whole("trials", trials, 1)
     for n in () if n_values is None else n_values:
         _check_whole("n", n, 1)
     _check_whole("seed", seed, 0)
+    if (horizon is None) == (n_values is None):
+        raise ValueError("give exactly one of n or horizon")
+    if horizon is not None and not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    if not (len(rates) and len(policies) and (horizon is not None or len(n_values))):
+        raise ValueError("need at least one grid point and one policy")
 
 
 def run_study(
@@ -451,17 +464,12 @@ def run_study(
     Records come back in grid-then-trial-then-policy order and are
     bit-identical for a given configuration regardless of ``parallelism``.
     A failing trial contributes NaN records (reported on stderr) without
-    aborting the study.  A sample count, trial count or master seed that
-    is not a whole number in range raises a one-line ValueError before
-    any trial runs.
+    aborting the study.  Arguments out of range (``check_study_args``)
+    raise a one-line ValueError before any trial runs.
     """
-    check_study_args(n_values, trials, seed)
-    if (horizon is None) == (n_values is None):
-        raise ValueError("give exactly one of n_values or horizon")
+    check_study_args(n_values, horizon, rates, policies, trials, seed)
     grid = [(n, rate) for n in (n_values if horizon is None else [None])
             for rate in rates]
-    if not grid or not policies:
-        raise ValueError("need at least one grid point and one policy")
     tasks = []
     for gi, (n, rate) in enumerate(grid):
         for lo in range(0, trials, _CHUNK):

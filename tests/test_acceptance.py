@@ -17,6 +17,7 @@ from dynbatch import (
     CappedLinear,
     ConstantCost,
     ConstantRate,
+    CustomSetFunction,
     FeatureMultiset,
     FixedSize,
     Log1pCount,
@@ -29,13 +30,13 @@ from dynbatch import (
     curvature,
     dual_recursion,
     gen_poisson,
-    ilp_certificate,
     optimal_schedule,
-    pending_count_curve,
     run_adversary,
     run_policy,
     run_study,
 )
+
+from oracles import ilp_certificate, pending_count_curve, table_optimum
 
 PARALLELISM = min(8, os.cpu_count() or 1)
 TRIALS = 10_000
@@ -91,6 +92,24 @@ def test_criterion_1_offline_optimality(corpus_solved):
     _report(1, elapsed < 60.0,
             f"shortest-path optimum == brute force on {len(corpus_solved)} instances "
             f"(worst rel err {worst:.2e}) in {elapsed:.1f}s")
+
+
+def test_brute_force_matches_the_per_pair_table(corpus):
+    """``brute_force_optimum`` prices batches from the ``EdgeWeightOracle``
+    rows; it picks the schedule that enumeration over the per-pair
+    summation table picks.  Every third instance of the corpus (all four
+    costs) is checked as it is, shifted to epoch scale, and with random
+    features under a set function."""
+    distinct_sqrt = CustomSetFunction(lambda x: len(x.counts) + math.sqrt(len(x)), 4)
+    rng = np.random.default_rng(11)
+    cases = []
+    for inst, f in corpus[::3]:
+        features = tuple(rng.integers(0, 4, inst.n).tolist())
+        cases += [(inst, f), (inst.shifted(1.7e9), f),
+                  (ProblemInstance(inst.times, features), distinct_sqrt)]
+    for inst, f in cases:
+        assert brute_force_optimum(inst, f)[0] == table_optimum(inst, f), \
+            (inst.times, inst.features, f.spec_string())
 
 
 def test_criterion_2_dual_equality_and_certificates(corpus_solved):

@@ -17,11 +17,12 @@ from dynbatch import (
     SqrtCount,
     Wta,
     cost_of,
-    finite_rounds_bound,
     run_adversary,
     run_policy,
     worst_pair_search,
 )
+
+from oracles import finite_rounds_bound
 
 ONE = FeatureMultiset.of_size(1)
 

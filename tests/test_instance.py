@@ -25,12 +25,11 @@ from dynbatch import (
     cost_of,
     optimal_schedule,
     parse_policy_spec,
-    pending_count_curve,
-    positive_excess_integral,
 )
 from dynbatch.instance import chunk_costs
 
 from conftest import assert_times_array, flat, row_costs
+from oracles import pending_count_curve, positive_excess_integral
 
 
 def singleton_batches(inst):

@@ -368,6 +368,18 @@ class TestCli:
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5",
                          "--horizon", "10", "--trials", "2"]) == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--horizon", "0"], "horizon must be positive and finite"),
+        (["--horizon", "-1"], "horizon must be positive and finite"),
+        (["--horizon", "nan"], "horizon must be positive and finite"),
+        (["--horizon", "inf"], "horizon must be positive and finite"),
+        (["--n", ","], "need at least one grid point and one policy"),
+        (["--n", "5", "--rate", ","], "need at least one grid point and one policy"),
+    ])
+    def test_simulate_bad_grid_exits_2_with_the_reason(self, flags, message, capsys):
+        assert cli_main(["simulate", "--cost", "sqrt", *flags, "--trials", "3"]) == 2
+        assert capsys.readouterr().err == f"dynbatch: {message}\n"
+
     @pytest.mark.parametrize("rate", ["0", "inf", "-2"])
     def test_simulate_bad_rate_exits_2_with_the_reason(self, rate, capsys):
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5", "--rate", rate,
@@ -414,6 +426,26 @@ class TestCli:
     def test_unknown_policy_spec_exits_2(self, capsys):
         assert cli_main(["online", "--policy", "lifo", "--cost", "sqrt",
                          "--arrivals", str(FIXTURE)]) == 2
+
+    @pytest.mark.parametrize("policy", ["wta", "wta:0.5"])
+    @pytest.mark.parametrize("alpha", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["online", "--arrivals", str(FIXTURE)],
+        ["simulate", "--n", "5", "--trials", "2"],
+        ["adversary", "--rounds", "5"],
+    ])
+    def test_bad_alpha_exits_2(self, command, policy, alpha, capsys):
+        argv = [*command, "--cost", "sqrt", "--policy", policy, "--alpha", alpha]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", "dynbatch: alpha must be positive and finite\n")
+
+    def test_bare_wta_on_a_cost_without_curvature_exits_1(self, capsys, monkeypatch):
+        from dynbatch import CustomSetFunction, cli
+        f = CustomSetFunction(lambda x: math.nan if len(x) > 3 else math.sqrt(len(x)), 2)
+        monkeypatch.setattr(cli, "parse_cost_spec", lambda spec: f)
+        assert cli_main(["online", "--arrivals", str(FIXTURE), "--cost", "nan-above-3",
+                         "--policy", "wta"]) == 1
+        assert capsys.readouterr().err.startswith("dynbatch: curvature undefined: f(X)=")
 
     def test_missing_file_exits_1(self, capsys):
         assert cli_main(["offline", "--arrivals", "/nonexistent.csv", "--cost", "sqrt"]) == 1

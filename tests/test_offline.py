@@ -16,25 +16,28 @@ from dynbatch import (
     ConstantCost,
     CountTable,
     CustomSetFunction,
-    EdgeWeightOracle,
-    IlpConstraintViolation,
     Log1pCount,
     ProblemInstance,
     Schedule,
     SqrtCount,
     brute_force_optimum,
-    check_ilp_assignment,
     cost_of,
     dual_recursion,
     gen_poisson,
-    ilp_certificate,
     optimal_schedule,
-    schedule_from_dual,
 )
 from dynbatch import offline
+from dynbatch.offline import EdgeWeightOracle
 from dynbatch.sim import ConstantRate, SinusoidRate
 
 from conftest import row_costs
+from oracles import (
+    IlpConstraintViolation,
+    check_ilp_assignment,
+    edge_weight,
+    ilp_certificate,
+    schedule_from_dual,
+)
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 
@@ -50,12 +53,12 @@ def _day_trace(n, seed=1):
 class TestEdgeWeightOracle:
     def test_matches_direct_sum(self):
         inst = ProblemInstance.from_times([0.0, 0.3, 1.1, 1.1, 4.0])
-        oracle = EdgeWeightOracle(inst, SqrtCount())
         for i in range(1, 6):
             for j in range(i + 1, 7):
                 direct = math.sqrt(j - i) + sum(
                     inst.times[j - 2] - inst.times[k - 1] for k in range(i, j))
-                assert math.isclose(oracle.weight(i, j), direct, rel_tol=1e-12, abs_tol=1e-12)
+                assert math.isclose(edge_weight(inst, SqrtCount(), i, j), direct,
+                                    rel_tol=1e-12, abs_tol=1e-12)
 
     def test_non_negative(self, small_corpus):
         for inst in small_corpus[:25]:
@@ -64,21 +67,21 @@ class TestEdgeWeightOracle:
                 assert (oracle.row(i) >= 0.0).all()
 
     def test_rejects_bad_edge(self):
-        oracle = EdgeWeightOracle(ProblemInstance.from_times([0.0]), SqrtCount())
+        inst = ProblemInstance.from_times([0.0])
         with pytest.raises(ValueError):
-            oracle.weight(1, 1)
+            edge_weight(inst, SqrtCount(), 1, 1)
         with pytest.raises(ValueError):
-            oracle.weight(0, 2)
+            edge_weight(inst, SqrtCount(), 0, 2)
 
     def test_feature_dependent_row(self):
         inst = ProblemInstance((0.0, 0.0, 0.0), (0, 0, 1))
         distinct = lambda x: float(len(x.counts))
-        from dynbatch import CustomSetFunction
-        oracle = EdgeWeightOracle(inst, CustomSetFunction(distinct, universe_size=2))
+        f = CustomSetFunction(distinct, universe_size=2)
         # batches {1}, {1,2} share one feature; {1,2,3} has two
-        assert oracle.weight(1, 2) == 1.0
-        assert oracle.weight(1, 3) == 1.0
-        assert oracle.weight(1, 4) == 2.0
+        assert edge_weight(inst, f, 1, 2) == 1.0
+        assert edge_weight(inst, f, 1, 3) == 1.0
+        assert edge_weight(inst, f, 1, 4) == 2.0
+        assert EdgeWeightOracle(inst, f).row(1).tolist() == [1.0, 1.0, 2.0]
 
     def test_epoch_scale_weights_are_exact(self):
         # Relative waits: no prefix sums of ~1.7e9 s timestamps.
@@ -87,7 +90,7 @@ class TestEdgeWeightOracle:
         a = inst.times
         for i, j in ((1, 2), (1, 9), (500, 507), (1990, 2001)):
             direct = math.sqrt(j - i) + math.fsum(a[j - 2] - a[k - 1] for k in range(i, j))
-            assert math.isclose(oracle.weight(i, j), direct, rel_tol=1e-12)
+            assert math.isclose(edge_weight(inst, SqrtCount(), i, j), direct, rel_tol=1e-12)
             assert math.isclose(oracle.row(i)[j - i - 1], direct, rel_tol=1e-12)
         sched, _ = optimal_schedule(inst, SqrtCount())
         ilp_certificate(inst, SqrtCount(), sched)
@@ -96,10 +99,9 @@ class TestEdgeWeightOracle:
         # A table shorter than n still prices every edge it covers.
         inst = gen_poisson(ConstantRate(2), 200, seed=1)
         table = CountTable(tuple(math.sqrt(k) for k in range(65)))
-        oracle = EdgeWeightOracle(inst, table)
-        assert oracle.weight(1, 4) == EdgeWeightOracle(inst, SqrtCount()).weight(1, 4)
+        assert edge_weight(inst, table, 1, 4) == edge_weight(inst, SqrtCount(), 1, 4)
         with pytest.raises(ValueError, match="cost table too short"):
-            oracle.weight(1, 100)
+            edge_weight(inst, table, 1, 100)
 
 
 class TestOptimalSchedule:

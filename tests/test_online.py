@@ -28,13 +28,12 @@ from dynbatch import (
     curvature,
     optimal_schedule,
     parse_policy_spec,
-    pending_count_curve,
-    positive_excess_integral,
     run_policy,
 )
 from dynbatch.instance import path_nodes
 
 from conftest import flat
+from oracles import pending_count_curve, positive_excess_integral
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 ALPHAS = [0.5, math.sqrt(0.5), 1.0]

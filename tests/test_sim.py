@@ -225,6 +225,24 @@ class TestRunStudy:
         assert all(r.n >= 1 for r in records)
         assert len({r.n for r in records}) > 1  # counts vary with the window
 
+    @pytest.mark.parametrize("f", [ConstantCost(0.0),
+                                   CountTable(tuple(math.sqrt(k) for k in range(4)))])
+    def test_failed_horizon_trial_records_its_instance_size(self, f, capsys):
+        # The optimum costs 0 or cannot be priced, after the instance is
+        # drawn: every record carries that instance's sample count.
+        records = run_study(rates=[ConstantRate(4.0)], policies=[Wta(0.5), FixedDelay(0.5)],
+                            cost_fn=f, trials=4, seed=3, horizon=10.0)
+        assert len(records) == 8 and all(math.isnan(r.ratio) for r in records)
+        sizes = [gen_poisson_horizon(ConstantRate(4.0), 10.0, r.seed).n for r in records]
+        assert [r.n for r in records] == sizes and min(sizes) > 4
+        assert capsys.readouterr().err.count("trial g0.t") == 4
+
+    def test_undrawn_horizon_trial_records_size_0(self, capsys):
+        records = run_study(rates=[ConstantRate(1e-3)], policies=[Wta(0.5)],
+                            cost_fn=SqrtCount(), trials=3, seed=0, horizon=1e-3)
+        assert [r.n for r in records] == [0, 0, 0]
+        assert capsys.readouterr().err.count("no arrivals in horizon") == 3
+
     def test_rejects_both_modes(self):
         with pytest.raises(ValueError, match="exactly one"):
             run_study(n_values=[5], horizon=1.0, rates=[ConstantRate(1.0)],
@@ -320,6 +338,32 @@ class TestSeedsAndStreams:
             run_study(n_values=n_values, rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=trials, seed=1, parallelism=2)
         assert str(exc.value) == f"{name} must be a positive integer, got {bad!r}"
+
+    @pytest.mark.parametrize("change,message", [
+        (dict(horizon=0.0), "horizon must be positive and finite"),
+        (dict(horizon=-1.0), "horizon must be positive and finite"),
+        (dict(horizon=math.nan), "horizon must be positive and finite"),
+        (dict(horizon=math.inf), "horizon must be positive and finite"),
+        (dict(horizon=10.0, n_values=[5]), "give exactly one of n or horizon"),
+        (dict(n_values=None), "give exactly one of n or horizon"),
+        (dict(n_values=[]), "need at least one grid point and one policy"),
+        (dict(rates=[]), "need at least one grid point and one policy"),
+        (dict(policies=[]), "need at least one grid point and one policy"),
+    ])
+    def test_bad_study_args_fail_before_any_chunk(self, change, message, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a chunk or a worker pool started")
+
+        monkeypatch.setattr(sim, "_run_chunk", never)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        kwargs = dict(n_values=[5, 6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                      cost_fn=SqrtCount(), trials=3, seed=1, parallelism=2)
+        if "horizon" in change:
+            kwargs["n_values"] = None
+        kwargs.update(change)
+        with pytest.raises(ValueError) as exc:
+            run_study(**kwargs)
+        assert str(exc.value) == message
 
     def test_numpy_integer_sizes(self):
         kwargs = dict(rates=[ConstantRate(2.0)], policies=[Wta(0.5)], cost_fn=SqrtCount(),
