@@ -57,6 +57,7 @@ import warnings
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -486,9 +487,12 @@ def brute_force_optimum(
     """Exhaustive optimum over all 2^(n-1) consecutive partitions.
 
     Each batch is processed at its last arrival time.  Ties prefer fewer
-    batches, then the lexicographically earliest split positions.  Only
-    usable for small n; intended as an independent oracle: it prices every
-    batch from the unpruned ``EdgeWeightOracle`` rows, not the windows.
+    batches, then the lexicographically earliest split positions: the split
+    sets come by size, each size in lexicographic order, and only a
+    strictly smaller total replaces the best, so a NaN total is never
+    replaced and never replaces.  Only usable for small n; intended as an
+    independent oracle: it prices every batch from the unpruned
+    ``EdgeWeightOracle`` rows, not the windows.
     """
     n = inst.n
     if n > max_n:
@@ -496,20 +500,17 @@ def brute_force_optimum(
     oracle = EdgeWeightOracle(inst, f)
     # e[lo - 1][hi - lo]: the batch of samples lo..hi, processed at a_hi.
     e = [oracle.row(lo).tolist() for lo in range(1, n + 1)]
-    best_key: tuple | None = None
+    best_total: float | None = None
     best_splits: tuple[int, ...] = ()
-    for mask in range(1 << (n - 1)):
-        splits = tuple(k for k in range(1, n) if mask >> (k - 1) & 1)
+    for splits in chain.from_iterable(combinations(range(1, n), k) for k in range(n)):
         total = 0.0
         lo = 1
         for k in splits:
             total += e[lo - 1][k - lo]
             lo = k + 1
         total += e[lo - 1][n - lo]
-        key = (total, len(splits), splits)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_splits = splits
+        if best_total is None or total < best_total:
+            best_total, best_splits = total, splits
     ends = [*best_splits, n]
     sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
     return sched, cost_of(inst, sched, f)

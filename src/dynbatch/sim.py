@@ -17,9 +17,9 @@ entropy words, then PCG64's two seeding steps on 128-bit ints.
 Trials run in chunks of up to 250 per grid point.  In ``n_values`` mode
 under a count cost, every instance of a chunk has the same n, so the chunk
 runs in lockstep, as arrays from the seeds to the records: the chunk's
-arrival times are the rows of one (T, n) array, ``offline.lockstep_ends``
-solves all of its optima in one vector sweep, each policy's
-``flushes_all`` finds every trial's batches at once, and
+arrival times are drawn in place as the rows of one (T, n) array,
+``offline.lockstep_ends`` solves all of its optima in one vector sweep,
+each policy's ``flushes_all`` finds every trial's batches at once, and
 ``instance.chunk_costs`` prices the optima, then each policy's batches, in
 one pass each.  No ``ProblemInstance`` is built.  Set-function costs,
 ``horizon`` mode and any chunk in which a trial fails take the per-trial
@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,18 +182,30 @@ def _instance(
     return ProblemInstance._of_array(a, feats)
 
 
-def _poisson_times(rate: RateFunction, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Exactly ``n`` Poisson arrival times under ``rate``, drawn from ``rng``.
+def _poisson_times(rate: RateFunction, a: np.ndarray,
+                   rngs: Iterable[np.random.Generator]) -> None:
+    """Fill each row of the (T, n) array ``a`` with n Poisson arrival times
+    under ``rate``, row k drawn from the k-th generator of ``rngs``.
 
-    Constant rates use i.i.d. exponential gaps directly; time-varying rates
-    are thinned against their maximum until ``n`` proposals are accepted.
+    Constant rates use i.i.d. exponential gaps: each row's standard
+    exponentials in place, then one scaling of the whole array and one
+    running sum along each row, which give each row the floats of
+    ``np.cumsum(rng.exponential(1 / rate, n))``, since numpy draws
+    exponential(scale) as scale * standard_exponential().  Time-varying rates are thinned against their
+    maximum, row by row, until n proposals are accepted.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = a.shape[1]
     if isinstance(rate, ConstantRate):
-        return np.cumsum(rng.exponential(1.0 / rate.rate, size=n))
-    return np.fromiter(islice(_thinned_arrivals(rate, rng, budget=100_000 * n + 100_000), n),
-                       float, n)
+        for row, rng in zip(a, rngs):
+            rng.standard_exponential(out=row)
+        # numpy's scaling of its draws overflows to inf without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a *= 1.0 / rate.rate
+        np.cumsum(a, axis=1, out=a)
+        return
+    for row, rng in zip(a, rngs):
+        row[:] = np.fromiter(islice(_thinned_arrivals(rate, rng, budget=100_000 * n + 100_000),
+                                    n), float, n)
 
 
 def gen_poisson(
@@ -204,13 +216,17 @@ def gen_poisson(
     feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
 ) -> ProblemInstance:
     """Generate exactly ``n`` Poisson arrivals under ``rate``, as
-    ``_poisson_times`` draws them.
+    ``_poisson_times`` draws one row.
 
     Deterministic for a given seed.  All samples carry ``feature`` unless a
     sampler is supplied.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    return _instance(_poisson_times(rate, n, rng), rng, feature, feature_sampler)
+    times = np.empty(n)
+    _poisson_times(rate, times[None], (rng,))
+    return _instance(times, rng, feature, feature_sampler)
 
 
 def gen_poisson_horizon(
@@ -233,9 +249,9 @@ def gen_poisson_horizon(
     return _instance(times, rng, feature, feature_sampler)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One policy run on one generated instance.
+class TrialRecord(NamedTuple):
+    """One policy run on one generated instance, as the tuple of its fields
+    in results-CSV column order.
 
     ``trial`` is "g<grid index>.t<trial index>"; ``seed`` regenerates the
     instance via gen_poisson.  Failed trials carry NaN metrics and their
@@ -325,6 +341,14 @@ def _streams(seeds: np.ndarray) -> list[dict]:
     return states
 
 
+def _each_state(rng: np.random.Generator,
+                states: Iterable[dict]) -> Iterator[np.random.Generator]:
+    """``rng`` once per state, with that state set."""
+    for state in states:
+        rng.bit_generator.state = state
+        yield rng
+
+
 def _record(trial: str, seed: int, n: int, label: tuple[str, float | None],
             cost: ScheduleCost | None = None, opt: float = math.nan) -> TrialRecord:
     """One policy run's record; a failed run (``cost`` None) has NaN metrics."""
@@ -388,10 +412,7 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
     optima, each policy's batches from every start at once, and one
     ``chunk_costs`` pass for the optima and for each policy."""
     a = np.empty((len(seeds), n))
-    rng = np.random.default_rng()  # each row sets its trial's state
-    for row, state in zip(a, _streams(seeds)):
-        rng.bit_generator.state = state
-        row[:] = _poisson_times(rate, n, rng)
+    _poisson_times(rate, a, _each_state(np.random.default_rng(), _streams(seeds)))
     if not np.isfinite(a).all():
         # gen_poisson's ProblemInstance rejects the trial: its own record below
         raise ValueError("arrival times must be finite")
@@ -401,6 +422,7 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
     costs = [(*label, *chunk_costs(a, features, *p.flushes_all(a, cost_fn), cost_fn))
              for p, label in zip(policies, labels)]
     records: list[TrialRecord] = []
+    new = tuple.__new__  # a TrialRecord without the call of its __new__
     for k, (ti, seed, W_opt, F_opt) in enumerate(zip(trials, seeds.tolist(), *opt)):
         trial, J_opt = f"g{grid_index}.t{ti}", W_opt + F_opt
         if J_opt == 0:
@@ -409,8 +431,8 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
             continue
         for policy, alpha, W, F in costs:
             J = W[k] + F[k]
-            records.append(TrialRecord(trial, seed, n, policy, alpha, J, W[k], F[k], J_opt,
-                                       J / J_opt))
+            records.append(new(TrialRecord, (trial, seed, n, policy, alpha, J, W[k], F[k], J_opt,
+                                             J / J_opt)))
     return records
 
 

@@ -5,6 +5,8 @@ flow certificate checks a schedule against the path integer program, and
 ``edge_weight`` and ``batch_cost_table`` price batches by direct
 summation, independently of the solvers' windowed rows and of
 ``EdgeWeightOracle.row``, so they can serve as oracles against both.
+``bitmask_optimum`` keeps brute force's earlier enumeration over bit masks
+as the reference for its tie and NaN rules.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from dynbatch import CostFunction, DualSolution, ProblemInstance, Schedule, cost_of
+from dynbatch.offline import EdgeWeightOracle
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,31 @@ def table_optimum(inst: ProblemInstance, f: CostFunction) -> Schedule:
     best = min((s for r in range(n) for s in combinations(range(1, n), r)), key=key)
     ends = [*best, n]
     return Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
+
+
+def bitmask_optimum(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, float]:
+    """The schedule and total of the split set that brute force picks, by
+    its earlier enumeration: every bit mask of the n - 1 split positions,
+    its splits rebuilt bit by bit, each batch priced from the
+    ``EdgeWeightOracle`` rows and summed from the left, and the least
+    (total, number of splits, splits) key kept."""
+    n = inst.n
+    e = [EdgeWeightOracle(inst, f).row(lo).tolist() for lo in range(1, n + 1)]
+    best_key = None
+    for mask in range(1 << (n - 1)):
+        splits = tuple(k for k in range(1, n) if mask >> (k - 1) & 1)
+        total = 0.0
+        lo = 1
+        for k in splits:
+            total += e[lo - 1][k - lo]
+            lo = k + 1
+        total += e[lo - 1][n - lo]
+        key = (total, len(splits), splits)
+        if best_key is None or key < best_key:
+            best_key = key
+    total, _, splits = best_key
+    ends = [*splits, n]
+    return Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends]), total
 
 
 def schedule_from_dual(inst: ProblemInstance, dual: DualSolution) -> Schedule:

@@ -214,7 +214,11 @@ class TestResultsFile:
         _csv_writer_results(records, want)
         assert got.read_bytes() == want.read_bytes()
         assert b'"g1,""x"".t0",9,4,"my,""policy""",2.0,' in got.read_bytes()
-        assert [repr(r) for r in read_results(got)] == [repr(r) for r in records]
+        read = read_results(got)
+        assert [repr(r) for r in read] == [repr(r) for r in records]
+        # Field by field: the sign of each zero, each NaN and alpha None.
+        assert all(type(r) is TrialRecord for r in read)
+        assert [[repr(x) for x in r] for r in read] == [[repr(x) for x in r] for r in records]
 
     def test_study_matches_csv_writer_bytes(self, tmp_path, capsys):
         from dynbatch import ConstantRate, CountTable, FixedSize, Wta, run_study

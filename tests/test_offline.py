@@ -33,6 +33,7 @@ from dynbatch.sim import ConstantRate, SinusoidRate
 from conftest import row_costs
 from oracles import (
     IlpConstraintViolation,
+    bitmask_optimum,
     check_ilp_assignment,
     edge_weight,
     ilp_certificate,
@@ -200,6 +201,33 @@ class TestBruteForce:
         zero = CountTable((0.0,) * 8)
         sched, _ = brute_force_optimum(ProblemInstance.from_times([1.0, 1.0, 1.0]), zero)
         assert sched.m == 1
+
+    def test_split_sets_pick_the_bitmask_schedule(self):
+        """Enumerating split sets by size keeps the bit-mask enumeration's
+        choice for every n <= 12: its least total, then fewest batches, then
+        earliest splits, and a first NaN total kept."""
+        rng = np.random.default_rng(20)
+        nan_pairs = CustomSetFunction(
+            lambda x: math.nan if len(x) == 2 else math.sqrt(len(x)), 1)
+        costs = [SqrtCount(), ConstantCost(1), ConstantCost(0), nan_pairs]
+        cases = []
+        for n in range(1, 13):
+            uniform = np.sort(rng.uniform(0.0, n / 2.0, n))
+            poisson = np.cumsum(rng.exponential(0.5, n))
+            runs = np.repeat(poisson[: (n + 2) // 3], 3)[:n]  # coincident arrivals
+            nan_whole = CustomSetFunction(
+                lambda x, n=n: math.nan if len(x) == n else math.sqrt(len(x)), 1)
+            # At unit spacing, sums are exact: under const:1, batch sizes
+            # (2) and (1, 1) tie, and so do (1, 2) and (2, 1).
+            for times in (uniform, poisson, runs, np.full(n, 1.5), np.arange(n, dtype=float)):
+                inst = ProblemInstance.from_times(times)
+                cases += [(inst, f) for f in (*costs, nan_whole)]
+        nan_kept = 0
+        for inst, f in cases:
+            want, total = bitmask_optimum(inst, f)
+            assert brute_force_optimum(inst, f)[0] == want, (inst.times, f.spec_string())
+            nan_kept += math.isnan(total)
+        assert nan_kept >= 60  # the whole batch of every instance under nan_whole
 
 
 @pytest.mark.parametrize("f", COSTS, ids=lambda f: f.spec_string())

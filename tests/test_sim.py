@@ -1,6 +1,8 @@
 import hashlib
 import math
+import pickle
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from dynbatch import (
     write_results,
 )
 from dynbatch import sim
+from dynbatch.io_csv import RESULTS_HEADER
+from dynbatch.offline import lockstep_ends
 from dynbatch.online import FixedSize
 
 from conftest import assert_times_array
@@ -467,22 +471,26 @@ class TestLockstepChunks:
         assert capsys.readouterr().err == ""
 
     def test_non_finite_times_fail_trial_by_trial(self, monkeypatch, capsys):
-        # At rate 1e-307 the arrival times overflow to inf: the chunk falls
-        # back to the per-trial loop, where each trial fails on its
-        # ProblemInstance with its own line.
+        # At rate 1e-307 the arrival times overflow to inf, and at 5e-324
+        # the gap scale 1 / rate is inf: the chunk falls back to the
+        # per-trial loop, where each trial fails on its ProblemInstance
+        # with its own line.
         calls = []
         gen_poisson = sim.gen_poisson
         monkeypatch.setattr(sim, "gen_poisson", lambda *args: calls.append(args) or
                             gen_poisson(*args))
-        with np.errstate(over="ignore"):
-            records = run_study(n_values=[40], rates=[ConstantRate(1e-307)],
-                                policies=self.POLICIES, cost_fn=SqrtCount(), trials=3, seed=0)
-        assert len(calls) == 3
-        assert len(records) == 9
-        assert all(math.isnan(x) for r in records for x in (r.J, r.W, r.F, r.J_opt, r.ratio))
-        assert capsys.readouterr().err.splitlines() == [
-            f"trial g0.t{k}: arrival times must be finite and non-negative, got inf"
-            for k in range(3)]
+        for rate in (1e-307, 5e-324):
+            calls.clear()
+            with np.errstate(over="ignore"):
+                records = run_study(n_values=[40], rates=[ConstantRate(rate)],
+                                    policies=self.POLICIES, cost_fn=SqrtCount(), trials=3,
+                                    seed=0)
+            assert len(calls) == 3
+            assert len(records) == 9
+            assert all(math.isnan(x) for r in records for x in (r.J, r.W, r.F, r.J_opt, r.ratio))
+            assert capsys.readouterr().err.splitlines() == [
+                f"trial g0.t{k}: arrival times must be finite and non-negative, got inf"
+                for k in range(3)]
 
     def test_zero_optimum_fails_the_trial_on_both_paths(self, monkeypatch, capsys):
         # Under const:0 every sample goes free at its arrival, so the
@@ -521,6 +529,94 @@ class TestLockstepChunks:
         records = run_study(n_values=[12], rates=[ConstantRate(2.0)], policies=self.POLICIES,
                             cost_fn=f, trials=6, seed=8)
         assert [repr(r) for r in records] == [repr(r) for r in count]
+
+
+class TestTrialRecord:
+    """Records are named tuples of the results CSV's columns."""
+
+    FIELDS = ("g0.t0", 2**64 - 1, 5, "wta:0.5", 0.5, 1.2, 0.4, 0.8, 1.0, 1.2)
+
+    def test_fields_are_the_results_columns(self):
+        assert TrialRecord._fields == tuple(RESULTS_HEADER)
+        rec = TrialRecord(*self.FIELDS)
+        assert rec == TrialRecord(**dict(zip(RESULTS_HEADER, self.FIELDS)))
+        assert rec == self.FIELDS and hash(rec) == hash(self.FIELDS)
+        assert (rec.trial, rec.seed, rec.alpha, rec.ratio) == ("g0.t0", 2**64 - 1, 0.5, 1.2)
+        assert rec._replace(alpha=None).alpha is None
+        assert rec._asdict() == dict(zip(RESULTS_HEADER, self.FIELDS))
+
+    def test_fields_cannot_be_set(self):
+        rec = TrialRecord(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            rec.J = 2.0
+        assert rec.J == 1.2
+
+    def test_pickles_and_crosses_processes(self):
+        rec = TrialRecord(*self.FIELDS)
+        copy = pickle.loads(pickle.dumps(rec))
+        assert type(copy) is TrialRecord and copy == rec and hash(copy) == hash(rec)
+        # A zero optimum makes NaN records, which compare by repr.
+        kwargs = dict(n_values=[6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                      trials=260, seed=3)
+        for f in (SqrtCount(), ConstantCost(0)):
+            serial = run_study(cost_fn=f, **kwargs)
+            parallel = run_study(cost_fn=f, parallelism=2, **kwargs)
+            assert all(type(r) is TrialRecord for r in parallel)
+            assert [repr(r) for r in parallel] == [repr(r) for r in serial]
+
+    def test_a_trials_records_share_its_label_and_optimum(self):
+        records = run_study(n_values=[9], rates=[ConstantRate(2.0)],
+                            policies=[Wta(0.5), FixedSize(3), FixedDelay(1.0)],
+                            cost_fn=SqrtCount(), trials=4, seed=2)
+        assert all(type(r) is TrialRecord for r in records)
+        for k in range(0, len(records), 3):
+            first, *rest = records[k:k + 3]
+            assert all(r.trial is first.trial and r.J_opt is first.J_opt for r in rest)
+
+
+def _lockstep_rows(monkeypatch, rate, n, seeds):
+    """The (T, n) arrival times of one lockstep chunk of the given seeds,
+    and its records."""
+    rows = []
+
+    def capture(a, f):
+        rows.append(a.copy())
+        return lockstep_ends(a, f)
+
+    monkeypatch.setattr(sim, "lockstep_ends", capture)
+    seeds = np.array(seeds, dtype=np.uint64)
+    policies = [Wta(0.5)]
+    labels = [(p.spec_string(), p.alpha) for p in policies]
+    records = sim._lockstep_chunk(0, n, rate, policies, labels, SqrtCount(), range(len(seeds)),
+                                  seeds)
+    return rows[0], records
+
+
+class TestLockstepDraws:
+    """A lockstep chunk draws every row in place; each row must hold the
+    floats that gen_poisson draws for its seed."""
+
+    SEEDS = [0, 2**32, 2**64 - 1]
+
+    @pytest.mark.parametrize("n", [1, 25, 1000])
+    @pytest.mark.parametrize("rate", [1e-3, 2.0, 1e6])
+    def test_rows_are_gen_poisson_bytes(self, monkeypatch, rate, n):
+        a, records = _lockstep_rows(monkeypatch, ConstantRate(rate), n, self.SEEDS)
+        assert a.shape == (3, n)
+        for row, seed in zip(a, self.SEEDS):
+            want = np.cumsum(np.random.default_rng(seed).exponential(1.0 / rate, n))
+            assert row.tobytes() == want.tobytes()
+            assert row.tobytes() == gen_poisson(ConstantRate(rate), n, seed).times_array.tobytes()
+        assert [r.seed for r in records] == self.SEEDS
+
+    def test_sinusoid_rows_are_thinned_as_before(self, monkeypatch):
+        rate = SinusoidRate(2, 1.5, 10)
+        a, _ = _lockstep_rows(monkeypatch, rate, 25, self.SEEDS)
+        for row, seed in zip(a, self.SEEDS):
+            rng = np.random.default_rng(seed)
+            want = np.fromiter(islice(sim._thinned_arrivals(rate, rng), 25), float, 25)
+            assert row.tobytes() == want.tobytes()
+            assert row.tobytes() == gen_poisson(rate, 25, seed).times_array.tobytes()
 
 
 class TestGoldenStudy:
