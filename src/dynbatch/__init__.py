@@ -19,7 +19,6 @@ from .cost import (
     validate_assumption1,
 )
 from .instance import (
-    Batch,
     InfeasibleScheduleError,
     ProblemInstance,
     Schedule,

@@ -49,6 +49,10 @@ __all__ = [
     "worst_pair_search",
 ]
 
+#: Abort if the policy takes longer than this (simulated seconds) to flush
+#: a release.
+_TIMEOUT = 1e12
+
 
 @dataclass(frozen=True)
 class AdversaryConfig:
@@ -63,9 +67,6 @@ class AdversaryConfig:
     x2: FeatureMultiset
     rounds: int
     epsilon: float | None = None
-    #: Abort if the policy takes longer than this (simulated seconds) to
-    #: flush a release.
-    timeout: float = 1e12
 
     def __post_init__(self) -> None:
         if len(self.x1) == 0 or len(self.x2) == 0:
@@ -195,7 +196,7 @@ def _realize_waves(
             hi, t = close(times, feats, f, lo)
             ends.append(hi)
             stamps.append(t)
-        if t - release > cfg.timeout:
+        if t - release > _TIMEOUT:
             raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t)
     return times, feats, wave_last_index, flush_times, ends, stamps

@@ -57,8 +57,8 @@ def _policy(spec: str, alpha: float | None, f: CostFunction) -> PolicyConfig:
 
 
 def _print_run(sched: Schedule, cost: ScheduleCost) -> None:
-    for j, b in enumerate(sched.batches, start=1):
-        print(f"batch {j}: samples {b.lo}-{b.hi} time={b.time!r}")
+    for j, (lo, hi, t) in enumerate(zip((0, *sched.ends), sched.ends, sched.stamps), start=1):
+        print(f"batch {j}: samples {lo + 1}-{hi} time={t!r}")
     print(f"W={cost.waiting!r} F={cost.processing!r} J={cost.total!r}")
 
 
@@ -122,7 +122,8 @@ def _cmd_simulate(args) -> int:
     n_values = _parse_int_list(args.n) if args.n is not None else None
     specs = args.policy if args.policy else ["wta"]
     try:
-        check_study_args(n_values, args.horizon, rates, specs, args.trials, args.seed)
+        check_study_args(n_values, args.horizon, rates, specs, args.trials, args.seed,
+                         args.parallelism)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     policies = [_policy(s, args.alpha, f) for s in specs]
@@ -143,12 +144,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_adversary(args) -> int:
     f = _cost(args.cost)
     policy = _policy(args.policy, args.alpha, f)
-    cfg = AdversaryConfig(
-        x1=FeatureMultiset.of_size(args.x1),
-        x2=FeatureMultiset.of_size(args.x2),
-        rounds=args.rounds,
-        epsilon=args.epsilon,
-    )
+    try:
+        cfg = AdversaryConfig(x1=FeatureMultiset.of_size(args.x1),
+                              x2=FeatureMultiset.of_size(args.x2),
+                              rounds=args.rounds, epsilon=args.epsilon)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = run_adversary(policy, f, cfg)
     print(f"n={report.instance.n} J={report.alg_cost.total!r}")
     print(f"odd_cost={report.odd_cost!r} even_cost={report.even_cost!r}")

@@ -12,11 +12,10 @@ two batches into one and parameterizes both the online guarantee and the
 adversarial lower bound implemented elsewhere in this package.
 
 This module is the only one that knows how a batch is priced.  Callers
-price a batch from its samples' feature ids with ``batch_cost``, every
-batch of a run of schedules at once with ``batch_costs``, or every prefix
-of a run of samples at once with ``prefix_costs``; all three take the
-count-based shortcut themselves where the cost depends only on the batch
-size.
+price every batch of a run of schedules at once with ``batch_costs``, or
+every prefix of a run of samples at once with ``prefix_costs``; both take
+the count-based shortcut themselves where the cost depends only on the
+batch size.
 
 A ``FeatureMultiset`` is validated once, when it is built from a counts
 tuple, and that check also sets its ``size``.  ``FeatureMultiset.plus``
@@ -107,11 +106,11 @@ class FeatureMultiset:
         return FeatureMultiset(tuple(sorted(c.items())))
 
     @staticmethod
-    def of_size(size: int, feature: int = 0) -> "FeatureMultiset":
-        """``size`` copies of a single feature id (empty if size is 0)."""
+    def of_size(size: int) -> "FeatureMultiset":
+        """``size`` copies of feature 0 (empty if size is 0)."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        return FeatureMultiset(((feature, size),) if size else ())
+        return FeatureMultiset(((0, size),) if size else ())
 
     def __len__(self) -> int:
         return self.size
@@ -142,11 +141,6 @@ class FeatureMultiset:
             c[fid] += mult
         return FeatureMultiset(tuple(sorted(c.items())))
 
-    def contains(self, other: "FeatureMultiset") -> bool:
-        """True if ``other`` is a sub-multiset of self."""
-        mine = dict(self.counts)
-        return all(mine.get(fid, 0) >= mult for fid, mult in other.counts)
-
 
 #: Setters of the two slots, past the frozen ``__setattr__``: for multisets
 #: canonical by construction, as ``plus`` builds them.
@@ -157,11 +151,10 @@ _set_size = FeatureMultiset.size.__set__
 class CostFunction:
     """Base class for batch processing-cost functions.
 
-    ``batch_cost``, ``batch_costs`` and ``prefix_costs`` are the pricing
-    entry points.  Count-based kinds depend only on the batch size; each
-    states its formula once, as ``count_value``; ``count_values``
-    tabulates it over an array of sizes, and ``count_table`` keeps one such
-    table per cost object.
+    ``batch_costs`` and ``prefix_costs`` are the pricing entry points.
+    Count-based kinds depend only on the batch size; each states its
+    formula once, as ``count_value``, and ``count_table`` keeps one
+    tabulation of it per cost object.
     """
 
     count_based: ClassVar[bool] = False
@@ -173,31 +166,24 @@ class CostFunction:
     def count_value(self, size: int) -> float:
         raise TypeError(f"{type(self).__name__} is not count-based")
 
-    def count_values(self, sizes: np.ndarray) -> np.ndarray:
-        """``count_value`` of each size, as a float array."""
-        return np.array([self.count_value(k) for k in np.asarray(sizes).tolist()], dtype=float)
-
     def count_table(self, top: int) -> np.ndarray:
-        """g(0), ..., g(top) as a read-only float array: ``count_values``
+        """g(0), ..., g(top) as a read-only float array: ``count_value``
         tabulated once per cost object, and again only for a larger size.
         The table is no dataclass field: equality, hashing and repr skip it."""
         g = self.__dict__.get("_count_table")
         if g is None or len(g) <= top:
-            g = self.count_values(np.arange(top + 1))
+            g = np.array([self.count_value(k) for k in range(top + 1)], dtype=float)
             g.flags.writeable = False
             object.__setattr__(self, "_count_table", g)
         return g[:top + 1]
-
-    def batch_cost(self, features: Sequence[int]) -> float:
-        """f of the batch of samples with these feature ids."""
-        return self.value(FeatureMultiset.from_features(features))
 
     def batch_costs(self, rows: Iterable[Sequence[int]], sizes: np.ndarray) -> np.ndarray:
         """f of each batch, in order, for batches of ``sizes`` samples that
         run through the feature ``rows`` one row after another."""
         features = list(chain.from_iterable(rows))
         ends = np.cumsum(sizes).tolist()
-        return np.array([self.batch_cost(features[lo:hi]) for lo, hi in zip([0, *ends], ends)])
+        value, of = self.value, FeatureMultiset.from_features
+        return np.array([value(of(features[lo:hi])) for lo, hi in zip([0, *ends], ends)])
 
     def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
         """f of each prefix features[:1], features[:2], ..., in order, each
@@ -222,15 +208,12 @@ class _CountCost(CostFunction):
     def value(self, x: FeatureMultiset) -> float:
         return self.count_value(len(x))
 
-    def batch_cost(self, features: Sequence[int]) -> float:
-        return self.count_value(len(features))
-
     def batch_costs(self, rows: Iterable[Sequence[int]], sizes: np.ndarray) -> np.ndarray:
         # argmax: max's Python wrapper costs more than a small lookup
         return self.count_table(int(sizes[sizes.argmax()]))[sizes]
 
     def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
-        return self.count_values(np.arange(1, len(features) + 1))
+        return self.count_table(len(features))[1:]
 
 
 @dataclass(frozen=True)
@@ -410,12 +393,12 @@ def random_multiset(rng: np.random.Generator, universe_size: int, max_size: int)
 
 def size_pairs(f: CostFunction, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every size pair 1 <= a <= b with a + b <= limit, in ascending (a, b)
-    order, and the count-based ``f`` tabulated as g[k] = f(k), k <= limit.
+    order, and the count-based ``f``'s ``count_table(limit)``, g[k] = f(k).
 
     A ``CountTable`` clamps ``limit`` to the last size its table covers."""
     if isinstance(f, CountTable):
         limit = min(limit, len(f.values) - 1)
-    g = f.count_values(np.arange(limit + 1))
+    g = f.count_table(limit)
     a, b = np.triu_indices(limit + 1)
     keep = (a >= 1) & (a + b <= limit)
     return a[keep], b[keep], g

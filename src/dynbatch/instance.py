@@ -36,7 +36,6 @@ from .cost import CostFunction
 
 __all__ = [
     "ProblemInstance",
-    "Batch",
     "Schedule",
     "ScheduleCost",
     "InfeasibleScheduleError",
@@ -113,9 +112,10 @@ class ProblemInstance:
         return ProblemInstance, (self.times, self.features)
 
     @staticmethod
-    def from_times(times, feature: int = 0) -> "ProblemInstance":
+    def from_times(times) -> "ProblemInstance":
+        """The instance of ``times``, every sample with feature 0."""
         times = tuple(float(t) for t in times)
-        return ProblemInstance(times, (feature,) * len(times))
+        return ProblemInstance(times, (0,) * len(times))
 
     @property
     def n(self) -> int:
@@ -139,15 +139,6 @@ def _check_times(times: Sequence[float], a: np.ndarray) -> None:
         if not math.isfinite(t) or t < 0:
             raise ValueError(f"arrival times must be finite and non-negative, got {t!r}")
         raise ValueError("arrival times must be non-decreasing")
-
-
-@dataclass(frozen=True)
-class Batch:
-    """Samples lo..hi (1-based, inclusive) processed together at ``time``."""
-
-    lo: int
-    hi: int
-    time: float
 
 
 @dataclass(frozen=True)
@@ -185,16 +176,6 @@ class Schedule:
         times: policies emit several when arrivals coincide."""
         keep = [*map(ne, stamps, stamps[1:]), True]
         return Schedule(tuple(compress(ends, keep)), tuple(compress(stamps, keep)))
-
-    @property
-    def m(self) -> int:
-        return len(self.ends)
-
-    @property
-    def batches(self) -> tuple[Batch, ...]:
-        """The batches one by one, for printing and for tests."""
-        return tuple(Batch(lo + 1, hi, t)
-                     for lo, hi, t in zip((0, *self.ends), self.ends, self.stamps))
 
 
 @dataclass(frozen=True)

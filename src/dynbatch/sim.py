@@ -171,13 +171,13 @@ def _thinned_arrivals(
 
 
 def _instance(
-    times: Sequence[float], rng: np.random.Generator, feature: int,
+    times: Sequence[float], rng: np.random.Generator,
     feature_sampler: Callable[[np.random.Generator, float], int] | None,
 ) -> ProblemInstance:
-    """``times`` with ``feature`` on every sample, or features drawn by the
+    """``times`` with feature 0 on every sample, or features drawn by the
     sampler in arrival order from the same generator."""
     a = np.asarray(times, dtype=float)
-    feats = ((feature,) * len(a) if feature_sampler is None
+    feats = ((0,) * len(a) if feature_sampler is None
              else tuple(int(feature_sampler(rng, t)) for t in a.tolist()))
     return ProblemInstance._of_array(a, feats)
 
@@ -212,28 +212,26 @@ def gen_poisson(
     rate: RateFunction,
     n: int,
     seed: int,
-    feature: int = 0,
     feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
 ) -> ProblemInstance:
     """Generate exactly ``n`` Poisson arrivals under ``rate``, as
     ``_poisson_times`` draws one row.
 
-    Deterministic for a given seed.  All samples carry ``feature`` unless a
-    sampler is supplied.
+    Deterministic for a given seed.  All samples carry feature 0 unless
+    ``feature_sampler`` draws each one's.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
     times = np.empty(n)
     _poisson_times(rate, times[None], (rng,))
-    return _instance(times, rng, feature, feature_sampler)
+    return _instance(times, rng, feature_sampler)
 
 
 def gen_poisson_horizon(
     rate: RateFunction,
     horizon: float,
     seed: int,
-    feature: int = 0,
     feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
 ) -> ProblemInstance:
     """Generate all Poisson arrivals on [0, horizon); the count varies.
@@ -246,7 +244,7 @@ def gen_poisson_horizon(
     times = list(_thinned_arrivals(rate, rng, horizon=horizon))
     if not times:
         raise ValueError(f"no arrivals in horizon {horizon!r}")
-    return _instance(times, rng, feature, feature_sampler)
+    return _instance(times, rng, feature_sampler)
 
 
 class TrialRecord(NamedTuple):
@@ -449,13 +447,14 @@ def _check_whole(name: str, value, least: int) -> None:
 
 def check_study_args(n_values: Sequence[int] | None, horizon: float | None,
                      rates: Sequence[RateFunction], policies: Sequence,
-                     trials: int, seed: int) -> None:
-    """Raise ``run_study``'s one-line ValueError unless ``trials`` and every
-    sample count in ``n_values`` (if given) is a positive integer, the
-    master ``seed`` a non-negative one, exactly one of ``n_values`` and
-    ``horizon`` is given, a horizon is positive and finite, and the grid
-    and ``policies`` are not empty."""
+                     trials: int, seed: int, parallelism: int) -> None:
+    """Raise ``run_study``'s one-line ValueError unless ``trials``,
+    ``parallelism`` and every sample count in ``n_values`` (if given) is a
+    positive integer, the master ``seed`` a non-negative one, exactly one
+    of ``n_values`` and ``horizon`` is given, a horizon is positive and
+    finite, and the grid and ``policies`` are not empty."""
     _check_whole("trials", trials, 1)
+    _check_whole("parallelism", parallelism, 1)
     for n in () if n_values is None else n_values:
         _check_whole("n", n, 1)
     _check_whole("seed", seed, 0)
@@ -489,7 +488,7 @@ def run_study(
     aborting the study.  Arguments out of range (``check_study_args``)
     raise a one-line ValueError before any trial runs.
     """
-    check_study_args(n_values, horizon, rates, policies, trials, seed)
+    check_study_args(n_values, horizon, rates, policies, trials, seed, parallelism)
     grid = [(n, rate) for n in (n_values if horizon is None else [None])
             for rate in rates]
     tasks = []

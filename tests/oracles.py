@@ -5,6 +5,8 @@ flow certificate checks a schedule against the path integer program, and
 ``edge_weight`` and ``batch_cost_table`` price batches by direct
 summation, independently of the solvers' windowed rows and of
 ``EdgeWeightOracle.row``, so they can serve as oracles against both.
+``batch_cost`` prices one batch by ``f.value``, and ``batches`` lists a
+schedule's batches one by one.
 ``bitmask_optimum`` keeps brute force's earlier enumeration over bit masks
 as the reference for its tie and NaN rules.
 """
@@ -17,8 +19,26 @@ from itertools import combinations
 
 import numpy as np
 
-from dynbatch import CostFunction, DualSolution, ProblemInstance, Schedule, cost_of
+from dynbatch import (
+    CostFunction,
+    DualSolution,
+    FeatureMultiset,
+    ProblemInstance,
+    Schedule,
+    cost_of,
+)
 from dynbatch.offline import EdgeWeightOracle
+
+
+def batch_cost(f: CostFunction, features) -> float:
+    """f of the batch of samples with these feature ids."""
+    return f.value(FeatureMultiset.from_features(features))
+
+
+def batches(sched: Schedule) -> tuple[tuple[int, int, float], ...]:
+    """(lo, hi, time) of each batch of ``sched``: samples lo..hi (1-based,
+    inclusive) processed together at ``time``."""
+    return tuple((lo + 1, hi, t) for lo, hi, t in zip((0, *sched.ends), sched.ends, sched.stamps))
 
 
 @dataclass(frozen=True)
@@ -65,9 +85,9 @@ def pending_count_curve(inst: ProblemInstance, sched: Schedule) -> StepCurve:
     """
     sched.validate_for(inst)
     deltas: dict[float, int] = {}
-    for b in sched.batches:
-        d = float(b.time)
-        for a_i in inst.times[b.lo - 1:b.hi]:
+    for lo, hi, t in batches(sched):
+        d = float(t)
+        for a_i in inst.times[lo - 1:hi]:
             if d > a_i:
                 deltas[a_i] = deltas.get(a_i, 0) + 1
                 deltas[d] = deltas.get(d, 0) - 1
@@ -106,7 +126,7 @@ def edge_weight(inst: ProblemInstance, f: CostFunction, i: int, j: int) -> float
         raise ValueError(f"edge ({i}, {j}) outside 1 <= i < j <= n+1")
     a = inst.times
     spans = [a[k] - a[i - 1] for k in range(i - 1, j - 1)]
-    cost = f.batch_cost(inst.features[i - 1:j - 1])
+    cost = batch_cost(f, inst.features[i - 1:j - 1])
     return cost + ((j - i) * spans[-1] - math.fsum(spans))
 
 
@@ -119,7 +139,7 @@ def batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float]
     for lo in range(1, n + 1):
         for hi in range(lo, n + 1):
             wait = sum(a[hi - 1] - a[k - 1] for k in range(lo, hi + 1))
-            table[lo][hi] = f.batch_cost(inst.features[lo - 1:hi]) + wait
+            table[lo][hi] = batch_cost(f, inst.features[lo - 1:hi]) + wait
     return table
 
 

@@ -36,7 +36,7 @@ from dynbatch import (
     run_study,
 )
 
-from oracles import ilp_certificate, pending_count_curve, table_optimum
+from oracles import batches, ilp_certificate, pending_count_curve, table_optimum
 
 PARALLELISM = min(8, os.cpu_count() or 1)
 TRIALS = 10_000
@@ -138,12 +138,12 @@ def test_criterion_3_wta_identities(corpus):
                 (inst.times[:3], f.spec_string(), alpha)
             curve = pending_count_curve(inst, sched)
             prev = 0.0
-            for b in sched.batches:
-                accrued = curve.integral_between(prev, b.time)
-                batch = FeatureMultiset.from_features(inst.features[b.lo - 1:b.hi])
+            for lo, hi, t in batches(sched):
+                accrued = curve.integral_between(prev, t)
+                batch = FeatureMultiset.from_features(inst.features[lo - 1:hi])
                 target = alpha * f.value(batch)
-                assert _rel_close(accrued, target), (inst.times[:3], alpha, b)
-                prev = b.time
+                assert _rel_close(accrued, target), (inst.times[:3], alpha, (lo, hi, t))
+                prev = t
             checked += 1
     _report(3, True,
             f"wait == alpha * processing and per-batch flush identity on {checked} runs")

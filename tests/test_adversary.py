@@ -1,5 +1,6 @@
 import itertools
 import math
+from bisect import bisect_left
 
 import pytest
 
@@ -103,8 +104,9 @@ class TestRunAdversary:
         assert math.isclose(even.total * inst.n, rep.even_cost, rel_tol=1e-9)
         assert rep.opt_exact <= rep.opt_upper + 1e-12
 
-    def test_timeout_detection(self):
-        cfg = AdversaryConfig(x1=ONE, x2=ONE, rounds=2, epsilon=1e-6, timeout=1e-3)
+    def test_timeout_detection(self, monkeypatch):
+        monkeypatch.setattr(adversary, "_TIMEOUT", 1e-3)
+        cfg = AdversaryConfig(x1=ONE, x2=ONE, rounds=2, epsilon=1e-6)
         with pytest.raises(RuntimeError, match="non-terminating"):
             run_adversary(FixedDelay(1.0), ConstantCost(1), cfg)
 
@@ -138,8 +140,8 @@ def _prefix_replay_waves(policy, f, cfg, epsilon):
             feats.extend([fid] * mult)
         wave_last_index.append(len(times))
         sched, _ = run_policy(ProblemInstance(tuple(times), tuple(feats)), f, policy)
-        t_j = next(b.time for b in sched.batches if b.lo <= len(times) <= b.hi)
-        if t_j - release > cfg.timeout:
+        t_j = sched.stamps[bisect_left(sched.ends, len(times))]
+        if t_j - release > adversary._TIMEOUT:
             raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t_j)
         t_prev = t_j
@@ -180,7 +182,7 @@ class TestOpenBatchReplay:
             groups = [(FeatureMultiset.of_size(1), FeatureMultiset.of_size(1)),
                       (FeatureMultiset.of_size(2), FeatureMultiset.of_size(3))]
         else:
-            groups = [(FeatureMultiset.of_size(1, 0), FeatureMultiset.of_size(1, 1))]
+            groups = [(FeatureMultiset(((0, 1),)), FeatureMultiset(((1, 1),)))]
         for x1, x2 in groups:
             for epsilon in (1e-6, None, 1e-30, 0.7):
                 cfg = AdversaryConfig(x1, x2, rounds=20, epsilon=epsilon)
@@ -198,7 +200,7 @@ class TestOpenBatchReplay:
                 lasts = list(itertools.accumulate((len(x1), len(x2)) * cfg.rounds))
                 firsts = [1] + [last + 1 for last in lasts[:-1]]
                 assert rep.split_waves == sum(
-                    any(lo <= b.hi < last for b in rep.schedule.batches)
+                    any(lo <= hi < last for hi in rep.schedule.ends)
                     for lo, last in zip(firsts, lasts))
 
     def test_replay_work_is_linear_in_rounds(self, monkeypatch):
@@ -216,7 +218,7 @@ class TestOpenBatchReplay:
         # and 3 more times at the release after it.
         closed = _count_closes(monkeypatch, FixedSize)
         rep = run_adversary(FixedSize(3), ConstantCost(1), config(300))
-        batches = rep.schedule.m
+        batches = len(rep.schedule.ends)
         assert rep.instance.n == 3 * batches
         assert sum(closed) == 6 * batches + 3 * (batches - 1)
 

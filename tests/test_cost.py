@@ -24,7 +24,13 @@ from dynbatch import (
     validate_assumption1,
     worst_pair_search,
 )
-from dynbatch.cost import CurvatureResult, ValidationReport, Violation, random_multiset
+from dynbatch.cost import (
+    CurvatureResult,
+    ValidationReport,
+    Violation,
+    random_multiset,
+    size_pairs,
+)
 
 
 def ms(*features):
@@ -42,10 +48,6 @@ class TestFeatureMultiset:
         assert x.union(x) == ms(0, 0, 1, 1)
         assert x.union(x) != x
         assert len(x.union(ms(5))) == 3
-
-    def test_contains(self):
-        assert ms(0, 0, 1).contains(ms(0, 1))
-        assert not ms(0, 1).contains(ms(0, 0))
 
     def test_of_size(self):
         assert len(FeatureMultiset.of_size(4)) == 4
@@ -127,17 +129,21 @@ PRICED_COSTS = (
 
 @pytest.mark.parametrize("f", COUNT_COSTS, ids=lambda f: f.spec_string()[:16])
 def test_count_values_is_count_value(f):
-    # One formula per count cost: the array form must agree bit for bit
-    # (log1p once differed by one ulp at sizes 2, 13 and 47).
-    assert f.count_values(np.arange(65)).tolist() == [f.count_value(k) for k in range(65)]
+    # One formula per count cost: the table, and each pricing route that
+    # reads it, must agree with it bit for bit (an array form of log1p once
+    # differed by one ulp at sizes 2, 13 and 47).
+    want = [f.count_value(k) for k in range(65)]
+    assert f.count_table(64).tolist() == want
+    assert f.prefix_costs((0,) * 64).tolist() == want[1:]
+    assert size_pairs(f, 64)[2].tolist() == want
 
 
 class _CountedSqrt(SqrtCount):
-    """sqrt, recording the number of sizes each ``count_values`` call tabulates."""
+    """sqrt, recording each size that ``count_value`` prices."""
 
-    def count_values(self, sizes):
-        self.__dict__.setdefault("calls", []).append(len(sizes))
-        return super().count_values(sizes)
+    def count_value(self, size):
+        self.__dict__.setdefault("sizes", []).append(size)
+        return super().count_value(size)
 
 
 def test_count_table_is_kept_per_cost_object_and_grown():
@@ -145,10 +151,11 @@ def test_count_table_is_kept_per_cost_object_and_grown():
     rows = [[0] * 12]
     assert f.batch_costs(rows, np.array([3, 7, 2])).tolist() == [math.sqrt(k) for k in (3, 7, 2)]
     assert f.batch_costs(rows, np.array([5, 7])).tolist() == [math.sqrt(5), math.sqrt(7)]
-    assert f.calls == [8]
+    # One tabulation of the 8 sizes 0..7, then one of the 13 sizes 0..12.
+    assert f.sizes == list(range(8))
     assert f.batch_costs(rows, np.array([12])).tolist() == [math.sqrt(12)]
     assert f.count_table(4).tolist() == [math.sqrt(k) for k in range(5)]
-    assert f.calls == [8, 13]
+    assert f.sizes == list(range(8)) + list(range(13))
     with pytest.raises(ValueError, match="read-only"):
         f.count_table(4)[0] = 1.0
     # The table is no field: equality, hashing, repr and pickling ignore it.
@@ -172,7 +179,10 @@ def test_batch_cost_and_prefix_costs_price_every_prefix(f, features):
     prefixes = [features[:k] for k in range(1, len(features) + 1)]
     fresh = [FeatureMultiset.from_features(p) for p in prefixes]
     want = [f.value(x) for x in fresh]
-    assert [f.batch_cost(p) for p in prefixes] == want
+    if prefixes:
+        # Each prefix as one batch of a run of batches.
+        sizes = np.arange(1, len(features) + 1)
+        assert f.batch_costs(prefixes, sizes).tolist() == want
     assert f.prefix_costs(features).tolist() == want
     assert f.prefix_costs(()).tolist() == []
     # The multisets that a set function sees, grown one sample at a time,

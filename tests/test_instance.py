@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dynbatch import (
     BUILTIN_COSTS,
-    Batch,
     ConstantCost,
     CountTable,
     CustomSetFunction,
@@ -29,7 +28,7 @@ from dynbatch import (
 from dynbatch.instance import chunk_costs
 
 from conftest import assert_times_array, flat, row_costs
-from oracles import pending_count_curve, positive_excess_integral
+from oracles import batch_cost, batches, pending_count_curve, positive_excess_integral
 
 
 def singleton_batches(inst):
@@ -40,10 +39,10 @@ def reference_cost(inst, sched, f):
     """The objective batch by batch: the fsum of the per-sample waits and the
     fsum of the per-batch prices, each divided by n."""
     sched.validate_for(inst)
-    waits = [b.time - inst.times[i] for b in sched.batches for i in range(b.lo - 1, b.hi)]
+    waits = [t - inst.times[i] for lo, hi, t in batches(sched) for i in range(lo - 1, hi)]
     waiting = math.fsum(waits) / inst.n
-    processing = math.fsum(f.batch_cost(inst.features[b.lo - 1:b.hi])
-                           for b in sched.batches) / inst.n
+    processing = math.fsum(batch_cost(f, inst.features[lo - 1:hi])
+                           for lo, hi, _ in batches(sched)) / inst.n
     return ScheduleCost(waiting, processing, waiting + processing)
 
 
@@ -258,18 +257,17 @@ class TestChunkCosts:
         features = [inst.features for inst in insts]
         assert row_costs(np.array(self.CHUNK), features, *flat(ends, stamps), f) == want
 
-    @pytest.mark.parametrize("batches", [
-        pytest.param([Batch(1, 1, 0.0)], id="incomplete"),
-        pytest.param([Batch(1, 2, 0.5)], id="before-last-arrival"),
-        pytest.param([Batch(1, 1, 0.5), Batch(2, 2, 0.4)], id="decreasing-times"),
-        pytest.param([], id="no-batches"),
-        pytest.param([Batch(1, 1, 0.0), Batch(3, 3, 1.0)], id="gap"),
-        pytest.param([Batch(1, 1, 1.0), Batch(2, 2, 1.0)], id="one-instant"),
-        pytest.param([Batch(1, 5, 9.0)], id="past-n"),
+    @pytest.mark.parametrize("ends, stamps", [
+        pytest.param([1], [0.0], id="incomplete"),
+        pytest.param([2], [0.5], id="before-last-arrival"),
+        pytest.param([1, 2], [0.5, 0.4], id="decreasing-times"),
+        pytest.param([], [], id="no-batches"),
+        pytest.param([1, 3], [0.0, 1.0], id="gap"),
+        pytest.param([1, 2], [1.0, 1.0], id="one-instant"),
+        pytest.param([5], [9.0], id="past-n"),
     ])
-    def test_invalid_schedule_raises_validate_for_error(self, batches):
+    def test_invalid_schedule_raises_validate_for_error(self, ends, stamps):
         inst = ProblemInstance.from_times([0.0, 1.0])
-        ends, stamps = [b.hi for b in batches], [b.time for b in batches]
         sched = Schedule(tuple(ends), tuple(stamps))
         with pytest.raises(InfeasibleScheduleError) as want:
             sched.validate_for(inst)
@@ -309,11 +307,10 @@ class TestMergeCoincident:
     def test_merges_equal_times(self):
         merged = Schedule.from_ends([1, 3, 4], [0.5, 0.5, 1.0])
         assert merged == Schedule((3, 4), (0.5, 1.0))
-        assert merged.batches == (Batch(1, 3, 0.5), Batch(4, 4, 1.0))
+        assert batches(merged) == ((1, 3, 0.5), (4, 4, 1.0))
 
     def test_keeps_distinct(self):
-        batches = (Batch(1, 1, 0.0), Batch(2, 2, 1.0))
-        assert Schedule.from_ends([1, 2], [0.0, 1.0]).batches == batches
+        assert Schedule.from_ends([1, 2], [0.0, 1.0]) == Schedule((1, 2), (0.0, 1.0))
 
     @pytest.mark.parametrize("ends, stamps, want", [
         ([], [], ((), ())),
@@ -337,11 +334,9 @@ class TestSchedule:
 
     def test_batches_round_trip(self):
         sched = Schedule((2, 3, 7), (0.5, 1.0, 4.25))
-        assert sched.batches == (Batch(1, 2, 0.5), Batch(3, 3, 1.0), Batch(4, 7, 4.25))
-        assert sched.m == 3
-        assert Schedule.from_ends([b.hi for b in sched.batches],
-                                  [b.time for b in sched.batches]) == sched
-        assert Schedule((), ()).batches == ()
+        assert batches(sched) == ((1, 2, 0.5), (3, 3, 1.0), (4, 7, 4.25))
+        assert Schedule.from_ends(sched.ends, sched.stamps) == sched
+        assert batches(Schedule((), ())) == ()
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -492,7 +487,7 @@ def test_pricing_matches_batch_by_batch_reference(insts, f):
     a = np.array([inst.times for inst in insts])
     features = [inst.features for inst in insts]
     opt = [optimal_schedule(inst, f)[0] for inst in insts]
-    runs = [([[b.hi for b in s.batches] for s in opt], [[b.time for b in s.batches] for s in opt])]
+    runs = [([s.ends for s in opt], [s.stamps for s in opt])]
     for policy in [Wta(0.5), Wta(3.0), FixedSize(3), FixedDelay(0.0), FixedDelay(0.3)]:
         runs.append(tuple(zip(*(policy.flushes(inst.times, inst.features, f) for inst in insts))))
     for ends, stamps in runs:

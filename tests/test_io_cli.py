@@ -25,6 +25,12 @@ FIXTURE = Path(__file__).parent / "data" / "arrivals5.csv"
 #: FIXTURE with quoted times and blank features, which only the row-by-row
 #: reader accepts.
 QUOTED_FIXTURE = FIXTURE.with_name("arrivals5_quoted.csv")
+#: The exact stdout of each command on FIXTURE under sqrt, byte for byte.
+PRINTOUTS = {
+    "offline": ("arrivals5_sqrt_optimum.txt", []),
+    "oracle": ("arrivals5_sqrt_optimum.txt", []),
+    "online": ("arrivals5_sqrt_wta0.5.txt", ["--policy", "wta:0.5"]),
+}
 
 HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
 UNSORTED = "arrivals not sorted by time; sorting"
@@ -275,6 +281,12 @@ class TestCli:
         j_oracle = capsys.readouterr().out.splitlines()[-1]
         assert j_offline == j_oracle
 
+    @pytest.mark.parametrize("command", sorted(PRINTOUTS))
+    def test_schedule_printout_is_pinned(self, command, capsys):
+        name, flags = PRINTOUTS[command]
+        assert cli_main([command, "--arrivals", str(FIXTURE), "--cost", "sqrt", *flags]) == 0
+        assert capsys.readouterr() == (FIXTURE.with_name(name).read_text(), "")
+
     def test_offline_two_arrivals(self, tmp_path, capsys):
         p = tmp_path / "two.csv"
         p.write_text("time\n0\n100\n")
@@ -367,6 +379,13 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == f"dynbatch: {message}\n"
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_simulate_bad_parallelism_exits_2_before_any_chunk(self, value, capsys):
+        assert cli_main(["simulate", "--cost", "sqrt", "--n", "5", "--trials", "2",
+                         "--parallelism", value]) == 2
+        assert capsys.readouterr() == (
+            "", f"dynbatch: parallelism must be a positive integer, got {value}\n")
+
     def test_simulate_needs_exactly_one_mode(self, capsys):
         assert cli_main(["simulate", "--cost", "sqrt", "--trials", "2"]) == 2
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5",
@@ -405,6 +424,18 @@ class TestCli:
         assert len(rows) == 1
         assert float(rows[0]["limit_bound"]) == 2.0
         assert rows[0]["policy"] == "wta:0.5"
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--rounds", "0", "rounds must be at least 1"),
+        ("--x1", "0", "arrival groups must be non-empty"),
+        ("--x2", "-1", "size must be non-negative"),
+        ("--epsilon", "-1", "epsilon must be positive and finite"),
+        ("--epsilon", "nan", "epsilon must be positive and finite"),
+    ])
+    def test_adversary_bad_flag_exits_2(self, flag, value, message, capsys):
+        assert cli_main(["adversary", "--cost", "sqrt", "--policy", "wta:0.5",
+                         flag, value]) == 2
+        assert capsys.readouterr() == ("", f"dynbatch: {message}\n")
 
     def test_adversary_gap_rounding_to_zero_exits_1(self, capsys):
         rc = cli_main(["adversary", "--cost", "const:1", "--policy", "wta:0.5",

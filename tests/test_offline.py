@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dynbatch import (
     BUILTIN_COSTS,
-    Batch,
     CappedLinear,
     ConstantCost,
     CountTable,
@@ -33,6 +32,8 @@ from dynbatch.sim import ConstantRate, SinusoidRate
 from conftest import row_costs
 from oracles import (
     IlpConstraintViolation,
+    batch_cost,
+    batches,
     bitmask_optimum,
     check_ilp_assignment,
     edge_weight,
@@ -44,7 +45,7 @@ COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 
 
 def _partition(sched):
-    return [(b.lo, b.hi) for b in sched.batches]
+    return [(lo, hi) for lo, hi, _ in batches(sched)]
 
 
 def _day_trace(n, seed=1):
@@ -108,12 +109,12 @@ class TestEdgeWeightOracle:
 class TestOptimalSchedule:
     def test_single_sample(self):
         sched, cost = optimal_schedule(ProblemInstance.from_times([0.0]), SqrtCount())
-        assert sched.batches == (Batch(1, 1, 0.0),)
+        assert sched == Schedule((1,), (0.0,))
         assert cost.total == 1.0
 
     def test_far_apart_pair_stays_split(self):
         sched, cost = optimal_schedule(ProblemInstance.from_times([0.0, 100.0]), SqrtCount())
-        assert sched.m == 2
+        assert len(sched.ends) == 2
         assert cost.total == 1.0
 
     def test_two_cluster_instance(self):
@@ -121,15 +122,12 @@ class TestOptimalSchedule:
         sched, cost = optimal_schedule(inst, SqrtCount())
         bf_sched, bf_cost = brute_force_optimum(inst, SqrtCount())
         assert math.isclose(cost.total, bf_cost.total, rel_tol=1e-9)
-        assert [(b.lo, b.hi) for b in sched.batches] == [(1, 3), (4, 5)]
-        assert sched.batches[0].time == 0.2
-        assert sched.batches[1].time == 5.1
+        assert sched == Schedule((3, 5), (0.2, 5.1))
 
     def test_batch_times_are_last_arrivals(self, small_corpus):
         for inst in small_corpus[:40]:
             sched, _ = optimal_schedule(inst, Log1pCount())
-            for b in sched.batches:
-                assert b.time == inst.times[b.hi - 1]
+            assert sched.stamps == tuple(inst.times[hi - 1] for hi in sched.ends)
 
     def test_deterministic(self):
         inst = ProblemInstance.from_times([0.0, 0.0, 1.0, 1.0])
@@ -140,7 +138,7 @@ class TestOptimalSchedule:
     def test_all_coincident_arrivals_single_batch(self):
         inst = ProblemInstance.from_times([2.0] * 7)
         sched, cost = optimal_schedule(inst, SqrtCount())
-        assert sched.m == 1
+        assert sched.ends == (7,)
         assert math.isclose(cost.total, math.sqrt(7) / 7, rel_tol=1e-12)
 
     def test_count_table_needs_only_the_window(self):
@@ -177,17 +175,17 @@ class TestOptimalSchedule:
 class TestBruteForce:
     def test_single_sample(self):
         sched, cost = brute_force_optimum(ProblemInstance.from_times([3.0]), SqrtCount())
-        assert sched.batches == (Batch(1, 1, 3.0),)
+        assert sched == Schedule((1,), (3.0,))
 
     def test_coincident_triple_batches_together(self):
         sched, cost = brute_force_optimum(ProblemInstance.from_times([0.0, 0.0, 0.0]), SqrtCount())
-        assert sched.m == 1
+        assert sched.ends == (3,)
         assert math.isclose(cost.total, math.sqrt(3) / 3, rel_tol=1e-12)
 
     def test_near_coincident_pair_constant_cost(self):
         eps = 1e-9
         sched, cost = brute_force_optimum(ProblemInstance.from_times([0.0, eps]), ConstantCost(1))
-        assert sched.m == 1
+        assert sched.ends == (2,)
         assert math.isclose(cost.total, (eps + 1) / 2, rel_tol=1e-12)
 
     def test_size_limit(self):
@@ -200,7 +198,7 @@ class TestBruteForce:
         from dynbatch import CountTable
         zero = CountTable((0.0,) * 8)
         sched, _ = brute_force_optimum(ProblemInstance.from_times([1.0, 1.0, 1.0]), zero)
-        assert sched.m == 1
+        assert sched.ends == (3,)
 
     def test_split_sets_pick_the_bitmask_schedule(self):
         """Enumerating split sets by size keeps the bit-mask enumeration's
@@ -384,7 +382,7 @@ def test_time_shift_leaves_the_optimum_unchanged(pair):
         sched, cost = optimal_schedule(inst, f)
         shifted_sched, shifted_cost = optimal_schedule(shifted, f)
         assert _partition(shifted_sched) == _partition(sched), f
-        assert [b.time for b in shifted_sched.batches] == [b.time + shift for b in sched.batches]
+        assert list(shifted_sched.stamps) == [t + shift for t in sched.stamps]
         assert shifted_cost == cost, f
         dual, shifted_dual = dual_recursion(inst, f), dual_recursion(shifted, f)
         assert shifted_dual.lambdas == dual.lambdas, f
@@ -605,7 +603,7 @@ def test_a_piece_breaks_its_ties_as_if_it_stood_alone():
     gap, they broke it the other way."""
     times = np.cumsum([10.0, 0.1, 0.1, 10.0] + [0.1] * 6)
     f = SqrtCount()
-    sizes = lambda inst: [b.hi - b.lo + 1 for b in optimal_schedule(inst, f)[0].batches]
+    sizes = lambda inst: np.diff(optimal_schedule(inst, f)[0].ends, prepend=0).tolist()
     assert sizes(ProblemInstance.from_times(times[3:])) == [3, 4]
     assert sizes(ProblemInstance.from_times(times)) == [3, 3, 4]
 
@@ -653,7 +651,7 @@ def _reach_widths(inst, f):
     for i in range(n):
         reach, k = math.inf, i
         while k < n and a[k] <= reach:
-            price = f.batch_cost(inst.features[i:k + 1])
+            price = batch_cost(f, inst.features[i:k + 1])
             term = a[k] + price / (k + 1 - i) * (1 + offline._WINDOW_SLACK) + 4 * math.ulp(a[k])
             reach = min(reach, term)
             k += 1
@@ -664,7 +662,7 @@ def _reach_widths(inst, f):
 def _single_sample_widths(inst, f):
     """Each row's window by the m = 1 rule alone, a_i + f({v_i})."""
     a = inst.times_array
-    single = np.array([f.batch_cost((v,)) for v in inst.features])
+    single = np.array([batch_cost(f, (v,)) for v in inst.features])
     reach = a + single * (1 + offline._WINDOW_SLACK) + 4 * np.spacing(a)
     return np.maximum(np.searchsorted(a, reach, side="right") - np.arange(inst.n), 1)
 
@@ -749,7 +747,7 @@ def test_negative_or_nan_prices_keep_every_row(name):
     assert (widths >= 1).all()
     # A row whose single-sample price is NaN has no reach, as under a count
     # cost whose f(1) is NaN.
-    nan_rows = [i for i, v in enumerate(inst.features) if math.isnan(f.batch_cost((v,)))]
+    nan_rows = [i for i, v in enumerate(inst.features) if math.isnan(batch_cost(f, (v,)))]
     assert all(widths[i] == inst.n - i for i in nan_rows)
     assert optimal_schedule(inst, f)[0].ends == ends
     assert dual_recursion(inst, f).successors == successors
@@ -817,11 +815,12 @@ def test_schedule_and_cost_come_from_the_sweep_arrays():
         times = tuple((np.cumsum(gaps) + (1.7e9 if k % 3 == 0 else 0.0)).tolist())
         inst = ProblemInstance(times, tuple(rng.integers(0, 3, n).tolist()))
         for f in costs:
-            (want, batches) = _from_ends_and_cost_of(inst, f)
+            (want, unmerged) = _from_ends_and_cost_of(inst, f)
             got = optimal_schedule(inst, f)
             assert got == want
-            assert [type(v) for v in got[0].ends + got[0].stamps] == [int] * got[0].m + [float] * got[0].m
-            merged += got[0].m < batches
+            m = len(got[0].ends)
+            assert [type(v) for v in got[0].ends + got[0].stamps] == [int] * m + [float] * m
+            merged += m < unmerged
     assert merged > 0
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dynbatch import (
     BUILTIN_COSTS,
-    Batch,
     CappedLinear,
     ConstantCost,
     CountTable,
@@ -33,7 +32,7 @@ from dynbatch import (
 from dynbatch.instance import path_nodes
 
 from conftest import flat
-from oracles import pending_count_curve, positive_excess_integral
+from oracles import batch_cost, batches, pending_count_curve, positive_excess_integral
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 ALPHAS = [0.5, math.sqrt(0.5), 1.0]
@@ -42,7 +41,7 @@ ALPHAS = [0.5, math.sqrt(0.5), 1.0]
 class TestWtaExamples:
     def test_single_sample(self):
         sched, cost = run_policy(ProblemInstance.from_times([0.0]), SqrtCount(), Wta(0.5))
-        assert sched.batches == (Batch(1, 1, 0.5),)
+        assert sched == Schedule((1,), (0.5,))
         assert (cost.waiting, cost.processing, cost.total) == (0.5, 1.0, 1.5)
 
     def test_absorbed_arrival(self):
@@ -50,8 +49,8 @@ class TestWtaExamples:
         # out together once the combined wait hits the enlarged target
         sched, cost = run_policy(ProblemInstance.from_times([0.0, 0.2]), SqrtCount(), Wta(0.5))
         t_star = 0.2 + (0.5 * math.sqrt(2) - 0.2) / 2
-        assert sched.m == 1
-        assert math.isclose(sched.batches[0].time, t_star, rel_tol=1e-15)
+        assert sched.ends == (2,)
+        assert math.isclose(sched.stamps[0], t_star, rel_tol=1e-15)
         assert math.isclose(cost.total, 1.0606601717798214, rel_tol=1e-12)
 
     def test_rejects_bad_alpha(self):
@@ -64,13 +63,13 @@ class TestWtaExamples:
         zero = CountTable((0.0,) * 10)
         inst = ProblemInstance.from_times([0.0, 0.0, 1.0, 2.0, 2.0])
         sched, cost = run_policy(inst, zero, Wta(0.5))
-        assert [b.time for b in sched.batches] == [0.0, 1.0, 2.0]
+        assert sched.stamps == (0.0, 1.0, 2.0)
         assert cost.total == 0.0
 
     def test_simultaneous_arrivals_absorbed_together(self):
         sched, _ = run_policy(ProblemInstance.from_times([1.0, 1.0, 1.0, 1.0]), SqrtCount(), Wta(0.5))
-        assert sched.m == 1
-        assert math.isclose(sched.batches[0].time, 1.0 + 0.5 * 2 / 4)
+        assert sched.ends == (4,)
+        assert math.isclose(sched.stamps[0], 1.0 + 0.5 * 2 / 4)
 
 
 def random_instances(count, seed, max_n=40, rate=2.0):
@@ -101,11 +100,11 @@ def test_per_batch_trigger_identity(alpha):
         sched, _ = run_policy(inst, f, Wta(alpha))
         curve = pending_count_curve(inst, sched)
         prev = 0.0
-        for b in sched.batches:
-            accrued = curve.integral_between(prev, b.time)
-            target = alpha * f.count_value(b.hi - b.lo + 1)
+        for lo, hi, t in batches(sched):
+            accrued = curve.integral_between(prev, t)
+            target = alpha * f.count_value(hi - lo + 1)
             assert math.isclose(accrued, target, rel_tol=1e-9, abs_tol=1e-12)
-            prev = b.time
+            prev = t
 
 
 @pytest.mark.parametrize("f", COSTS, ids=lambda f: f.spec_string())
@@ -121,8 +120,8 @@ def test_truncation_equivalence(f):
         prefix = ProblemInstance(inst.times[:k], inst.features[:k])
         full_sched, _ = run_policy(inst, f, Wta(0.5))
         pre_sched, _ = run_policy(prefix, f, Wta(0.5))
-        full_before = [b for b in full_sched.batches if b.time < cut]
-        pre_before = [b for b in pre_sched.batches if b.time < cut]
+        full_before = [b for b in batches(full_sched) if b[2] < cut]
+        pre_before = [b for b in batches(pre_sched) if b[2] < cut]
         assert full_before == pre_before
 
 
@@ -130,25 +129,24 @@ class TestFixedSize:
     def test_k1_processes_each_arrival(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.5])
         sched, cost = run_policy(inst, SqrtCount(), FixedSize(1))
-        assert sched.m == 3
+        assert sched.ends == (1, 2, 3)
         assert cost.waiting == 0.0
         assert math.isclose(cost.processing, 1.0)
 
     def test_k_equals_n_single_batch(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.5])
         sched, _ = run_policy(inst, SqrtCount(), FixedSize(3))
-        assert sched.batches == (Batch(1, 3, 2.5),)
+        assert sched == Schedule((3,), (2.5,))
 
     def test_partial_final_batch_at_last_arrival(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.0, 3.0, 4.0])
         sched, _ = run_policy(inst, SqrtCount(), FixedSize(2))
-        assert [(b.lo, b.hi, b.time) for b in sched.batches] == [
-            (1, 2, 1.0), (3, 4, 3.0), (5, 5, 4.0)]
+        assert sched == Schedule((2, 4, 5), (1.0, 3.0, 4.0))
 
     def test_coincident_batches_merge(self):
         inst = ProblemInstance.from_times([0.0, 0.0, 0.0])
         sched, _ = run_policy(inst, SqrtCount(), FixedSize(1))
-        assert sched.m == 1
+        assert sched.ends == (3,)
 
     def test_per_sample_cost_ratio_grows(self):
         # rapid arrivals: n batches of k cost about n sqrt(k), versus
@@ -165,23 +163,23 @@ class TestFixedDelay:
     def test_zero_delay_distinct_times(self):
         inst = ProblemInstance.from_times([0.0, 1.0, 2.0])
         sched, cost = run_policy(inst, SqrtCount(), FixedDelay(0.0))
-        assert sched.m == 3
+        assert sched.ends == (1, 2, 3)
         assert cost.waiting == 0.0
 
     def test_zero_delay_coincident_times(self):
         inst = ProblemInstance.from_times([0.0, 0.0, 0.0])
         sched, _ = run_policy(inst, SqrtCount(), FixedDelay(0.0))
-        assert sched.batches == (Batch(1, 3, 0.0),)
+        assert sched == Schedule((3,), (0.0,))
 
     def test_second_arrival_joins_before_flush(self):
         inst = ProblemInstance.from_times([0.0, 0.5])
         sched, _ = run_policy(inst, SqrtCount(), FixedDelay(1.0))
-        assert sched.batches == (Batch(1, 2, 1.0),)
+        assert sched == Schedule((2,), (1.0,))
 
     def test_flush_excludes_later_arrivals(self):
         inst = ProblemInstance.from_times([0.0, 0.5, 3.0])
         sched, _ = run_policy(inst, SqrtCount(), FixedDelay(1.0))
-        assert [(b.lo, b.hi, b.time) for b in sched.batches] == [(1, 2, 1.0), (3, 3, 4.0)]
+        assert sched == Schedule((2, 3), (1.0, 4.0))
 
 
 class TestCompetitiveRatioBound:
@@ -314,7 +312,7 @@ def test_policies_are_online(inst, policy, f):
 
 def _reference_wta_close(alpha, times, features, f, lo):
     """Wta.close with the flush target priced from the batch's features on
-    every event, f.batch_cost(features[lo:i])."""
+    every event, batch_cost(f, features[lo:i])."""
     n = len(times)
     i = lo
     t = times[i]
@@ -323,7 +321,7 @@ def _reference_wta_close(alpha, times, features, f, lo):
     accrued = 0.0
     while True:
         pending = i - lo
-        target = alpha * f.batch_cost(features[lo:i])
+        target = alpha * batch_cost(f, features[lo:i])
         if target <= accrued:
             return i, t
         t_star = t + (target - accrued) / pending

@@ -131,8 +131,11 @@ class TestGenPoisson:
         assert len(set(inst.features)) > 1
 
     def test_default_single_feature(self):
-        inst = gen_poisson(ConstantRate(2.0), 10, seed=5, feature=3)
-        assert set(inst.features) == {3}
+        inst = gen_poisson(ConstantRate(2.0), 10, seed=5)
+        assert set(inst.features) == {0}
+        # A constant sampler draws nothing, so the times stay those of the seed.
+        threes = gen_poisson(ConstantRate(2.0), 10, seed=5, feature_sampler=lambda rng, t: 3)
+        assert set(threes.features) == {3} and threes.times == inst.times
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -353,6 +356,10 @@ class TestSeedsAndStreams:
         (dict(n_values=[]), "need at least one grid point and one policy"),
         (dict(rates=[]), "need at least one grid point and one policy"),
         (dict(policies=[]), "need at least one grid point and one policy"),
+        (dict(parallelism=0), "parallelism must be a positive integer, got 0"),
+        (dict(parallelism=-1), "parallelism must be a positive integer, got -1"),
+        (dict(parallelism=True), "parallelism must be a positive integer, got True"),
+        (dict(parallelism=1.5), "parallelism must be a positive integer, got 1.5"),
     ])
     def test_bad_study_args_fail_before_any_chunk(self, change, message, monkeypatch):
         def never(*args, **kwargs):
