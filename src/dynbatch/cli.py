@@ -6,8 +6,10 @@ size-capped), ``gamma`` (curvature of a cost spec), ``validate``
 (admissibility report), ``simulate`` (Monte-Carlo study), ``adversary``
 (worst-case construction against a policy).
 
-Exit codes: 0 on success, 2 for usage errors (including unknown cost,
-policy, or rate specs), 1 otherwise with a one-line diagnostic on stderr.
+Exit codes: 0 on success, 2 for usage errors (an unknown cost, policy or
+rate spec, or a flag out of range, such as ``--max-batch``, ``--alpha`` or
+a non-finite ``sin:`` rate), 1 otherwise with a one-line diagnostic on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,8 +18,14 @@ import argparse
 import sys
 
 from .adversary import AdversaryConfig, run_adversary
-from .cost import CostFunction, FeatureMultiset, curvature, parse_cost_spec, validate_assumption1
-from .instance import Schedule, ScheduleCost
+from .cost import (
+    CostFunction,
+    FeatureMultiset,
+    check_max_batch,
+    curvature,
+    parse_cost_spec,
+    validate_assumption1,
+)
 from .io_csv import (
     load_arrivals,
     save_arrivals,
@@ -35,9 +43,10 @@ class UsageError(ValueError):
     """Bad spec string or flag combination; exits with status 2."""
 
 
-def _cost(spec: str) -> CostFunction:
+def _usage(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ValueError re-raised as a UsageError."""
     try:
-        return parse_cost_spec(spec)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -47,55 +56,50 @@ def _policy(spec: str, alpha: float | None, f: CostFunction) -> PolicyConfig:
     if spec == "wta" and alpha is None:
         # bare "wta" without --alpha picks the cost's curvature
         return Wta(curvature(f))
-    try:
-        if spec == "wta":
-            return Wta(alpha)
-        policy = parse_policy_spec(spec)
-        return Wta(alpha) if alpha is not None and isinstance(policy, Wta) else policy
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if spec != "wta":
+        policy = _usage(parse_policy_spec, spec)
+        if alpha is None or not isinstance(policy, Wta):
+            return policy
+    return _usage(Wta, alpha)
 
 
-def _print_run(sched: Schedule, cost: ScheduleCost) -> None:
+def _cmd_schedule(args, f: CostFunction) -> int:
+    """``offline``, ``oracle`` and ``online``: the subcommand's solver
+    checks its flags, then solves the arrivals file."""
+    solve = args.solver(args, f)
+    sched, cost = solve(load_arrivals(args.arrivals))
     for j, (lo, hi, t) in enumerate(zip((0, *sched.ends), sched.ends, sched.stamps), start=1):
         print(f"batch {j}: samples {lo + 1}-{hi} time={t!r}")
     print(f"W={cost.waiting!r} F={cost.processing!r} J={cost.total!r}")
-
-
-def _cmd_offline(args) -> int:
-    f = _cost(args.cost)
-    inst = load_arrivals(args.arrivals)
-    sched, cost = optimal_schedule(inst, f)
-    _print_run(sched, cost)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    f = _cost(args.cost)
-    inst = load_arrivals(args.arrivals)
-    sched, cost = brute_force_optimum(inst, f, max_n=args.max_n)
-    _print_run(sched, cost)
-    return 0
+def _offline(args, f: CostFunction):
+    return lambda inst: optimal_schedule(inst, f)
 
 
-def _cmd_online(args) -> int:
-    f = _cost(args.cost)
+def _oracle(args, f: CostFunction):
+    return lambda inst: brute_force_optimum(inst, f, max_n=args.max_n)
+
+
+def _online(args, f: CostFunction):
     policy = _policy(args.policy, args.alpha, f)
-    inst = load_arrivals(args.arrivals)
-    sched, cost = run_policy(inst, f, policy)
-    print(f"policy={policy.spec_string()}")
-    _print_run(sched, cost)
-    return 0
+
+    def solve(inst):
+        run = run_policy(inst, f, policy)
+        print(f"policy={policy.spec_string()}")
+        return run
+    return solve
 
 
-def _cmd_gamma(args) -> int:
-    f = _cost(args.cost)
+def _cmd_gamma(args, f: CostFunction) -> int:
+    _usage(check_max_batch, args.max_batch, 2)
     print(repr(curvature(f, max_batch=args.max_batch)))
     return 0
 
 
-def _cmd_validate(args) -> int:
-    f = _cost(args.cost)
+def _cmd_validate(args, f: CostFunction) -> int:
+    _usage(check_max_batch, args.max_batch, 1)
     report = validate_assumption1(f, max_batch=args.max_batch)
     print(f"ok={report.ok} checked={report.checked_pairs} violations={len(report.violations)}")
     for v in report.violations:
@@ -111,21 +115,14 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}") from None
 
 
-def _cmd_simulate(args) -> int:
-    f = _cost(args.cost)
+def _cmd_simulate(args, f: CostFunction) -> int:
     # A sin: spec holds commas, so --rate-fn is one spec and never split.
     rate_specs = [args.rate_fn] if args.rate_fn else [p for p in args.rate.split(",") if p.strip()]
-    try:
-        rates = [parse_rate_spec(p) for p in rate_specs]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rates = [_usage(parse_rate_spec, p) for p in rate_specs]
     n_values = _parse_int_list(args.n) if args.n is not None else None
     specs = args.policy if args.policy else ["wta"]
-    try:
-        check_study_args(n_values, args.horizon, rates, specs, args.trials, args.seed,
-                         args.parallelism)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _usage(check_study_args, n_values, args.horizon, rates, specs, args.trials, args.seed,
+           args.parallelism)
     policies = [_policy(s, args.alpha, f) for s in specs]
     records = run_study(
         n_values=n_values, horizon=args.horizon, rates=rates, policies=policies,
@@ -141,15 +138,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_adversary(args) -> int:
-    f = _cost(args.cost)
+def _cmd_adversary(args, f: CostFunction) -> int:
     policy = _policy(args.policy, args.alpha, f)
-    try:
-        cfg = AdversaryConfig(x1=FeatureMultiset.of_size(args.x1),
-                              x2=FeatureMultiset.of_size(args.x2),
-                              rounds=args.rounds, epsilon=args.epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _usage(lambda: AdversaryConfig(x1=FeatureMultiset.of_size(args.x1),
+                                         x2=FeatureMultiset.of_size(args.x2),
+                                         rounds=args.rounds, epsilon=args.epsilon))
     report = run_adversary(policy, f, cfg)
     print(f"n={report.instance.n} J={report.alg_cost.total!r}")
     print(f"odd_cost={report.odd_cost!r} even_cost={report.even_cost!r}")
@@ -163,45 +156,44 @@ def _cmd_adversary(args) -> int:
     return 0
 
 
+def _flag(name: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several subcommands share."""
+    q = argparse.ArgumentParser(add_help=False)
+    q.add_argument(name, **kwargs)
+    return q
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dynbatch",
         description="Optimal and competitive batching of timed arrivals.")
     sub = p.add_subparsers(dest="command", required=True)
+    arrivals = _flag("--arrivals", required=True)
+    cost = _flag("--cost", required=True)
+    policy = _flag("--policy", required=True)
+    alpha = _flag("--alpha", type=float, default=None)
+    max_batch = _flag("--max-batch", type=int, default=64)
 
-    def add(name, fn, help_):
-        q = sub.add_parser(name, help=help_)
-        q.set_defaults(func=fn)
+    def add(name, fn, help_, *parents, **defaults):
+        q = sub.add_parser(name, help=help_, parents=parents)
+        q.set_defaults(func=fn, **defaults)
         return q
 
-    q = add("offline", _cmd_offline, "exact optimal schedule for an arrivals file")
-    q.add_argument("--arrivals", required=True)
-    q.add_argument("--cost", required=True)
-
-    q = add("oracle", _cmd_oracle, "brute-force optimal schedule (size-capped)")
-    q.add_argument("--arrivals", required=True)
-    q.add_argument("--cost", required=True)
+    add("offline", _cmd_schedule, "exact optimal schedule for an arrivals file",
+        arrivals, cost, solver=_offline)
+    q = add("oracle", _cmd_schedule, "brute-force optimal schedule (size-capped)",
+            arrivals, cost, solver=_oracle)
     q.add_argument("--max-n", type=int, default=20)
+    add("online", _cmd_schedule, "run an online policy on an arrivals file",
+        arrivals, cost, policy, alpha, solver=_online)
 
-    q = add("online", _cmd_online, "run an online policy on an arrivals file")
-    q.add_argument("--arrivals", required=True)
-    q.add_argument("--cost", required=True)
-    q.add_argument("--policy", required=True)
-    q.add_argument("--alpha", type=float, default=None)
+    add("gamma", _cmd_gamma, "curvature of a cost spec", cost, max_batch)
+    add("validate", _cmd_validate, "admissibility report for a cost spec", cost, max_batch)
 
-    q = add("gamma", _cmd_gamma, "curvature of a cost spec")
-    q.add_argument("--cost", required=True)
-    q.add_argument("--max-batch", type=int, default=64)
-
-    q = add("validate", _cmd_validate, "admissibility report for a cost spec")
-    q.add_argument("--cost", required=True)
-    q.add_argument("--max-batch", type=int, default=64)
-
-    q = add("simulate", _cmd_simulate, "Monte-Carlo study against the offline optimum")
-    q.add_argument("--cost", required=True)
+    q = add("simulate", _cmd_simulate, "Monte-Carlo study against the offline optimum",
+            cost, alpha)
     q.add_argument("--policy", action="append",
                    help="policy spec; repeatable (default: wta with alpha = curvature)")
-    q.add_argument("--alpha", type=float, default=None)
     q.add_argument("--n", default=None, help="comma-separated sample counts")
     q.add_argument("--horizon", type=float, default=None,
                    help="fixed time window instead of a fixed count")
@@ -212,10 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--parallelism", type=int, default=1)
     q.add_argument("--out", default=None, help="write records CSV here")
 
-    q = add("adversary", _cmd_adversary, "worst-case construction against a policy")
-    q.add_argument("--cost", required=True)
-    q.add_argument("--policy", required=True)
-    q.add_argument("--alpha", type=float, default=None)
+    q = add("adversary", _cmd_adversary, "worst-case construction against a policy",
+            cost, policy, alpha)
     q.add_argument("--x1", type=int, default=1, help="size of the first arrival group")
     q.add_argument("--x2", type=int, default=1, help="size of the second arrival group")
     q.add_argument("--rounds", type=int, default=200)
@@ -234,7 +224,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return args.func(args, _usage(parse_cost_spec, args.cost))
     except UsageError as exc:
         print(f"dynbatch: {exc}", file=sys.stderr)
         return 2

@@ -449,6 +449,13 @@ def pair_ratios(pairs, top: np.ndarray, bottom: np.ndarray, picked: np.ndarray,
     return ratios
 
 
+def check_max_batch(max_batch: int, least: int) -> None:
+    """Raise a one-line ValueError unless ``max_batch`` is at least
+    ``least``: 1 for ``validate_assumption1``, 2 for ``curvature``."""
+    if max_batch < least:
+        raise ValueError(f"max_batch must be at least {least}")
+
+
 def validate_assumption1(
     f: CostFunction,
     universe_size: int | None = None,
@@ -463,8 +470,7 @@ def validate_assumption1(
     pairs drawn from ``universe_size`` features (default: the function's
     own universe).  Violations are report contents, never exceptions.
     """
-    if max_batch < 1:
-        raise ValueError("max_batch must be at least 1")
+    check_max_batch(max_batch, 1)
     violations: list[Violation] = []
     checked = 0
 
@@ -523,8 +529,7 @@ def curvature_info(
     set functions it is estimated from random pairs.  Finite searches can
     only overestimate the infimum, so such results are flagged.
     """
-    if max_batch < 2:
-        raise ValueError("max_batch must be at least 2")
+    check_max_batch(max_batch, 2)
 
     exact = f.curvature_exact()
     if exact is not None:

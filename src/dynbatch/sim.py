@@ -96,6 +96,9 @@ class SinusoidRate(RateFunction):
     period: float
 
     def __post_init__(self) -> None:
+        # a NaN or inf base or amplitude would leave thinning accepting nothing
+        if not (math.isfinite(self.base) and math.isfinite(self.amplitude)):
+            raise ValueError("base and amplitude must be finite")
         if self.base < abs(self.amplitude):
             raise ValueError("base must be at least |amplitude| so the rate stays non-negative")
         if not (self.period > 0):
@@ -498,7 +501,9 @@ def run_study(
                           lo, min(lo + _CHUNK, trials), int(seed), horizon))
     parallel = parallelism > 1 and len(tasks) > 1
     records: list[TrialRecord] = []
-    with (ProcessPoolExecutor(max_workers=parallelism) if parallel else nullcontext()) as pool:
+    # The fork start method starts every worker at the first submit.
+    workers = min(parallelism, len(tasks))
+    with (ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext()) as pool:
         chunks = pool.map(_run_chunk, tasks, chunksize=1) if parallel else map(_run_chunk, tasks)
         # Both maps yield the chunks in task order without waiting for the rest.
         for k, chunk in enumerate(chunks):

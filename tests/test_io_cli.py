@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import os
@@ -17,7 +18,7 @@ from dynbatch import (
     write_results,
 )
 from dynbatch import io_csv
-from dynbatch.cli import cli_main
+from dynbatch.cli import build_parser, cli_main
 
 from conftest import assert_times_array
 
@@ -30,6 +31,40 @@ PRINTOUTS = {
     "offline": ("arrivals5_sqrt_optimum.txt", []),
     "oracle": ("arrivals5_sqrt_optimum.txt", []),
     "online": ("arrivals5_sqrt_wta0.5.txt", ["--policy", "wta:0.5"]),
+}
+
+#: Each subcommand's flags as (name, default, type, required, action).
+_ARRIVALS = ("--arrivals", None, None, True, "_StoreAction")
+_COST = ("--cost", None, None, True, "_StoreAction")
+_POLICY = ("--policy", None, None, True, "_StoreAction")
+_ALPHA = ("--alpha", None, "float", False, "_StoreAction")
+_MAX_BATCH = ("--max-batch", 64, "int", False, "_StoreAction")
+_OUT = ("--out", None, None, False, "_StoreAction")
+FLAGS = {
+    "offline": {_ARRIVALS, _COST},
+    "oracle": {_ARRIVALS, _COST, ("--max-n", 20, "int", False, "_StoreAction")},
+    "online": {_ARRIVALS, _COST, _POLICY, _ALPHA},
+    "gamma": {_COST, _MAX_BATCH},
+    "validate": {_COST, _MAX_BATCH},
+    "simulate": {
+        _COST, _ALPHA, _OUT,
+        ("--policy", None, None, False, "_AppendAction"),
+        ("--n", None, None, False, "_StoreAction"),
+        ("--horizon", None, "float", False, "_StoreAction"),
+        ("--rate", "2", None, False, "_StoreAction"),
+        ("--rate-fn", None, None, False, "_StoreAction"),
+        ("--trials", 100, "int", False, "_StoreAction"),
+        ("--seed", 0, "int", False, "_StoreAction"),
+        ("--parallelism", 1, "int", False, "_StoreAction"),
+    },
+    "adversary": {
+        _COST, _POLICY, _ALPHA, _OUT,
+        ("--x1", 1, "int", False, "_StoreAction"),
+        ("--x2", 1, "int", False, "_StoreAction"),
+        ("--rounds", 200, "int", False, "_StoreAction"),
+        ("--epsilon", None, "float", False, "_StoreAction"),
+        ("--arrivals-out", None, None, False, "_StoreAction"),
+    },
 }
 
 HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
@@ -263,6 +298,35 @@ class TestCli:
                              env=env, capture_output=True, text=True, timeout=60)
         assert (bad.returncode, bad.stderr) == (2, "dynbatch: unknown cost spec 'cubic'\n")
 
+    def test_flags_are_pinned(self):
+        """Every subcommand keeps its flags: name, default, type, required
+        and action (help text and listing order may change)."""
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: {(" ".join(a.option_strings), a.default, getattr(a.type, "__name__", a.type),
+                    a.required, type(a).__name__)
+                   for a in q._actions if not isinstance(a, argparse._HelpAction)}
+            for name, q in sub.choices.items()}
+        assert flags == FLAGS
+
+    @pytest.mark.parametrize("argv,message", [
+        (["online", "--arrivals", "/nonexistent.csv", "--cost", "sqrt", "--policy", "lifo"],
+         "unknown policy spec 'lifo'"),
+        (["online", "--arrivals", "/nonexistent.csv", "--cost", "cubic", "--policy", "lifo"],
+         "unknown cost spec 'cubic'"),
+        (["online", "--arrivals", "/nonexistent.csv", "--cost", "sqrt", "--policy", "wta",
+          "--alpha", "0"], "alpha must be positive and finite"),
+        (["adversary", "--cost", "cubic", "--policy", "wta:0.5", "--rounds", "0"],
+         "unknown cost spec 'cubic'"),
+        (["adversary", "--cost", "sqrt", "--policy", "lifo", "--rounds", "0"],
+         "unknown policy spec 'lifo'"),
+    ])
+    def test_usage_errors_are_reported_cost_then_policy_then_the_rest(self, argv, message,
+                                                                        capsys):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", f"dynbatch: {message}\n")
+
     def test_offline(self, capsys):
         assert cli_main(["offline", "--arrivals", str(FIXTURE), "--cost", "sqrt"]) == 0
         out = capsys.readouterr().out
@@ -408,6 +472,27 @@ class TestCli:
         assert cli_main(["simulate", "--cost", "sqrt", "--n", "5", "--rate", rate,
                          "--trials", "2"]) == 2
         assert capsys.readouterr().err == "dynbatch: rate must be positive and finite\n"
+
+    @pytest.mark.parametrize("mode", [["--horizon", "10"], ["--n", "50"]])
+    @pytest.mark.parametrize("rate", ["sin:nan,0,1", "sin:inf,0,1", "sin:2,nan,1"])
+    def test_simulate_non_finite_sinusoid_exits_2(self, rate, mode, capsys, monkeypatch):
+        from dynbatch import cli
+
+        def never(**kwargs):
+            # thinning under such a rate never accepts a proposal
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_study", never)
+        assert cli_main(["simulate", "--cost", "sqrt", *mode, "--rate-fn", rate,
+                         "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", "dynbatch: base and amplitude must be finite\n")
+
+    @pytest.mark.parametrize("command,value,least", [
+        ("gamma", "1", 2), ("gamma", "-5", 2), ("validate", "0", 1),
+    ])
+    def test_bad_max_batch_exits_2(self, command, value, least, capsys):
+        assert cli_main([command, "--cost", "sqrt", "--max-batch", value]) == 2
+        assert capsys.readouterr() == ("", f"dynbatch: max_batch must be at least {least}\n")
 
     def test_adversary_outputs(self, tmp_path, capsys):
         report_path = tmp_path / "report.csv"

@@ -53,6 +53,16 @@ class TestRateFunctions:
         with pytest.raises(ValueError, match="base"):
             SinusoidRate(1.0, 2.0, 3.0)
 
+    @pytest.mark.parametrize("base,amplitude", [
+        (math.nan, 0.0), (math.inf, 0.0), (2.0, math.nan), (math.inf, math.inf),
+        (math.inf, -math.inf),
+    ])
+    def test_sinusoid_rejects_a_non_finite_base_or_amplitude(self, base, amplitude):
+        # thinning would never accept a proposal under such a rate
+        with pytest.raises(ValueError) as exc:
+            SinusoidRate(base, amplitude, 1.0)
+        assert str(exc.value) == "base and amplitude must be finite"
+
     def test_table(self):
         r = TableRate((0.0, 1.0, 2.0), (5.0, 0.0, 1.0))
         assert r.value(0.5) == 5.0
@@ -185,6 +195,30 @@ class TestRunStudy:
         serial = run_study(parallelism=1, **kwargs)
         parallel = run_study(parallelism=2, **kwargs)
         assert serial == parallel
+
+    def test_workers_are_capped_at_the_chunk_count(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        # one chunk per grid point
+        kwargs = dict(n_values=[5, 8], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                      cost_fn=SqrtCount(), trials=3, seed=0)
+        records = run_study(parallelism=64, **kwargs)
+        assert asked == [2]
+        assert records == run_study(parallelism=1, **kwargs)
 
     def test_progress_reports_every_chunk_in_parallel(self, capsys):
         # one chunk per grid point
