@@ -197,7 +197,7 @@ def _realize_waves(
             ends.append(hi)
             stamps.append(t)
         if t - release > _TIMEOUT:
-            raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
+            raise ValueError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t)
     return times, feats, wave_last_index, flush_times, ends, stamps
 

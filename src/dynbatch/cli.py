@@ -7,9 +7,9 @@ size-capped), ``gamma`` (curvature of a cost spec), ``validate``
 (worst-case construction against a policy).
 
 Exit codes: 0 on success, 2 for usage errors (an unknown cost, policy or
-rate spec, or a flag out of range, such as ``--max-batch``, ``--alpha`` or
-a non-finite ``sin:`` rate), 1 otherwise with a one-line diagnostic on
-stderr.
+rate spec, or a flag out of range, such as ``--max-batch``, ``--max-n``,
+``--alpha`` or a non-finite ``sin:`` rate), 1 for bad input (a ``ValueError``
+or ``OSError``) with a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ def _offline(args, f: CostFunction):
 
 
 def _oracle(args, f: CostFunction):
+    if args.max_n < 1:
+        raise UsageError("max_n must be at least 1")
     return lambda inst: brute_force_optimum(inst, f, max_n=args.max_n)
 
 
@@ -228,7 +230,7 @@ def cli_main(argv=None) -> int:
     except UsageError as exc:
         print(f"dynbatch: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"dynbatch: {exc}", file=sys.stderr)
         return 1
 

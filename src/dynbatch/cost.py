@@ -12,21 +12,20 @@ two batches into one and parameterizes both the online guarantee and the
 adversarial lower bound implemented elsewhere in this package.
 
 This module is the only one that knows how a batch is priced.  Callers
-price every batch of a run of schedules at once with ``batch_costs``, or
-every prefix of a run of samples at once with ``prefix_costs``; both take
-the count-based shortcut themselves where the cost depends only on the
-batch size.
+price every batch of a run of schedules at once with ``batch_costs``, the
+one pricer, which takes the count-based shortcut itself where the cost
+depends only on the batch size.  The prefixes of a run of samples are
+priced by it too, laid end to end as batches of sizes 1, 2, ....
 
 A ``FeatureMultiset`` is validated once, when it is built from a counts
 tuple, and that check also sets its ``size``.  ``FeatureMultiset.plus``
 adds one sample by sorted insertion, so the multiset it returns is
-canonical by construction and is not validated again: ``prefix_costs``
-and the waiting policy grow one multiset a sample at a time instead of
-rebuilding it for every prefix, and the offline solver's set-function
-windows grow theirs the same way inline.  A multiset has two slots and no
-``__dict__``; a grown one is made with ``object.__new__`` and the slots'
-own setters, so growing costs no dataclass ``__init__`` or frozen
-``__setattr__``.
+canonical by construction and is not validated again: the waiting policy
+grows one multiset a sample at a time instead of rebuilding it for every
+prefix, and the offline solver's set-function windows grow theirs the
+same way inline.  A multiset has two slots and no ``__dict__``; a grown
+one is made with ``object.__new__`` and the slots' own setters, so
+growing costs no dataclass ``__init__`` or frozen ``__setattr__``.
 
 ``batch_pairs`` is the one scan over pairs of batches (X, Y) behind
 admissibility validation, the curvature search and the adversary's
@@ -44,7 +43,7 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -151,7 +150,7 @@ _set_size = FeatureMultiset.size.__set__
 class CostFunction:
     """Base class for batch processing-cost functions.
 
-    ``batch_costs`` and ``prefix_costs`` are the pricing entry points.
+    ``batch_costs`` is the one pricing entry point.
     Count-based kinds depend only on the batch size; each states its
     formula once, as ``count_value``, and ``count_table`` keeps one
     tabulation of it per cost object.
@@ -185,14 +184,6 @@ class CostFunction:
         value, of = self.value, FeatureMultiset.from_features
         return np.array([value(of(features[lo:hi])) for lo, hi in zip([0, *ends], ends)])
 
-    def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
-        """f of each prefix features[:1], features[:2], ..., in order, each
-        prefix's multiset grown from the one before by ``plus``."""
-        value = self.value
-        prefixes = accumulate(features, FeatureMultiset.plus, initial=FeatureMultiset.empty())
-        next(prefixes)
-        return np.fromiter((value(x) for x in prefixes), dtype=float)
-
     def curvature_exact(self) -> float | None:
         """Analytic curvature when a closed form is known, else
         ``gamma_hint`` (None when unset)."""
@@ -211,9 +202,6 @@ class _CountCost(CostFunction):
     def batch_costs(self, rows: Iterable[Sequence[int]], sizes: np.ndarray) -> np.ndarray:
         # argmax: max's Python wrapper costs more than a small lookup
         return self.count_table(int(sizes[sizes.argmax()]))[sizes]
-
-    def prefix_costs(self, features: Sequence[int]) -> np.ndarray:
-        return self.count_table(len(features))[1:]
 
 
 @dataclass(frozen=True)

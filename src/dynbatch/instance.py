@@ -313,11 +313,15 @@ def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], waits: np.ndarr
     """The pricing of ``chunk_costs``: each sample's wait and each batch's
     size, row after row, with row r's last batch at tops[r] - 1.  Each
     row's waits and batch prices are summed exactly by ``math.fsum``, so a
-    row's cost does not depend on the rows priced with it."""
+    row's cost does not depend on the rows priced with it; a sum past the
+    float range is a ValueError."""
     n = a.shape[1]
     # Memoryviews hand fsum the floats one at a time, without a list.
     waits = memoryview(waits)
     prices = memoryview(f.batch_costs(features, sizes))
     fsum = math.fsum
-    return ([fsum(waits[first:first + n]) / n for first in range(0, a.size, n)],
-            [fsum(prices[lo:top]) / n for lo, top in zip([0, *tops], tops)])
+    try:
+        return ([fsum(waits[first:first + n]) / n for first in range(0, a.size, n)],
+                [fsum(prices[lo:top]) / n for lo, top in zip([0, *tops], tops)])
+    except OverflowError:
+        raise ValueError("schedule cost overflows the float range") from None

@@ -11,7 +11,7 @@ import io
 import math
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -70,6 +70,17 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
         order = np.argsort(t, kind="stable")
         t, features = t[order], [features[i] for i in order.tolist()]
     return ProblemInstance._of_array(t, tuple(features))
+
+
+def _rows(path: Path, lines: Iterable[str], first: int = 1) -> Iterator[list[str]]:
+    """The rows that ``csv.reader`` reads from ``lines``, line ``first`` of
+    ``path`` on: a row it rejects, such as one with a field over its size
+    limit, is a one-line ValueError naming the file and the line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {first + reader.line_num - 1}: {exc}") from None
 
 
 def _parsed(body: str) -> np.ndarray | None:
@@ -93,7 +104,7 @@ def _read_rows(path: Path, body: str) -> tuple[list[float], list[int]]:
     order, read one at a time: a malformed row raises with its line number."""
     times: list[float] = []
     features: list[int] = []
-    for ln, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    for ln, row in enumerate(_rows(path, io.StringIO(body, newline=""), 2), start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:
@@ -161,7 +172,7 @@ def read_results(path: str | Path) -> list[TrialRecord]:
     path = Path(path)
     records = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _rows(path, fh)
         header = next(reader, None)
         if header != RESULTS_HEADER:
             raise ValueError(f"{path}: unexpected results header {header!r}")

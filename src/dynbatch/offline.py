@@ -80,9 +80,9 @@ class EdgeWeightOracle:
     e(i, j) = f({v_i..v_{j-1}}) + sum_{k=i}^{j-1} (a_{j-1} - a_k): the
     processing cost plus the waiting of samples i..j-1 until the batch's
     last arrival.  Waits are summed from arrival offsets relative to a_i,
-    so their precision does not depend on where the time axis starts.  The
-    solvers build their own windowed rows; these unpruned rows are the
-    reference that ``brute_force_optimum`` enumerates over.
+    so their precision does not depend on where the time axis starts, and
+    ``batch_costs`` prices a row's prefixes as consecutive batches.  These
+    unpruned rows are the reference that ``brute_force_optimum`` reads.
     """
 
     def __init__(self, inst: ProblemInstance, f: CostFunction):
@@ -95,7 +95,9 @@ class EdgeWeightOracle:
         spans = a[i - 1:] - a[i - 1]
         sizes = np.arange(1, len(spans) + 1)
         waits = sizes * spans - np.cumsum(spans)
-        return self.f.prefix_costs(self.inst.features[i - 1:]) + waits
+        features = self.inst.features[i - 1:]
+        prefixes = (features[:m] for m in sizes.tolist())
+        return self.f.batch_costs(prefixes, sizes) + waits
 
 
 #: Relative slack on each term a_{i+m-1} + f(first m) / m of a window's

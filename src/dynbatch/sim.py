@@ -25,9 +25,10 @@ one pass each.  No ``ProblemInstance`` is built.  Set-function costs,
 ``horizon`` mode and any chunk in which a trial fails take the per-trial
 path, so a failed trial gets its NaN records and its stderr line exactly
 as before.  Both paths price with the summation of ``chunk_costs``, which
-``cost_of`` runs per trial, so their records are the same bit for bit.  A
-trial whose optimum costs 0 has no ratio: on either path it fails, with
-NaN records and one stderr line.
+``cost_of`` runs per trial, so their records are the same bit for bit.  On
+either path a trial fails only on a ``ValueError``, bad input such as an
+overflowing cost or a zero optimum (which leaves no ratio), and then gets
+NaN records and one stderr line.  Any other error is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _thinned_arrivals(
         accepted = rng.random() * lam_max < rate.value(t)
         budget -= 1
         if budget <= 0:
-            raise RuntimeError("thinning budget exhausted; rate is (nearly) zero almost everywhere")
+            raise ValueError("thinning budget exhausted; rate is (nearly) zero almost everywhere")
         if accepted:
             yield t
 
@@ -360,8 +361,6 @@ def _record(trial: str, seed: int, n: int, label: tuple[str, float | None],
                        cost.total / opt)
 
 
-#: Failures that make a trial a NaN record; anything else is a bug and propagates.
-_TRIAL_ERRORS = (ValueError, ArithmeticError, RuntimeError)
 #: Why a trial whose optimum costs 0 fails: no policy has a ratio to it.
 _ZERO_OPTIMUM = "ratio undefined: the optimal cost is 0"
 
@@ -375,7 +374,7 @@ def _run_chunk(args) -> list[TrialRecord]:
     if horizon is None and cost_fn.count_based:
         try:
             return _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials, seeds)
-        except _TRIAL_ERRORS:
+        except ValueError:
             pass  # trial by trial below, for each failure's own record and line
     records: list[TrialRecord] = []
     for ti, seed in zip(trials, seeds.tolist()):
@@ -389,15 +388,15 @@ def _run_chunk(args) -> list[TrialRecord]:
             size = inst.n
             _, opt = optimal_schedule(inst, cost_fn)
             if opt.total == 0:
-                raise ZeroDivisionError(_ZERO_OPTIMUM)
-        except _TRIAL_ERRORS as exc:
+                raise ValueError(_ZERO_OPTIMUM)
+        except ValueError as exc:
             print(f"trial {trial}: {exc}", file=sys.stderr)
             records.extend(_record(trial, seed, size, label) for label in labels)
             continue
         for policy, label in zip(policies, labels):
             try:
                 _, c = run_policy(inst, cost_fn, policy)
-            except _TRIAL_ERRORS as exc:
+            except ValueError as exc:
                 print(f"trial {trial} policy {label[0]}: {exc}", file=sys.stderr)
                 records.append(_record(trial, seed, inst.n, label))
                 continue
@@ -487,9 +486,9 @@ def run_study(
     (fixed time window, variable count) selects the generation mode.
     Records come back in grid-then-trial-then-policy order and are
     bit-identical for a given configuration regardless of ``parallelism``.
-    A failing trial contributes NaN records (reported on stderr) without
-    aborting the study.  Arguments out of range (``check_study_args``)
-    raise a one-line ValueError before any trial runs.
+    A trial that raises a ValueError gives NaN records (reported on
+    stderr); any other error propagates.  Arguments out of range
+    (``check_study_args``) raise a one-line ValueError before any trial runs.
     """
     check_study_args(n_values, horizon, rates, policies, trials, seed, parallelism)
     grid = [(n, rate) for n in (n_values if horizon is None else [None])

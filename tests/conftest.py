@@ -9,6 +9,11 @@ from dynbatch import ProblemInstance, ScheduleCost
 from dynbatch.instance import chunk_costs
 
 
+#: What pricing a schedule whose waits or batch prices sum past the float
+#: range raises.
+OVERFLOW = "schedule cost overflows the float range"
+
+
 def random_instances(count: int, max_n: int = 14, seed: int = 0) -> list[ProblemInstance]:
     """Mixed corpus: uniform and Poisson arrival times, plus degenerate
     shapes (single sample, all-coincident, duplicated times)."""

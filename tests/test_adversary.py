@@ -107,7 +107,7 @@ class TestRunAdversary:
     def test_timeout_detection(self, monkeypatch):
         monkeypatch.setattr(adversary, "_TIMEOUT", 1e-3)
         cfg = AdversaryConfig(x1=ONE, x2=ONE, rounds=2, epsilon=1e-6)
-        with pytest.raises(RuntimeError, match="non-terminating"):
+        with pytest.raises(ValueError, match="non-terminating"):
             run_adversary(FixedDelay(1.0), ConstantCost(1), cfg)
 
     def test_auto_epsilon_scales_with_first_flush(self):
@@ -142,7 +142,7 @@ def _prefix_replay_waves(policy, f, cfg, epsilon):
         sched, _ = run_policy(ProblemInstance(tuple(times), tuple(feats)), f, policy)
         t_j = sched.stamps[bisect_left(sched.ends, len(times))]
         if t_j - release > adversary._TIMEOUT:
-            raise RuntimeError("non-terminating policy: flush exceeded the timeout horizon")
+            raise ValueError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t_j)
         t_prev = t_j
     return times, feats, wave_last_index, flush_times, list(sched.ends), list(sched.stamps)

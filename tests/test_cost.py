@@ -20,10 +20,12 @@ from dynbatch import (
     SqrtCount,
     curvature,
     curvature_info,
+    ProblemInstance,
     parse_cost_spec,
     validate_assumption1,
     worst_pair_search,
 )
+from dynbatch.offline import EdgeWeightOracle
 from dynbatch.cost import (
     CurvatureResult,
     ValidationReport,
@@ -93,9 +95,8 @@ class TestFeatureMultiset:
         with pytest.raises(ValueError):
             FeatureMultiset(((2, 1), (1, 1)))
         # a multiset grown one sample at a time checks each new id
-        f = CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3)
         with pytest.raises(ValueError, match="non-negative"):
-            f.prefix_costs((1, 0, -1))
+            FeatureMultiset.empty().plus(1).plus(0).plus(-1)
 
 
 class TestEvaluate:
@@ -134,7 +135,11 @@ def test_count_values_is_count_value(f):
     # differed by one ulp at sizes 2, 13 and 47).
     want = [f.count_value(k) for k in range(65)]
     assert f.count_table(64).tolist() == want
-    assert f.prefix_costs((0,) * 64).tolist() == want[1:]
+    # 64 coincident arrivals: every edge of row 1 is its prefix's price.
+    row = EdgeWeightOracle(ProblemInstance.from_times([0.0] * 64), f).row(1)
+    assert row.tolist() == want[1:]
+    prefixes = [(0,) * k for k in range(1, 65)]
+    assert f.batch_costs(prefixes, np.arange(1, 65)).tolist() == want[1:]
     assert size_pairs(f, 64)[2].tolist() == want
 
 
@@ -179,17 +184,17 @@ def test_batch_cost_and_prefix_costs_price_every_prefix(f, features):
     prefixes = [features[:k] for k in range(1, len(features) + 1)]
     fresh = [FeatureMultiset.from_features(p) for p in prefixes]
     want = [f.value(x) for x in fresh]
-    if prefixes:
-        # Each prefix as one batch of a run of batches.
-        sizes = np.arange(1, len(features) + 1)
-        assert f.batch_costs(prefixes, sizes).tolist() == want
-    assert f.prefix_costs(features).tolist() == want
-    assert f.prefix_costs(()).tolist() == []
-    # The multisets that a set function sees, grown one sample at a time,
-    # are the ones built from scratch.
+    # The multisets that a set function sees are the ones built from scratch.
     seen = []
     recorded = CustomSetFunction(lambda x: seen.append(x) or f.value(x), universe_size=5)
-    assert recorded.prefix_costs(features).tolist() == want
+    if features:
+        # Each prefix as one batch of a run of batches.  Coincident arrivals
+        # wait 0, so the unpruned row 1 holds the same prices.
+        sizes = np.arange(1, len(features) + 1)
+        assert f.batch_costs(prefixes, sizes).tolist() == want
+        inst = ProblemInstance((0.0,) * len(features), features)
+        assert EdgeWeightOracle(inst, f).row(1).tolist() == want
+        assert EdgeWeightOracle(inst, recorded).row(1).tolist() == want
     assert [x.counts for x in seen] == [x.counts for x in fresh]
     assert [len(x) for x in seen] == [len(x) for x in fresh]
     assert seen == fresh

@@ -24,10 +24,11 @@ from dynbatch import (
     cost_of,
     optimal_schedule,
     parse_policy_spec,
+    run_policy,
 )
 from dynbatch.instance import chunk_costs
 
-from conftest import assert_times_array, flat, row_costs
+from conftest import OVERFLOW, assert_times_array, flat, row_costs
 from oracles import batch_cost, batches, pending_count_curve, positive_excess_integral
 
 
@@ -227,6 +228,23 @@ class TestCostOf:
         inst = ProblemInstance.from_times([0.0, 0.0])
         with pytest.raises(InfeasibleScheduleError, match="strictly increasing"):
             cost_of(inst, Schedule((1, 2), (0.5, 0.5)), SqrtCount())
+
+    @pytest.mark.parametrize("times,size,f", [
+        # two batch prices of 1e308
+        ((0.0, 1.0), 1, ConstantCost(1e308)),
+        # two waits of 1e308
+        ((0.0, 0.0, 1e308), 3, SqrtCount()),
+    ], ids=["prices", "waits"])
+    def test_overflowing_sum_is_a_one_line_value_error(self, times, size, f):
+        # The batches of fixed-size:<size>, priced directly and as its run.
+        inst = ProblemInstance.from_times(times)
+        ends = range(size, inst.n + 1, size)
+        sched = Schedule.from_ends(ends, [times[k - 1] for k in ends])
+        for price in (lambda: cost_of(inst, sched, f),
+                      lambda: run_policy(inst, f, FixedSize(size))):
+            with pytest.raises(ValueError) as err:
+                price()
+            assert str(err.value) == OVERFLOW
 
     def test_infeasible_batch_past_n(self):
         inst = ProblemInstance.from_times([0.0, 1.0])

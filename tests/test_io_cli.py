@@ -19,8 +19,9 @@ from dynbatch import (
 )
 from dynbatch import io_csv
 from dynbatch.cli import build_parser, cli_main
+from dynbatch.io_csv import RESULTS_HEADER
 
-from conftest import assert_times_array
+from conftest import OVERFLOW, assert_times_array
 
 FIXTURE = Path(__file__).parent / "data" / "arrivals5.csv"
 #: FIXTURE with quoted times and blank features, which only the row-by-row
@@ -67,6 +68,10 @@ FLAGS = {
     },
 }
 
+#: A field just over the csv module's default size limit of 128 KiB, and
+#: the csv module's message for it.
+BIG_FIELD = "7" * (csv.field_size_limit() + 1)
+FIELD_LIMIT = f"field larger than field limit ({csv.field_size_limit()})"
 HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
 UNSORTED = "arrivals not sorted by time; sorting"
 
@@ -195,6 +200,18 @@ class TestLoadArrivals:
         save_arrivals(inst, p)
         assert load_arrivals(p) == inst
 
+    @pytest.mark.parametrize("text,line", [
+        (f"time{BIG_FIELD}\n0\n", 1),
+        (f"time,feature\n0,0\n1,{BIG_FIELD}\n", 3),
+        (f"time\n0\n\"{BIG_FIELD}\"\n", 3),
+    ], ids=["header", "feature", "quoted-time"])
+    def test_field_over_the_csv_limit_names_its_line(self, text, line, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_arrivals(p)
+        assert str(err.value) == f"{p}: line {line}: {FIELD_LIMIT}"
+
 
 def _csv_writer_results(records, path):
     """The results file as csv.writer writes it, row by row."""
@@ -280,6 +297,17 @@ class TestResultsFile:
         with pytest.raises(ValueError, match="header"):
             read_results(p)
 
+    @pytest.mark.parametrize("text,line", [
+        (f"trial{BIG_FIELD}\n", 1),
+        (",".join(RESULTS_HEADER) + f"\ng0.t0,{BIG_FIELD}\n", 2),
+    ], ids=["header", "row"])
+    def test_field_over_the_csv_limit_names_its_line(self, text, line, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_results(p)
+        assert str(err.value) == f"{p}: line {line}: {FIELD_LIMIT}"
+
 
 class TestCli:
     @pytest.mark.parametrize("module", ["dynbatch", "dynbatch.cli"])
@@ -321,6 +349,10 @@ class TestCli:
          "unknown cost spec 'cubic'"),
         (["adversary", "--cost", "sqrt", "--policy", "lifo", "--rounds", "0"],
          "unknown policy spec 'lifo'"),
+        (["oracle", "--arrivals", "/nonexistent.csv", "--cost", "sqrt", "--max-n", "0"],
+         "max_n must be at least 1"),
+        (["oracle", "--arrivals", "/nonexistent.csv", "--cost", "sqrt", "--max-n", "-3"],
+         "max_n must be at least 1"),
     ])
     def test_usage_errors_are_reported_cost_then_policy_then_the_rest(self, argv, message,
                                                                         capsys):
@@ -574,6 +606,21 @@ class TestCli:
     def test_usage_error_exits_2(self):
         assert cli_main(["offline"]) == 2
         assert cli_main(["frobnicate"]) == 2
+
+    def test_overflowing_cost_exits_1_with_one_line(self, tmp_path, capsys):
+        # Two batches of 1e308 each: the sum of their prices overflows.
+        p = tmp_path / "two.csv"
+        p.write_text("time\n0\n1\n")
+        argv = ["online", "--arrivals", str(p), "--cost", "const:1e308", "--policy",
+                "fixed-size:1"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr() == ("", f"dynbatch: {OVERFLOW}\n")
+
+    def test_field_over_the_csv_limit_exits_1_with_one_line(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text(f"time,feature\n0,0\n1,{BIG_FIELD}\n")
+        assert cli_main(["offline", "--arrivals", str(p), "--cost", "sqrt"]) == 1
+        assert capsys.readouterr() == ("", f"dynbatch: {p}: line 3: {FIELD_LIMIT}\n")
 
     def test_oracle_size_cap_exits_1(self, tmp_path, capsys):
         p = tmp_path / "big.csv"

@@ -34,7 +34,14 @@ from dynbatch.io_csv import RESULTS_HEADER
 from dynbatch.offline import lockstep_ends
 from dynbatch.online import FixedSize
 
-from conftest import assert_times_array
+from conftest import OVERFLOW, assert_times_array
+
+
+class _RateWithoutValue(sim.RateFunction):
+    """A user's rate that forgot ``value``."""
+
+    def max_rate(self):
+        return 2.0
 
 
 class TestRateFunctions:
@@ -257,6 +264,47 @@ class TestRunStudy:
             run_study(
                 n_values=[4], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                 cost_fn=CustomSetFunction(broken, universe_size=1), trials=2, seed=0)
+
+    @pytest.mark.parametrize("rate,f,error", [
+        (_RateWithoutValue(), SqrtCount(), NotImplementedError),
+        (ConstantRate(2.0), CustomSetFunction(lambda x: len(x) / 0, universe_size=1),
+         ZeroDivisionError),
+    ], ids=["rate-without-value", "cost-dividing-by-zero"])
+    def test_a_bug_in_a_users_rate_or_cost_is_fatal(self, rate, f, error):
+        # Only a ValueError, bad input, makes NaN records; these are bugs.
+        with pytest.raises(error):
+            run_study(n_values=[4], rates=[rate], policies=[Wta(0.5)], cost_fn=f, trials=2,
+                      seed=0)
+
+    def test_an_exhausted_thinning_budget_fails_the_trial(self, monkeypatch, capsys):
+        # The rate is 1 on [0, 1e-9) and 0 after it, so thinning accepts
+        # almost no proposal, and a budget of 50 proposals runs out.
+        rate = TableRate((0.0, 1e-9), (1.0, 0.0))
+        message = "thinning budget exhausted; rate is (nearly) zero almost everywhere"
+        with pytest.raises(ValueError) as err:
+            list(sim._thinned_arrivals(rate, np.random.default_rng(0), budget=50))
+        assert str(err.value) == message
+        thinned = sim._thinned_arrivals
+        monkeypatch.setattr(sim, "_thinned_arrivals",
+                            lambda rate, rng, horizon=math.inf, budget=math.inf:
+                            thinned(rate, rng, horizon, min(budget, 50)))
+        records = run_study(n_values=[5], rates=[rate], policies=[Wta(0.5), FixedDelay(1.0)],
+                            cost_fn=SqrtCount(), trials=2, seed=0)
+        assert [(r.trial, r.n) for r in records] == [("g0.t0", 5)] * 2 + [("g0.t1", 5)] * 2
+        assert all(math.isnan(x) for r in records for x in (r.J, r.W, r.F, r.J_opt, r.ratio))
+        assert capsys.readouterr().err.splitlines() == [f"trial g0.t{k}: {message}"
+                                                        for k in range(2)]
+
+    @pytest.mark.parametrize("mode", [dict(n_values=[3]), dict(horizon=3.0)])
+    def test_an_overflowing_cost_fails_its_run(self, mode, capsys):
+        # Under const:1e308 fixed-size:1 prices one batch per sample, and
+        # the sum of those prices overflows; the optimum and wta take fewer.
+        records = run_study(rates=[ConstantRate(2.0)], policies=[FixedSize(1), Wta(0.5)],
+                            cost_fn=ConstantCost(1e308), trials=2, seed=0, **mode)
+        assert [math.isnan(r.ratio) for r in records] == [True, False] * 2
+        assert all(r.ratio == 1.5 for r in records[1::2])
+        assert capsys.readouterr().err.splitlines() == [
+            f"trial g0.t{k} policy fixed-size:1: {OVERFLOW}" for k in range(2)]
 
     def test_horizon_mode(self):
         records = run_study(
