@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset, batch_pairs, pair_ratios
+from .cost import CostFunction, FeatureMultiset, batch_pairs, check_real, check_whole, pair_ratios
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 from .offline import optimal_schedule
 # run_policy is not called here, but perfbench/tracing.py wraps
@@ -71,10 +71,9 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if len(self.x1) == 0 or len(self.x2) == 0:
             raise ValueError("arrival groups must be non-empty")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if self.epsilon is not None and not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite")
+        check_whole("rounds", self.rounds, 1)
+        if self.epsilon is not None:
+            check_real("epsilon", self.epsilon, True)
 
 
 @dataclass(frozen=True)
@@ -236,8 +235,7 @@ def worst_pair_search(
     returned value is the limiting ratio the adversary approaches with this
     pair.
     """
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
+    check_whole("max_size", max_size, 2)
     pairs = batch_pairs(f, max_size, samples, seed)
     xs, ys, fx, fy, fu = pairs
     if f.count_based and not xs:  # only a CountTable clamps the range below two sizes

@@ -21,7 +21,7 @@ from .adversary import AdversaryConfig, run_adversary
 from .cost import (
     CostFunction,
     FeatureMultiset,
-    check_max_batch,
+    check_whole,
     curvature,
     parse_cost_spec,
     validate_assumption1,
@@ -79,8 +79,7 @@ def _offline(args, f: CostFunction):
 
 
 def _oracle(args, f: CostFunction):
-    if args.max_n < 1:
-        raise UsageError("max_n must be at least 1")
+    _usage(check_whole, "max_n", args.max_n, 1)
     return lambda inst: brute_force_optimum(inst, f, max_n=args.max_n)
 
 
@@ -95,13 +94,13 @@ def _online(args, f: CostFunction):
 
 
 def _cmd_gamma(args, f: CostFunction) -> int:
-    _usage(check_max_batch, args.max_batch, 2)
+    _usage(check_whole, "max_batch", args.max_batch, 2)
     print(repr(curvature(f, max_batch=args.max_batch)))
     return 0
 
 
 def _cmd_validate(args, f: CostFunction) -> int:
-    _usage(check_max_batch, args.max_batch, 1)
+    _usage(check_whole, "max_batch", args.max_batch, 1)
     report = validate_assumption1(f, max_batch=args.max_batch)
     print(f"ok={report.ok} checked={report.checked_pairs} violations={len(report.violations)}")
     for v in report.violations:
@@ -134,7 +133,8 @@ def _cmd_simulate(args, f: CostFunction) -> int:
         write_results(records, args.out)
         print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
     for row in summarize(records):
-        print(f"{row.group} n={row.n} policy={row.policy} trials={row.count} "
+        n = "varies" if row.n is None else row.n
+        print(f"{row.group} n={n} policy={row.policy} trials={row.count} "
               f"min={row.min:.6g} q25={row.q25:.6g} median={row.median:.6g} "
               f"q75={row.q75:.6g} max={row.max:.6g}")
     return 0

@@ -33,7 +33,8 @@ worst-pair search: every size pair of a count-based cost, or random pairs
 of multisets for a set function, with f(X), f(Y) and f(X u Y) as arrays.
 
 Cost functions are immutable and safe to share across worker processes;
-``value`` is pure.
+``value`` is pure.  The package's argument checks are here too, one per
+kind: ``check_whole``, ``check_real`` and ``spec_values``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,36 @@ __all__ = [
     "parse_cost_spec",
     "BUILTIN_COSTS",
 ]
+
+
+def check_whole(name: str, value, least: int) -> None:
+    """Raise a one-line ValueError unless ``value`` is an integer, not a
+    bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer of at least {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_real(name: str, value: float, positive: bool) -> None:
+    """Raise a one-line ValueError unless ``value`` is finite and positive
+    (or, with ``positive`` False, non-negative)."""
+    if not ((value > 0 if positive else value >= 0) and math.isfinite(value)):
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'} and finite")
+
+
+def spec_values(kind: str, spec: str, prefix: str, *converters: Callable[[str], object]) -> list:
+    """The values after ``prefix`` in ``spec``, split on commas and each
+    converted by its own one of ``converters``; a wrong count or a rejected
+    value is a one-line ValueError naming the ``kind`` of spec and the spec."""
+    parts = spec[len(prefix):].split(",")
+    if len(parts) != len(converters):
+        reason = f"expected {len(converters)} value(s) after {prefix!r}, got {len(parts)}"
+        raise ValueError(f"bad {kind} spec {spec!r}: {reason}")
+    try:
+        return [convert(p) for convert, p in zip(converters, parts)]
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} spec {spec!r}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,8 +138,7 @@ class FeatureMultiset:
     @staticmethod
     def of_size(size: int) -> "FeatureMultiset":
         """``size`` copies of feature 0 (empty if size is 0)."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
+        check_whole("size", size, 0)
         return FeatureMultiset(((0, size),) if size else ())
 
     def __len__(self) -> int:
@@ -244,10 +274,8 @@ class CappedLinear(_CountCost):
     cap: float
 
     def __post_init__(self) -> None:
-        if not (self.slope > 0 and math.isfinite(self.slope)):
-            raise ValueError("slope must be positive and finite")
-        if not (self.cap > 0 and math.isfinite(self.cap)):
-            raise ValueError("cap must be positive and finite")
+        check_real("slope", self.slope, True)
+        check_real("cap", self.cap, True)
 
     def count_value(self, size: int) -> float:
         return float(min(self.slope * size, self.cap))
@@ -268,8 +296,7 @@ class ConstantCost(_CountCost):
     c: float
 
     def __post_init__(self) -> None:
-        if self.c < 0 or not math.isfinite(self.c):
-            raise ValueError("constant cost must be non-negative and finite")
+        check_real("constant cost", self.c, False)
 
     def count_value(self, size: int) -> float:
         return float(self.c) if size > 0 else 0.0
@@ -298,8 +325,8 @@ class CountTable(_CountCost):
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("cost table must not be empty")
-        if any(v < 0 or not math.isfinite(v) for v in self.values):
-            raise ValueError("cost table entries must be non-negative and finite")
+        for v in self.values:
+            check_real("cost table entries", v, False)
 
     def count_value(self, size: int) -> float:
         if size >= len(self.values):
@@ -324,8 +351,7 @@ class CustomSetFunction(CostFunction):
     gamma_hint: float | None = None
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
-            raise ValueError("universe_size must be at least 1")
+        check_whole("universe_size", self.universe_size, 1)
 
     def value(self, x: FeatureMultiset) -> float:
         return float(self.fn(x))
@@ -437,13 +463,6 @@ def pair_ratios(pairs, top: np.ndarray, bottom: np.ndarray, picked: np.ndarray,
     return ratios
 
 
-def check_max_batch(max_batch: int, least: int) -> None:
-    """Raise a one-line ValueError unless ``max_batch`` is at least
-    ``least``: 1 for ``validate_assumption1``, 2 for ``curvature``."""
-    if max_batch < least:
-        raise ValueError(f"max_batch must be at least {least}")
-
-
 def validate_assumption1(
     f: CostFunction,
     universe_size: int | None = None,
@@ -458,7 +477,7 @@ def validate_assumption1(
     pairs drawn from ``universe_size`` features (default: the function's
     own universe).  Violations are report contents, never exceptions.
     """
-    check_max_batch(max_batch, 1)
+    check_whole("max_batch", max_batch, 1)
     violations: list[Violation] = []
     checked = 0
 
@@ -517,7 +536,7 @@ def curvature_info(
     set functions it is estimated from random pairs.  Finite searches can
     only overestimate the infimum, so such results are flagged.
     """
-    check_max_batch(max_batch, 2)
+    check_whole("max_batch", max_batch, 2)
 
     exact = f.curvature_exact()
     if exact is not None:
@@ -569,15 +588,18 @@ def parse_cost_spec(spec: str) -> CostFunction:
     if spec == "log1p":
         return Log1pCount()
     if spec.startswith("cap:"):
-        parts = spec[len("cap:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad cost spec {spec!r}: expected cap:<slope>,<cap>")
-        return CappedLinear(float(parts[0]), float(parts[1]))
+        return CappedLinear(*spec_values("cost", spec, "cap:", float, float))
     if spec.startswith("const:"):
-        return ConstantCost(float(spec[len("const:"):]))
+        return ConstantCost(*spec_values("cost", spec, "const:", float))
     if spec.startswith("table:"):
         path = Path(spec[len("table:"):])
-        lines = [ln.strip() for ln in path.read_text().splitlines()]
-        values = tuple(float(ln) for ln in lines if ln)
-        return CountTable(values)
+        values = []
+        for ln, text in enumerate(path.read_text().splitlines(), start=1):
+            if not text.strip():
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise ValueError(f"{path}: line {ln}: bad cost table entry {text!r}") from None
+        return CountTable(tuple(values))
     raise ValueError(f"unknown cost spec {spec!r}")

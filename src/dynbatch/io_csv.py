@@ -51,7 +51,7 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
     with path.open(newline="") as fh:
         reader = _rows(path, fh)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty arrivals file") from None
         cols = [c.strip().lower() for c in header]
@@ -72,13 +72,18 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
     return ProblemInstance._of_array(t, tuple(features))
 
 
-def _rows(path: Path, lines: Iterable[str], first: int = 1) -> Iterator[list[str]]:
+def _rows(path: Path, lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, list[str]]]:
     """The rows that ``csv.reader`` reads from ``lines``, line ``first`` of
-    ``path`` on: a row it rejects, such as one with a field over its size
-    limit, is a one-line ValueError naming the file and the line."""
+    ``path`` on, each with the physical line it starts on, which a quoted
+    line break puts past its record number: a row the reader rejects, such
+    as one with a field over its size limit, is a one-line ValueError naming
+    the file and the line."""
     reader = csv.reader(lines)
+    line = first
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = first + reader.line_num
     except csv.Error as exc:
         raise ValueError(f"{path}: line {first + reader.line_num - 1}: {exc}") from None
 
@@ -104,7 +109,7 @@ def _read_rows(path: Path, body: str) -> tuple[list[float], list[int]]:
     order, read one at a time: a malformed row raises with its line number."""
     times: list[float] = []
     features: list[int] = []
-    for ln, row in enumerate(_rows(path, io.StringIO(body, newline=""), 2), start=2):
+    for ln, row in _rows(path, io.StringIO(body, newline=""), 2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:
@@ -173,10 +178,10 @@ def read_results(path: str | Path) -> list[TrialRecord]:
     records = []
     with path.open(newline="") as fh:
         reader = _rows(path, fh)
-        header = next(reader, None)
+        _, header = next(reader, (1, None))
         if header != RESULTS_HEADER:
             raise ValueError(f"{path}: unexpected results header {header!r}")
-        for ln, row in enumerate(reader, start=2):
+        for ln, row in reader:
             if not row:
                 continue
             if len(row) != len(RESULTS_HEADER):

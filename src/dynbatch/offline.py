@@ -61,7 +61,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size
+from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size, check_whole
 from .instance import ProblemInstance, Schedule, ScheduleCost, _row_cost, cost_of, path_nodes
 
 __all__ = [
@@ -496,6 +496,7 @@ def brute_force_optimum(
     independent oracle: it prices every batch from the unpruned
     ``EdgeWeightOracle`` rows, not the windows.
     """
+    check_whole("max_n", max_n, 1)
     n = inst.n
     if n > max_n:
         raise ValueError(f"oracle size limit: n={n} exceeds max_n={max_n}")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset
+from .cost import CostFunction, FeatureMultiset, check_real, check_whole, spec_values
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
 
 __all__ = [
@@ -94,8 +94,7 @@ class Wta(_Policy):
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError("alpha must be positive and finite")
+        check_real("alpha", self.alpha, True)
 
     def spec_string(self) -> str:
         return f"wta:{self.alpha:g}"
@@ -196,8 +195,7 @@ class FixedSize(_Policy):
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("batch size must be at least 1")
+        check_whole("batch size", self.k, 1)
 
     def spec_string(self) -> str:
         return f"fixed-size:{self.k}"
@@ -222,8 +220,7 @@ class FixedDelay(_Policy):
     delay: float
 
     def __post_init__(self) -> None:
-        if self.delay < 0 or not math.isfinite(self.delay):
-            raise ValueError("delay must be non-negative and finite")
+        check_real("delay", self.delay, False)
 
     def spec_string(self) -> str:
         return f"fixed-delay:{self.delay:g}"
@@ -263,11 +260,11 @@ def parse_policy_spec(spec: str) -> PolicyConfig:
     if spec == "wte":
         return Wta(1.0)
     if spec.startswith("wta:"):
-        return Wta(float(spec[len("wta:"):]))
+        return Wta(*spec_values("policy", spec, "wta:", float))
     if spec.startswith("fixed-size:"):
-        return FixedSize(int(spec[len("fixed-size:"):]))
+        return FixedSize(*spec_values("policy", spec, "fixed-size:", int))
     if spec.startswith("fixed-delay:"):
-        return FixedDelay(float(spec[len("fixed-delay:"):]))
+        return FixedDelay(*spec_values("policy", spec, "fixed-delay:", float))
     raise ValueError(f"unknown policy spec {spec!r}")
 
 

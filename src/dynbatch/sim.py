@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cost import CostFunction
+from .cost import CostFunction, check_real, check_whole, spec_values
 from .instance import ProblemInstance, ScheduleCost, chunk_costs
 from .offline import lockstep_ends, optimal_schedule
 from .online import PolicyConfig, run_policy
@@ -78,8 +79,7 @@ class ConstantRate(RateFunction):
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("rate must be positive and finite")
+        check_real("rate", self.rate, True)
 
     def value(self, t: float) -> float:
         return self.rate
@@ -123,14 +123,13 @@ class TableRate(RateFunction):
     def __post_init__(self) -> None:
         if len(self.breaks) != len(self.rates) or not self.breaks:
             raise ValueError("breaks and rates must be equal-length and non-empty")
-        if self.breaks[0] != 0.0 or any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
+        if self.breaks[0] != 0.0 or any(not (b < c) for b, c in zip(self.breaks, self.breaks[1:])):
             raise ValueError("breaks must start at 0 and strictly increase")
-        if any(r < 0 or not math.isfinite(r) for r in self.rates):
-            raise ValueError("rates must be non-negative and finite")
+        for r in self.rates:
+            check_real("rates", r, False)
 
     def value(self, t: float) -> float:
-        k = int(np.searchsorted(np.asarray(self.breaks), t, side="right")) - 1
-        return self.rates[max(k, 0)]
+        return self.rates[max(bisect_right(self.breaks, t) - 1, 0)]
 
     def max_rate(self) -> float:
         return max(self.rates)
@@ -140,10 +139,7 @@ def parse_rate_spec(spec: str) -> RateFunction:
     """``<lambda>`` for a constant rate or ``sin:<base>,<amp>,<period>``."""
     spec = spec.strip()
     if spec.startswith("sin:"):
-        parts = spec[len("sin:"):].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"bad rate spec {spec!r}: expected sin:<base>,<amp>,<period>")
-        return SinusoidRate(float(parts[0]), float(parts[1]), float(parts[2]))
+        return SinusoidRate(*spec_values("rate", spec, "sin:", float, float, float))
     try:
         rate = float(spec)
     except ValueError:
@@ -224,8 +220,7 @@ def gen_poisson(
     Deterministic for a given seed.  All samples carry feature 0 unless
     ``feature_sampler`` draws each one's.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_whole("n", n, 1)
     rng = np.random.default_rng(seed)
     times = np.empty(n)
     _poisson_times(rate, times[None], (rng,))
@@ -242,8 +237,7 @@ def gen_poisson_horizon(
 
     Raises if the window happens to contain no arrivals.
     """
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
+    check_real("horizon", horizon, True)
     rng = np.random.default_rng(seed)
     times = list(_thinned_arrivals(rate, rng, horizon=horizon))
     if not times:
@@ -439,14 +433,6 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
 _CHUNK = 250
 
 
-def _check_whole(name: str, value, least: int) -> None:
-    """Raise a one-line ValueError unless ``value`` is an integer, not a
-    bool, of at least ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-
-
 def check_study_args(n_values: Sequence[int] | None, horizon: float | None,
                      rates: Sequence[RateFunction], policies: Sequence,
                      trials: int, seed: int, parallelism: int) -> None:
@@ -455,15 +441,15 @@ def check_study_args(n_values: Sequence[int] | None, horizon: float | None,
     positive integer, the master ``seed`` a non-negative one, exactly one
     of ``n_values`` and ``horizon`` is given, a horizon is positive and
     finite, and the grid and ``policies`` are not empty."""
-    _check_whole("trials", trials, 1)
-    _check_whole("parallelism", parallelism, 1)
+    check_whole("trials", trials, 1)
+    check_whole("parallelism", parallelism, 1)
     for n in () if n_values is None else n_values:
-        _check_whole("n", n, 1)
-    _check_whole("seed", seed, 0)
+        check_whole("n", n, 1)
+    check_whole("seed", seed, 0)
     if (horizon is None) == (n_values is None):
         raise ValueError("give exactly one of n or horizon")
-    if horizon is not None and not (horizon > 0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
+    if horizon is not None:
+        check_real("horizon", horizon, True)
     if not (len(rates) and len(policies) and (horizon is not None or len(n_values))):
         raise ValueError("need at least one grid point and one policy")
 
@@ -514,9 +500,12 @@ def run_study(
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One (grid point, policy) group's ratio quantiles; ``n`` is the
+    records' common sample count, None when it varies (horizon mode)."""
+
     group: str
     policy: str
-    n: int
+    n: int | None
     count: int
     min: float
     q25: float
@@ -554,6 +543,7 @@ def summarize(records: Sequence[TrialRecord]) -> list[SummaryRow]:
         pos = np.multiply(_QUANTILES, len(ratios) - 1)
         below, above = ratios[np.floor(pos).astype(int)], ratios[np.ceil(pos).astype(int)]
         q = np.where(below == above, below, np.where(np.isnan(q), above, q))
-        rows.append(SummaryRow(group, policy, rs[0].n, len(rs),
+        n = rs[0].n if all(r.n == rs[0].n for r in rs) else None
+        rows.append(SummaryRow(group, policy, n, len(rs),
                                float(q[0]), float(q[1]), float(q[2]), float(q[3]), float(q[4])))
     return rows

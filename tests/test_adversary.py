@@ -125,6 +125,12 @@ class TestRunAdversary:
         with pytest.raises(ValueError):
             AdversaryConfig(x1=ONE, x2=ONE, rounds=3, epsilon=0.0)
 
+    @pytest.mark.parametrize("rounds", [2.5, True])
+    def test_rounds_must_be_a_positive_integer(self, rounds):
+        with pytest.raises(ValueError) as exc:
+            AdversaryConfig(x1=ONE, x2=ONE, rounds=rounds)
+        assert str(exc.value) == f"rounds must be a positive integer, got {rounds!r}"
+
 
 def _prefix_replay_waves(policy, f, cfg, epsilon):
     """Reference for ``adversary._realize_waves``: re-run the policy on the
@@ -272,3 +278,9 @@ class TestWorstPairSearch:
     def test_size_cap_validated(self):
         with pytest.raises(ValueError):
             worst_pair_search(SqrtCount(), 1)
+
+    @pytest.mark.parametrize("max_size", [1, 2.5])
+    def test_size_cap_must_be_an_integer_of_at_least_2(self, max_size):
+        with pytest.raises(ValueError) as exc:
+            worst_pair_search(SqrtCount(), max_size)
+        assert str(exc.value) == f"max_size must be an integer of at least 2, got {max_size!r}"

@@ -30,8 +30,10 @@ from dynbatch.cost import (
     CurvatureResult,
     ValidationReport,
     Violation,
+    check_whole,
     random_multiset,
     size_pairs,
+    spec_values,
 )
 
 
@@ -568,3 +570,59 @@ class TestParseCostSpec:
             parse_cost_spec("cubic")
         with pytest.raises(ValueError, match="cap"):
             parse_cost_spec("cap:3")
+
+    def test_too_many_values_name_the_spec(self):
+        with pytest.raises(ValueError) as exc:
+            parse_cost_spec("cap:3,10,1")
+        assert str(exc.value) == (
+            "bad cost spec 'cap:3,10,1': expected 2 value(s) after 'cap:', got 3")
+
+    def test_bad_table_entry_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0\n\n abc \n2\n")
+        with pytest.raises(ValueError) as exc:
+            parse_cost_spec(f"table:{path}")
+        assert str(exc.value) == f"{path}: line 3: bad cost table entry ' abc '"
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("value,least,message", [
+        (-1, 0, "x must be a non-negative integer, got -1"),
+        (0, 1, "x must be a positive integer, got 0"),
+        (1, 2, "x must be an integer of at least 2, got 1"),
+        (2.5, 1, "x must be a positive integer, got 2.5"),
+        (True, 0, "x must be a non-negative integer, got True"),
+        (3.0, 1, "x must be a positive integer, got 3.0"),
+    ])
+    def test_check_whole_rejects(self, value, least, message):
+        with pytest.raises(ValueError) as exc:
+            check_whole("x", value, least)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value,least", [(0, 0), (1, 1), (np.int64(2), 2), (10**30, 2)])
+    def test_check_whole_accepts(self, value, least):
+        check_whole("x", value, least)
+
+    def test_spec_values_converts_each_value(self):
+        assert spec_values("test", "p:1,2.5", "p:", int, float) == [1, 2.5]
+
+    @pytest.mark.parametrize("size", [2.5, True])
+    def test_validate_and_curvature_need_a_whole_max_batch(self, size):
+        with pytest.raises(ValueError) as exc:
+            validate_assumption1(SqrtCount(), max_batch=size)
+        assert str(exc.value) == f"max_batch must be a positive integer, got {size!r}"
+        with pytest.raises(ValueError) as exc:
+            curvature_info(CountTable((0.0, 1.0, 1.5, 2.0)), max_batch=size)
+        assert str(exc.value) == f"max_batch must be an integer of at least 2, got {size!r}"
+
+    @pytest.mark.parametrize("universe_size", [1.5, 0])
+    def test_universe_size_must_be_a_positive_integer(self, universe_size):
+        with pytest.raises(ValueError) as exc:
+            CustomSetFunction(lambda x: 1.0, universe_size)
+        assert str(exc.value) == (f"universe_size must be a positive integer, "
+                                  f"got {universe_size!r}")
+
+    def test_of_size_needs_a_non_negative_integer(self):
+        with pytest.raises(ValueError) as exc:
+            FeatureMultiset.of_size(1.5)
+        assert str(exc.value) == "size must be a non-negative integer, got 1.5"

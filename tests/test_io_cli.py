@@ -17,7 +17,7 @@ from dynbatch import (
     save_arrivals,
     write_results,
 )
-from dynbatch import io_csv
+from dynbatch import io_csv, parse_cost_spec, parse_policy_spec, parse_rate_spec
 from dynbatch.cli import build_parser, cli_main
 from dynbatch.io_csv import RESULTS_HEADER
 
@@ -104,6 +104,9 @@ LOAD_CASES = {
                  "line 3: time must be finite and non-negative, got 'nan'", []),
     "negative-time": ("time\n1\n-2\n", False,
                       "line 3: time must be finite and non-negative, got '-2'", []),
+    # A quoted line break makes one record of lines 2 and 3.
+    "quoted-line-break": ('time,feature\n1,"0\n"\n-2,0\n', False,
+                          "line 4: time must be finite and non-negative, got '-2'", []),
     "negative-feature": ("time,feature\n0.5,1\n1.0,-2\n", False,
                          "line 3: feature must be non-negative", []),
     "float-feature": ("time,feature\n0.5,3.0\n", False, "line 2: bad feature '3.0'", []),
@@ -297,6 +300,14 @@ class TestResultsFile:
         with pytest.raises(ValueError, match="header"):
             read_results(p)
 
+    def test_bad_row_names_its_physical_line(self, tmp_path):
+        p = tmp_path / "r.csv"
+        row = '"g0\n.t0",1,5,wta:0.5,0.5,1.0,0.5,0.5,1.0,1.0'
+        p.write_text(",".join(RESULTS_HEADER) + f"\n{row}\ng0.t1,2\n")
+        with pytest.raises(ValueError) as err:
+            read_results(p)
+        assert str(err.value) == f"{p}: line 4: expected 10 columns"
+
     @pytest.mark.parametrize("text,line", [
         (f"trial{BIG_FIELD}\n", 1),
         (",".join(RESULTS_HEADER) + f"\ng0.t0,{BIG_FIELD}\n", 2),
@@ -350,9 +361,9 @@ class TestCli:
         (["adversary", "--cost", "sqrt", "--policy", "lifo", "--rounds", "0"],
          "unknown policy spec 'lifo'"),
         (["oracle", "--arrivals", "/nonexistent.csv", "--cost", "sqrt", "--max-n", "0"],
-         "max_n must be at least 1"),
+         "max_n must be a positive integer, got 0"),
         (["oracle", "--arrivals", "/nonexistent.csv", "--cost", "sqrt", "--max-n", "-3"],
-         "max_n must be at least 1"),
+         "max_n must be a positive integer, got -3"),
     ])
     def test_usage_errors_are_reported_cost_then_policy_then_the_rest(self, argv, message,
                                                                         capsys):
@@ -445,6 +456,12 @@ class TestCli:
         assert rc == 0
         assert "median=" in capsys.readouterr().out
 
+    def test_simulate_horizon_summary_n_varies(self, capsys):
+        # The five trials hold 15, 27, 23, 20 and 17 samples.
+        assert cli_main(["simulate", "--cost", "sqrt", "--policy", "wta:0.5", "--horizon", "10",
+                         "--trials", "5"]) == 0
+        assert capsys.readouterr().out.startswith("g0 n=varies policy=wta:0.5 trials=5 min=")
+
     def test_simulate_zero_optimum_exits_1(self, capsys):
         # Every trial's optimum costs 0: each fails with one stderr line,
         # and with no ratio left the summary fails in one line, not a
@@ -524,7 +541,8 @@ class TestCli:
     ])
     def test_bad_max_batch_exits_2(self, command, value, least, capsys):
         assert cli_main([command, "--cost", "sqrt", "--max-batch", value]) == 2
-        assert capsys.readouterr() == ("", f"dynbatch: max_batch must be at least {least}\n")
+        kind = "a positive integer" if least == 1 else f"an integer of at least {least}"
+        assert capsys.readouterr() == ("", f"dynbatch: max_batch must be {kind}, got {value}\n")
 
     def test_adversary_outputs(self, tmp_path, capsys):
         report_path = tmp_path / "report.csv"
@@ -543,9 +561,9 @@ class TestCli:
         assert rows[0]["policy"] == "wta:0.5"
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--rounds", "0", "rounds must be at least 1"),
+        ("--rounds", "0", "rounds must be a positive integer, got 0"),
         ("--x1", "0", "arrival groups must be non-empty"),
-        ("--x2", "-1", "size must be non-negative"),
+        ("--x2", "-1", "size must be a non-negative integer, got -1"),
         ("--epsilon", "-1", "epsilon must be positive and finite"),
         ("--epsilon", "nan", "epsilon must be positive and finite"),
     ])
@@ -570,6 +588,35 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("dynbatch: curvature undefined: f(X)=")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec,parse,argv,reason", [
+        ("fixed-size:2.5", parse_policy_spec,
+         ["online", "--arrivals", str(FIXTURE), "--cost", "sqrt", "--policy"],
+         "invalid literal for int() with base 10: '2.5'"),
+        ("wta:", parse_policy_spec, ["adversary", "--cost", "sqrt", "--policy"],
+         "could not convert string to float: ''"),
+        ("cap:a,b", parse_cost_spec, ["gamma", "--cost"], "could not convert string to float: 'a'"),
+        ("cap:3", parse_cost_spec, ["validate", "--cost"],
+         "expected 2 value(s) after 'cap:', got 1"),
+        ("const:", parse_cost_spec, ["offline", "--arrivals", str(FIXTURE), "--cost"],
+         "could not convert string to float: ''"),
+        ("sin:a,1,1", parse_rate_spec, ["simulate", "--cost", "sqrt", "--n", "5", "--rate-fn"],
+         "could not convert string to float: 'a'"),
+    ])
+    def test_bad_spec_values_exit_2_naming_the_spec(self, spec, parse, argv, reason, capsys):
+        kind = {parse_cost_spec: "cost", parse_policy_spec: "policy", parse_rate_spec: "rate"}
+        message = f"bad {kind[parse]} spec {spec!r}: {reason}"
+        with pytest.raises(ValueError) as err:
+            parse(spec)
+        assert str(err.value) == message
+        assert cli_main([*argv, spec]) == 2
+        assert capsys.readouterr() == ("", f"dynbatch: {message}\n")
+
+    def test_bad_cost_table_entry_exits_2_naming_the_line(self, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text("0\nabc\n")
+        assert cli_main(["gamma", "--cost", f"table:{p}"]) == 2
+        assert capsys.readouterr() == ("", f"dynbatch: {p}: line 2: bad cost table entry 'abc'\n")
 
     def test_unknown_cost_spec_exits_2(self, capsys):
         assert cli_main(["gamma", "--cost", "cubic"]) == 2

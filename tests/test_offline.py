@@ -193,6 +193,13 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="oracle size limit"):
             brute_force_optimum(inst, SqrtCount())
 
+    @pytest.mark.parametrize("max_n", [2.5, 0])
+    def test_max_n_must_be_a_positive_integer(self, max_n):
+        inst = ProblemInstance.from_times([0.0, 1.0])
+        with pytest.raises(ValueError) as exc:
+            brute_force_optimum(inst, SqrtCount(), max_n=max_n)
+        assert str(exc.value) == f"max_n must be a positive integer, got {max_n!r}"
+
     def test_tie_break_prefers_fewer_batches(self):
         # with f == 0 every partition costs the same on coincident arrivals
         from dynbatch import CountTable

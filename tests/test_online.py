@@ -498,3 +498,15 @@ class TestPolicySpec:
             parse_policy_spec("fixed-size:0")
         with pytest.raises(ValueError):
             parse_policy_spec("fixed-delay:-0.5")
+
+    def test_too_many_values_name_the_spec(self):
+        with pytest.raises(ValueError) as exc:
+            parse_policy_spec("fixed-delay:1,2")
+        assert str(exc.value) == (
+            "bad policy spec 'fixed-delay:1,2': expected 1 value(s) after 'fixed-delay:', got 2")
+
+    @pytest.mark.parametrize("k", [2.5, True, 4.0, 0])
+    def test_fixed_size_needs_a_positive_integer(self, k):
+        with pytest.raises(ValueError) as exc:
+            FixedSize(k)
+        assert str(exc.value) == f"batch size must be a positive integer, got {k!r}"

@@ -77,6 +77,12 @@ class TestRateFunctions:
         assert r.value(99.0) == 1.0
         assert r.max_rate() == 5.0
 
+    @pytest.mark.parametrize("breaks", [(0.0, math.nan), (0.0, 1.0, math.nan)])
+    def test_table_rejects_a_nan_break(self, breaks):
+        with pytest.raises(ValueError) as exc:
+            TableRate(breaks, (1.0,) * len(breaks))
+        assert str(exc.value) == "breaks must start at 0 and strictly increase"
+
     def test_parse_rate_spec(self):
         assert parse_rate_spec("2") == ConstantRate(2.0)
         assert parse_rate_spec("sin:2,1,3") == SinusoidRate(2.0, 1.0, 3.0)
@@ -84,6 +90,11 @@ class TestRateFunctions:
             parse_rate_spec("ramp:1")
         with pytest.raises(ValueError, match="rate must be positive and finite"):
             parse_rate_spec("0")
+
+    def test_too_few_sin_values_name_the_spec(self):
+        with pytest.raises(ValueError) as exc:
+            parse_rate_spec("sin:2,1")
+        assert str(exc.value) == "bad rate spec 'sin:2,1': expected 3 value(s) after 'sin:', got 2"
 
 
 class TestGenPoisson:
@@ -105,6 +116,12 @@ class TestGenPoisson:
     def test_single_arrival(self):
         inst = gen_poisson(ConstantRate(5.0), 1, seed=0)
         assert inst.n == 1 and inst.times[0] > 0.0
+
+    @pytest.mark.parametrize("n", [2.5, True, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError) as exc:
+            gen_poisson(ConstantRate(2.0), n, seed=0)
+        assert str(exc.value) == f"n must be a positive integer, got {n!r}"
 
     def test_deterministic_per_seed(self):
         a = gen_poisson(SinusoidRate(2, 1, 3), 50, seed=4)
@@ -764,6 +781,13 @@ class TestSummarize:
         assert (row.min, row.q25, row.median, row.q75, row.max) == (1.0, 2.0, 3.0, math.inf, math.inf)
         row = summarize(self._ratios(1.0, math.inf))[0]
         assert (row.q25, row.median, row.q75) == (math.inf,) * 3
+
+    def test_n_is_none_when_it_varies_in_the_group(self):
+        records = run_study(
+            horizon=10.0, rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+            cost_fn=SqrtCount(), trials=5, seed=0)
+        assert len({r.n for r in records}) > 1
+        assert summarize(records)[0].n is None
 
     def test_row_per_grid_point(self):
         records = run_study(
