@@ -594,7 +594,8 @@ def parse_cost_spec(spec: str) -> CostFunction:
     if spec.startswith("table:"):
         path = Path(spec[len("table:"):])
         values = []
-        for ln, text in enumerate(path.read_text().splitlines(), start=1):
+        # read_text turns "\r\n" and "\r" into "\n"; no other character ends a line.
+        for ln, text in enumerate(path.read_text().split("\n"), start=1):
             if not text.strip():
                 continue
             try:

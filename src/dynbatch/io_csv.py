@@ -1,7 +1,8 @@
 """CSV file formats: arrival instances, study results, adversary reports.
 
 All floats are written with Python's shortest round-tripping repr, so a
-write/read cycle reproduces records exactly.
+write/read cycle reproduces records exactly.  Arrivals are written in one
+streamed pass, each time by its repr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import io
 import math
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,9 +50,9 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = _rows(path, fh)
+        reader = csv.reader(fh)
         try:
-            _, header = next(reader)
+            _, header = next(_rows(path, reader))
         except StopIteration:
             raise ValueError(f"{path}: empty arrivals file") from None
         cols = [c.strip().lower() for c in header]
@@ -60,7 +61,8 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
         body = fh.read()
     rows = _parsed(body)
     if rows is None:
-        times, features = _read_rows(path, body)
+        # The body starts on the line after the header's last physical line.
+        times, features = _read_rows(path, body, 1 + reader.line_num)
         t = np.array(times)
     else:
         # Copies out of the parsed rows, so the instance holds no view of them.
@@ -72,13 +74,12 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
     return ProblemInstance._of_array(t, tuple(features))
 
 
-def _rows(path: Path, lines: Iterable[str], first: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """The rows that ``csv.reader`` reads from ``lines``, line ``first`` of
+def _rows(path: Path, reader, first: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """The rows that the ``csv.reader`` ``reader`` reads, line ``first`` of
     ``path`` on, each with the physical line it starts on, which a quoted
     line break puts past its record number: a row the reader rejects, such
     as one with a field over its size limit, is a one-line ValueError naming
     the file and the line."""
-    reader = csv.reader(lines)
     line = first
     try:
         for row in reader:
@@ -104,12 +105,13 @@ def _parsed(body: str) -> np.ndarray | None:
     return rows if rows.size and np.isfinite(t).all() and t.min() >= 0 and f.min() >= 0 else None
 
 
-def _read_rows(path: Path, body: str) -> tuple[list[float], list[int]]:
-    """The times and feature ids of the rows after the header, in file
-    order, read one at a time: a malformed row raises with its line number."""
+def _read_rows(path: Path, body: str, first: int) -> tuple[list[float], list[int]]:
+    """The times and feature ids of the rows of ``body``, which starts on
+    line ``first``, in file order, read one at a time: a malformed row
+    raises with its line number."""
     times: list[float] = []
     features: list[int] = []
-    for ln, row in _rows(path, io.StringIO(body, newline=""), 2):
+    for ln, row in _rows(path, csv.reader(io.StringIO(body, newline="")), first):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:
@@ -134,11 +136,11 @@ def _read_rows(path: Path, body: str) -> tuple[list[float], list[int]]:
 
 
 def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:
+    """The instance as ``csv.writer`` rows, times by repr, streamed in one
+    pass: no float repr or integer needs quoting."""
     with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "feature"])
-        for t, v in zip(inst.times, inst.features):
-            w.writerow([repr(t), v])
+        fh.write("time,feature\r\n")
+        fh.writelines(f"{t!r},{v}\r\n" for t, v in zip(inst.times, inst.features))
 
 
 def _quoted(field: str) -> str:
@@ -177,7 +179,7 @@ def read_results(path: str | Path) -> list[TrialRecord]:
     path = Path(path)
     records = []
     with path.open(newline="") as fh:
-        reader = _rows(path, fh)
+        reader = _rows(path, csv.reader(fh))
         _, header = next(reader, (1, None))
         if header != RESULTS_HEADER:
             raise ValueError(f"{path}: unexpected results header {header!r}")

@@ -14,7 +14,9 @@ derives all of its seeds, then all of its PCG64 states, in one uint32 pass
 each over its trials: the hash of numpy's ``SeedSequence`` on columns of
 entropy words, then PCG64's two seeding steps on 128-bit ints.
 
-Trials run in chunks of up to 250 per grid point.  In ``n_values`` mode
+Trials run in chunks of up to 250 per grid point.  The process pool is
+imported and started only when a study runs on more than one worker, so
+a serial study never loads it.  In ``n_values`` mode
 under a count cost, every instance of a chunk has the same n, so the chunk
 runs in lockstep, as arrays from the seeds to the records: the chunk's
 arrival times are drawn in place as the rows of one (T, n) array,
@@ -36,7 +38,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice
@@ -486,6 +487,9 @@ def run_study(
                           lo, min(lo + _CHUNK, trials), int(seed), horizon))
     parallel = parallelism > 1 and len(tasks) > 1
     records: list[TrialRecord] = []
+    if parallel:
+        # Imported only here, so a serial study never loads the pool.
+        from concurrent.futures import ProcessPoolExecutor
     # The fork start method starts every worker at the first submit.
     workers = min(parallelism, len(tasks))
     with (ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext()) as pool:

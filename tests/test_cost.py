@@ -584,6 +584,19 @@ class TestParseCostSpec:
             parse_cost_spec(f"table:{path}")
         assert str(exc.value) == f"{path}: line 3: bad cost table entry ' abc '"
 
+    @pytest.mark.parametrize("text,line,entry", [
+        ("0\n1\x0c\nabc\n", 3, "abc"),
+        ("0\n1\x0c2\nabc\n", 2, "1\x0c2"),
+        ("0\r\n1\x1c\r2\n\x85abc", 2, "1\x1c"),
+    ], ids=["form-feed-then-bad", "form-feed-inside", "separators"])
+    def test_table_lines_end_at_line_breaks_only(self, text, line, entry, tmp_path):
+        # Form feeds and other str.splitlines separators end no line.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            parse_cost_spec(f"table:{path}")
+        assert str(exc.value) == f"{path}: line {line}: bad cost table entry {entry!r}"
+
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("value,least,message", [

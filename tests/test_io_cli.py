@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynbatch import (
@@ -104,6 +105,9 @@ LOAD_CASES = {
                  "line 3: time must be finite and non-negative, got 'nan'", []),
     "negative-time": ("time\n1\n-2\n", False,
                       "line 3: time must be finite and non-negative, got '-2'", []),
+    # A quoted line break in the header makes lines 1 and 2 the header.
+    "quoted-line-break-in-header": ('time,"feature\n"\n1,0\n-2,0\n', False,
+                                    "line 4: time must be finite and non-negative, got '-2'", []),
     # A quoted line break makes one record of lines 2 and 3.
     "quoted-line-break": ('time,feature\n1,"0\n"\n-2,0\n', False,
                           "line 4: time must be finite and non-negative, got '-2'", []),
@@ -126,7 +130,8 @@ class TestLoadArrivals:
         fallbacks = []
         read_rows = io_csv._read_rows
         monkeypatch.setattr(io_csv, "_read_rows",
-                            lambda path, body: fallbacks.append(path) or read_rows(path, body))
+                            lambda path, body, first:
+                            fallbacks.append(path) or read_rows(path, body, first))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if isinstance(want, str):
@@ -203,6 +208,23 @@ class TestLoadArrivals:
         save_arrivals(inst, p)
         assert load_arrivals(p) == inst
 
+    @pytest.mark.parametrize("times,features", [
+        ((0, 1, 3), (0, 0, 2)),
+        ((0.1, 0.30000000000000004, 2.0), (0, np.int64(1), np.uint8(7))),
+        ((1.7e9 + 1e-6, 1700000000.123456, 1700000000.5), (2**70, 0, 3)),
+        ((0.0, 5e-324 * 3, 1e-300), (np.int32(4), 2**63, 1)),
+        ((0.5, 1.5), (True, np.bool_(False))),
+    ], ids=["int-times", "numpy-features", "epoch-and-big-feature", "tiny-times", "bool-features"])
+    def test_save_matches_csv_writer_bytes_and_round_trips(self, times, features, tmp_path):
+        inst = ProblemInstance(times, features)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_arrivals(inst, got)
+        _csv_writer_arrivals(inst, want)
+        assert got.read_bytes() == want.read_bytes()
+        # csv.writer writes True as "True", which load_arrivals takes as no feature id.
+        if not any(isinstance(v, (bool, np.bool_)) for v in features):
+            assert load_arrivals(got) == inst
+
     @pytest.mark.parametrize("text,line", [
         (f"time{BIG_FIELD}\n0\n", 1),
         (f"time,feature\n0,0\n1,{BIG_FIELD}\n", 3),
@@ -214,6 +236,15 @@ class TestLoadArrivals:
         with pytest.raises(ValueError) as err:
             load_arrivals(p)
         assert str(err.value) == f"{p}: line {line}: {FIELD_LIMIT}"
+
+
+def _csv_writer_arrivals(inst, path):
+    """The arrivals file as csv.writer writes it, row by row."""
+    with Path(path).open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["time", "feature"])
+        for t, v in zip(inst.times, inst.features):
+            w.writerow([repr(t), v])
 
 
 def _csv_writer_results(records, path):

@@ -1,8 +1,13 @@
+import concurrent.futures
 import hashlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +225,21 @@ class TestRunStudy:
         parallel = run_study(parallelism=2, **kwargs)
         assert serial == parallel
 
+    def test_serial_study_never_imports_the_worker_pool(self):
+        """In a fresh interpreter, importing the package and the CLI and
+        running a serial study leave ``concurrent.futures`` unloaded."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        code = ("import sys, dynbatch, dynbatch.cli\n"
+                "from dynbatch import ConstantRate, SqrtCount, Wta, run_study\n"
+                "run_study(n_values=[5, 6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],\n"
+                "          cost_fn=SqrtCount(), trials=3, seed=0)\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", "False\n")
+
     def test_workers_are_capped_at_the_chunk_count(self, monkeypatch):
         asked = []
 
@@ -236,7 +256,7 @@ class TestRunStudy:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         # one chunk per grid point
         kwargs = dict(n_values=[5, 8], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=3, seed=0)
@@ -418,7 +438,7 @@ class TestSeedsAndStreams:
             raise AssertionError("a chunk or a worker pool started")
 
         monkeypatch.setattr(sim, "_run_chunk", never)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         with pytest.raises(ValueError) as exc:
             run_study(n_values=[5, 6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=3, seed=seed, parallelism=2)
@@ -439,7 +459,7 @@ class TestSeedsAndStreams:
             raise AssertionError("a chunk or a worker pool started")
 
         monkeypatch.setattr(sim, "_run_chunk", never)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         with pytest.raises(ValueError) as exc:
             run_study(n_values=n_values, rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=trials, seed=1, parallelism=2)
@@ -465,7 +485,7 @@ class TestSeedsAndStreams:
             raise AssertionError("a chunk or a worker pool started")
 
         monkeypatch.setattr(sim, "_run_chunk", never)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
         kwargs = dict(n_values=[5, 6], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
                       cost_fn=SqrtCount(), trials=3, seed=1, parallelism=2)
         if "horizon" in change:
