@@ -52,15 +52,13 @@ def _usage(fn, *args, **kwargs):
 
 
 def _policy(spec: str, alpha: float | None, f: CostFunction) -> PolicyConfig:
+    """The policy of ``spec``.  ``--alpha``, checked whenever given, sets a
+    bare "wta"'s alpha, which is otherwise the cost's curvature."""
+    given = None if alpha is None else _usage(Wta, alpha)
     spec = spec.strip()
-    if spec == "wta" and alpha is None:
-        # bare "wta" without --alpha picks the cost's curvature
-        return Wta(curvature(f))
     if spec != "wta":
-        policy = _usage(parse_policy_spec, spec)
-        if alpha is None or not isinstance(policy, Wta):
-            return policy
-    return _usage(Wta, alpha)
+        return _usage(parse_policy_spec, spec)
+    return given or Wta(curvature(f))
 
 
 def _cmd_schedule(args, f: CostFunction) -> int:
@@ -121,10 +119,9 @@ def _cmd_simulate(args, f: CostFunction) -> int:
     rate_specs = [args.rate_fn] if args.rate_fn else [p for p in args.rate.split(",") if p.strip()]
     rates = [_usage(parse_rate_spec, p) for p in rate_specs]
     n_values = _parse_int_list(args.n) if args.n is not None else None
-    specs = args.policy if args.policy else ["wta"]
-    _usage(check_study_args, n_values, args.horizon, rates, specs, args.trials, args.seed,
+    policies = [_policy(s, args.alpha, f) for s in args.policy or ["wta"]]
+    _usage(check_study_args, n_values, args.horizon, rates, policies, args.trials, args.seed,
            args.parallelism)
-    policies = [_policy(s, args.alpha, f) for s in specs]
     records = run_study(
         n_values=n_values, horizon=args.horizon, rates=rates, policies=policies,
         cost_fn=f, trials=args.trials, seed=args.seed,

@@ -100,6 +100,12 @@ def spec_values(kind: str, spec: str, prefix: str, *converters: Callable[[str], 
         raise ValueError(f"bad {kind} spec {spec!r}: {exc}") from None
 
 
+def spec_number(x: float) -> str:
+    """``x`` as a spec writes it: the shortest repr of ``float(x)``, which
+    parses back to it, without a trailing ".0"."""
+    return repr(float(x)).removesuffix(".0")
+
+
 @dataclass(frozen=True, slots=True)
 class FeatureMultiset:
     """Multiset of feature ids, stored as a sorted (id, multiplicity) tuple.
@@ -286,7 +292,7 @@ class CappedLinear(_CountCost):
         return 0.5
 
     def spec_string(self) -> str:
-        return f"cap:{self.slope:g},{self.cap:g}"
+        return f"cap:{spec_number(self.slope)},{spec_number(self.cap)}"
 
 
 @dataclass(frozen=True)
@@ -305,7 +311,7 @@ class ConstantCost(_CountCost):
         return 0.5 if self.c > 0 else None
 
     def spec_string(self) -> str:
-        return f"const:{self.c:g}"
+        return f"const:{spec_number(self.c)}"
 
 
 @dataclass(frozen=True)
@@ -334,7 +340,7 @@ class CountTable(_CountCost):
         return float(self.values[size])
 
     def spec_string(self) -> str:
-        return "table:" + ",".join(f"{v:g}" for v in self.values)
+        return "table:" + ",".join(map(spec_number, self.values))
 
 
 @dataclass(frozen=True)

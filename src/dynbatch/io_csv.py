@@ -2,7 +2,7 @@
 
 All floats are written with Python's shortest round-tripping repr, so a
 write/read cycle reproduces records exactly.  Arrivals are written in one
-streamed pass, each time by its repr.
+streamed pass, as the floats and integers that load back.
 """
 
 from __future__ import annotations
@@ -136,11 +136,13 @@ def _read_rows(path: Path, body: str, first: int) -> tuple[list[float], list[int
 
 
 def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:
-    """The instance as ``csv.writer`` rows, times by repr, streamed in one
-    pass: no float repr or integer needs quoting."""
+    """The instance as ``csv.writer`` rows, streamed in one pass: each time
+    as its float's repr and each feature as an integer, so that a bool or a
+    numpy number loads back too; neither needs quoting."""
     with Path(path).open("w", newline="") as fh:
         fh.write("time,feature\r\n")
-        fh.writelines(f"{t!r},{v}\r\n" for t, v in zip(inst.times, inst.features))
+        fh.writelines(f"{t!r},{int(v)}\r\n"
+                      for t, v in zip(inst.times_array.tolist(), inst.features))
 
 
 def _quoted(field: str) -> str:

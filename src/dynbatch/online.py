@@ -1,35 +1,34 @@
 """Online batching policies, run as exact event-driven simulations.
 
-Each policy is a frozen dataclass with one rule,
-``close(times, features, f, lo) -> (hi, t)``: the samples lo..hi-1
-(0-based) waiting from ``lo`` on are processed together at ``t``.  The
-rule reads only arrivals at or before ``t``, so every decision is online
-by construction.  The one exception is the end of the instance:
-``FixedSize`` processes a trailing partial batch at the last arrival, a
-batch that more arrivals would have extended.  So a batch processed
-after its last arrival is final: arrivals appended later than ``t`` leave
-it as it is.  Only a batch processed at its own last arrival may change
-when arrivals are appended, and the adversary closes such a batch again.
-``flushes(times, features, f)`` is the one driver: it closes a batch,
-starts the next at the first sample left out, and so on to the end, and
-returns the batches as two lists, their last samples and their times.
-``run_policy`` turns those into a ``Schedule`` with ``Schedule.from_ends``,
-which merges batches processed at one instant, and prices it; no per-batch
-object is built.
+A policy's rule closes a batch: the samples lo..hi-1 (0-based) waiting
+from ``lo`` on are processed together at ``t``.  The rule reads only
+arrivals at or before ``t``, so every decision is online by construction.
+The one exception is the end of the instance: ``FixedSize`` processes a
+trailing partial batch at the last arrival, a batch that more arrivals
+would have extended.  So a batch processed after its last arrival is
+final, and only one processed at its own last arrival may change when
+arrivals are appended; the adversary closes such a batch again.
 
-For a count cost, ``close_all(a, f)`` applies ``close`` from every start
-of every row of a (T, n) array of arrival times at once, and
-``flushes_all(a, f)`` follows each row's batches from sample 0 with
-``instance.path_nodes``: the study runner's lockstep chunks get every
-trial's ``flushes`` as three flat arrays, the same bit for bit.
+Each fixed rule, ``FixedSize`` and ``FixedDelay``, is stated once, as
+``close_all(a, f)``: the batch from every start of every row of a (T, n)
+array of arrival times.  ``flushes_all(a, f)`` follows each row's batches
+from sample 0 with ``instance.path_nodes``, as the flat arrays that the
+study's lockstep chunks price.  The scalar entry points derive from them:
+``close(times, features, f, lo) -> (hi, t)`` is ``close_all`` of the
+samples from ``lo`` on, at its first start, and ``flushes(times,
+features, f)``, each batch's last sample and time as two lists, is
+``flushes_all`` of one row.  ``run_policy`` merges those into a
+``Schedule`` with ``Schedule.from_ends`` and prices it.
 
-The waiting policy ("wta") accumulates the waiting time of pending samples
-and flushes them all as one batch the instant that accumulated waiting
-equals alpha times the cost of processing them together.  Between arrivals
-the accumulated waiting grows linearly with slope equal to the pending
-count while the flush target is constant, so the trigger instant is solved
-in closed form per inter-event interval; no time stepping is involved and
-the flush identity holds to machine precision.
+``Wta`` holds the only scalar rule and driver: its ``close`` serves set
+functions and the adversary, and its ``flushes`` loop serves
+``run_policy``, where ``close_all``, for a count cost, would cost the sum
+of the batch sizes from every start.  It flushes all pending samples the
+instant their accumulated waiting equals alpha times the cost of
+processing them together.  Between arrivals the waiting grows linearly
+with slope equal to the pending count while the target is constant, so
+the trigger instant is solved in closed form per inter-event interval,
+and the flush identity holds to machine precision.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset, check_real, check_whole, spec_values
+from .cost import (CostFunction, FeatureMultiset, check_real, check_whole, spec_number,
+                   spec_values)
 from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
 
 __all__ = [
@@ -55,23 +55,22 @@ __all__ = [
 
 
 class _Policy:
-    """The simulation drivers over a policy's ``close`` rule: ``flushes``
-    for one instance, and ``flushes_all``, over the policy's ``close_all``,
-    for many of one size at once."""
+    """The drivers over a policy's ``close_all`` rule, for many instances
+    of one size at once and, for a fixed rule, for one."""
+
+    def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
+              lo: int) -> tuple[int, float]:
+        """The batch that waits from sample ``lo`` (0-based): ``close_all``
+        of the samples from ``lo`` on, at its first start."""
+        hi, t = self.close_all(np.array(times[lo:], dtype=float)[None], f)
+        return lo + int(hi[0, 0]), float(t[0, 0])
 
     def flushes(self, times: Sequence[float], features: Sequence[int],
                 f: CostFunction) -> tuple[list[int], list[float]]:
-        """Close batches from the first sample on until every sample is in
-        one: the last sample (1-based) of each batch, and its time."""
-        close = self.close
-        n = len(times)
-        ends, stamps = [], []
-        hi = 0
-        while hi < n:
-            hi, t = close(times, features, f, hi)
-            ends.append(hi)
-            stamps.append(t)
-        return ends, stamps
+        """``flushes_all`` of one row: the last sample (1-based) of each
+        batch, and its time."""
+        ends, stamps, _ = self.flushes_all(np.array(times, dtype=float)[None], f)
+        return ends.tolist(), stamps.tolist()
 
     def flushes_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray,
                                                                      np.ndarray]:
@@ -97,7 +96,19 @@ class Wta(_Policy):
         check_real("alpha", self.alpha, True)
 
     def spec_string(self) -> str:
-        return f"wta:{self.alpha:g}"
+        return f"wta:{spec_number(self.alpha)}"
+
+    def flushes(self, times: Sequence[float], features: Sequence[int],
+                f: CostFunction) -> tuple[list[int], list[float]]:
+        """Close batches from the first sample on until every sample is in
+        one: the last sample (1-based) of each batch, and its time."""
+        close, n = self.close, len(times)
+        ends, stamps, hi = [], [], 0
+        while hi < n:
+            hi, t = close(times, features, f, hi)
+            ends.append(hi)
+            stamps.append(t)
+        return ends, stamps
 
     def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
               lo: int) -> tuple[int, float]:
@@ -200,15 +211,9 @@ class FixedSize(_Policy):
     def spec_string(self) -> str:
         return f"fixed-size:{self.k}"
 
-    def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
-              lo: int) -> tuple[int, float]:
-        """The next ``k`` arrivals, at the k-th arrival's time; a final
-        partial batch is processed at the last arrival."""
-        hi = min(lo + self.k, len(times))
-        return hi, times[hi - 1]
-
     def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-        """``close`` from every start of every row of ``a``, in closed form."""
+        """From every start, the next ``k`` arrivals at the k-th one's time;
+        a final partial batch is processed at the last arrival."""
         hi = np.minimum(np.arange(self.k, a.shape[1] + self.k), a.shape[1])
         return np.broadcast_to(hi, a.shape), a[:, hi - 1]
 
@@ -223,27 +228,14 @@ class FixedDelay(_Policy):
         check_real("delay", self.delay, False)
 
     def spec_string(self) -> str:
-        return f"fixed-delay:{self.delay:g}"
-
-    def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
-              lo: int) -> tuple[int, float]:
-        """Flush once the oldest pending sample has waited ``delay``.
-
-        Every sample that has arrived by the flush instant joins the batch.
-        With ``delay`` 0 this degenerates to processing each arrival instant's
-        samples immediately.
-        """
-        flush = times[lo] + self.delay
-        n = len(times)
-        hi = lo + 1
-        while hi < n and times[hi] <= flush:
-            hi += 1
-        return hi, flush
+        return f"fixed-delay:{spec_number(self.delay)}"
 
     def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-        """``close`` from every start of every row of ``a``: the samples up
-        to each flush instant, found by one ``searchsorted`` per row."""
-        flush = a + self.delay
+        """From every start, every sample arrived by the time the first has
+        waited ``delay``, found by one ``searchsorted`` per row; with delay
+        0, each arrival instant's samples at once."""
+        with np.errstate(over="ignore"):  # an inf flush takes every later sample
+            flush = a + self.delay
         return np.array([np.searchsorted(r, fl, side="right") for r, fl in zip(a, flush)]), flush
 
 

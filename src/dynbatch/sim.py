@@ -1,10 +1,12 @@
 """Arrival-process generation and the Monte-Carlo study runner.
 
-Arrivals are drawn from homogeneous or inhomogeneous Poisson processes;
-inhomogeneous rates are simulated by thinning against the rate's finite
-upper bound.  Studies sweep a grid of (sample count, rate) points, run a
-set of policies on each generated instance, compare every run against the
-exact offline optimum, and emit one flat record per (trial, policy).
+Arrivals are drawn from homogeneous or inhomogeneous Poisson processes.
+Each rate draws its own rows: ``fill(a, rngs)`` fills each row of a
+(T, n) array from its own generator, by exponential gaps for a constant
+rate and by thinning against the finite upper bound for any other.
+Studies sweep a grid of (sample count, rate) points, run a set of
+policies on each generated instance, compare every run against the exact
+offline optimum, and emit one flat record per (trial, policy).
 
 Trial t of grid point g has the seed that ``SeedSequence((master, g, t))``
 gives as one uint64, and its stream is ``default_rng(seed)``'s, so records
@@ -16,10 +18,10 @@ entropy words, then PCG64's two seeding steps on 128-bit ints.
 
 Trials run in chunks of up to 250 per grid point.  The process pool is
 imported and started only when a study runs on more than one worker, so
-a serial study never loads it.  In ``n_values`` mode
-under a count cost, every instance of a chunk has the same n, so the chunk
-runs in lockstep, as arrays from the seeds to the records: the chunk's
-arrival times are drawn in place as the rows of one (T, n) array,
+a serial study never loads it.  In ``n_values`` mode under a count cost,
+every instance of a chunk has the same n, so the chunk runs in lockstep,
+as arrays from the seeds to the records: the rate's ``fill`` draws the
+chunk's arrival times in place as the rows of one (T, n) array,
 ``offline.lockstep_ends`` solves all of its optima in one vector sweep,
 each policy's ``flushes_all`` finds every trial's batches at once, and
 ``instance.chunk_costs`` prices the optima, then each policy's batches, in
@@ -74,6 +76,15 @@ class RateFunction:
     def max_rate(self) -> float:
         raise NotImplementedError
 
+    def fill(self, a: np.ndarray, rngs: Iterable[np.random.Generator]) -> None:
+        """Fill each row of the (T, n) array ``a`` with n Poisson arrival
+        times, row k drawn from the k-th generator of ``rngs``: proposals at
+        the maximum rate are thinned, row by row, until n are accepted."""
+        n = a.shape[1]
+        for row, rng in zip(a, rngs):
+            row[:] = np.fromiter(islice(_thinned_arrivals(self, rng, budget=100_000 * n + 100_000),
+                                        n), float, n)
+
 
 @dataclass(frozen=True)
 class ConstantRate(RateFunction):
@@ -87,6 +98,18 @@ class ConstantRate(RateFunction):
 
     def max_rate(self) -> float:
         return self.rate
+
+    def fill(self, a: np.ndarray, rngs: Iterable[np.random.Generator]) -> None:
+        """I.i.d. exponential gaps: each row's standard exponentials in
+        place, one scaling of the array and one running sum per row, the
+        floats of ``np.cumsum(rng.exponential(1 / rate, n))``, as numpy
+        draws exponential(scale) as scale * standard_exponential()."""
+        for row, rng in zip(a, rngs):
+            rng.standard_exponential(out=row)
+        # numpy's scaling of its draws overflows to inf without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a *= 1.0 / self.rate
+        np.cumsum(a, axis=1, out=a)
 
 
 @dataclass(frozen=True)
@@ -183,32 +206,6 @@ def _instance(
     return ProblemInstance._of_array(a, feats)
 
 
-def _poisson_times(rate: RateFunction, a: np.ndarray,
-                   rngs: Iterable[np.random.Generator]) -> None:
-    """Fill each row of the (T, n) array ``a`` with n Poisson arrival times
-    under ``rate``, row k drawn from the k-th generator of ``rngs``.
-
-    Constant rates use i.i.d. exponential gaps: each row's standard
-    exponentials in place, then one scaling of the whole array and one
-    running sum along each row, which give each row the floats of
-    ``np.cumsum(rng.exponential(1 / rate, n))``, since numpy draws
-    exponential(scale) as scale * standard_exponential().  Time-varying rates are thinned against their
-    maximum, row by row, until n proposals are accepted.
-    """
-    n = a.shape[1]
-    if isinstance(rate, ConstantRate):
-        for row, rng in zip(a, rngs):
-            rng.standard_exponential(out=row)
-        # numpy's scaling of its draws overflows to inf without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            a *= 1.0 / rate.rate
-        np.cumsum(a, axis=1, out=a)
-        return
-    for row, rng in zip(a, rngs):
-        row[:] = np.fromiter(islice(_thinned_arrivals(rate, rng, budget=100_000 * n + 100_000),
-                                    n), float, n)
-
-
 def gen_poisson(
     rate: RateFunction,
     n: int,
@@ -216,7 +213,7 @@ def gen_poisson(
     feature_sampler: Callable[[np.random.Generator, float], int] | None = None,
 ) -> ProblemInstance:
     """Generate exactly ``n`` Poisson arrivals under ``rate``, as
-    ``_poisson_times`` draws one row.
+    ``rate.fill`` draws one row.
 
     Deterministic for a given seed.  All samples carry feature 0 unless
     ``feature_sampler`` draws each one's.
@@ -224,7 +221,7 @@ def gen_poisson(
     check_whole("n", n, 1)
     rng = np.random.default_rng(seed)
     times = np.empty(n)
-    _poisson_times(rate, times[None], (rng,))
+    rate.fill(times[None], (rng,))
     return _instance(times, rng, feature_sampler)
 
 
@@ -407,7 +404,7 @@ def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
     optima, each policy's batches from every start at once, and one
     ``chunk_costs`` pass for the optima and for each policy."""
     a = np.empty((len(seeds), n))
-    _poisson_times(rate, a, _each_state(np.random.default_rng(), _streams(seeds)))
+    rate.fill(a, _each_state(np.random.default_rng(), _streams(seeds)))
     if not np.isfinite(a).all():
         # gen_poisson's ProblemInstance rejects the trial: its own record below
         raise ValueError("arrival times must be finite")
@@ -441,7 +438,8 @@ def check_study_args(n_values: Sequence[int] | None, horizon: float | None,
     ``parallelism`` and every sample count in ``n_values`` (if given) is a
     positive integer, the master ``seed`` a non-negative one, exactly one
     of ``n_values`` and ``horizon`` is given, a horizon is positive and
-    finite, and the grid and ``policies`` are not empty."""
+    finite, the grid and ``policies`` are not empty, and no two policies
+    share a label, under which their records would pool."""
     check_whole("trials", trials, 1)
     check_whole("parallelism", parallelism, 1)
     for n in () if n_values is None else n_values:
@@ -453,6 +451,9 @@ def check_study_args(n_values: Sequence[int] | None, horizon: float | None,
         check_real("horizon", horizon, True)
     if not (len(rates) and len(policies) and (horizon is not None or len(n_values))):
         raise ValueError("need at least one grid point and one policy")
+    labels = [p.spec_string() for p in policies]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"two policies share the label {max(labels, key=labels.count)!r}")
 
 
 def run_study(

@@ -8,7 +8,10 @@ summation, independently of the solvers' windowed rows and of
 ``batch_cost`` prices one batch by ``f.value``, and ``batches`` lists a
 schedule's batches one by one.
 ``bitmask_optimum`` keeps brute force's earlier enumeration over bit masks
-as the reference for its tie and NaN rules.
+as the reference for its tie and NaN rules.  ``fixed_size_close`` and
+``fixed_delay_close`` keep the fixed rules' earlier scalar forms, one
+batch from one start, as references for the package's ``close_all``, and
+``reference_flushes`` drives a scalar rule through one instance.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from dynbatch import (
     CostFunction,
     DualSolution,
     FeatureMultiset,
+    FixedDelay,
+    FixedSize,
     ProblemInstance,
     Schedule,
     cost_of,
@@ -33,6 +38,49 @@ from dynbatch.offline import EdgeWeightOracle
 def batch_cost(f: CostFunction, features) -> float:
     """f of the batch of samples with these feature ids."""
     return f.value(FeatureMultiset.from_features(features))
+
+
+def fixed_size_close(policy: FixedSize, times, features, f: CostFunction,
+                     lo: int) -> tuple[int, float]:
+    """The next ``k`` arrivals, at the k-th arrival's time; a final
+    partial batch is processed at the last arrival."""
+    hi = min(lo + policy.k, len(times))
+    return hi, times[hi - 1]
+
+
+def fixed_delay_close(policy: FixedDelay, times, features, f: CostFunction,
+                      lo: int) -> tuple[int, float]:
+    """Flush once the oldest pending sample has waited ``delay``.
+
+    Every sample that has arrived by the flush instant joins the batch.
+    With ``delay`` 0 this degenerates to processing each arrival instant's
+    samples immediately.
+    """
+    flush = times[lo] + policy.delay
+    n = len(times)
+    hi = lo + 1
+    while hi < n and times[hi] <= flush:
+        hi += 1
+    return hi, flush
+
+
+def reference_close(policy, times, features, f: CostFunction, lo: int) -> tuple[int, float]:
+    """The batch from ``lo`` by a scalar rule: the oracle rule of a fixed
+    policy, and ``Wta.close``, the package's own, for the waiting policy."""
+    rule = {FixedSize: fixed_size_close, FixedDelay: fixed_delay_close}.get(type(policy))
+    return (rule or type(policy).close)(policy, times, features, f, lo)
+
+
+def reference_flushes(policy, times, features, f: CostFunction) -> tuple[list[int], list[float]]:
+    """``reference_close`` from the first sample on until every sample is
+    in a batch: the last sample (1-based) of each batch, and its time."""
+    ends, stamps = [], []
+    hi = 0
+    while hi < len(times):
+        hi, t = reference_close(policy, times, features, f, hi)
+        ends.append(hi)
+        stamps.append(t)
+    return ends, stamps
 
 
 def batches(sched: Schedule) -> tuple[tuple[int, int, float], ...]:

@@ -250,8 +250,8 @@ def test_criterion_7_distribution_trends(study_sqrt_best_alpha):
         policies=[Wta(math.sqrt(0.5))], cost_fn=SqrtCount(),
         trials=TRIALS, seed=107, parallelism=PARALLELISM)
     groups = _by_group(sweep)
-    med_lam1 = float(np.median(groups[("g0", "wta:0.707107")]))
-    med_lam8 = float(np.median(groups[("g1", "wta:0.707107")]))
+    med_lam1 = float(np.median(groups[("g0", "wta:0.7071067811865476")]))
+    med_lam8 = float(np.median(groups[("g1", "wta:0.7071067811865476")]))
     assert med_lam8 <= med_lam1, (med_lam8, med_lam1)
 
     duel = run_study(

@@ -23,7 +23,7 @@ from dynbatch import (
     worst_pair_search,
 )
 
-from oracles import finite_rounds_bound
+from oracles import finite_rounds_bound, reference_close
 
 ONE = FeatureMultiset.of_size(1)
 
@@ -172,6 +172,30 @@ def _count_closes(monkeypatch, policy_class):
 
     monkeypatch.setattr(policy_class, "close", counting_close)
     return closed
+
+
+@pytest.mark.parametrize("policy", [FixedSize(1), FixedSize(3), FixedSize(5), FixedDelay(0.0),
+                                    FixedDelay(0.3)], ids=lambda p: p.spec_string())
+@pytest.mark.parametrize("f", [ConstantCost(1), SqrtCount(), DISTINCT_SQRT],
+                         ids=lambda f: f.spec_string())
+def test_fixed_rules_close_every_prefix_as_their_oracle_rules(policy, f, monkeypatch):
+    # Each close of the construction, the first group's probe for epsilon
+    # among them, sees a prefix of the instance; the rule derived from
+    # close_all closes it as the oracle rule does.
+    close, prefixes = type(policy).close, []
+
+    def checked_close(self, times, features, f, lo):
+        got = close(self, times, features, f, lo)
+        assert repr(got) == repr(reference_close(self, times, features, f, lo))
+        prefixes.append(len(times))
+        return got
+
+    monkeypatch.setattr(type(policy), "close", checked_close)
+    x1, x2 = ((FeatureMultiset.of_size(2), FeatureMultiset.of_size(3)) if f.count_based
+              else (FeatureMultiset(((0, 1),)), FeatureMultiset(((1, 2),))))
+    for epsilon in (None, 0.7):
+        run_adversary(policy, f, AdversaryConfig(x1, x2, rounds=12, epsilon=epsilon))
+    assert len(set(prefixes)) > 12
 
 
 class TestOpenBatchReplay:

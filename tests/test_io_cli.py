@@ -214,16 +214,27 @@ class TestLoadArrivals:
         ((1.7e9 + 1e-6, 1700000000.123456, 1700000000.5), (2**70, 0, 3)),
         ((0.0, 5e-324 * 3, 1e-300), (np.int32(4), 2**63, 1)),
         ((0.5, 1.5), (True, np.bool_(False))),
-    ], ids=["int-times", "numpy-features", "epoch-and-big-feature", "tiny-times", "bool-features"])
+        ((np.float64(1.5), np.float32(2.5)), (0, np.int64(3))),
+    ], ids=["int-times", "numpy-features", "epoch-and-big-feature", "tiny-times", "bool-features",
+            "numpy-times"])
     def test_save_matches_csv_writer_bytes_and_round_trips(self, times, features, tmp_path):
         inst = ProblemInstance(times, features)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         save_arrivals(inst, got)
         _csv_writer_arrivals(inst, want)
         assert got.read_bytes() == want.read_bytes()
-        # csv.writer writes True as "True", which load_arrivals takes as no feature id.
-        if not any(isinstance(v, (bool, np.bool_)) for v in features):
-            assert load_arrivals(got) == inst
+        assert load_arrivals(got) == inst
+
+    @pytest.mark.parametrize("inst,body", [
+        (ProblemInstance((1.5,), (True,)), "1.5,1"),
+        (ProblemInstance((np.float64(1.5),), (0,)), "1.5,0"),
+        (ProblemInstance((2,), (np.int64(3),)), "2.0,3"),
+    ], ids=["bool-feature", "numpy-float-time", "int-time"])
+    def test_saved_instance_loads_back_equal(self, inst, body, tmp_path):
+        p = tmp_path / "a.csv"
+        save_arrivals(inst, p)
+        assert p.read_text().splitlines() == ["time,feature", body]
+        assert load_arrivals(p) == inst
 
     @pytest.mark.parametrize("text,line", [
         (f"time{BIG_FIELD}\n0\n", 1),
@@ -239,12 +250,13 @@ class TestLoadArrivals:
 
 
 def _csv_writer_arrivals(inst, path):
-    """The arrivals file as csv.writer writes it, row by row."""
+    """The arrivals file as csv.writer writes it, row by row: each time as
+    the repr of its float and each feature as an integer."""
     with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time", "feature"])
         for t, v in zip(inst.times, inst.features):
-            w.writerow([repr(t), v])
+            w.writerow([repr(float(t)), int(v)])
 
 
 def _csv_writer_results(records, path):
@@ -445,7 +457,7 @@ class TestCli:
     def test_online_bare_wta_uses_curvature(self, capsys):
         assert cli_main(["online", "--policy", "wta", "--cost", "sqrt",
                          "--arrivals", str(FIXTURE)]) == 0
-        assert "policy=wta:0.707107" in capsys.readouterr().out
+        assert "policy=wta:0.7071067811865476" in capsys.readouterr().out
 
     def test_gamma_sqrt(self, capsys):
         assert cli_main(["gamma", "--cost", "sqrt"]) == 0
@@ -480,6 +492,36 @@ class TestCli:
                        "--n", "5", "--rate-fn", "sin:2,1,3", "--trials", "3"])
         assert rc == 0
         assert "policy=wta:1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("specs,alpha,labels", [
+        (["fixed-delay:0.1234567", "fixed-delay:0.1234568"], [],
+         ["fixed-delay:0.1234567", "fixed-delay:0.1234568"]),
+        (["wta", "wta:0.707107"], [], ["wta:0.7071067811865476", "wta:0.707107"]),
+        (["wta:0.5", "wte"], ["--alpha", "0.3"], ["wta:0.5", "wta:1"]),
+        (["wta", "wta:0.5"], ["--alpha", "0.3"], ["wta:0.3", "wta:0.5"]),
+    ], ids=["close-delays", "bare-wta-beside-its-rounding", "alpha-leaves-explicit-wta",
+            "alpha-sets-bare-wta"])
+    def test_simulate_keeps_distinct_policies_apart(self, specs, alpha, labels, capsys):
+        argv = ["simulate", "--cost", "sqrt", "--n", "20", "--trials", "5", *alpha]
+        for spec in specs:
+            argv += ["--policy", spec]
+        assert cli_main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines] == [f"policy={x}" for x in labels]
+        assert all(" trials=5 " in line for line in lines)
+
+    @pytest.mark.parametrize("specs,label", [
+        (["wta:0.5", "wta:0.5"], "wta:0.5"),
+        (["wte", "fixed-size:3", "wta:1"], "wta:1"),
+        (["wta", "wta:0.3"], "wta:0.3"),
+    ])
+    def test_simulate_repeated_label_exits_2(self, specs, label, capsys):
+        argv = ["simulate", "--cost", "sqrt", "--n", "20", "--trials", "5", "--alpha", "0.3"]
+        for spec in specs:
+            argv += ["--policy", spec]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"dynbatch: two policies share the label {label!r}\n")
 
     def test_simulate_horizon_mode(self, capsys):
         rc = cli_main(["simulate", "--cost", "sqrt", "--policy", "wta:0.5",

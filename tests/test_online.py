@@ -12,6 +12,7 @@ from dynbatch import (
     BUILTIN_COSTS,
     CappedLinear,
     ConstantCost,
+    CostFunction,
     CountTable,
     CustomSetFunction,
     FixedDelay,
@@ -26,13 +27,21 @@ from dynbatch import (
     cost_of,
     curvature,
     optimal_schedule,
+    parse_cost_spec,
     parse_policy_spec,
     run_policy,
 )
 from dynbatch.instance import path_nodes
 
 from conftest import flat
-from oracles import batch_cost, batches, pending_count_curve, positive_excess_integral
+from oracles import (
+    batch_cost,
+    batches,
+    pending_count_curve,
+    positive_excess_integral,
+    reference_close,
+    reference_flushes,
+)
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
 ALPHAS = [0.5, math.sqrt(0.5), 1.0]
@@ -373,7 +382,7 @@ CLOSE_ALL_COSTS = [
 
 def _close_or_error(policy, times, f, lo):
     try:
-        return policy.close(times, (0,) * len(times), f, lo)
+        return reference_close(policy, times, (0,) * len(times), f, lo)
     except ValueError as exc:
         return str(exc)
 
@@ -383,9 +392,10 @@ def _close_or_error(policy, times, f, lo):
        policy=st.sampled_from([Wta(0.5), Wta(0.707107), Wta(1.0), Wta(3.0), Wta(1e308),
                                FixedSize(1), FixedSize(4), FixedDelay(0.0), FixedDelay(0.5)]))
 def test_close_all_matches_close_from_every_start(a, f, policy):
-    # Bit for bit, from every start of every row; where close fails from
-    # some start, close_all fails with its error.  A target that overflows
-    # to inf closes at the last sample at time inf, as in close.
+    # Bit for bit, from every start of every row, against Wta's close and
+    # the fixed rules' oracle rules; where close fails from some start,
+    # close_all fails with its error.  A target that overflows to inf
+    # closes at the last sample at time inf, as in close.
     want = [[_close_or_error(policy, row, f, lo) for lo in range(a.shape[1])]
             for row in a.tolist()]
     errors = {w for row in want for w in row if isinstance(w, str)}
@@ -420,8 +430,56 @@ def test_close_all_matches_close_where_waits_overflow(alpha, f):
 def test_flushes_all_matches_flushes(a, f, policy):
     ends, stamps, rows = policy.flushes_all(a, f)
     assert (ends.dtype, stamps.dtype, rows.dtype) == (np.intp, float, np.intp)
-    want = flat(*zip(*(policy.flushes(row, (0,) * a.shape[1], f) for row in a.tolist())))
+    want = flat(*zip(*(reference_flushes(policy, row, (0,) * a.shape[1], f)
+                       for row in a.tolist())))
     assert [x.tolist() for x in (ends, stamps, rows)] == [x.tolist() for x in want]
+
+
+def test_fixed_delay_flush_past_the_float_range_warns_nothing():
+    # From the second start the flush time overflows to inf, silently, as
+    # the scalar sum did; the one batch, from the first, waits more than a
+    # float holds, which is bad input.
+    inst = ProblemInstance((0.0, 1e308), (0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert FixedDelay(1.7e308).close(inst.times, inst.features, SqrtCount(), 1) == (
+            2, math.inf)
+        assert FixedDelay(1.7e308).flushes(inst.times, inst.features, SqrtCount()) == (
+            [2], [1.7e308])
+        with pytest.raises(ValueError, match="^schedule cost overflows the float range$"):
+            run_policy(inst, ConstantCost(1), FixedDelay(1.7e308))
+
+
+#: Every fixed rule's corner: batches of one, k above n, delay 0 (also as
+#: the integer 0) and delays that span gaps.
+FIXED_RULES = [FixedSize(1), FixedSize(3), FixedSize(50), FixedDelay(0.0), FixedDelay(0),
+               FixedDelay(0.3), FixedDelay(2.5)]
+
+
+def _same_batches(policy, times, features, f):
+    """The fixed rule's ``close`` from every start and its ``flushes``, each
+    as the oracle rule gives it, bit for bit."""
+    got = [policy.close(times, features, f, lo) for lo in range(len(times))]
+    want = [reference_close(policy, times, features, f, lo) for lo in range(len(times))]
+    assert repr(got) == repr(want)
+    assert repr(policy.flushes(times, features, f)) == repr(
+        reference_flushes(policy, times, features, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=coincident_instances(), policy=st.sampled_from(FIXED_RULES),
+       f=st.sampled_from(RESTART_COSTS))
+def test_fixed_rules_match_their_oracle_rules_on_coincident_arrivals(inst, policy, f):
+    _same_batches(policy, inst.times, inst.features, f)
+
+
+@pytest.mark.parametrize("policy", FIXED_RULES, ids=lambda p: repr(p))
+def test_fixed_rules_match_their_oracle_rules(policy):
+    for inst in random_instances(20, seed=37, max_n=40):
+        _same_batches(policy, inst.times, inst.features, SqrtCount())
+        sched, _ = run_policy(inst, SqrtCount(), policy)
+        assert sched == Schedule.from_ends(*reference_flushes(policy, inst.times,
+                                                              inst.features, SqrtCount()))
 
 
 def _walk(nxt_row, root):
@@ -487,6 +545,13 @@ class TestPolicySpec:
         for spec in ["wta:0.5", "fixed-size:4", "fixed-delay:2.5"]:
             assert parse_policy_spec(parse_policy_spec(spec).spec_string()) == parse_policy_spec(spec)
 
+    def test_labels_are_exact(self):
+        # Six significant digits once gave these pairs one label each.
+        assert FixedDelay(0.1234567).spec_string() != FixedDelay(0.1234568).spec_string()
+        assert Wta(math.sqrt(0.5)).spec_string() == "wta:0.7071067811865476"
+        assert [p.spec_string() for p in (Wta(1), FixedDelay(0), FixedSize(4))] == [
+            "wta:1", "fixed-delay:0", "fixed-size:4"]
+
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown policy spec"):
             parse_policy_spec("lifo")
@@ -510,3 +575,22 @@ class TestPolicySpec:
         with pytest.raises(ValueError) as exc:
             FixedSize(k)
         assert str(exc.value) == f"batch size must be a positive integer, got {k!r}"
+
+
+#: Spec numbers are floats, so integers up to 2**53, which floats hold exactly.
+_POSITIVE = (st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False,
+                       allow_infinity=False)
+             | st.integers(min_value=1, max_value=2**53) | st.sampled_from([0.1, 1 / 3, 1e16]))
+_NON_NEGATIVE = _POSITIVE | st.sampled_from([0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.one_of(st.builds(Wta, _POSITIVE), st.builds(FixedSize, st.integers(1, 10**12)),
+                   st.builds(FixedDelay, _NON_NEGATIVE),
+                   st.builds(CappedLinear, _POSITIVE, _POSITIVE),
+                   st.builds(ConstantCost, _NON_NEGATIVE), st.sampled_from(BUILTIN_COSTS)))
+def test_labels_parse_back_to_the_same_object(x):
+    # So two policies, or two costs, share a label only if they are equal.
+    parse = parse_cost_spec if isinstance(x, CostFunction) else parse_policy_spec
+    assert parse(x.spec_string()) == x
+    assert parse(x.spec_string()).spec_string() == x.spec_string()

@@ -479,6 +479,9 @@ class TestSeedsAndStreams:
         (dict(parallelism=-1), "parallelism must be a positive integer, got -1"),
         (dict(parallelism=True), "parallelism must be a positive integer, got True"),
         (dict(parallelism=1.5), "parallelism must be a positive integer, got 1.5"),
+        (dict(policies=[Wta(0.5), FixedSize(3), Wta(0.5)]),
+         "two policies share the label 'wta:0.5'"),
+        (dict(policies=[parse_policy_spec("wte"), Wta(1)]), "two policies share the label 'wta:1'"),
     ])
     def test_bad_study_args_fail_before_any_chunk(self, change, message, monkeypatch):
         def never(*args, **kwargs):
@@ -743,6 +746,16 @@ class TestLockstepDraws:
             want = np.fromiter(islice(sim._thinned_arrivals(rate, rng), 25), float, 25)
             assert row.tobytes() == want.tobytes()
             assert row.tobytes() == gen_poisson(rate, 25, seed).times_array.tobytes()
+
+    @pytest.mark.parametrize("rate", [ConstantRate(2.0), SinusoidRate(2, 1.5, 10),
+                                      TableRate((0.0, 3.0, 5.0), (4.0, 0.5, 2.0))],
+                             ids=["constant", "sinusoid", "table"])
+    def test_each_rate_fills_the_rows_of_its_seeds(self, monkeypatch, rate):
+        # The chunk's rows come from one fill call over every trial's state,
+        # gen_poisson's from one call on one row: the same floats.
+        a, _ = _lockstep_rows(monkeypatch, rate, 40, self.SEEDS)
+        for row, seed in zip(a, self.SEEDS):
+            assert row.tobytes() == gen_poisson(rate, 40, seed).times_array.tobytes()
 
 
 class TestGoldenStudy:
