@@ -12,13 +12,15 @@ import io
 import math
 import warnings
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .adversary import AdversaryConfig, AdversaryReport
 from .instance import ProblemInstance
 from .sim import TrialRecord
+
+if TYPE_CHECKING:
+    from .adversary import AdversaryConfig, AdversaryReport
 
 __all__ = [
     "load_arrivals",

@@ -361,8 +361,10 @@ def _run_chunk(args) -> list[TrialRecord]:
     (grid_index, n, rate, policies, cost_fn, trial_lo, trial_hi, master_seed, horizon) = args
     trials = range(trial_lo, trial_hi)
     seeds = _chunk_seeds(master_seed, grid_index, trials)
-    # Each policy's policy and alpha fields, once for all its records.
-    labels = [(p.spec_string(), getattr(p, "alpha", None)) for p in policies]
+    # Each policy's policy and alpha fields, once for all its records; alpha
+    # as a float, whose repr a results CSV writes and reads back.
+    alphas = [getattr(p, "alpha", None) for p in policies]
+    labels = [(p.spec_string(), a if a is None else float(a)) for p, a in zip(policies, alphas)]
     if horizon is None and cost_fn.count_based:
         try:
             return _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials, seeds)

@@ -296,6 +296,17 @@ class TestResultsFile:
         for r in read_results(p):
             assert math.isclose(r.J, r.W + r.F, rel_tol=1e-9, abs_tol=1e-12)
 
+    @pytest.mark.parametrize("size", [dict(n_values=[8]), dict(horizon=5.0)],
+                             ids=["lockstep", "per-trial"])
+    def test_numpy_alpha_writes_a_float_that_reads_back(self, size, tmp_path):
+        from dynbatch import ConstantRate, SqrtCount, Wta, run_study
+        records = run_study(rates=[ConstantRate(2.0)], policies=[Wta(np.float64(0.5))],
+                            cost_fn=SqrtCount(), trials=3, seed=0, **size)
+        p = tmp_path / "r.csv"
+        write_results(records, p)
+        assert {line.split(",")[4] for line in p.read_text().splitlines()} == {"alpha", "0.5"}
+        assert [r.alpha for r in read_results(p)] == [0.5] * 3
+
     def test_matches_csv_writer_bytes(self, tmp_path):
         nan, inf = math.nan, math.inf
         # Equal J_opt values held by distinct float objects, and 0.0 beside
