@@ -10,12 +10,13 @@ arrival of each batch.  The objective is the per-sample average waiting
 time plus the per-sample average batch processing cost.
 
 A ``Schedule`` is two tuples: each batch's last sample and its time.
-``chunk_costs`` is the one validator and pricer, in array operations over
-the schedules of many equal-size instances, given as flat arrays of batch
-ends, stamps and rows; ``cost_of`` and ``Schedule.validate_for`` run it on
-one.  ``path_nodes`` follows a table of pointers, such as each batch's
-successor, along every row at once, so that the schedules of many
-instances come out in that flat form.
+Many instances are flat rows: all arrival times, row after row, in one
+array, and each row's length.  ``chunk_costs`` is the one validator and
+pricer, in array operations over the schedules of flat rows, given as
+flat arrays of batch ends, stamps and rows; ``cost_of`` and
+``Schedule.validate_for`` run it on one.  ``path_nodes`` follows a table of
+pointers, such as each batch's successor, along every row at once, so that
+the schedules come out in that flat form.
 
 All types are immutable after construction; the operations are pure.
 """
@@ -27,7 +28,7 @@ from array import array
 from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from operator import ne
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "cost_of",
     "chunk_costs",
     "path_nodes",
+    "searchsorted_rows",
 ]
 
 
@@ -161,7 +163,7 @@ class Schedule:
         increasing processing times, and never process a sample before it
         arrives.
         """
-        _checked(inst.times_array[None], *self._arrays(), 0)
+        _checked(inst.times_array, [inst.n], *self._arrays(), 0)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The ends and stamps as the arrays ``_checked`` reads."""
@@ -197,18 +199,19 @@ def _row_cost(inst: ProblemInstance, hi: np.ndarray, t: np.ndarray,
               f: CostFunction) -> ScheduleCost:
     """``cost_of`` the batches of ``inst`` that end at samples hi[k]
     (1-based) and are processed at t[k], given as arrays."""
-    a = inst.times_array[None]
-    sizes, waits = _checked(a, hi, t, 0)
-    (waiting,), (processing,) = _row_costs(a, [inst.features], waits, sizes, [len(sizes)], f)
+    sizes, waits, _ = _checked(inst.times_array, [inst.n], hi, t, 0)
+    (waiting,), (processing,) = _row_costs([inst.n], [inst.features], waits, sizes, [len(sizes)],
+                                           f)
     return ScheduleCost(waiting, processing, waiting + processing)
 
 
-def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: np.ndarray,
-                stamps: np.ndarray, rows: np.ndarray,
+def chunk_costs(a: np.ndarray, lengths: np.ndarray, features: Sequence[Sequence[int]] | None,
+                ends: np.ndarray, stamps: np.ndarray, rows: np.ndarray,
                 f: CostFunction) -> tuple[list[float], list[float]]:
     """The per-sample waiting and processing costs of T schedules, one on
-    each row of the (T, n) arrival times ``a``, whose samples carry the
-    feature ids features[t]; a row's objective is their sum.
+    each of the flat rows ``a`` of ``lengths``, whose samples carry the
+    feature ids features[t] (None for a count cost, which reads none); a
+    row's objective is their sum.
 
     The schedules' batches come as three flat arrays, rows ascending: batch
     k ends at sample ends[k] (1-based) of row rows[k] and is processed at
@@ -216,80 +219,107 @@ def chunk_costs(a: np.ndarray, features: Sequence[Sequence[int]], ends: np.ndarr
     ``Schedule.from_ends``.  An invalid schedule raises the error of
     ``Schedule.validate_for``.
     """
-    n = a.shape[1]
-    keep = (stamps != np.roll(stamps, -1)) | (np.diff(rows, append=len(a)) != 0)
-    hi = ends[keep]
-    sizes, waits = _checked(a, hi, stamps[keep], rows[keep])
-    return _row_costs(a, features, waits, sizes, (np.flatnonzero(hi == n) + 1).tolist(), f)
+    keep = (stamps != np.roll(stamps, -1)) | (np.diff(rows, append=len(lengths)) != 0)
+    sizes, waits, last = _checked(a, lengths, ends[keep], stamps[keep], rows[keep])
+    return _row_costs(lengths.tolist(), features, waits, sizes,
+                      (np.flatnonzero(last) + 1).tolist(), f)
 
 
-def path_nodes(nxt: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes that the pointer table ``nxt`` reaches from ``root`` in
-    each of its rows, as (rows, nodes) in row-major order: row r's node u
-    points to nxt[r, u], and the path ends at the one node that points to
-    itself, which is left out.
+def path_nodes(nxt: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The nodes that the pointer table ``nxt`` reaches from each of
+    ``roots``, ascending: node u points to nxt[u], and a path ends at the
+    first node that points to itself, which is on it.
 
     Pointer doubling: a node's first 2^(j+1) successors are its first 2^j
     successors and the 2^j-th successors of those, so about log2 of the
     longest path's length steps, each over the whole table, mark every
     node on it.
     """
-    T, m = nxt.shape
-    # Flat indices throughout: row r's node u is r * m + u.
-    jump = (nxt + np.arange(0, T * m, m)[:, None]).ravel()
-    fixed = jump == np.arange(T * m)
-    roots = np.arange(root, T * m, m)
+    fixed = nxt == np.arange(len(nxt))
     # jump[u] is the 2^j-th successor of u, and ``seen`` holds each root's
     # first 2^j nodes, until the root's 2^j-th successor ends the path.
-    seen = roots
+    jump, seen = nxt, roots
     while not fixed[jump[roots]].all():
         seen = np.concatenate((seen, jump[seen]))
         jump = jump[jump]
-    on = np.zeros(T * m, dtype=bool)
+    on = np.zeros(len(nxt), dtype=bool)
     on[seen] = True
-    on &= ~fixed
-    return np.divmod(np.flatnonzero(on), m)
+    on[jump[roots]] = True
+    return np.flatnonzero(on)
 
 
-def _checked(a: np.ndarray, hi: np.ndarray, t: np.ndarray,
-             row: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-    """The size of each batch on the rows of the (T, n) arrival times ``a``,
-    and each sample's wait, row after row.  Batch k ends at sample hi[k]
-    (1-based) of row row[k], rows ascending, or of row ``row`` if it is an
-    int, and is processed at t[k].  Raises the InfeasibleScheduleError of
-    the first row whose batches are not a valid schedule."""
-    T, n = a.shape
-    end = hi + n * row  # 1-based positions in a.ravel()
+#: Rows of at most this many samples on average are searched at once.
+#: Searched at once and row by row, 150 rows of about 60 samples took 0.37
+#: and 0.50 ms, rows of 100 tied, and 250 rows of 1000 took 21 and 6.5 ms;
+#: one row of 20000 took 1.2 ms at once and 0.5 ms alone (2-vCPU host,
+#: numpy 2.4).
+_JOINT_SEARCH_MEAN = 100
+
+
+def searchsorted_rows(a: np.ndarray, lengths: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(row, x[k], side="right")`` in the row of each flat
+    sample k of the sorted flat rows ``a`` of ``lengths``, as a flat index.
+    A NaN x[k] lies past its row, as numpy sorts it.  Several short rows
+    are searched at once, as the keys row + 1j * a, which numpy orders by
+    row, then by time, exactly; one row, or long ones, row by row."""
+    if len(lengths) == 1:
+        return np.searchsorted(a, x, side="right")
+    if len(a) > _JOINT_SEARCH_MEAN * len(lengths):
+        ends = np.cumsum(lengths).tolist()
+        return np.concatenate([np.searchsorted(a[lo:hi], x[lo:hi], side="right") + lo
+                               for lo, hi in zip([0, *ends], ends)])
+    keys = np.empty((2, len(a)), dtype=complex)
+    keys.real = np.repeat(np.arange(len(lengths)), lengths)
+    keys[0].imag = a
+    # A NaN part would sort past every row; inf stays in the row.
+    keys[1].imag = np.where(np.isnan(x), math.inf, x)
+    return np.searchsorted(keys[0], keys[1], side="right")
+
+
+def _checked(a: np.ndarray, lengths, hi: np.ndarray, t: np.ndarray,
+             row: np.ndarray | int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The size of each batch on the flat rows of arrival times ``a`` of
+    ``lengths``, each sample's wait, row after row, and whether each batch
+    is the last of its row.  Batch k ends at sample hi[k] (1-based) of row
+    row[k], rows ascending, or of the one row if ``row`` is 0 (``lengths``
+    then a list), and is processed at t[k].  Raises the
+    InfeasibleScheduleError of the first row whose batches are not a valid
+    schedule."""
+    n = lengths[row]
+    # 1-based positions in a
+    end = hi if isinstance(row, int) else hi + (np.cumsum(lengths) - lengths)[row]
     sizes = end.copy()
     sizes[1:] -= end[:-1]
     last = hi == n
     rise = t[1:] > t[:-1]
     rise |= last[:-1]
-    # Rising ends, none past n and one at n per row: each row's batches
-    # partition 1..n and end at ``last``; then times rise within each row.
-    # (x[x.argmin()] and count_nonzero stand for x.min() and x.all(), whose
-    # Python wrappers cost more than a small instance's whole check.)
-    if (np.count_nonzero(last) == T and hi[hi.argmax()] <= n and sizes[sizes.argmin()] >= 1
-            and np.count_nonzero(rise) == rise.size):
-        waits = t.repeat(sizes) - a.ravel()
+    # Rising ends, none past its row's end and one at it per row: each
+    # row's batches partition 1..n and end at ``last``; then times rise
+    # within each row.  (x[x.argmin()] and count_nonzero stand for x.min()
+    # and x.all(), whose Python wrappers cost more than a small instance's
+    # whole check.)
+    if (np.count_nonzero(last) == len(lengths) and not np.count_nonzero(hi > n)
+            and sizes[sizes.argmin()] >= 1 and np.count_nonzero(rise) == rise.size):
+        waits = t.repeat(sizes) - a
         # Arrivals rise within a batch: no wait is negative or NaN unless
         # a batch precedes its last arrival.
         if waits[waits.argmin()] >= 0:
-            return sizes, waits
-    raise _first_fault(a, hi, t, row)
+            return sizes, waits, last
+    raise _first_fault(a, lengths, hi, t, row)
 
 
-def _first_fault(a: np.ndarray, hi: np.ndarray, t: np.ndarray,
+def _first_fault(a: np.ndarray, lengths: np.ndarray, hi: np.ndarray, t: np.ndarray,
                  row: np.ndarray | int) -> InfeasibleScheduleError:
     """The error of the first fault met reading the rows, and each row's
     batches, in order: a row with no batches, or a batch outside the
     partition, not after the batch before it, before its last arrival, or
-    last in a row that ends before n."""
-    T, n = a.shape
+    last in a row that ends before its length."""
+    T, lengths = len(lengths), np.asarray(lengths)
     row = np.broadcast_to(row, hi.shape)
+    n = lengths[row]
     first = np.diff(row, prepend=-1) != 0
     lo = np.where(first, 1, np.roll(hi, 1) + 1)
-    arrival = a[row, np.clip(hi, 1, n) - 1]
+    arrival = a[(np.cumsum(lengths) - lengths)[row] + np.clip(hi, 1, n) - 1]
     # One line per fault, in the order each batch is checked.
     faults = np.array([(hi < lo) | (hi > n), ~(t > np.where(first, -math.inf, np.roll(t, 1))),
                        t < arrival, (np.diff(row, append=T) != 0) & (hi != n)])
@@ -298,30 +328,30 @@ def _first_fault(a: np.ndarray, hi: np.ndarray, t: np.ndarray,
     if empty.size and (not bad.size or empty[0] < row[bad[0]]):
         return InfeasibleScheduleError("infeasible schedule: no batches")
     k = bad[0]
-    b_lo, b_hi, b_t, b_a = (x[k].item() for x in (lo, hi, t, arrival))
+    b_lo, b_hi, b_t, b_a, b_n = (x[k].item() for x in (lo, hi, t, arrival, n))
     return InfeasibleScheduleError("infeasible schedule: " + [
-        f"batches must partition 1..{n} consecutively (got [{b_lo}, {b_hi}], expected lo={b_lo})",
+        f"batches must partition 1..{b_n} consecutively (got [{b_lo}, {b_hi}], expected lo={b_lo})",
         "processing times must be strictly increasing",
         f"batch [{b_lo}, {b_hi}] processed at {b_t!r} before its last arrival {b_a!r}",
-        f"covers 1..{b_hi} but instance has n={n}",
+        f"covers 1..{b_hi} but instance has n={b_n}",
     ][faults[:, k].argmax()])
 
 
-def _row_costs(a: np.ndarray, features: Sequence[Sequence[int]], waits: np.ndarray,
-               sizes: np.ndarray, tops: list[int],
+def _row_costs(lengths: list[int], features: Sequence[Sequence[int]] | None,
+               waits: np.ndarray, sizes: np.ndarray, tops: list[int],
                f: CostFunction) -> tuple[list[float], list[float]]:
     """The pricing of ``chunk_costs``: each sample's wait and each batch's
-    size, row after row, with row r's last batch at tops[r] - 1.  Each
-    row's waits and batch prices are summed exactly by ``math.fsum``, so a
-    row's cost does not depend on the rows priced with it; a sum past the
-    float range is a ValueError."""
-    n = a.shape[1]
+    size, row after row, rows of ``lengths`` samples, with row r's last
+    batch at tops[r] - 1.  Each row's waits and batch prices are summed
+    exactly by ``math.fsum``, so a row's cost does not depend on the rows
+    priced with it; a sum past the float range is a ValueError."""
+    firsts = [0, *accumulate(lengths)]
     # Memoryviews hand fsum the floats one at a time, without a list.
     waits = memoryview(waits)
     prices = memoryview(f.batch_costs(features, sizes))
     fsum = math.fsum
     try:
-        return ([fsum(waits[first:first + n]) / n for first in range(0, a.size, n)],
-                [fsum(prices[lo:top]) / n for lo, top in zip([0, *tops], tops)])
+        return ([fsum(waits[lo:hi]) / n for lo, hi, n in zip(firsts, firsts[1:], lengths)],
+                [fsum(prices[lo:top]) / n for lo, top, n in zip([0, *tops], tops, lengths)])
     except OverflowError:
         raise ValueError("schedule cost overflows the float range") from None

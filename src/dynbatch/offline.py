@@ -36,10 +36,11 @@ many steps as its longest piece; the groups keep its distance ring
 within O(n) entries.  A count cost takes the lockstep unless the steps
 of its longest piece would cost more than the rows of the row loop, as
 where one piece is most of the rows; set functions take the row loop.
-``optimal_schedule`` sweeps one instance, ``lockstep_ends`` T instances
-of one size (a study chunk); both follow every row's predecessors back
-at once with ``instance.path_nodes``, and ``lockstep_ends`` returns the
-batches as flat arrays.
+``optimal_schedule`` sweeps one instance, ``lockstep_ends`` the flat rows
+(see ``instance``) of many, of any sizes: a study chunk.  Windows, pieces
+and paths stay inside their row.  Both follow every row's predecessors
+back at once with ``instance.path_nodes``, and ``lockstep_ends`` returns
+the batches as flat arrays.
 
 Three independent routes to the optimum are provided and cross-checked in
 the test suite: the windowed forward sweep, a windowed backward value
@@ -62,7 +63,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size, check_whole
-from .instance import ProblemInstance, Schedule, ScheduleCost, _row_cost, cost_of, path_nodes
+from .instance import (ProblemInstance, Schedule, ScheduleCost, _row_cost, cost_of, path_nodes,
+                       searchsorted_rows)
 
 __all__ = [
     "EdgeWeightOracle",
@@ -118,22 +120,21 @@ _BLOCK_ENTRIES = 1 << 14
 _STEP_ROWS = 10
 
 
-def _window_widths(a: np.ndarray, f: CostFunction) -> np.ndarray:
-    """w[t, i]: the number of batches, of sizes 1..w[t, i], that start at
-    sample i+1 (0-based i) of row t of the (T, n) arrival times ``a`` and
-    end at an arrival within f(1) of its own, under the count cost ``f``."""
+def _window_widths(a: np.ndarray, lengths: np.ndarray, f: CostFunction) -> np.ndarray:
+    """w[k]: the number of batches, of sizes 1..w[k], that start at flat
+    sample k of the flat rows ``a`` of ``lengths`` and end at an arrival of
+    its row within f(1) of its own, under the count cost ``f``."""
     reach = a + f.count_value(1) * (1 + _WINDOW_SLACK) + 4 * np.spacing(a)
-    ends = np.array([np.searchsorted(row, r, side="right") for row, r in zip(a, reach)])
     # A negative single-sample cost, outside Assumption 1, must still leave
     # the singleton edge that keeps every node reachable.
-    return np.maximum(ends - np.arange(a.shape[1]), 1)
+    return np.maximum(searchsorted_rows(a, lengths, reach) - np.arange(len(a)), 1)
 
 
 def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, np.ndarray]:
-    """The (1, n) window widths of the arrival times ``a`` with feature ids
-    ``features`` under the set function ``f``, and the flat prices of their
-    batches: f(v_{i+1}..v_{i+1+d}) at prices[o_i + d] for d < w[0, i], o_i
-    the sum of the widths before row i.
+    """The window widths of the one row of arrival times ``a`` with feature
+    ids ``features`` under the set function ``f``, and the flat prices of
+    their batches: f(v_{i+1}..v_{i+1+d}) at prices[o_i + d] for d < w[i],
+    o_i the sum of the widths before row i.
 
     Row i grows its prefix multiset one sample at a time, inline, as
     ``FeatureMultiset.plus`` does, and prices each prefix once.  It stops
@@ -172,32 +173,33 @@ def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, 
                 reach = term
             k += 1
         widths.append(k - i)
-    return np.array([widths]), np.frombuffer(prices)
+    return np.array(widths), np.frombuffer(prices)
 
 
-def _windows(a: np.ndarray, f: CostFunction, features=None):
-    """The (T, n) window widths of the arrival times ``a`` under ``f``, and
-    the prices that ``_blocks`` reads for a set function: ``_set_windows``
-    of the one row's feature ids ``features``, or None for a count cost.
-    Warns if ``f`` is not monotone on them (``_warn_unless_monotone``)."""
+def _windows(a: np.ndarray, lengths: np.ndarray, f: CostFunction, features=None):
+    """The window widths of the flat rows ``a`` of ``lengths`` under ``f``,
+    and the prices that ``_blocks`` reads for a set function:
+    ``_set_windows`` of the one row's feature ids ``features``, or None for
+    a count cost.  Warns if ``f`` is not monotone on them
+    (``_warn_unless_monotone``)."""
     if f.count_based:
-        widths, prices = _window_widths(a, f), None
+        widths, prices = _window_widths(a, lengths, f), None
     else:
-        widths, prices = _set_windows(a[0], f, features)
-    _warn_unless_monotone(f, widths, prices)
+        widths, prices = _set_windows(a, f, features)
+    _warn_unless_monotone(f, widths, prices, lengths)
     return widths, prices
 
 
-def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices) -> None:
+def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
+                          lengths: np.ndarray) -> None:
     """Warn where a batch that the solve prices costs less, by more than
     _WINDOW_SLACK relative, than the batch of its first samples but one.
     Outside Assumption 1 the windows, not the cost, can then decide the
     schedule.  The prices checked are those the solve reads anyway: a set
     function's ``prices`` row by row, or a count cost's g(0..w) for the
     widest window w; the check calls ``f`` no more.  One warning per
-    solve, for the first such batch, naming its first sample and size."""
-    n = widths.shape[1]
-    widths = widths.ravel()
+    solve, for the first such batch, naming its first sample in its row
+    and its size."""
     count = prices is None
     if count:
         prices = f.count_table(int(widths.max()))
@@ -211,7 +213,9 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices) -> None:
         return
     k = int(drop.argmax()) + 1
     if count:
-        size, i = k, int(np.argmax(widths >= k)) % n
+        size, i = k, int(np.argmax(widths >= k))
+        starts = np.cumsum(lengths) - lengths
+        i -= int(starts[np.searchsorted(starts, i, side="right") - 1])
     else:
         i = int(np.searchsorted(first, k, side="right")) - 1
         size = k - int(first[i]) + 1
@@ -223,13 +227,13 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices) -> None:
 
 
 def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces of the rows of the (T, n) window ``widths``, as the flat
-    (starts, lengths) of their samples in row-major order.  A row is cut
-    after every sample that no window crosses, which under a count cost is
-    every sample whose window holds only itself, and after its last
-    sample, so no batch of an optimal schedule spans two pieces."""
-    n = widths.shape[1]
-    reach = np.maximum.accumulate(widths + np.arange(n), axis=1)
+    """The pieces of flat rows with the window ``widths``, as the flat
+    (starts, lengths) of their samples.  A row is cut after every sample
+    that no window crosses, which under a count cost is every sample whose
+    window holds only itself, and after its last sample (no window leaves
+    its row), so no batch of an optimal schedule spans two pieces."""
+    n = len(widths)
+    reach = np.maximum.accumulate(widths + np.arange(n))
     ends = np.flatnonzero(reach == np.arange(1, n + 1)) + 1
     starts = np.concatenate(([0], ends[:-1]))
     return starts, ends - starts
@@ -415,9 +419,10 @@ def _lockstep(t: np.ndarray, widths: np.ndarray, starts: np.ndarray, lengths: np
     settle(np.arange(len(m_of) + 1 - off))
 
 
-def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, np.ndarray]:
-    """The optimum of every row of the (T, n) arrival times ``a``, as the
-    flat (rows, ends) of its batches: batch k ends at sample ends[k]
+def _sweep(a: np.ndarray, lengths: np.ndarray, f: CostFunction,
+           features=None) -> tuple[np.ndarray, np.ndarray]:
+    """The optimum of every row of the flat rows ``a`` of ``lengths``, as
+    the flat (rows, ends) of its batches: batch k ends at sample ends[k]
     (1-based) of row rows[k], rows ascending, before coincident batches
     merge.  Ties keep the earliest-relaxed predecessor within a piece.  A
     set function reads the one row's feature ids.
@@ -429,25 +434,29 @@ def _sweep(a: np.ndarray, f: CostFunction, features=None) -> tuple[np.ndarray, n
     the row loop.  The two routes make the same float operations, so they
     find the same batches.
     """
-    T, n = a.shape
-    widths, prices = _windows(a, f, features)
-    starts, lengths = _pieces(widths)
-    t, widths = a.ravel(), widths.ravel()
-    # pred[j]: the node after which the last batch into node j starts,
-    # with nodes numbered flat: row t's node k is t * n + k.
-    if f.count_based and _STEP_ROWS * lengths.max() <= T * n:
-        order = np.argsort(-lengths, kind="stable")
+    N = len(a)
+    widths, prices = _windows(a, lengths, f, features)
+    starts, sizes = _pieces(widths)
+    # pred[j]: the node after which the last batch into node j starts, with
+    # nodes numbered flat: node j follows flat sample j - 1.
+    if f.count_based and _STEP_ROWS * sizes.max() <= N:
+        order = np.argsort(-sizes, kind="stable")
         tops = np.maximum.reduceat(widths, starts)[order]
-        starts, lengths = starts[order], lengths[order]
-        pred = np.zeros(T * n + 1, dtype=np.intp)
-        groups = _groups(lengths, tops)
+        starts, sizes = starts[order], sizes[order]
+        pred = np.zeros(N + 1, dtype=np.intp)
+        groups = _groups(sizes, tops)
         for lo, hi in zip(groups[:-1], groups[1:]):
-            _lockstep(t, widths, starts[lo:hi], lengths[lo:hi], f, pred)
+            _lockstep(a, widths, starts[lo:hi], sizes[lo:hi], f, pred)
     else:
-        pred = np.array(_row_loop(t, f, widths, prices, starts.tolist()), dtype=np.intp)
-    # Row t's last node is the next row's first: give every row its own.
-    pred = pred[1:].reshape(T, n) - np.arange(0, T * n, n)[:, None]
-    return path_nodes(np.concatenate((np.zeros((T, 1), dtype=np.intp), pred), axis=1), n)
+        pred = np.array(_row_loop(a, f, widths, prices, starts.tolist()), dtype=np.intp)
+    # Each batch's last sample points to the last of the batch before it in
+    # its row, and a row's first batch's to itself.
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    first = np.cumsum(lengths) - lengths
+    last = path_nodes(np.where(pred[1:] > first[row], pred[1:] - 1, np.arange(N)),
+                      first + lengths - 1)
+    rows = row[last]
+    return rows, last + 1 - first[rows]
 
 
 def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, ScheduleCost]:
@@ -464,7 +473,7 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     the other way.
     """
     a = inst.times_array
-    ends = _sweep(a[None], f, inst.features)[1]
+    ends = _sweep(a, np.array([inst.n]), f, inst.features)[1]
     stamps = a[ends - 1]
     # Coincident batches merge, as by ``Schedule.from_ends``.
     keep = np.append(stamps[1:] != stamps[:-1], True)
@@ -472,15 +481,16 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     return Schedule(tuple(ends.tolist()), tuple(stamps.tolist())), _row_cost(inst, ends, stamps, f)
 
 
-def lockstep_ends(a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``optimal_schedule`` of every row of the (T, n) arrival times ``a``
-    at once, for a count cost ``f``, as the flat (ends, stamps, rows) that
-    ``chunk_costs`` reads: batch k ends at sample ends[k] (1-based) of row
-    rows[k], at that sample's arrival stamps[k], before coincident batches
-    merge.
+def lockstep_ends(a: np.ndarray, lengths: np.ndarray,
+                  f: CostFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``optimal_schedule`` of every row of the flat rows ``a`` of
+    ``lengths`` at once, for a count cost ``f``, as the flat (ends, stamps,
+    rows) that ``chunk_costs`` reads: batch k ends at sample ends[k]
+    (1-based) of row rows[k], at that sample's arrival stamps[k], before
+    coincident batches merge.
     """
-    rows, ends = _sweep(a, f)
-    return ends, a[rows, ends - 1], rows
+    rows, ends = _sweep(a, lengths, f)
+    return ends, a[(np.cumsum(lengths) - lengths)[rows] + ends - 1], rows
 
 
 def brute_force_optimum(
@@ -539,13 +549,13 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
     values are those of the full recursion under Assumption 1."""
     n = inst.n
     a = inst.times_array
-    widths, prices = _windows(a[None], f, inst.features)
+    widths, prices = _windows(a, np.array([n]), f, inst.features)
     # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
     lam = [0.0] * (n + 1)
     succ = [0] * n
-    w_of = widths[0].tolist()
+    w_of = widths.tolist()
     steps = np.arange(n + 1)
-    for lo, hi, e in _blocks(a, widths[0], steps[:-1], steps, f, prices, reverse=True):
+    for lo, hi, e in _blocks(a, widths, steps[:-1], steps, f, prices, reverse=True):
         rows = e.T.tolist()
         for i in range(hi - 1, lo - 1, -1):
             best, arg = math.inf, i + 1

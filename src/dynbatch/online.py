@@ -10,10 +10,11 @@ final, and only one processed at its own last arrival may change when
 arrivals are appended; the adversary closes such a batch again.
 
 Each fixed rule, ``FixedSize`` and ``FixedDelay``, is stated once, as
-``close_all(a, f)``: the batch from every start of every row of a (T, n)
-array of arrival times.  ``flushes_all(a, f)`` follows each row's batches
-from sample 0 with ``instance.path_nodes``, as the flat arrays that the
-study's lockstep chunks price.  The scalar entry points derive from them:
+``close_all(a, lengths, f)``: the batch from every start of every row of
+the flat rows ``a`` of ``lengths`` (see ``instance``).  ``flushes_all(a,
+lengths, f)`` follows each row's batches from sample 0 with
+``instance.path_nodes``, as the flat arrays that the study's lockstep
+chunks price.  The scalar entry points derive from them:
 ``close(times, features, f, lo) -> (hi, t)`` is ``close_all`` of the
 samples from ``lo`` on, at its first start, and ``flushes(times,
 features, f)``, each batch's last sample and time as two lists, is
@@ -41,7 +42,8 @@ import numpy as np
 
 from .cost import (CostFunction, FeatureMultiset, check_real, check_whole, spec_number,
                    spec_values)
-from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes
+from .instance import (ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes,
+                       searchsorted_rows)
 
 __all__ = [
     "Wta",
@@ -55,34 +57,38 @@ __all__ = [
 
 
 class _Policy:
-    """The drivers over a policy's ``close_all`` rule, for many instances
-    of one size at once and, for a fixed rule, for one."""
+    """The drivers over a policy's ``close_all`` rule, for the flat rows of
+    many instances at once and, for a fixed rule, for one."""
 
     def close(self, times: Sequence[float], features: Sequence[int], f: CostFunction,
               lo: int) -> tuple[int, float]:
         """The batch that waits from sample ``lo`` (0-based): ``close_all``
         of the samples from ``lo`` on, at its first start."""
-        hi, t = self.close_all(np.array(times[lo:], dtype=float)[None], f)
-        return lo + int(hi[0, 0]), float(t[0, 0])
+        hi, t = self.close_all(np.array(times[lo:], dtype=float), np.array([len(times) - lo]), f)
+        return lo + int(hi[0]), float(t[0])
 
     def flushes(self, times: Sequence[float], features: Sequence[int],
                 f: CostFunction) -> tuple[list[int], list[float]]:
         """``flushes_all`` of one row: the last sample (1-based) of each
         batch, and its time."""
-        ends, stamps, _ = self.flushes_all(np.array(times, dtype=float)[None], f)
+        ends, stamps, _ = self.flushes_all(np.array(times, dtype=float), np.array([len(times)]),
+                                           f)
         return ends.tolist(), stamps.tolist()
 
-    def flushes_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray,
-                                                                     np.ndarray]:
-        """``flushes`` of every row of the (T, n) arrival times ``a`` at once,
-        for a count cost ``f``, as the flat (ends, stamps, rows) that
+    def flushes_all(self, a: np.ndarray, lengths: np.ndarray,
+                    f: CostFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``flushes`` of every row of the flat rows ``a`` of ``lengths`` at
+        once, for a count cost ``f``, as the flat (ends, stamps, rows) that
         ``chunk_costs`` reads: ``close_all`` from every start, then the
         starts that ``path_nodes`` reaches from sample 0, where each start's
         batch points to the next."""
-        T, n = a.shape
-        hi, t = self.close_all(a, f)
-        rows, lo = path_nodes(np.concatenate((hi, np.full((T, 1), n)), axis=1), 0)
-        return hi[rows, lo], t[rows, lo], rows
+        hi, t = self.close_all(a, lengths, f)
+        row = np.repeat(np.arange(len(lengths)), lengths)
+        first = np.cumsum(lengths) - lengths
+        # The start of each row's last batch points to itself.
+        k = path_nodes(np.where(hi < (first + lengths)[row], hi, np.arange(len(a))), first)
+        rows = row[k]
+        return hi[k] - first[rows], t[k], rows
 
 
 @dataclass(frozen=True)
@@ -156,9 +162,11 @@ class Wta(_Policy):
                 continue
             return i, t_star
 
-    def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-        """``close`` from every start lo of every row of the (T, n) arrival
-        times ``a``, for a count cost ``f``: hi[r, lo] and t[r, lo].
+    def close_all(self, a: np.ndarray, lengths: np.ndarray,
+                  f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+        """``close`` from every start k of every row of the flat rows ``a``
+        of ``lengths``, for a count cost ``f``: the flat index hi[k] after
+        the batch's last sample, and its time t[k].
 
         For finite arrival times.  Steps the pending count p = 1, 2, ...
         over the starts whose batch is still open, with ``close``'s own
@@ -170,17 +178,18 @@ class Wta(_Policy):
         case.  The work is the sum of the batch sizes over all starts.
         """
         alpha = self.alpha
-        T, n = a.shape
-        # Row r's sample j at r * (n + 1) + j; the inf after each row ends
-        # its last group, where every batch still open closes.
-        times = np.concatenate((a, np.full((T, 1), math.inf)), axis=1).ravel()
-        last = np.arange(T * (n + 1)) % (n + 1) == n
-        size = np.empty(T * n, dtype=np.intp)
-        stamp = np.empty(T * n)
-        start = np.arange(T * n)
-        after = start + start // n + 1  # the sample after each open batch
-        x = times[after - 1]
-        accrued = np.zeros(T * n)
+        N = len(a)
+        # Flat sample k of row r at k + r; the inf after each row ends its
+        # last group, where every batch still open closes.
+        start = np.arange(N)
+        after = start + np.repeat(np.arange(len(lengths)), lengths) + 1  # the sample after
+        times = np.full(N + len(lengths), math.inf)
+        times[after - 1] = a
+        last = times == math.inf
+        size = np.empty(N, dtype=np.intp)
+        stamp = np.empty(N)
+        x = a
+        accrued = np.zeros(N)
         p = 1
         while start.size:
             nxt = times[after]
@@ -196,7 +205,7 @@ class Wta(_Policy):
             accrued += p * (nxt - x)
             start, after, accrued, x = start[going], after[going] + 1, accrued[going], nxt[going]
             p += 1
-        return np.arange(n) + size.reshape(T, n), stamp.reshape(T, n)
+        return np.arange(N) + size, stamp
 
 
 @dataclass(frozen=True)
@@ -211,11 +220,12 @@ class FixedSize(_Policy):
     def spec_string(self) -> str:
         return f"fixed-size:{self.k}"
 
-    def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+    def close_all(self, a: np.ndarray, lengths: np.ndarray,
+                  f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
         """From every start, the next ``k`` arrivals at the k-th one's time;
         a final partial batch is processed at the last arrival."""
-        hi = np.minimum(np.arange(self.k, a.shape[1] + self.k), a.shape[1])
-        return np.broadcast_to(hi, a.shape), a[:, hi - 1]
+        hi = np.minimum(np.arange(self.k, len(a) + self.k), np.repeat(np.cumsum(lengths), lengths))
+        return hi, a[hi - 1]
 
 
 @dataclass(frozen=True)
@@ -230,13 +240,14 @@ class FixedDelay(_Policy):
     def spec_string(self) -> str:
         return f"fixed-delay:{spec_number(self.delay)}"
 
-    def close_all(self, a: np.ndarray, f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-        """From every start, every sample arrived by the time the first has
-        waited ``delay``, found by one ``searchsorted`` per row; with delay
-        0, each arrival instant's samples at once."""
+    def close_all(self, a: np.ndarray, lengths: np.ndarray,
+                  f: CostFunction) -> tuple[np.ndarray, np.ndarray]:
+        """From every start, every sample of its row arrived by the time the
+        first has waited ``delay`` (``searchsorted_rows``); with delay 0,
+        each arrival instant's samples at once."""
         with np.errstate(over="ignore"):  # an inf flush takes every later sample
             flush = a + self.delay
-        return np.array([np.searchsorted(r, fl, side="right") for r, fl in zip(a, flush)]), flush
+        return searchsorted_rows(a, lengths, flush), flush
 
 
 PolicyConfig = Wta | FixedSize | FixedDelay

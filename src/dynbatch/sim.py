@@ -13,26 +13,29 @@ gives as one uint64, and its stream is ``default_rng(seed)``'s, so records
 are bit-identical for a given configuration at any worker count, and the
 ``seed`` field regenerates the instance through ``gen_poisson``.  A chunk
 derives all of its seeds, then all of its PCG64 states, in one uint32 pass
-each over its trials: the hash of numpy's ``SeedSequence`` on columns of
+each over its rows: the hash of numpy's ``SeedSequence`` on columns of
 entropy words, then PCG64's two seeding steps on 128-bit ints.
 
-Trials run in chunks of up to 250 per grid point.  The process pool is
-imported and started only when a study runs on more than one worker, so
-a serial study never loads it.  In ``n_values`` mode under a count cost,
-every instance of a chunk has the same n, so the chunk runs in lockstep,
-as arrays from the seeds to the records: the rate's ``fill`` draws the
-chunk's arrival times in place as the rows of one (T, n) array,
-``offline.lockstep_ends`` solves all of its optima in one vector sweep,
-each policy's ``flushes_all`` finds every trial's batches at once, and
-``instance.chunk_costs`` prices the optima, then each policy's batches, in
-one pass each.  No ``ProblemInstance`` is built.  Set-function costs,
-``horizon`` mode and any chunk in which a trial fails take the per-trial
-path, so a failed trial gets its NaN records and its stderr line exactly
-as before.  Both paths price with the summation of ``chunk_costs``, which
-``cost_of`` runs per trial, so their records are the same bit for bit.  On
-either path a trial fails only on a ``ValueError``, bad input such as an
-overflowing cost or a zero optimum (which leaves no ratio), and then gets
-NaN records and one stderr line.  Any other error is a bug and propagates.
+A study's trials run in chunks of up to 250 consecutive rows, grid point
+after grid point, so a chunk may span several grid points of any sizes
+and rates.  The process pool is imported and started only when a study
+runs on more than one worker, so a serial study never loads it.  Under a
+count cost a chunk runs as arrays, from the seeds to the records, in
+``n_values`` and ``horizon`` mode alike: its arrival times are flat rows
+(see ``instance``), each grid point's rows drawn in place by its rate's
+``fill``, or each horizon trial's by ``_thinned_arrivals`` from its
+stream; ``offline.lockstep_ends`` solves all of its optima in one vector
+sweep, each policy's ``flushes_all`` finds every trial's batches at once,
+and ``instance.chunk_costs`` prices the optima, then each policy's
+batches, in one pass each.  No ``ProblemInstance`` is built.  Only
+set-function costs and chunks in which a trial fails run trial by trial,
+so a failed trial gets its NaN records and its stderr line exactly as
+before.  Both paths price with the summation of ``chunk_costs``, which
+``cost_of`` runs per trial, and no row's floats depend on the rows beside
+it, so their records are the same bit for bit.  On either path a trial
+fails only on a ``ValueError``, bad input such as an overflowing cost or a
+zero optimum (which leaves no ratio), and then gets NaN records and one
+stderr line.  Any other error is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -309,16 +312,17 @@ def _uint64(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)
 
 
-def _chunk_seeds(master_seed: int, grid_index: int, trials: range) -> np.ndarray:
-    """Each trial's seed, ``SeedSequence((master_seed, grid_index, trial))
-    .generate_state(1, np.uint64)[0]``, as a uint64 column."""
-    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+def _chunk_seeds(master_seed: int, grid_index: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """Each row's seed, ``SeedSequence((master_seed, grid_index[k],
+    trials[k])).generate_state(1, np.uint64)[0]``, as a uint64 column."""
+    t = trials.astype(np.uint32)
     # SeedSequence reads an int as its 32-bit words, low first; 0 is one word.
     words, x = [], master_seed
     while x or not words:
         words.append(x & 0xFFFFFFFF)
         x >>= 32
-    return _uint64(*_seed_state([np.full_like(t, w) for w in (*words, grid_index)] + [t], 2))
+    return _uint64(*_seed_state([np.full_like(t, w) for w in words]
+                                + [grid_index.astype(np.uint32), t], 2))
 
 
 def _streams(seeds: np.ndarray) -> list[dict]:
@@ -358,21 +362,24 @@ _ZERO_OPTIMUM = "ratio undefined: the optimal cost is 0"
 
 
 def _run_chunk(args) -> list[TrialRecord]:
-    (grid_index, n, rate, policies, cost_fn, trial_lo, trial_hi, master_seed, horizon) = args
-    trials = range(trial_lo, trial_hi)
-    seeds = _chunk_seeds(master_seed, grid_index, trials)
+    """The records of rows lo..hi-1 of the study, where row g * trials + t
+    is trial t of grid point g."""
+    (grid, lo, hi, trials, policies, cost_fn, master_seed, horizon) = args
+    points = np.arange(lo, hi) // trials
+    seeds = _chunk_seeds(master_seed, points, np.arange(lo, hi) % trials)
+    names = [f"g{row // trials}.t{row % trials}" for row in range(lo, hi)]
     # Each policy's policy and alpha fields, once for all its records; alpha
     # as a float, whose repr a results CSV writes and reads back.
     alphas = [getattr(p, "alpha", None) for p in policies]
     labels = [(p.spec_string(), a if a is None else float(a)) for p, a in zip(policies, alphas)]
-    if horizon is None and cost_fn.count_based:
+    if cost_fn.count_based:
         try:
-            return _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials, seeds)
+            return _lockstep_chunk(grid, points, names, policies, labels, cost_fn, seeds, horizon)
         except ValueError:
             pass  # trial by trial below, for each failure's own record and line
     records: list[TrialRecord] = []
-    for ti, seed in zip(trials, seeds.tolist()):
-        trial = f"g{grid_index}.t{ti}"
+    for trial, g, seed in zip(names, points.tolist(), seeds.tolist()):
+        n, rate = grid[g]
         size = n or 0  # a horizon trial's size is 0 until it is drawn
         try:
             if horizon is None:
@@ -398,27 +405,48 @@ def _run_chunk(args) -> list[TrialRecord]:
     return records
 
 
-def _lockstep_chunk(grid_index, n, rate, policies, labels, cost_fn, trials,
-                    seeds) -> list[TrialRecord]:
+def _draw_rows(grid, points: np.ndarray, seeds: np.ndarray,
+               horizon: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The arrival times of the trials of the grid ``points`` with the
+    ``seeds`` as flat rows, as ``gen_poisson`` or ``gen_poisson_horizon``
+    draws each: in ``n_values`` mode by each grid point's rate's ``fill``
+    on its rows in place, in ``horizon`` mode by ``_thinned_arrivals``."""
+    states = _each_state(np.random.default_rng(), _streams(seeds))
+    if horizon is not None:
+        rows = [np.fromiter(_thinned_arrivals(grid[g][1], rng, horizon), float)
+                for g, rng in zip(points.tolist(), states)]
+        return np.concatenate(rows), np.array([len(row) for row in rows])
+    lengths = np.array([grid[g][0] for g in points.tolist()])
+    a = np.empty(lengths.sum())
+    at = 0
+    for g, count in zip(*(x.tolist() for x in np.unique(points, return_counts=True))):
+        n, rate = grid[g]
+        rate.fill(a[at:at + count * n].reshape(count, n), islice(states, count))
+        at += count * n
+    return a, lengths
+
+
+def _lockstep_chunk(grid, points, names, policies, labels, cost_fn, seeds,
+                    horizon) -> list[TrialRecord]:
     """The chunk's records, as the per-trial loop makes them when no trial
     fails, in array operations from the seeds on: the arrival times of
-    every trial as the rows of one array, one lockstep sweep for the
-    optima, each policy's batches from every start at once, and one
-    ``chunk_costs`` pass for the optima and for each policy."""
-    a = np.empty((len(seeds), n))
-    rate.fill(a, _each_state(np.random.default_rng(), _streams(seeds)))
-    if not np.isfinite(a).all():
-        # gen_poisson's ProblemInstance rejects the trial: its own record below
-        raise ValueError("arrival times must be finite")
+    every trial as flat rows, one lockstep sweep for the optima, each
+    policy's batches from every start at once, and one ``chunk_costs``
+    pass for the optima and for each policy."""
+    a, lengths = _draw_rows(grid, points, seeds, horizon)
+    if not (lengths.all() and np.isfinite(a).all()):
+        # the per-trial generators reject the trial: its own record below
+        raise ValueError("arrival times must be finite, and a trial's arrivals not empty")
     # The samples all carry feature 0, which a count cost does not read.
-    features = [(0,) * n] * len(a)
-    opt = chunk_costs(a, features, *lockstep_ends(a, cost_fn), cost_fn)
-    costs = [(*label, *chunk_costs(a, features, *p.flushes_all(a, cost_fn), cost_fn))
+    opt = chunk_costs(a, lengths, None, *lockstep_ends(a, lengths, cost_fn), cost_fn)
+    costs = [(*label, *chunk_costs(a, lengths, None, *p.flushes_all(a, lengths, cost_fn),
+                                   cost_fn))
              for p, label in zip(policies, labels)]
     records: list[TrialRecord] = []
     new = tuple.__new__  # a TrialRecord without the call of its __new__
-    for k, (ti, seed, W_opt, F_opt) in enumerate(zip(trials, seeds.tolist(), *opt)):
-        trial, J_opt = f"g{grid_index}.t{ti}", W_opt + F_opt
+    for k, (trial, seed, n, W_opt, F_opt) in enumerate(zip(names, seeds.tolist(),
+                                                          lengths.tolist(), *opt)):
+        J_opt = W_opt + F_opt
         if J_opt == 0:
             print(f"trial {trial}: {_ZERO_OPTIMUM}", file=sys.stderr)
             records.extend(_record(trial, seed, n, label) for label in labels)
@@ -483,11 +511,9 @@ def run_study(
     check_study_args(n_values, horizon, rates, policies, trials, seed, parallelism)
     grid = [(n, rate) for n in (n_values if horizon is None else [None])
             for rate in rates]
-    tasks = []
-    for gi, (n, rate) in enumerate(grid):
-        for lo in range(0, trials, _CHUNK):
-            tasks.append((gi, n, rate, tuple(policies), cost_fn,
-                          lo, min(lo + _CHUNK, trials), int(seed), horizon))
+    # Chunk k holds rows 250 k.. of the study, grid point after grid point.
+    tasks = [(grid, lo, min(lo + _CHUNK, len(grid) * trials), trials, tuple(policies), cost_fn,
+              int(seed), horizon) for lo in range(0, len(grid) * trials, _CHUNK)]
     parallel = parallelism > 1 and len(tasks) > 1
     records: list[TrialRecord] = []
     if parallel:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dynbatch import ProblemInstance, ScheduleCost
 from dynbatch.instance import chunk_costs
@@ -41,6 +42,27 @@ def assert_times_array(inst: ProblemInstance) -> None:
     assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
     assert not isinstance(a.base, np.ndarray)
     np.testing.assert_array_equal(a, np.asarray(inst.times, dtype=float))
+
+
+def ragged(rows):
+    """Rows of arrival times, of any lengths, as the flat (times, lengths)
+    that the array kernels read."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    return np.concatenate(rows), np.array([len(row) for row in rows])
+
+
+@st.composite
+def ragged_rows(draw, max_rows: int = 6, max_n: int = 14) -> list[np.ndarray]:
+    """1 to ``max_rows`` rows of arrival times, each of its own length up to
+    ``max_n``: gaps are often 0, a first time may be -0.0, and some rows
+    arrive all at once."""
+    gap = st.sampled_from([-0.0, 0.0, 0.0, 0.1, 0.5, 1.0, 2.5, 12.0]) | st.floats(0.0, 4.0)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_rows))):
+        n = draw(st.integers(min_value=1, max_value=max_n))
+        gaps = st.lists(gap, min_size=n, max_size=n) | st.just([1.5] + [0.0] * (n - 1))
+        rows.append(np.cumsum(draw(gaps)))
+    return rows
 
 
 def flat(ends, stamps):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from dynbatch import (
     parse_policy_spec,
     run_policy,
 )
+from dynbatch import instance
 from dynbatch.instance import chunk_costs
 
-from conftest import OVERFLOW, assert_times_array, flat, row_costs
+from conftest import OVERFLOW, assert_times_array, flat, ragged, ragged_rows, row_costs
 from oracles import batch_cost, batches, pending_count_curve, positive_excess_integral
 
 
@@ -273,7 +275,7 @@ class TestChunkCosts:
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
         features = [inst.features for inst in insts]
-        assert row_costs(np.array(self.CHUNK), features, *flat(ends, stamps), f) == want
+        assert row_costs(*ragged(self.CHUNK), features, *flat(ends, stamps), f) == want
 
     @pytest.mark.parametrize("ends, stamps", [
         pytest.param([1], [0.0], id="incomplete"),
@@ -295,7 +297,7 @@ class TestChunkCosts:
         assert str(got.value) == str(want.value)
         # chunk_costs merges as Schedule.from_ends.
         merged = Schedule.from_ends(ends, stamps)
-        args = (np.array([[0.0, 1.0], [0.0, 1.0]]), [inst.features] * 2,
+        args = (*ragged([[0.0, 1.0], [0.0, 1.0]]), [inst.features] * 2,
                 *flat([[2], ends], [[1.0], stamps]), SqrtCount())
         try:
             merged.validate_for(inst)
@@ -316,7 +318,8 @@ class TestChunkCosts:
         want = ("infeasible schedule: batch [1, 2] processed at 0.5 before its last arrival 1.0"
                 if order == 1 else "infeasible schedule: no batches")
         with pytest.raises(InfeasibleScheduleError, match=re.escape(want)):
-            chunk_costs(np.array([[0.0, 1.0]] * 2), [(0, 0)] * 2, *flat(ends, stamps), SqrtCount())
+            chunk_costs(*ragged([[0.0, 1.0]] * 2), [(0, 0)] * 2, *flat(ends, stamps),
+                        SqrtCount())
 
 
 class TestMergeCoincident:
@@ -476,11 +479,11 @@ def test_cost_invariant_under_time_translation(pair, delta):
 
 @st.composite
 def coincident_chunks(draw):
-    """One to three instances of one size, with coincident arrivals and
+    """One to three instances of any sizes, with coincident arrivals and
     feature ids 0..2."""
-    n = draw(st.integers(min_value=1, max_value=12))
     insts = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=12))
         gaps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 1.0, 2.5]),
                              min_size=n, max_size=n))
         feats = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
@@ -502,7 +505,7 @@ PRICED_COSTS = [
 def test_pricing_matches_batch_by_batch_reference(insts, f):
     # The optimum's schedules, then each policy's flushes, unmerged for
     # chunk_costs and merged by Schedule.from_ends for cost_of.
-    a = np.array([inst.times for inst in insts])
+    a = ragged([inst.times for inst in insts])
     features = [inst.features for inst in insts]
     opt = [optimal_schedule(inst, f)[0] for inst in insts]
     runs = [([s.ends for s in opt], [s.stamps for s in opt])]
@@ -512,7 +515,7 @@ def test_pricing_matches_batch_by_batch_reference(insts, f):
         scheds = [Schedule.from_ends(e, s) for e, s in zip(ends, stamps)]
         want = [reference_cost(inst, sched, f) for inst, sched in zip(insts, scheds)]
         assert [cost_of(inst, sched, f) for inst, sched in zip(insts, scheds)] == want
-        assert row_costs(a, features, *flat(ends, stamps), f) == want
+        assert row_costs(*a, features, *flat(ends, stamps), f) == want
 
 
 def _reference_fault(inst, ends, stamps):
@@ -569,9 +572,28 @@ def test_array_check_matches_batch_by_batch_reference(case, first):
     assert _fault(sched.validate_for, inst) == want
     assert _fault(cost_of, inst, sched, SqrtCount()) == want
     # chunk_costs merges first, and reports the first faulty row, here
-    # beside a valid one.
+    # beside a valid one of another size.
     merged = Schedule.from_ends(ends, stamps)
-    rows = [(merged.ends, merged.stamps), ((inst.n,), (inst.times[-1],))]
-    rows = rows if first else rows[::-1]
-    args = (np.array([inst.times] * 2), [inst.features] * 2, *flat(*zip(*rows)), SqrtCount())
+    rows = [(inst.times, merged.ends, merged.stamps), ((0.0, 0.5, 7.0), (3,), (7.0,))]
+    times, ends, stamps = zip(*(rows if first else rows[::-1]))
+    args = (*ragged(times), [(0,) * len(t) for t in times], *flat(ends, stamps), SqrtCount())
     assert _fault(chunk_costs, *args) == _reference_fault(inst, merged.ends, merged.stamps)
+
+
+@pytest.mark.parametrize("joint", [0, 10**9], ids=["row-by-row", "joint"])
+@settings(max_examples=200, deadline=None)
+@given(rows=ragged_rows(), data=st.data())
+def test_searchsorted_rows_matches_numpy_row_by_row(rows, data, joint):
+    # NaN, inf and -inf values, values equal to coincident times, and -0.0
+    # against 0.0 times: each finds what np.searchsorted finds in its row,
+    # whether the rows are searched one by one or all at once.
+    a, lengths = ragged(rows)
+    value = (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+             | st.sampled_from(a.tolist()) | st.floats(-1.0, 80.0))
+    x = np.array(data.draw(st.lists(value, min_size=len(a), max_size=len(a))))
+    with mock.patch.object(instance, "_JOINT_SEARCH_MEAN", joint):
+        got = instance.searchsorted_rows(a, lengths, x)
+    first = np.cumsum(lengths) - lengths
+    want = [np.searchsorted(a[lo:lo + n], x[lo:lo + n], side="right") + lo
+            for lo, n in zip(first.tolist(), lengths.tolist())]
+    assert got.tolist() == np.concatenate(want).tolist()

@@ -25,11 +25,11 @@ from dynbatch import (
     gen_poisson,
     optimal_schedule,
 )
-from dynbatch import offline
+from dynbatch import instance, offline
 from dynbatch.offline import EdgeWeightOracle
 from dynbatch.sim import ConstantRate, SinusoidRate
 
-from conftest import row_costs
+from conftest import ragged, ragged_rows, row_costs
 from oracles import (
     IlpConstraintViolation,
     batch_cost,
@@ -424,13 +424,43 @@ def test_lockstep_sweep_matches_optimal_schedule(chunk, block_entries):
     with mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries):
         a = np.array([inst.times for inst in chunk])
         for f in LOCKSTEP_COSTS:
-            ends, stamps, rows = offline.lockstep_ends(a, f)
+            ends, stamps, rows = offline.lockstep_ends(*ragged(a), f)
             assert (np.diff(rows) >= 0).all(), f
             assert (stamps == a[rows, ends - 1]).all(), f
-            costs = row_costs(a, [inst.features for inst in chunk], ends, stamps, rows, f)
+            costs = row_costs(*ragged(a), [inst.features for inst in chunk], ends, stamps, rows,
+                              f)
             for r, (cost, inst) in enumerate(zip(costs, chunk)):
                 sched = Schedule.from_ends(ends[rows == r].tolist(), stamps[rows == r].tolist())
                 assert (sched, cost) == optimal_schedule(inst, f), f
+
+
+@pytest.mark.parametrize("joint", [0, 10**9], ids=["row-by-row", "joint"])
+@settings(max_examples=60, deadline=None)
+@given(rows=ragged_rows())
+def test_ragged_chunk_gives_each_row_what_it_gives_the_row_alone(rows, joint):
+    # Windows, pieces and the optimum of rows of many sizes at once, row by
+    # row, against each row solved on its own, whichever search finds the
+    # windows.  A chunk fails only with the error of a row that fails.
+    a, lengths = ragged(rows)
+    first = (np.cumsum(lengths) - lengths).tolist()
+    with mock.patch.object(instance, "_JOINT_SEARCH_MEAN", joint):
+        for f in LOCKSTEP_COSTS:
+            alone = [_outcome(lambda: offline.lockstep_ends(*ragged([row]), f)) for row in rows]
+            chunk = _outcome(lambda: offline.lockstep_ends(a, lengths, f))
+            if isinstance(chunk, str):
+                assert chunk in alone, f
+                continue
+            widths = offline._window_widths(a, lengths, f)
+            starts, sizes = offline._pieces(widths)
+            for r, (row, lo, want) in enumerate(zip(rows, first, alone)):
+                row_widths = offline._window_widths(*ragged([row]), f)
+                assert widths[lo:lo + len(row)].tolist() == row_widths.tolist(), f
+                inside = (starts >= lo) & (starts < lo + len(row))
+                assert [(starts[inside] - lo).tolist(), sizes[inside].tolist()] == [
+                    x.tolist() for x in offline._pieces(row_widths)], f
+                ends, stamps, _ = (x[chunk[2] == r] for x in chunk)
+                assert [ends.tolist(), stamps.tolist()] == [want[0].tolist(),
+                                                            want[1].tolist()], f
 
 
 def _global_distance_ends(times, f):
@@ -440,7 +470,7 @@ def _global_distance_ends(times, f):
     by the count table.  Kept as the reference for both routes.  Also
     returns whether a nonzero distance is carried into a later piece."""
     n = len(times)
-    widths = offline._window_widths(times[None], f)[0].tolist()
+    widths = offline._window_widths(*ragged([times]), f).tolist()
     g = f.count_table(max(widths))
     dist = [0.0] + [math.inf] * n
     pred = [0] * (n + 1)
@@ -545,7 +575,7 @@ def test_both_routes_match_the_global_distance_sweep(a, block_entries):
                     mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries):
                 solo = [_outcome(lambda: optimal_schedule(ProblemInstance.from_times(row), f)[0])
                         for row in a]
-                chunk = _outcome(lambda: offline.lockstep_ends(a, f))
+                chunk = _outcome(lambda: offline.lockstep_ends(*ragged(a), f))
             if isinstance(chunk, str):
                 assert chunk in solo, f
             else:
@@ -574,7 +604,7 @@ def test_lockstep_steps_as_often_as_the_longest_piece(block_entries, steps):
     with mock.patch.object(offline, "_STEP_ROWS", 0), \
             mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries), \
             mock.patch.object(offline, "_relax", wraps=offline._relax) as relax:
-        ends, _, rows = offline.lockstep_ends(a, f)
+        ends, _, rows = offline.lockstep_ends(*ragged(a), f)
     assert relax.call_count == steps
     with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]):
         want = [optimal_schedule(ProblemInstance.from_times(row), f)[0] for row in a]
@@ -628,7 +658,7 @@ def test_lockstep_keeps_to_the_windows_outside_assumption_1():
         want = [optimal_schedule(ProblemInstance.from_times(row), f)[0] for row in a]
     with mock.patch.object(offline, "_STEP_ROWS", ROUTES["lockstep"]), \
             pytest.warns(RuntimeWarning, match="batch of 4 samples from sample 1 costs 0.1"):
-        ends, _, rows = offline.lockstep_ends(a, f)
+        ends, _, rows = offline.lockstep_ends(*ragged(a), f)
     assert [_schedule(row, ends[rows == r]) for r, row in enumerate(a)] == want
     assert want[0].ends != (4,)
 
@@ -696,7 +726,7 @@ class TestSetFunctionWindows:
         inst = gen_poisson(ConstantRate(20.0), 120, seed=3, feature_sampler=sample)
         counted = _Counted(_distinct_plus_sqrt)
         f = CustomSetFunction(counted, universe_size=8)
-        widths = offline._windows(inst.times_array[None], f, inst.features)[0][0]
+        widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
         assert widths.tolist() == _reach_widths(inst, f)
         counted.calls = 0
         sched, cost = optimal_schedule(inst, f)
@@ -750,7 +780,7 @@ def test_negative_or_nan_prices_keep_every_row(name):
     inst = ProblemInstance((0.0, 0.1, 0.3, 0.3, 0.6, 1.0, 1.1, 2.9, 3.0, 3.0, 3.2, 5.0),
                            (0, 1, 0, 2, 1, 0, 0, 1, 2, 0, 1, 1))
     f = CustomSetFunction(fn, universe_size=3)
-    widths = offline._windows(inst.times_array[None], f, inst.features)[0][0]
+    widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
     assert (widths >= 1).all()
     # A row whose single-sample price is NaN has no reach, as under a count
     # cost whose f(1) is NaN.
@@ -771,7 +801,7 @@ def test_coincident_runs_are_never_cut(shift):
     run_end = [max(k for k, t in enumerate(times) if t == times[i]) + 1 for i in range(inst.n)]
     for fn in (_distinct_plus_sqrt, lambda x: 0.0):
         f = CustomSetFunction(fn, universe_size=3)
-        widths = offline._windows(inst.times_array[None], f, feats)[0][0]
+        widths = offline._windows(*ragged([inst.times]), f, feats)[0]
         assert (np.arange(inst.n) + widths >= run_end).all()
         want, total = _unpruned_optimum(inst, f)
         sched, cost = optimal_schedule(inst, f)
@@ -782,8 +812,8 @@ def test_coincident_runs_are_never_cut(shift):
 def test_set_function_single_sample():
     inst = ProblemInstance((1.7e9,), (2,))
     f = CustomSetFunction(_weighted_distinct_plus_sqrt, universe_size=3)
-    widths, prices = offline._windows(inst.times_array[None], f, inst.features)
-    assert widths.tolist() == [[1]]
+    widths, prices = offline._windows(*ragged([inst.times]), f, inst.features)
+    assert widths.tolist() == [1]
     assert prices.tolist() == [4.0]
     sched, cost = optimal_schedule(inst, f)
     assert sched.ends == (1,)
@@ -800,7 +830,7 @@ def _minus_3_from_4(x):
 def _from_ends_and_cost_of(inst, f):
     """``optimal_schedule`` the long way: the sweep's ends as lists,
     ``Schedule.from_ends`` on their arrivals, then ``cost_of``."""
-    ends = offline._sweep(inst.times_array[None], f, inst.features)[1].tolist()
+    ends = offline._sweep(*ragged([inst.times]), f, inst.features)[1].tolist()
     sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
     return (sched, cost_of(inst, sched, f)), len(ends)
 
@@ -855,7 +885,10 @@ def test_a_count_cost_drop_names_the_first_window_that_holds_it():
                                             r"less than the 2\.0 of its first 2;"):
         optimal_schedule(inst, f)
     with pytest.warns(RuntimeWarning, match="batch of 3 samples from sample 3"):
-        offline.lockstep_ends(np.array([inst.times_array, inst.times_array]), f)
+        offline.lockstep_ends(*ragged([inst.times_array, inst.times_array]), f)
+    # Behind a row of two lone samples, it is still sample 3 of its own row.
+    with pytest.warns(RuntimeWarning, match="batch of 3 samples from sample 3"):
+        offline.lockstep_ends(*ragged([[0.0, 9.0], inst.times_array]), f)
 
 
 def test_a_drop_within_the_window_slack_does_not_warn():
@@ -881,4 +914,4 @@ def test_no_builtin_cost_warns(f):
             optimal_schedule(inst, f)
             dual_recursion(inst, f)
             if f.count_based:
-                offline.lockstep_ends(np.array([inst.times_array] * 3), f)
+                offline.lockstep_ends(*ragged([inst.times_array] * 3), f)

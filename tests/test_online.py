@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ from dynbatch import (
     parse_policy_spec,
     run_policy,
 )
+from dynbatch import instance
 from dynbatch.instance import path_nodes
 
-from conftest import flat
+from conftest import flat, ragged, ragged_rows
 from oracles import (
     batch_cost,
     batches,
@@ -401,12 +403,14 @@ def test_close_all_matches_close_from_every_start(a, f, policy):
     errors = {w for row in want for w in row if isinstance(w, str)}
     if errors:
         with pytest.raises(ValueError) as exc:
-            policy.close_all(a, f)
+            policy.close_all(*ragged(a), f)
         assert {str(exc.value)} == errors
         return
-    hi, t = policy.close_all(a, f)
-    assert hi.shape == t.shape == a.shape
-    assert [list(zip(h, s)) for h, s in zip(hi.tolist(), t.tolist())] == want
+    hi, t = policy.close_all(*ragged(a), f)
+    assert hi.shape == t.shape == (a.size,)
+    # Flat ends back to ends within each row.
+    hi = hi.reshape(a.shape) - np.arange(0, a.size, a.shape[1])[:, None]
+    assert [list(zip(h, s)) for h, s in zip(hi.tolist(), t.reshape(a.shape).tolist())] == want
 
 
 @pytest.mark.parametrize("f", [ConstantCost(10), SqrtCount()], ids=["const:10", "sqrt"])
@@ -419,8 +423,8 @@ def test_close_all_matches_close_where_waits_overflow(alpha, f):
     policy = Wta(alpha)
     want = [policy.close(row, (0,) * 5, f, lo) for lo in range(5)]
     with np.errstate(over="ignore", invalid="ignore"):
-        hi, t = policy.close_all(np.array([row]), f)
-    assert repr(list(zip(hi[0].tolist(), t[0].tolist()))) == repr(want)
+        hi, t = policy.close_all(*ragged([row]), f)
+    assert repr(list(zip(hi.tolist(), t.tolist()))) == repr(want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -428,11 +432,34 @@ def test_close_all_matches_close_where_waits_overflow(alpha, f):
        policy=st.sampled_from([Wta(0.5), Wta(3.0), FixedSize(3), FixedDelay(0.0),
                                FixedDelay(0.5)]))
 def test_flushes_all_matches_flushes(a, f, policy):
-    ends, stamps, rows = policy.flushes_all(a, f)
+    ends, stamps, rows = policy.flushes_all(*ragged(a), f)
     assert (ends.dtype, stamps.dtype, rows.dtype) == (np.intp, float, np.intp)
     want = flat(*zip(*(reference_flushes(policy, row, (0,) * a.shape[1], f)
                        for row in a.tolist())))
     assert [x.tolist() for x in (ends, stamps, rows)] == [x.tolist() for x in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=ragged_rows(), f=st.sampled_from(CLOSE_ALL_COSTS[:-1]),
+       policy=st.sampled_from([Wta(0.5), Wta(3.0), Wta(1e308), FixedSize(1), FixedSize(3),
+                               FixedDelay(0.0), FixedDelay(0.5)]),
+       joint=st.sampled_from([0, 10**9]))
+def test_ragged_rows_give_each_row_what_it_gives_the_row_alone(rows, f, policy, joint):
+    # close_all and flushes_all on rows of many sizes at once, row by row,
+    # against each row on its own, bit for bit, whichever search
+    # FixedDelay takes.
+    a, lengths = ragged(rows)
+    first = (np.cumsum(lengths) - lengths).tolist()
+    with mock.patch.object(instance, "_JOINT_SEARCH_MEAN", joint):
+        hi, t = policy.close_all(a, lengths, f)
+        ends, stamps, rws = policy.flushes_all(a, lengths, f)
+        for r, (row, lo) in enumerate(zip(rows, first)):
+            row_hi, row_t = policy.close_all(*ragged([row]), f)
+            assert (hi[lo:lo + len(row)] - lo).tolist() == row_hi.tolist()
+            assert repr(t[lo:lo + len(row)].tolist()) == repr(row_t.tolist())
+            want = policy.flushes_all(*ragged([row]), f)
+            assert repr([ends[rws == r].tolist(), stamps[rws == r].tolist()]) == repr(
+                [want[0].tolist(), want[1].tolist()])
 
 
 def test_fixed_delay_flush_past_the_float_range_warns_nothing():
@@ -484,11 +511,11 @@ def test_fixed_rules_match_their_oracle_rules(policy):
 
 def _walk(nxt_row, root):
     """The nodes that one row of a pointer table reaches from ``root``,
-    its fixed point left out, one pointer at a time."""
-    out, u = [], root
+    its fixed point included, one pointer at a time."""
+    out, u = [root], root
     while nxt_row[u] != u:
-        out.append(u)
         u = nxt_row[u]
+        out.append(u)
     return sorted(out)
 
 
@@ -510,25 +537,34 @@ def pointer_tables(draw):
     return np.array(rows, dtype=np.intp), 0 if forward else m - 1
 
 
+def _row_paths(nxt, root):
+    """path_nodes of the (T, m) table ``nxt`` of pointers within each row,
+    laid flat, from node ``root`` of every row, as (row, node) pairs."""
+    T, m = nxt.shape
+    nodes = path_nodes((nxt + np.arange(0, T * m, m)[:, None]).ravel(),
+                       np.arange(root, T * m, m))
+    return [divmod(u, m) for u in nodes.tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=pointer_tables())
 def test_path_nodes_matches_a_pointer_walk(case):
     nxt, root = case
-    rows, nodes = path_nodes(nxt, root)
     want = [(r, u) for r, row in enumerate(nxt.tolist()) for u in _walk(row, root)]
-    assert list(zip(rows.tolist(), nodes.tolist())) == want
+    assert _row_paths(nxt, root) == want
 
 
 @pytest.mark.parametrize("nxt,root,want", [
-    pytest.param([[1, 1]], 0, [(0, 0)], id="n=1-forward"),
-    pytest.param([[0, 0]], 1, [(0, 1)], id="n=1-backward"),
+    pytest.param([[1, 1]], 0, [(0, 0), (0, 1)], id="n=1-forward"),
+    pytest.param([[0, 0]], 1, [(0, 0), (0, 1)], id="n=1-backward"),
+    pytest.param([[0]], 0, [(0, 0)], id="root-is-the-end"),
     pytest.param([[5, 2, 3, 4, 5, 5], [1, 2, 3, 4, 5, 5]], 0,
-                 [(0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], id="one-batch-row"),
-    pytest.param([[0, 0, 0, 0, 0]], 4, [(0, 4)], id="one-batch-backward"),
+                 [(0, 0), (0, 5), (1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)],
+                 id="one-batch-row"),
+    pytest.param([[0, 0, 0, 0, 0]], 4, [(0, 0), (0, 4)], id="one-batch-backward"),
 ])
 def test_path_nodes_edge_cases(nxt, root, want):
-    rows, nodes = path_nodes(np.array(nxt), root)
-    assert list(zip(rows.tolist(), nodes.tolist())) == want
+    assert _row_paths(np.array(nxt), root) == want
 
 
 class TestPolicySpec:

@@ -257,17 +257,17 @@ class TestRunStudy:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        # one chunk per grid point
+        # 260 rows make two chunks: rows 0-249, across both grid points, and 250-259
         kwargs = dict(n_values=[5, 8], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
-                      cost_fn=SqrtCount(), trials=3, seed=0)
+                      cost_fn=SqrtCount(), trials=130, seed=0)
         records = run_study(parallelism=64, **kwargs)
         assert asked == [2]
         assert records == run_study(parallelism=1, **kwargs)
 
     def test_progress_reports_every_chunk_in_parallel(self, capsys):
-        # one chunk per grid point
+        # 260 rows make two chunks
         run_study(n_values=[5, 8], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
-                  cost_fn=SqrtCount(), trials=3, seed=0, parallelism=2, progress=True)
+                  cost_fn=SqrtCount(), trials=130, seed=0, parallelism=2, progress=True)
         err = capsys.readouterr().err
         assert err.splitlines() == ["chunk 1/2 done", "chunk 2/2 done"]
 
@@ -394,24 +394,30 @@ class TestSeedsAndStreams:
     MASTERS = [0, 1, 5, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64,
                2**64 + 5, 2**70, 2**96 + 3, 3**60]
 
-    def _triples(self):
+    def _chunks(self):
+        """(master, grid index, trial) columns of chunks of 125 rows, inside
+        one grid point and across two or four."""
         rng = np.random.default_rng(16)
         masters = self.MASTERS + [int(x) for x in rng.integers(0, 2**62, 6)]
         for master in masters:
-            for gi, lo in [(0, 0), (0, 250), (3, 0), (11, 250)]:
-                yield master, gi, range(lo, lo + 125)
+            for trials, lo in [(300, 0), (300, 250), (300, 900), (300, 3550), (100, 150),
+                               (40, 20)]:
+                rows = np.arange(lo, lo + 125)
+                yield master, rows // trials, rows % trials
 
     def test_chunk_seeds_match_seed_sequence(self):
-        count = 0
-        for master, gi, trials in self._triples():
+        count = crossing = 0
+        for master, gi, trials in self._chunks():
             got = sim._chunk_seeds(master, gi, trials)
             assert got.dtype == np.uint64
-            assert got.tolist() == [_trial_seed(master, gi, t) for t in trials], (master, gi)
+            want = [_trial_seed(master, g, t) for g, t in zip(gi.tolist(), trials.tolist())]
+            assert got.tolist() == want, master
             count += len(trials)
-        assert count >= 10**4
+            crossing += len(set(gi.tolist())) > 1
+        assert count >= 10**4 and crossing >= 40
 
     def test_streams_match_default_rng(self):
-        seeds = [s for master, gi, trials in self._triples()
+        seeds = [s for master, gi, trials in self._chunks()
                  for s in sim._chunk_seeds(master, gi, trials).tolist()]
         # No derived seed is below 2^32: these are the one-word entropy tests.
         seeds += [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
@@ -510,34 +516,39 @@ class TestSeedsAndStreams:
         assert run_study(seed=np.uint64(9), **kwargs) == run_study(seed=9, **kwargs)
 
 
-def _per_trial_study(n_values, rate, policies, f, trials, seed):
-    """run_study's records and stderr lines, one trial and one call at a time."""
+def _per_trial_study(n_values, rate, policies, f, trials, seed, horizon=None):
+    """run_study's records and stderr lines, one trial and one call at a
+    time; ``rate`` is one rate or a list of them, and ``horizon`` replaces
+    ``n_values`` in horizon mode."""
     records, lines = [], []
+    rates = rate if isinstance(rate, list) else [rate]
 
     def record(trial, s, n, p, c=None, opt=math.nan):
         metrics = (c.total, c.waiting, c.processing, opt, c.total / opt) if c else [math.nan] * 5
         records.append(TrialRecord(trial, s, n, p.spec_string(), getattr(p, "alpha", None),
                                    *metrics))
 
-    for gi, n in enumerate(n_values):
+    grid = [(n, r) for n in (n_values if horizon is None else [None]) for r in rates]
+    for gi, (n, rate) in enumerate(grid):
         for ti in range(trials):
             trial, s = f"g{gi}.t{ti}", _trial_seed(seed, gi, ti)
-            inst = gen_poisson(rate, n, s)
+            inst = (gen_poisson(rate, n, s) if horizon is None
+                    else gen_poisson_horizon(rate, horizon, s))
             try:
                 _, opt = optimal_schedule(inst, f)
             except ValueError as exc:
                 lines.append(f"trial {trial}: {exc}")
                 for p in policies:
-                    record(trial, s, n, p)
+                    record(trial, s, inst.n, p)
                 continue
             for p in policies:
                 try:
                     _, c = run_policy(inst, f, p)
                 except ValueError as exc:
                     lines.append(f"trial {trial} policy {p.spec_string()}: {exc}")
-                    record(trial, s, n, p)
+                    record(trial, s, inst.n, p)
                     continue
-                record(trial, s, n, p, c, opt.total)
+                record(trial, s, inst.n, p, c, opt.total)
     return records, lines
 
 
@@ -660,6 +671,72 @@ class TestLockstepChunks:
         assert [repr(r) for r in records] == [repr(r) for r in count]
 
 
+class TestRaggedChunks:
+    """A chunk is 250 rows of the study, grid point after grid point, so it
+    holds trials of many sizes and rates; no row's records depend on the
+    rows it shares a chunk with."""
+
+    POLICIES = [Wta(0.5), FixedSize(3), FixedDelay(1.5)]
+    RATES = [ConstantRate(2.0), SinusoidRate(2.0, 1.5, 10.0)]
+
+    @staticmethod
+    def _chunks(monkeypatch):
+        """The (grid points, rows) of each chunk that run_study runs."""
+        chunks = []
+        run_chunk = sim._run_chunk
+
+        def spy(args):
+            grid, lo, hi, trials = args[:4]
+            chunks.append((sorted({row // trials for row in range(lo, hi)}), hi - lo))
+            return run_chunk(args)
+
+        monkeypatch.setattr(sim, "_run_chunk", spy)
+        return chunks
+
+    @pytest.mark.parametrize("mode", [dict(n_values=[5, 30, 80]), dict(horizon=12.0)],
+                             ids=["n-values", "horizon"])
+    def test_chunks_across_grid_points_match_the_per_trial_loop(self, mode, monkeypatch,
+                                                                capsys):
+        trials = 95 if "n_values" in mode else 140
+        want, want_lines = _per_trial_study(mode.get("n_values"), self.RATES, self.POLICIES,
+                                            SqrtCount(), trials, 7, mode.get("horizon"))
+        assert want_lines == []
+        chunks = self._chunks(monkeypatch)
+        calls = []
+        for name in ("gen_poisson", "gen_poisson_horizon"):
+            monkeypatch.setattr(sim, name, lambda *args: calls.append(args))
+        records = run_study(rates=self.RATES, policies=self.POLICIES, cost_fn=SqrtCount(),
+                            trials=trials, seed=7, **mode)
+        assert calls == []
+        assert [repr(r) for r in records] == [repr(r) for r in want]
+        assert capsys.readouterr().err == ""
+        assert max(len(points) for points, _ in chunks) >= 2
+        assert [rows for _, rows in chunks][:-1] == [250] * (len(chunks) - 1)
+        if "horizon" in mode:
+            assert len({r.n for r in records}) > 10
+
+    def test_a_failing_trial_sends_its_chunk_across_grid_points_trial_by_trial(
+            self, monkeypatch, capsys):
+        # sqrt(0..6) covers every window at rate 0.5, but not every one at
+        # rate 20: the first chunk spans both grid points and fails at rate
+        # 20, so every one of its trials runs alone, those at rate 0.5 too.
+        table = CountTable(tuple(math.sqrt(k) for k in range(7)))
+        rates = [ConstantRate(0.5), ConstantRate(20.0)]
+        want, want_lines = _per_trial_study([12], rates, self.POLICIES, table, 140, 3)
+        assert want_lines and all(line.startswith("trial g1.") for line in want_lines)
+        chunks = self._chunks(monkeypatch)
+        calls = []
+        gen_poisson = sim.gen_poisson
+        monkeypatch.setattr(sim, "gen_poisson", lambda *args: calls.append(args) or
+                            gen_poisson(*args))
+        records = run_study(n_values=[12], rates=rates, policies=self.POLICIES, cost_fn=table,
+                            trials=140, seed=3)
+        assert [repr(r) for r in records] == [repr(r) for r in want]
+        assert capsys.readouterr().err.splitlines() == want_lines
+        assert chunks == [([0, 1], 250), ([1], 30)]
+        assert len(calls) >= 250 and calls[0][0] is rates[0]
+
+
 class TestTrialRecord:
     """Records are named tuples of the results CSV's columns."""
 
@@ -704,20 +781,22 @@ class TestTrialRecord:
 
 
 def _lockstep_rows(monkeypatch, rate, n, seeds):
-    """The (T, n) arrival times of one lockstep chunk of the given seeds,
-    and its records."""
+    """The arrival times of one lockstep chunk of n samples a trial and the
+    given seeds, as a (T, n) array, and its records."""
     rows = []
 
-    def capture(a, f):
-        rows.append(a.copy())
-        return lockstep_ends(a, f)
+    def capture(a, lengths, f):
+        assert lengths.tolist() == [n] * len(seeds)
+        rows.append(a.reshape(len(seeds), n).copy())
+        return lockstep_ends(a, lengths, f)
 
     monkeypatch.setattr(sim, "lockstep_ends", capture)
     seeds = np.array(seeds, dtype=np.uint64)
     policies = [Wta(0.5)]
     labels = [(p.spec_string(), p.alpha) for p in policies]
-    records = sim._lockstep_chunk(0, n, rate, policies, labels, SqrtCount(), range(len(seeds)),
-                                  seeds)
+    names = [f"g0.t{k}" for k in range(len(seeds))]
+    records = sim._lockstep_chunk([(n, rate)], np.zeros(len(seeds), dtype=int), names, policies,
+                                  labels, SqrtCount(), seeds, None)
     return rows[0], records
 
 
