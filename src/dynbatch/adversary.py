@@ -26,6 +26,12 @@ work grows linearly with the rounds as long as the policy keeps flushing.
 A release gap that rounds to zero against the last flush time is an
 input error: the release would join the flushed batch instead of
 following it.
+
+The report is read off what the construction returns, in array passes:
+the releases' samples are the running sums of the alternating group
+sizes, a release is split when the batches holding its first and last
+samples differ, and each benchmark schedule's waiting is one exact sum of
+flush-time differences.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, FeatureMultiset, batch_pairs, check_real, check_whole, pair_ratios
-from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
+from .instance import ProblemInstance, Schedule, ScheduleCost, _row_cost
 from .offline import optimal_schedule
 # run_policy is not called here, but perfbench/tracing.py wraps
 # ``adversary.run_policy`` by name and fails if the name is missing.
@@ -111,13 +117,12 @@ def run_adversary(
     batches are the reported schedule.
     """
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(policy, f, cfg.x1)
-    times, feats, wave_last_index, flush_times, ends, stamps = _realize_waves(
-        policy, f, cfg, epsilon)
+    times, feats, flush_times, ends, stamps = _realize_waves(policy, f, cfg, epsilon)
 
     inst = ProblemInstance(tuple(times), tuple(feats))
     sched = Schedule.from_ends(ends, stamps)
-    alg_cost = cost_of(inst, sched, f)
-    split_waves = _count_split_waves(sched, wave_last_index)
+    hi, t_hi = sched._arrays()
+    alg_cost = _row_cost(inst, hi, t_hi, f)
 
     f1 = f.value(cfg.x1)
     f2 = f.value(cfg.x2)
@@ -126,16 +131,18 @@ def run_adversary(
         raise ValueError("adversary needs f(x1 u x2) > 0")
     s = cfg.rounds
     n1, n2 = len(cfg.x1), len(cfg.x2)
-    t = [0.0] + flush_times  # t[0] = 0, t[j] = flush of release j
+    sizes = np.tile((n1, n2), s)
+    lasts = np.cumsum(sizes)
+    split_waves = int(np.count_nonzero(
+        np.searchsorted(hi, lasts - sizes + 1) != np.searchsorted(hi, lasts)))
+    t = np.array([0.0, *flush_times])  # t[0] = 0, t[j] = flush of release j
 
     # Benchmark processing at the odd release instants (each also absorbs
     # the preceding even release), with the trailing group cleared at
     # t[2s] + epsilon.
-    odd_cost = f1 + f2 + (s - 1) * f12 + math.fsum(
-        n2 * (t[2 * k] - t[2 * k - 1]) for k in range(1, s + 1))
+    odd_cost = f1 + f2 + (s - 1) * f12 + math.fsum((n2 * (t[2::2] - t[1::2])).tolist())
     # Benchmark processing at the even release instants: s merged batches.
-    even_cost = s * f12 + math.fsum(
-        n1 * (t[2 * k - 1] - t[2 * k - 2]) for k in range(1, s + 1))
+    even_cost = s * f12 + math.fsum((n1 * (t[1::2] - t[:-1:2])).tolist())
 
     n = inst.n
     opt_upper = (odd_cost + even_cost) / (2 * n)
@@ -158,19 +165,19 @@ def run_adversary(
 
 def _realize_waves(
     policy: PolicyConfig, f: CostFunction, cfg: AdversaryConfig, epsilon: float
-) -> tuple[list[float], list[int], list[int], list[float], list[int], list[float]]:
+) -> tuple[list[float], list[int], list[float], list[int], list[float]]:
     """Release the alternating groups, each ``epsilon`` after the policy
     flushed the previous one.
 
-    Returns the arrival times and feature ids, the 1-based index of each
-    release's last sample, each release's flush time, and the policy's
-    batches as ``flushes`` returns them: their last samples and times.
+    Returns the arrival times and feature ids, each release's flush time,
+    and the policy's batches as ``flushes`` returns them: their last
+    samples and times.  A release's samples follow from the group sizes
+    alone, so they are not recorded.
     """
     close = policy.close
     groups = (_ids(cfg.x1), _ids(cfg.x2))
     times: list[float] = []
     feats: list[int] = []
-    wave_last_index: list[int] = []
     flush_times: list[float] = []
     ends: list[int] = []
     stamps: list[float] = []
@@ -184,7 +191,6 @@ def _realize_waves(
         times.extend([release] * len(ids))
         feats.extend(ids)
         n = len(times)
-        wave_last_index.append(n)
         if ends and t == times[hi - 1]:
             # Processed at its own last arrival, the open batch may take
             # the release: close it again.
@@ -198,7 +204,7 @@ def _realize_waves(
         if t - release > _TIMEOUT:
             raise ValueError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t)
-    return times, feats, wave_last_index, flush_times, ends, stamps
+    return times, feats, flush_times, ends, stamps
 
 
 def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) -> float:
@@ -213,15 +219,6 @@ def _auto_epsilon(policy: PolicyConfig, f: CostFunction, x1: FeatureMultiset) ->
 def _ids(group: FeatureMultiset) -> list[int]:
     """The feature id of every sample of ``group``, feature by feature."""
     return [fid for fid, mult in group.counts for _ in range(mult)]
-
-
-def _count_split_waves(sched: Schedule, wave_last_index: list[int]) -> int:
-    """Releases whose samples ``sched`` spreads over more than one batch:
-    those with a batch ending before their last sample."""
-    lasts = np.array(wave_last_index)
-    firsts = np.concatenate(([1], lasts[:-1] + 1))
-    ends = np.array(sched.ends)
-    return int(np.count_nonzero(np.searchsorted(ends, firsts) != np.searchsorted(ends, lasts)))
 
 
 def worst_pair_search(

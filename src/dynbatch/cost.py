@@ -600,8 +600,9 @@ def parse_cost_spec(spec: str) -> CostFunction:
     if spec.startswith("table:"):
         path = Path(spec[len("table:"):])
         values = []
-        # read_text turns "\r\n" and "\r" into "\n"; no other character ends a line.
-        for ln, text in enumerate(path.read_text().split("\n"), start=1):
+        # read_text turns "\r\n" and "\r" into "\n"; no other character ends a
+        # line.  A leading UTF-8 byte-order mark is dropped.
+        for ln, text in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
             if not text.strip():
                 continue
             try:

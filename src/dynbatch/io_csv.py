@@ -48,10 +48,11 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
     The body is parsed in one ``np.loadtxt`` call if every row is a plain
     ``time,feature`` pair of valid values; any other body (quoted fields,
     blank features, time-only rows, bad values) is read row by row, which
-    gives the same instance or raises with the bad row's line number.
+    gives the same instance or raises with the bad row's line number.  A
+    UTF-8 byte-order mark, as spreadsheets write one, is skipped.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             _, header = next(_rows(path, reader))
@@ -150,7 +151,7 @@ def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:
 def _quoted(field: str) -> str:
     """``field`` as ``csv.writer`` writes it: quoted if it holds a comma, a
     quote or a line break, with each quote doubled."""
-    if any(c in field for c in ',"\r\n'):
+    if "," in field or '"' in field or "\r" in field or "\n" in field:
         return '"' + field.replace('"', '""') + '"'
     return field
 
@@ -161,19 +162,18 @@ def write_results(records: Sequence[TrialRecord], path: str | Path) -> None:
     ``J_opt`` objects, formatted once per trial; each (policy, alpha object)
     pair is formatted once, since -0.0 == 0.0."""
     labels: dict = {}
-    trial = J_opt = None
+    last_trial = last_J_opt = None
     lines = [",".join(RESULTS_HEADER)]
-    for r in records:
-        if r.trial is not trial:
-            trial, trial_s = r.trial, _quoted(r.trial)
-        if r.J_opt is not J_opt:
-            J_opt, J_opt_s = r.J_opt, repr(r.J_opt)
-        label = labels.get((r.policy, id(r.alpha)))
+    for trial, seed, n, policy, alpha, J, W, F, J_opt, ratio in records:
+        if trial is not last_trial:
+            last_trial, trial_s = trial, _quoted(trial)
+        if J_opt is not last_J_opt:
+            last_J_opt, J_opt_s = J_opt, repr(J_opt)
+        label = labels.get((policy, id(alpha)))
         if label is None:
-            alpha = "" if r.alpha is None else _quoted(repr(r.alpha))
-            label = labels[r.policy, id(r.alpha)] = f"{_quoted(r.policy)},{alpha}"
-        lines.append(f"{trial_s},{r.seed},{r.n},{label},{r.J!r},{r.W!r},{r.F!r},{J_opt_s},"
-                     f"{r.ratio!r}")
+            alpha_s = "" if alpha is None else _quoted(repr(alpha))
+            label = labels[policy, id(alpha)] = f"{_quoted(policy)},{alpha_s}"
+        lines.append(f"{trial_s},{seed},{n},{label},{J!r},{W!r},{F!r},{J_opt_s},{ratio!r}")
     lines.append("")
     with Path(path).open("w", newline="") as fh:
         fh.write("\r\n".join(lines))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from bisect import bisect_left
@@ -18,6 +19,8 @@ from dynbatch import (
     SqrtCount,
     Wta,
     cost_of,
+    parse_cost_spec,
+    parse_policy_spec,
     run_adversary,
     run_policy,
     worst_pair_search,
@@ -131,12 +134,27 @@ class TestRunAdversary:
             AdversaryConfig(x1=ONE, x2=ONE, rounds=rounds)
         assert str(exc.value) == f"rounds must be a positive integer, got {rounds!r}"
 
+    def test_reports_are_pinned(self):
+        # Every field of 135 reports, byte for byte: policies that wait and
+        # ones that flush at a release, three costs, three group pairs and
+        # three gaps (auto among them).
+        digest = hashlib.sha256()
+        for policy, cost, (a, b), epsilon in itertools.product(
+                ("wta:0.5", "wta:3", "fixed-size:3", "fixed-delay:0.3", "fixed-delay:0"),
+                ("const:1", "sqrt", "log1p"), ((1, 1), (2, 3), (4, 1)), (1e-6, None, 0.7)):
+            cfg = AdversaryConfig(FeatureMultiset.of_size(a), FeatureMultiset.of_size(b),
+                                  rounds=20, epsilon=epsilon)
+            rep = run_adversary(parse_policy_spec(policy), parse_cost_spec(cost), cfg)
+            digest.update(repr(rep).encode())
+        assert digest.hexdigest() == (
+            "5ef2b800d14390878c857b9bdcfd99ba5d5b889bf43d02b1b43f0f749f27e833")
+
 
 def _prefix_replay_waves(policy, f, cfg, epsilon):
     """Reference for ``adversary._realize_waves``: re-run the policy on the
     whole growing prefix after every release.  The batches are those of
     the last run, on the whole instance."""
-    times, feats, wave_last_index, flush_times = [], [], [], []
+    times, feats, flush_times = [], [], []
     t_prev = 0.0
     for wave in range(2 * cfg.rounds):
         group = cfg.x1 if wave % 2 == 0 else cfg.x2
@@ -144,14 +162,13 @@ def _prefix_replay_waves(policy, f, cfg, epsilon):
         for fid, mult in group.counts:
             times.extend([release] * mult)
             feats.extend([fid] * mult)
-        wave_last_index.append(len(times))
         sched, _ = run_policy(ProblemInstance(tuple(times), tuple(feats)), f, policy)
         t_j = sched.stamps[bisect_left(sched.ends, len(times))]
         if t_j - release > adversary._TIMEOUT:
             raise ValueError("non-terminating policy: flush exceeded the timeout horizon")
         flush_times.append(t_j)
         t_prev = t_j
-    return times, feats, wave_last_index, flush_times, list(sched.ends), list(sched.stamps)
+    return times, feats, flush_times, list(sched.ends), list(sched.stamps)
 
 
 #: Feature-dependent: one per distinct feature plus sqrt of the size, so

@@ -565,6 +565,12 @@ class TestParseCostSpec:
         path.write_text("0\n1\n1.4\n")
         assert parse_cost_spec(f"table:{path}") == CountTable((0.0, 1.0, 1.4))
 
+    def test_table_with_byte_order_mark(self, tmp_path):
+        # Spreadsheets' "CSV UTF-8" exports start with one.
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xef\xbb\xbf0\n1\n1.4\n")
+        assert parse_cost_spec(f"table:{path}") == CountTable((0.0, 1.0, 1.4))
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown cost spec"):
             parse_cost_spec("cubic")

@@ -448,6 +448,15 @@ class TestCli:
         assert cli_main([command, "--arrivals", str(FIXTURE), "--cost", "sqrt", *flags]) == 0
         assert capsys.readouterr() == (FIXTURE.with_name(name).read_text(), "")
 
+    @pytest.mark.parametrize("fixture", [FIXTURE, QUOTED_FIXTURE], ids=["parsed", "by-row"])
+    def test_byte_order_mark_is_skipped(self, fixture, tmp_path, capsys):
+        # Spreadsheets' "CSV UTF-8" exports start with a byte-order mark.
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + fixture.read_bytes())
+        assert cli_main(["offline", "--arrivals", str(p), "--cost", "sqrt"]) == 0
+        assert capsys.readouterr() == (
+            FIXTURE.with_name("arrivals5_sqrt_optimum.txt").read_text(), "")
+
     def test_offline_two_arrivals(self, tmp_path, capsys):
         p = tmp_path / "two.csv"
         p.write_text("time\n0\n100\n")
@@ -643,6 +652,13 @@ class TestCli:
         assert len(rows) == 1
         assert float(rows[0]["limit_bound"]) == 2.0
         assert rows[0]["policy"] == "wta:0.5"
+
+    def test_adversary_report_is_pinned(self, tmp_path, capsys):
+        # The construction the benchmark's adversary op runs, byte for byte.
+        path = tmp_path / "report.csv"
+        assert cli_main(["adversary", "--cost", "const:1", "--policy", "wta:0.5",
+                         "--rounds", "400", "--epsilon", "1e-6", "--out", str(path)]) == 0
+        assert path.read_bytes() == FIXTURE.with_name("adversary_wta0.5_const1.csv").read_bytes()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--rounds", "0", "rounds must be a positive integer, got 0"),
