@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostFunction, FeatureMultiset, batch_pairs, check_real, check_whole, pair_ratios
-from .instance import ProblemInstance, Schedule, ScheduleCost, _row_cost
+from .instance import ProblemInstance, Schedule, ScheduleCost, cost_of
 from .offline import optimal_schedule
 # run_policy is not called here, but perfbench/tracing.py wraps
 # ``adversary.run_policy`` by name and fails if the name is missing.
@@ -119,10 +119,9 @@ def run_adversary(
     epsilon = cfg.epsilon if cfg.epsilon is not None else _auto_epsilon(policy, f, cfg.x1)
     times, feats, flush_times, ends, stamps = _realize_waves(policy, f, cfg, epsilon)
 
-    inst = ProblemInstance(tuple(times), tuple(feats))
+    inst = ProblemInstance(times, tuple(feats))
     sched = Schedule.from_ends(ends, stamps)
-    hi, t_hi = sched._arrays()
-    alg_cost = _row_cost(inst, hi, t_hi, f)
+    alg_cost = cost_of(inst, sched, f)
 
     f1 = f.value(cfg.x1)
     f2 = f.value(cfg.x2)
@@ -134,7 +133,7 @@ def run_adversary(
     sizes = np.tile((n1, n2), s)
     lasts = np.cumsum(sizes)
     split_waves = int(np.count_nonzero(
-        np.searchsorted(hi, lasts - sizes + 1) != np.searchsorted(hi, lasts)))
+        np.searchsorted(sched.ends, lasts - sizes + 1) != np.searchsorted(sched.ends, lasts)))
     t = np.array([0.0, *flush_times])  # t[0] = 0, t[j] = flush of release j
 
     # Benchmark processing at the odd release instants (each also absorbs

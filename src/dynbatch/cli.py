@@ -66,7 +66,8 @@ def _cmd_schedule(args, f: CostFunction) -> int:
     checks its flags, then solves the arrivals file."""
     solve = args.solver(args, f)
     sched, cost = solve(load_arrivals(args.arrivals))
-    for j, (lo, hi, t) in enumerate(zip((0, *sched.ends), sched.ends, sched.stamps), start=1):
+    ends, stamps = sched.ends.tolist(), sched.stamps.tolist()
+    for j, (lo, hi, t) in enumerate(zip((0, *ends), ends, stamps), start=1):
         print(f"batch {j}: samples {lo + 1}-{hi} time={t!r}")
     print(f"W={cost.waiting!r} F={cost.processing!r} J={cost.total!r}")
     return 0

@@ -1,22 +1,22 @@
 """Problem instances, batching schedules, and objective evaluation.
 
 An instance is a time-sorted sequence of samples, each carrying a feature
-id.  It checks its times in one array pass and keeps that array,
-read-only, as ``times_array``: the loader and the generators hand in the
-array they already hold, and the solvers and ``cost_of`` read it.  A
-schedule partitions the samples, in arrival order, into consecutive
-batches processed at strictly increasing times, no earlier than the last
-arrival of each batch.  The objective is the per-sample average waiting
-time plus the per-sample average batch processing cost.
+id.  Its times are one read-only float array, checked in one array pass,
+which the solvers and ``cost_of`` read.  A schedule partitions the
+samples, in arrival order, into consecutive batches processed at strictly
+increasing times, no earlier than the last arrival of each batch.  The
+objective is the per-sample average waiting time plus the per-sample
+average batch processing cost.
 
-A ``Schedule`` is two tuples: each batch's last sample and its time.
-Many instances are flat rows: all arrival times, row after row, in one
-array, and each row's length.  ``chunk_costs`` is the one validator and
-pricer, in array operations over the schedules of flat rows, given as
-flat arrays of batch ends, stamps and rows; ``cost_of`` and
-``Schedule.validate_for`` run it on one.  ``path_nodes`` follows a table of
-pointers, such as each batch's successor, along every row at once, so that
-the schedules come out in that flat form.
+A ``Schedule`` is two read-only arrays: each batch's last sample and its
+time.  Equality, hashing and the repr of both read their arrays as the
+tuples of their values.  Many instances are flat rows: all arrival times,
+row after row, in one array, and each row's length.  ``chunk_costs`` is
+the one validator and pricer, in array operations over the schedules of
+flat rows, given as flat arrays of batch ends, stamps and rows;
+``cost_of`` and ``Schedule.validate_for`` run it on one.  ``path_nodes``
+follows a table of pointers, such as each batch's successor, along every
+row at once, so that the schedules come out in that flat form.
 
 All types are immutable after construction; the operations are pure.
 """
@@ -27,9 +27,8 @@ import math
 from array import array
 from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass, field
-from itertools import accumulate, compress
-from operator import ne
+from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,72 +50,79 @@ class InfeasibleScheduleError(ValueError):
     """Raised when a schedule does not validly cover its instance."""
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+class _Tuples:
+    """Equality, hashing, the repr and copies of a frozen dataclass whose
+    array fields read as the tuples of their values (``tolist()``): objects
+    are equal, and hash alike, when those tuples are, and an object equals
+    itself even holding NaN, as a tuple does.  A copy is rebuilt by the
+    constructor, so its arrays are its own and read-only."""
+
+    def _keep(self, name: str, a: np.ndarray) -> None:
+        a.flags.writeable = False
+        object.__setattr__(self, name, a)
+
+    def _values(self) -> tuple:
+        return tuple(tuple(v.tolist()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ProblemInstance(_Tuples):
     """Samples (arrival time, feature id), sorted by arrival time.
 
     Sample indices are 1-based throughout the package, matching the node
     numbering of the offline shortest-path graph.
 
-    The times are checked in one array pass, and that array is kept as
-    ``times_array``: read-only, C-contiguous, and the one that every solver
-    and ``cost_of`` reads.  It takes no part in equality, hashing or
-    the repr.  A bad time raises the error of the first fault met reading
-    the times in order.
+    ``times`` is the read-only, C-contiguous float array of the arrival
+    times, a copy of those given, checked in one array pass; a bad time
+    raises the error of the first fault met reading the times in order.
     """
 
-    times: tuple[float, ...]
+    times: np.ndarray
     features: tuple[int, ...]
-    times_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._check(None)
-
-    @classmethod
-    def _of_array(cls, a: np.ndarray, features: tuple[int, ...]) -> "ProblemInstance":
-        """The instance of the float array ``a``, checked as the constructor
-        checks its times and kept as ``times_array``.  ``a`` must own its
-        data: it is made read-only, not copied."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "times", tuple(a.tolist()))
-        object.__setattr__(inst, "features", features)
-        inst._check(a)
-        return inst
-
-    def _check(self, a: np.ndarray | None) -> None:
-        """Validate the instance, with its times as the array ``a`` if given,
-        and keep that array."""
-        times = self.times
+        times, features = self.times, self.features
         if len(times) == 0:
             raise ValueError("empty instance")
-        if len(times) != len(self.features):
+        if len(times) != len(features):
             raise ValueError("times and features must have equal length")
         error = None
-        if a is None:
-            try:
-                a = np.frombuffer(array("d", times))
-            except (TypeError, OverflowError) as exc:
-                # A time that is no real number: the times before it come first.
-                error, reals = exc, array("d")
-                with suppress(TypeError, OverflowError):
-                    reals.extend(times)
-                a = np.frombuffer(reals)
+        try:
+            a = (np.array(times, dtype=float) if isinstance(times, np.ndarray)
+                 else np.frombuffer(array("d", times)))
+        except (TypeError, OverflowError) as exc:
+            # A time that is no real number: the times before it come first.
+            error, reals = exc, array("d")
+            with suppress(TypeError, OverflowError):
+                reals.extend(times)
+            a = np.frombuffer(reals)
         _check_times(times, a)
         if error is not None:
             raise error
-        if min(self.features) < 0:
+        if min(features) < 0:
             raise ValueError("feature ids must be non-negative")
-        a.flags.writeable = False
-        object.__setattr__(self, "times_array", a)
-
-    def __reduce__(self):
-        # Rebuilt by the constructor, so a copy's array is checked and read-only.
-        return ProblemInstance, (self.times, self.features)
+        self._keep("times", a)
 
     @staticmethod
     def from_times(times) -> "ProblemInstance":
         """The instance of ``times``, every sample with feature 0."""
-        times = tuple(float(t) for t in times)
+        times = [float(t) for t in times]
         return ProblemInstance(times, (0,) * len(times))
 
     @property
@@ -124,7 +130,7 @@ class ProblemInstance:
         return len(self.times)
 
     def shifted(self, delta: float) -> "ProblemInstance":
-        return ProblemInstance._of_array(self.times_array + delta, self.features)
+        return ProblemInstance(self.times + delta, self.features)
 
 
 def _check_times(times: Sequence[float], a: np.ndarray) -> None:
@@ -137,24 +143,28 @@ def _check_times(times: Sequence[float], a: np.ndarray) -> None:
     if a.size and not (a[0] >= 0 and a[-1] < math.inf and (a[1:] >= a[:-1]).all()):
         bad = ~(a >= 0) | (a == math.inf)
         bad[1:] |= a[1:] < a[:-1]
-        t = times[bad.argmax()]
+        k = bad.argmax()
+        t = a[k].item() if isinstance(times, np.ndarray) else times[k]
         if not math.isfinite(t) or t < 0:
             raise ValueError(f"arrival times must be finite and non-negative, got {t!r}")
         raise ValueError("arrival times must be non-decreasing")
 
 
-@dataclass(frozen=True)
-class Schedule:
+@dataclass(frozen=True, eq=False, repr=False)
+class Schedule(_Tuples):
     """Consecutive batches: the k-th ends at sample ends[k] (1-based), starts
-    after the one before it, and is processed at stamps[k].  Tuples keep a
-    schedule hashable; ``validate_for`` checks it against an instance."""
+    after the one before it, and is processed at stamps[k].  ``ends`` and
+    ``stamps`` are read-only integer and float arrays, copies of those
+    given; ``validate_for`` checks a schedule against an instance."""
 
-    ends: tuple[int, ...]
-    stamps: tuple[float, ...]
+    ends: np.ndarray
+    stamps: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.ends) != len(self.stamps):
             raise ValueError("ends and stamps must have equal length")
+        self._keep("ends", np.array(self.ends, dtype=np.intp))
+        self._keep("stamps", np.array(self.stamps, dtype=float))
 
     def validate_for(self, inst: ProblemInstance) -> None:
         """Raise InfeasibleScheduleError unless this schedule covers ``inst``.
@@ -163,12 +173,7 @@ class Schedule:
         increasing processing times, and never process a sample before it
         arrives.
         """
-        _checked(inst.times_array, [inst.n], *self._arrays(), 0)
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ends and stamps as the arrays ``_checked`` reads."""
-        m = len(self.ends)
-        return np.fromiter(self.ends, np.intp, m), np.fromiter(self.stamps, float, m)
+        _checked(inst.times, [inst.n], self.ends, self.stamps, 0)
 
     @staticmethod
     def from_ends(ends: Sequence[int], stamps: Sequence[float]) -> "Schedule":
@@ -176,8 +181,10 @@ class Schedule:
         is processed at stamps[k], with batches processed at one instant
         merged into one, as the schedule model requires strictly increasing
         times: policies emit several when arrivals coincide."""
-        keep = [*map(ne, stamps, stamps[1:]), True]
-        return Schedule(tuple(compress(ends, keep)), tuple(compress(stamps, keep)))
+        sched = Schedule(ends, stamps)
+        t = sched.stamps
+        keep = t != np.append(t[1:], math.nan)
+        return sched if keep.all() else Schedule(sched.ends[keep], t[keep])
 
 
 @dataclass(frozen=True)
@@ -192,14 +199,7 @@ class ScheduleCost:
 def cost_of(inst: ProblemInstance, sched: Schedule, f: CostFunction) -> ScheduleCost:
     """Objective value of ``sched`` on ``inst`` under cost function ``f``:
     one row of ``chunk_costs``, with the batches taken as given, unmerged."""
-    return _row_cost(inst, *sched._arrays(), f)
-
-
-def _row_cost(inst: ProblemInstance, hi: np.ndarray, t: np.ndarray,
-              f: CostFunction) -> ScheduleCost:
-    """``cost_of`` the batches of ``inst`` that end at samples hi[k]
-    (1-based) and are processed at t[k], given as arrays."""
-    sizes, waits, _ = _checked(inst.times_array, [inst.n], hi, t, 0)
+    sizes, waits, _ = _checked(inst.times, [inst.n], sched.ends, sched.stamps, 0)
     (waiting,), (processing,) = _row_costs([inst.n], [inst.features], waits, sizes, [len(sizes)],
                                            f)
     return ScheduleCost(waiting, processing, waiting + processing)

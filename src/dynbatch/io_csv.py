@@ -68,13 +68,12 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
         times, features = _read_rows(path, body, 1 + reader.line_num)
         t = np.array(times)
     else:
-        # Copies out of the parsed rows, so the instance holds no view of them.
-        t, features = rows["t"].copy(), rows["f"].tolist()
+        t, features = rows["t"], rows["f"].tolist()
     if (t[1:] < t[:-1]).any():
         warnings.warn(f"{path}: arrivals not sorted by time; sorting", stacklevel=2)
         order = np.argsort(t, kind="stable")
         t, features = t[order], [features[i] for i in order.tolist()]
-    return ProblemInstance._of_array(t, tuple(features))
+    return ProblemInstance(t, tuple(features))
 
 
 def _rows(path: Path, reader, first: int = 1) -> Iterator[tuple[int, list[str]]]:
@@ -145,7 +144,7 @@ def save_arrivals(inst: ProblemInstance, path: str | Path) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write("time,feature\r\n")
         fh.writelines(f"{t!r},{int(v)}\r\n"
-                      for t, v in zip(inst.times_array.tolist(), inst.features))
+                      for t, v in zip(inst.times.tolist(), inst.features))
 
 
 def _quoted(field: str) -> str:

@@ -63,7 +63,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size, check_whole
-from .instance import (ProblemInstance, Schedule, ScheduleCost, _row_cost, cost_of, path_nodes,
+from .instance import (ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes,
                        searchsorted_rows)
 
 __all__ = [
@@ -93,7 +93,7 @@ class EdgeWeightOracle:
 
     def row(self, i: int) -> np.ndarray:
         """Weights e(i, j) for j = i+1, ..., n+1, in order."""
-        a = self.inst.times_array
+        a = self.inst.times
         spans = a[i - 1:] - a[i - 1]
         sizes = np.arange(1, len(spans) + 1)
         waits = sizes * spans - np.cumsum(spans)
@@ -472,13 +472,9 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     pieces before it cost; distances carried across pieces could round it
     the other way.
     """
-    a = inst.times_array
-    ends = _sweep(a, np.array([inst.n]), f, inst.features)[1]
-    stamps = a[ends - 1]
-    # Coincident batches merge, as by ``Schedule.from_ends``.
-    keep = np.append(stamps[1:] != stamps[:-1], True)
-    ends, stamps = ends[keep], stamps[keep]
-    return Schedule(tuple(ends.tolist()), tuple(stamps.tolist())), _row_cost(inst, ends, stamps, f)
+    ends = _sweep(inst.times, np.array([inst.n]), f, inst.features)[1]
+    sched = Schedule.from_ends(ends, inst.times[ends - 1])
+    return sched, cost_of(inst, sched, f)
 
 
 def lockstep_ends(a: np.ndarray, lengths: np.ndarray,
@@ -524,8 +520,8 @@ def brute_force_optimum(
         total += e[lo - 1][n - lo]
         if best_total is None or total < best_total:
             best_total, best_splits = total, splits
-    ends = [*best_splits, n]
-    sched = Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends])
+    ends = np.array([*best_splits, n])
+    sched = Schedule.from_ends(ends, inst.times[ends - 1])
     return sched, cost_of(inst, sched, f)
 
 
@@ -548,7 +544,7 @@ def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
     ``optimal_schedule``; a dominated edge is never the argmin, so the
     values are those of the full recursion under Assumption 1."""
     n = inst.n
-    a = inst.times_array
+    a = inst.times
     widths, prices = _windows(a, np.array([n]), f, inst.features)
     # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
     lam = [0.0] * (n + 1)

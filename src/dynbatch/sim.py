@@ -203,10 +203,9 @@ def _instance(
 ) -> ProblemInstance:
     """``times`` with feature 0 on every sample, or features drawn by the
     sampler in arrival order from the same generator."""
-    a = np.asarray(times, dtype=float)
-    feats = ((0,) * len(a) if feature_sampler is None
-             else tuple(int(feature_sampler(rng, t)) for t in a.tolist()))
-    return ProblemInstance._of_array(a, feats)
+    feats = ((0,) * len(times) if feature_sampler is None
+             else tuple(int(feature_sampler(rng, t)) for t in np.asarray(times).tolist()))
+    return ProblemInstance(times, feats)
 
 
 def gen_poisson(

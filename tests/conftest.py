@@ -35,13 +35,15 @@ def random_instances(count: int, max_n: int = 14, seed: int = 0) -> list[Problem
     return out
 
 
-def assert_times_array(inst: ProblemInstance) -> None:
-    """``inst.times_array`` is the read-only, C-contiguous float array of its
-    times, and holds no view of another array."""
-    a = inst.times_array
+def assert_times_array(inst: ProblemInstance, times=None) -> None:
+    """``inst.times`` is a read-only, C-contiguous float array that holds no
+    view of another array, and holds ``times`` if they are given."""
+    a = inst.times
+    assert isinstance(a, np.ndarray)
     assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
     assert not isinstance(a.base, np.ndarray)
-    np.testing.assert_array_equal(a, np.asarray(inst.times, dtype=float))
+    if times is not None:
+        np.testing.assert_array_equal(a, np.asarray(times, dtype=float))
 
 
 def ragged(rows):

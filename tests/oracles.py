@@ -86,7 +86,8 @@ def reference_flushes(policy, times, features, f: CostFunction) -> tuple[list[in
 def batches(sched: Schedule) -> tuple[tuple[int, int, float], ...]:
     """(lo, hi, time) of each batch of ``sched``: samples lo..hi (1-based,
     inclusive) processed together at ``time``."""
-    return tuple((lo + 1, hi, t) for lo, hi, t in zip((0, *sched.ends), sched.ends, sched.stamps))
+    ends, stamps = sched.ends.tolist(), sched.stamps.tolist()
+    return tuple((lo + 1, hi, t) for lo, hi, t in zip((0, *ends), ends, stamps))
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,10 @@ def pending_count_curve(inst: ProblemInstance, sched: Schedule) -> StepCurve:
     """
     sched.validate_for(inst)
     deltas: dict[float, int] = {}
+    arrivals = inst.times.tolist()
     for lo, hi, t in batches(sched):
         d = float(t)
-        for a_i in inst.times[lo - 1:hi]:
+        for a_i in arrivals[lo - 1:hi]:
             if d > a_i:
                 deltas[a_i] = deltas.get(a_i, 0) + 1
                 deltas[d] = deltas.get(d, 0) - 1
@@ -172,7 +174,7 @@ def edge_weight(inst: ProblemInstance, f: CostFunction, i: int, j: int) -> float
     Prices the one batch only, so a ``CountTable`` need cover only its size."""
     if not (1 <= i < j <= inst.n + 1):
         raise ValueError(f"edge ({i}, {j}) outside 1 <= i < j <= n+1")
-    a = inst.times
+    a = inst.times.tolist()
     spans = [a[k] - a[i - 1] for k in range(i - 1, j - 1)]
     cost = batch_cost(f, inst.features[i - 1:j - 1])
     return cost + ((j - i) * spans[-1] - math.fsum(spans))
@@ -182,7 +184,7 @@ def batch_cost_table(inst: ProblemInstance, f: CostFunction) -> list[list[float]
     """e[lo][hi]: unnormalized cost of batching samples lo..hi at a_hi, by
     direct per-sample summation over every (lo, hi) pair."""
     n = inst.n
-    a = inst.times
+    a = inst.times.tolist()
     table = [[0.0] * (n + 1) for _ in range(n + 1)]
     for lo in range(1, n + 1):
         for hi in range(lo, n + 1):
@@ -287,7 +289,8 @@ def ilp_certificate(
     schedule's cost.
     """
     sched.validate_for(inst)
-    x = {(lo + 1, hi + 1): 1 for lo, hi in zip((0, *sched.ends), sched.ends)}
+    ends = sched.ends.tolist()
+    x = {(lo + 1, hi + 1): 1 for lo, hi in zip((0, *ends), ends)}
     check_ilp_assignment(inst.n, x)
     objective = math.fsum(edge_weight(inst, f, i, j) for (i, j), v in x.items() if v) / inst.n
     ref = cost_of(inst, sched, f).total

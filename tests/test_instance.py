@@ -1,7 +1,11 @@
 import copy
+import hashlib
 import math
 import pickle
 import re
+import tracemalloc
+from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from dynbatch import (
     BUILTIN_COSTS,
     ConstantCost,
+    ConstantRate,
     CountTable,
     CustomSetFunction,
     FixedDelay,
@@ -22,7 +27,10 @@ from dynbatch import (
     ScheduleCost,
     SqrtCount,
     Wta,
+    brute_force_optimum,
     cost_of,
+    gen_poisson,
+    load_arrivals,
     optimal_schedule,
     parse_policy_spec,
     run_policy,
@@ -127,7 +135,7 @@ class TestProblemInstance:
         assert _outcome(ProblemInstance, *args) == want
         assert (want is None) == (case in GOOD_INSTANCES)
         if want is None:
-            assert_times_array(ProblemInstance(*args))
+            assert_times_array(ProblemInstance(*args), args[0])
 
     @settings(max_examples=300, deadline=None)
     @given(times=st.lists(st.one_of(
@@ -143,18 +151,18 @@ class TestProblemInstance:
         inst = ProblemInstance((0.0, 0.5, 0.5, 2.0), (0, 1, 0, 2))
         assert_times_array(inst)
         with pytest.raises(ValueError, match="read-only"):
-            inst.times_array[0] = 1.0
+            inst.times[0] = 1.0
         assert inst == ProblemInstance((0.0, 0.5, 0.5, 2.0), (0, 1, 0, 2))
-        assert "times_array" not in repr(inst)
+        assert repr(inst) == "ProblemInstance(times=(0.0, 0.5, 0.5, 2.0), features=(0, 1, 0, 2))"
 
     @pytest.mark.parametrize("delta", [0.0, 1.7e9, -0.5, math.nan])
     def test_shifted_keeps_an_array_of_its_own(self, delta):
         inst = ProblemInstance((0.5, 0.6, 2.0), (0, 1, 0))
-        want = _outcome(_reference_check, tuple(t + delta for t in inst.times), inst.features)
+        want = _outcome(_reference_check, (inst.times + delta).tolist(), inst.features)
         assert _outcome(inst.shifted, delta) == want
         if want is None:
             moved = inst.shifted(delta)
-            assert moved == ProblemInstance(tuple(t + delta for t in inst.times), inst.features)
+            assert moved == ProblemInstance((inst.times + delta).tolist(), inst.features)
             assert_times_array(moved)
 
     @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
@@ -352,6 +360,9 @@ class TestSchedule:
         assert a == b and hash(a) == hash(b)
         assert len({a, b, Schedule((2, 4), (0.5, 3.5))}) == 2
         assert Schedule((2, 4), (0.5, 3.0)) != Schedule((1, 4), (0.5, 3.0))
+        # As a tuple holding NaN does, a schedule with a NaN stamp equals itself.
+        nan = Schedule((1,), (math.nan,))
+        assert nan == nan and hash(nan) == hash(nan)
 
     def test_batches_round_trip(self):
         sched = Schedule((2, 3, 7), (0.5, 1.0, 4.25))
@@ -362,6 +373,23 @@ class TestSchedule:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
             Schedule((1, 2), (0.0,))
+
+    def test_arrays_are_read_only_copies(self):
+        ends, stamps = np.array([2, 4]), np.array([0.5, 3.0])
+        sched = Schedule(ends, stamps)
+        ends[0], stamps[0] = 1, 0.25
+        assert sched == Schedule((2, 4), (0.5, 3.0))
+        with pytest.raises(ValueError, match="read-only"):
+            sched.stamps[0] = 1.0
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_keep_read_only_arrays_of_their_own(self, how):
+        sched = Schedule.from_ends([1, 3, 4], [0.5, 0.5, 2.0])
+        twin = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                "copy": copy.copy, "deepcopy": copy.deepcopy}[how](sched)
+        assert twin == sched and hash(twin) == hash(sched)
+        for a, dtype in ((twin.ends, np.intp), (twin.stamps, np.float64)):
+            assert a.dtype == dtype and a.flags.owndata and not a.flags.writeable
 
     @pytest.mark.parametrize("ends, stamps, message", [
         ((), (), "no batches"),
@@ -379,6 +407,93 @@ class TestSchedule:
         inst = ProblemInstance.from_times([0.0, 1.0, 2.0])
         with pytest.raises(InfeasibleScheduleError, match=f"^infeasible schedule: {message}$"):
             Schedule(ends, stamps).validate_for(inst)
+
+
+def _identity_corpus():
+    """Instances and schedules whose repr and hash are pinned: edge times,
+    coincident arrivals, one sample, numpy-scalar and huge feature ids, and
+    schedules with merged stamps, built by hand and by each solver."""
+    data = Path(__file__).parent / "data"
+    sample = lambda rng, t: int(rng.integers(3))
+    insts = [
+        ProblemInstance((-0.0, 0.0, 0.5), (0, 0, 0)),
+        ProblemInstance((1.7e9, 1.7e9 + 1e-6, 1.7e9 + 1e-6), (0, 1, 2)),
+        ProblemInstance.from_times([2.0] * 4),
+        ProblemInstance((0.0,), (0,)),
+        ProblemInstance.from_times([3.25]),
+        ProblemInstance((0.0, 1.0), (np.int64(3), np.int64(0))),
+        ProblemInstance((0.0, 0.5, 0.5), (2**70, 2**63, 0)),
+        gen_poisson(ConstantRate(2.0), 40, seed=1),
+        gen_poisson(ConstantRate(20.0), 30, seed=2, feature_sampler=sample),
+        gen_poisson(ConstantRate(2.0), 25, seed=3).shifted(1.7e9),
+        load_arrivals(data / "arrivals5.csv"),
+    ]
+    scheds = [
+        Schedule((), ()),
+        Schedule((2, 4), (0.5, 3.0)),
+        Schedule.from_ends([1, 2, 3, 5, 6], [0.0, 0.0, 1.0, 2.0, 2.0]),
+        Schedule.from_ends([1, 2], [-0.0, 0.0]),
+        Schedule.from_ends([1, 2, 3, 4], [1.7e9] * 4),
+    ]
+    for inst in insts:
+        for f in (SqrtCount(), ConstantCost(1)):
+            scheds.append(optimal_schedule(inst, f)[0])
+            scheds += [run_policy(inst, f, parse_policy_spec(spec))[0]
+                       for spec in ("wta:0.5", "fixed-size:3", "fixed-delay:0.3", "fixed-delay:0")]
+        if inst.n <= 8:
+            scheds.append(brute_force_optimum(inst, SqrtCount())[0])
+    return insts + scheds
+
+
+class TestIdentity:
+    """Instances and schedules compare, hash and print as the tuples of
+    their values.  The digest was recorded when their fields were those
+    tuples, so the array fields keep every repr and hash of the corpus."""
+
+    def test_repr_and_hash_are_pinned(self):
+        digest = hashlib.sha256()
+        # numpy 2 prints a numpy scalar as np.int64(3), numpy 1 as 3.
+        numpy2 = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+        legacy = np.printoptions(legacy="1.25") if numpy2 else nullcontext()
+        with legacy:
+            for x in _identity_corpus():
+                digest.update(f"{x!r} {hash(x)}\n".encode())
+        assert digest.hexdigest() == (
+            "94a9d65f61677db08f9f7ab22c12e2cf76e53b0722425e0309091f800b819028")
+
+    def test_negative_zero_time_is_zero(self):
+        a = ProblemInstance((-0.0, 1.0), (0, 0))
+        b = ProblemInstance((0.0, 1.0), (0, 0))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "ProblemInstance(times=(-0.0, 1.0), features=(0, 0))"
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_copies_are_equal(self, how):
+        copier = {"pickle": lambda x: pickle.loads(pickle.dumps(x)),
+                  "copy": copy.copy, "deepcopy": copy.deepcopy}[how]
+        for x in _identity_corpus():
+            twin = copier(x)
+            assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
+
+
+def test_instance_and_optimum_hold_their_arrays_only():
+    """A generated instance holds its times and its feature ids' tuple, 16
+    bytes a sample, and its optimal schedule its ends and stamps, 16 bytes a
+    batch: at most 20 of each, as tracemalloc counts the bytes still held
+    (a solve before it loads what the first solve loads)."""
+    rate, f = ConstantRate(2.0), SqrtCount()
+    optimal_schedule(gen_poisson(rate, 100, seed=1), f)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        inst = gen_poisson(rate, 100_000, seed=1)
+        held = tracemalloc.get_traced_memory()[0]
+        sched = optimal_schedule(inst, f)[0]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (held - before) / inst.n <= 20
+    assert (after - held) / len(sched.ends) <= 20
 
 
 class TestPendingCountCurve:
@@ -521,9 +636,9 @@ def test_pricing_matches_batch_by_batch_reference(insts, f):
 def _reference_fault(inst, ends, stamps):
     """The message of the first fault found by the batch-by-batch loop that
     the array check in ``Schedule.validate_for`` replaced, or None."""
-    if not ends:
+    if len(ends) == 0:
         return "infeasible schedule: no batches"
-    times = inst.times
+    times = inst.times.tolist()
     n = len(times)
     lo, prev_time = 1, -math.inf
     for hi, t in zip(ends, stamps):
@@ -550,8 +665,8 @@ def schedule_arrays(draw):
     inst = ProblemInstance.from_times(np.cumsum(gaps).tolist())
     m = draw(st.integers(min_value=0, max_value=6))
     ends = draw(st.lists(st.integers(min_value=-1, max_value=n + 1), min_size=m, max_size=m))
-    stamps = draw(st.lists(st.sampled_from([*inst.times, -1.0, 0.25, 9.0, math.nan, -math.inf]),
-                           min_size=m, max_size=m))
+    values = [*inst.times.tolist(), -1.0, 0.25, 9.0, math.nan, -math.inf]
+    stamps = draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
     return inst, tuple(ends), tuple(stamps)
 
 
@@ -577,7 +692,8 @@ def test_array_check_matches_batch_by_batch_reference(case, first):
     rows = [(inst.times, merged.ends, merged.stamps), ((0.0, 0.5, 7.0), (3,), (7.0,))]
     times, ends, stamps = zip(*(rows if first else rows[::-1]))
     args = (*ragged(times), [(0,) * len(t) for t in times], *flat(ends, stamps), SqrtCount())
-    assert _fault(chunk_costs, *args) == _reference_fault(inst, merged.ends, merged.stamps)
+    assert _fault(chunk_costs, *args) == _reference_fault(inst, merged.ends.tolist(),
+                                                                merged.stamps.tolist())
 
 
 @pytest.mark.parametrize("joint", [0, 10**9], ids=["row-by-row", "joint"])
