@@ -6,7 +6,8 @@ time plus per-sample average batch processing cost.
 Each public name below is imported from its submodule on first use (PEP 562),
 and so is each submodule named as an attribute: ``import dynbatch`` loads
 numpy only, and a caller of the offline optimum never loads the adversary or
-the study runner.  The command line (``dynbatch.cli``) loads every module.
+the study runner.  The command line (``dynbatch.cli``) loads every module
+but ``setsweep``, which ``offline`` loads on a set function's first solve.
 """
 
 import importlib

@@ -54,8 +54,10 @@ class _Tuples:
     """Equality, hashing, the repr and copies of a frozen dataclass whose
     array fields read as the tuples of their values (``tolist()``): objects
     are equal, and hash alike, when those tuples are, and an object equals
-    itself even holding NaN, as a tuple does.  A copy is rebuilt by the
-    constructor, so its arrays are its own and read-only."""
+    itself even holding NaN, as a tuple does.  Equality compares the arrays
+    element by element, as the tuples would, and the hash, of the tuples,
+    is taken once.  A copy is rebuilt by the constructor, so its arrays are
+    its own and read-only."""
 
     def _keep(self, name: str, a: np.ndarray) -> None:
         a.flags.writeable = False
@@ -68,10 +70,15 @@ class _Tuples:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return other is self or self._values() == other._values()
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return other is self or all(
+            len(a) == len(b) and bool((a == b).all()) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(self._values()))
+        return self._hash
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f.name}={v!r}" for f, v in zip(fields(self), self._values()))

@@ -14,28 +14,37 @@ f(rest) <= f(all) for a monotone f (Assumption 1).  So the batch is
 strictly beaten once a passes row i's reach, the least over m of
 a_{i+m-1} + f(first m) / m.  The solvers relax only each row's window:
 the edges whose batch ends at an arrival within that reach.  A count cost
-takes the m = 1 term, a_i + f(1), for every row at once.  A set function
-grows each row's prefix multiset one sample at a time and stops the row
-at the first arrival past the least term so far; the prices it takes on
-the way are the edges' prices, so every batch inside a window is priced
-exactly once, and both the sweep and the dual recursion read them.  On
-arrivals at rate r a window holds about r * f({v}) + 1 samples, so a
-solve does O(n w) work for the widest window w instead of O(n^2).
+takes the m = 1 term, a_i + f(1), for every row at once.  Under a set
+function each row grows its prefix multiset one sample at a time and
+stops at the first arrival past the least term so far; the dual
+recursion prices every batch inside these static windows exactly once.
+The forward sweep stops each row sooner, at its distance reach: the
+least over m of a_i + (D[i+m] - D[i] + S_m) / m, where D is the sweep's
+label of a node and S_m the sum of the first m offsets a_k - a_i.  Past
+it, the path to node i+m and then a batch of the rest beats the batch,
+as f(rest) <= f(all).  As D[i+m] <= D[i] + e(i, i+m), that reach is never
+past the window's, and the sweep makes one cost evaluation per batch
+that it relaxes.  On arrivals at rate r a window holds about
+r * f({v}) + 1 samples, so a solve does O(n w) work for the widest
+window w instead of O(n^2).
 
 No batch crosses from a sample to the next where the windows of that
 sample and of all before it end at it; under a count cost these are the
 samples whose window holds only themselves.  Each instance falls apart
 there into pieces, solved each on its own: distances restart at 0 at the
-start of every piece.  One builder, ``_blocks``, prices the edges a
-block at a time, and the sweep's two routes differ only in how they
-relax them, in the same order within a piece, so they agree exactly.
-The row loop relaxes one node at a time in Python.  The lockstep relaxes
-node i of every piece longer than i in one vector step, over all the
-pieces of all the instances it is given, so a group of pieces takes as
-many steps as its longest piece; the groups keep its distance ring
-within O(n) entries.  A count cost takes the lockstep unless the steps
-of its longest piece would cost more than the rows of the row loop, as
-where one piece is most of the rows; set functions take the row loop.
+start of every piece, and only there, so where the distance reach ends
+rows sooner the ties still break as the static windows decide.  Under a
+count cost one builder, ``_blocks``, prices the edges a block at a time,
+and the sweep's two routes differ only in how they relax them, in the
+same order within a piece, so they agree exactly.  The row loop relaxes
+one node at a time in Python.  The lockstep relaxes node i of every
+piece longer than i in one vector step, over all the pieces of all the
+instances it is given, so a group of pieces takes as many steps as its
+longest piece; the groups keep its distance ring within O(n) entries.  A
+count cost takes the lockstep unless the steps of its longest piece
+would cost more than the rows of the row loop, as where one piece is
+most of the rows.  A set function takes a row loop of its own, in
+``setsweep``, which prices and relaxes each batch in one pass.
 ``optimal_schedule`` sweeps one instance, ``lockstep_ends`` the flat rows
 (see ``instance``) of many, of any sizes: a study chunk.  Windows, pieces
 and paths stay inside their row.  Both follow every row's predecessors
@@ -55,14 +64,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
 
-from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size, check_whole
+from .cost import CostFunction, check_whole
 from .instance import (ProblemInstance, Schedule, ScheduleCost, cost_of, path_nodes,
                        searchsorted_rows)
 
@@ -130,61 +137,16 @@ def _window_widths(a: np.ndarray, lengths: np.ndarray, f: CostFunction) -> np.nd
     return np.maximum(searchsorted_rows(a, lengths, reach) - np.arange(len(a)), 1)
 
 
-def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, np.ndarray]:
-    """The window widths of the one row of arrival times ``a`` with feature
-    ids ``features`` under the set function ``f``, and the flat prices of
-    their batches: f(v_{i+1}..v_{i+1+d}) at prices[o_i + d] for d < w[i],
-    o_i the sum of the widths before row i.
-
-    Row i grows its prefix multiset one sample at a time, inline, as
-    ``FeatureMultiset.plus`` does, and prices each prefix once.  It stops
-    at the first arrival past its reach, the least term a_k + f(first m) / m
-    so far, with k = i + m - 1 and the slack and margin of
-    ``_WINDOW_SLACK``.  Its first sample is always in, so every row keeps
-    its singleton edge.  A NaN first term leaves the row unbounded, as a
-    NaN f(1) leaves every row of ``_window_widths``; a NaN later term
-    bounds nothing.
-    """
-    times = a.tolist()
-    margins = (4 * np.spacing(a)).tolist()
-    n, scale = len(times), 1 + _WINDOW_SLACK
-    value, new, multiset, set_counts, set_size = (f.value, object.__new__, FeatureMultiset,
-                                                  _set_counts, _set_size)
-    # The prices as raw doubles: no float object is kept per price.
-    widths, prices = [], array("d")
-    for i in range(n):
-        counts, reach, k = (), math.inf, i
-        while k < n and not times[k] > reach:
-            fid = features[k]
-            j = bisect_left(counts, (fid,))
-            if j < len(counts) and counts[j][0] == fid:
-                grown = list(counts)
-                grown[j] = (fid, counts[j][1] + 1)
-                counts = tuple(grown)
-            else:
-                counts = counts[:j] + ((fid, 1),) + counts[j:]
-            x = new(multiset)
-            set_counts(x, counts)
-            set_size(x, k + 1 - i)
-            price = value(x)
-            prices.append(price)
-            term = times[k] + price / (k + 1 - i) * scale + margins[k]
-            if term < reach or k == i:
-                reach = term
-            k += 1
-        widths.append(k - i)
-    return np.array(widths), np.frombuffer(prices)
-
-
 def _windows(a: np.ndarray, lengths: np.ndarray, f: CostFunction, features=None):
     """The window widths of the flat rows ``a`` of ``lengths`` under ``f``,
-    and the prices that ``_blocks`` reads for a set function:
-    ``_set_windows`` of the one row's feature ids ``features``, or None for
-    a count cost.  Warns if ``f`` is not monotone on them
+    and the prices that ``_blocks`` reads for a set function in the dual
+    recursion: ``setsweep._set_windows`` of the one row's ids ``features``,
+    or None for a count cost.  Warns if ``f`` is not monotone on them
     (``_warn_unless_monotone``)."""
     if f.count_based:
         widths, prices = _window_widths(a, lengths, f), None
     else:
+        from .setsweep import _set_windows
         widths, prices = _set_windows(a, f, features)
     _warn_unless_monotone(f, widths, prices, lengths)
     return widths, prices
@@ -219,9 +181,16 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
     else:
         i = int(np.searchsorted(first, k, side="right")) - 1
         size = k - int(first[i]) + 1
+    _warn_drop(i, size, float(prices[k]), float(prices[k - 1]))
+
+
+def _warn_drop(i: int, size: int, price: float, prev: float) -> None:
+    """The warning of a batch of ``size`` samples from 0-based sample ``i``
+    of its row that costs ``price``, less than the ``prev`` of its first
+    samples but one."""
     warnings.warn(
         f"cost is not monotone: the batch of {size} samples from sample {i + 1} costs "
-        f"{float(prices[k])!r}, less than the {float(prices[k - 1])!r} of its first {size - 1}; "
+        f"{price!r}, less than the {prev!r} of its first {size - 1}; "
         "the solver's windows assume a monotone cost (Assumption 1), so the schedule may "
         "not be optimal", RuntimeWarning)
 
@@ -264,7 +233,8 @@ def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarr
     samples cols[first[s]:first[s + 1]] of the arrival times ``t``, and
     e[d, c] = e(k+1, k+2+d) for the batch of samples k..k+d, k the block's
     column c, priced by ``f``, or inf past k's window of ``widths``.  A set
-    function's batches take their flat ``prices`` from ``_set_windows``.
+    function's batches, in the dual recursion, take their flat ``prices``
+    from ``setsweep._set_windows``.
 
     A block holds at most _BLOCK_ENTRIES entries (its columns times its
     steps' widest window), or one step where that step alone is wider, so
@@ -299,21 +269,21 @@ def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarr
         yield lo, hi, e
 
 
-def _row_loop(t: np.ndarray, f: CostFunction, widths: np.ndarray, prices,
+def _row_loop(t: np.ndarray, f: CostFunction, widths: np.ndarray,
               starts: list[int]) -> list[int]:
     """pred[k] of the pieces that begin at flat samples ``starts`` of the
     arrival times ``t``: the node k' < k after which the last batch of
     the cheapest schedule up to node k starts.  Row i relaxes the batches
     of samples i+1..i+1+d (0-based i) inside its window of ``widths``,
-    whose entries ``_blocks`` prices.  Distances start at 0 at the first
-    node of each piece."""
+    whose entries ``_blocks`` prices by the count cost ``f``.  Distances
+    start at 0 at the first node of each piece."""
     n = len(t)
     w_of = widths.tolist()
     first = set(starts)
     dist = [math.inf] * (n + 1)
     pred = [0] * (n + 1)
     steps = np.arange(n + 1)
-    for lo, _, e in _blocks(t, widths, steps[:-1], steps, f, prices):
+    for lo, _, e in _blocks(t, widths, steps[:-1], steps, f):
         i = lo
         for row in e.T.tolist():
             if i in first:
@@ -430,25 +400,29 @@ def _sweep(a: np.ndarray, lengths: np.ndarray, f: CostFunction,
     The rows are cut into ``_pieces``, each solved on its own, with
     distances from 0 at its start.  A count cost takes ``_lockstep``, one
     group of pieces at a time, unless the steps of its longest piece
-    alone cost more than the rows of the row loop; a set function takes
-    the row loop.  The two routes make the same float operations, so they
-    find the same batches.
+    alone cost more than the rows of the row loop; the two routes make the
+    same float operations, so they find the same batches.  A set function
+    takes ``setsweep._set_row_loop``.
     """
     N = len(a)
-    widths, prices = _windows(a, lengths, f, features)
-    starts, sizes = _pieces(widths)
     # pred[j]: the node after which the last batch into node j starts, with
     # nodes numbered flat: node j follows flat sample j - 1.
-    if f.count_based and _STEP_ROWS * sizes.max() <= N:
-        order = np.argsort(-sizes, kind="stable")
-        tops = np.maximum.reduceat(widths, starts)[order]
-        starts, sizes = starts[order], sizes[order]
-        pred = np.zeros(N + 1, dtype=np.intp)
-        groups = _groups(sizes, tops)
-        for lo, hi in zip(groups[:-1], groups[1:]):
-            _lockstep(a, widths, starts[lo:hi], sizes[lo:hi], f, pred)
+    if not f.count_based:
+        from .setsweep import _set_row_loop
+        pred = np.array(_set_row_loop(a, f, features)[0], dtype=np.intp)
     else:
-        pred = np.array(_row_loop(a, f, widths, prices, starts.tolist()), dtype=np.intp)
+        widths = _windows(a, lengths, f)[0]
+        starts, sizes = _pieces(widths)
+        if _STEP_ROWS * sizes.max() <= N:
+            order = np.argsort(-sizes, kind="stable")
+            tops = np.maximum.reduceat(widths, starts)[order]
+            starts, sizes = starts[order], sizes[order]
+            pred = np.zeros(N + 1, dtype=np.intp)
+            groups = _groups(sizes, tops)
+            for lo, hi in zip(groups[:-1], groups[1:]):
+                _lockstep(a, widths, starts[lo:hi], sizes[lo:hi], f, pred)
+        else:
+            pred = np.array(_row_loop(a, f, widths, starts.tolist()), dtype=np.intp)
     # Each batch's last sample points to the last of the batch before it in
     # its row, and a row's first batch's to itself.
     row = np.repeat(np.arange(len(lengths)), lengths)
@@ -463,9 +437,10 @@ def optimal_schedule(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, 
     """Minimum-cost schedule, by shortest path on the batch DAG.
 
     Visits nodes q_1..q_{n+1} in the natural topological order and relaxes
-    each node's outgoing edges inside its window (see the module docstring),
-    which is exact for every f satisfying Assumption 1 (monotone): O(n w)
-    work and cost evaluations for windows of at most w samples.  Ties keep
+    each node's outgoing edges inside its window, under a set function up
+    to its distance reach (see the module docstring), which is exact for
+    every f satisfying Assumption 1 (monotone): O(n w) work and cost
+    evaluations for windows of at most w samples.  Ties keep
     the earliest-relaxed predecessor, so the result is deterministic.  The
     distances restart at 0 at each piece (see the module docstring), so a
     tie inside a piece breaks as if the piece stood alone, whatever the

@@ -12,6 +12,9 @@ as the reference for its tie and NaN rules.  ``fixed_size_close`` and
 ``fixed_delay_close`` keep the fixed rules' earlier scalar forms, one
 batch from one start, as references for the package's ``close_all``, and
 ``reference_flushes`` drives a scalar rule through one instance.
+``static_set_ends`` keeps the set-function sweep that relaxed every batch
+of the static windows as the reference for the sweep that stops each row
+at its distance reach.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dynbatch import (
     Schedule,
     cost_of,
 )
+from dynbatch import offline
 from dynbatch.offline import EdgeWeightOracle
 
 
@@ -234,6 +238,34 @@ def bitmask_optimum(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, f
     total, _, splits = best_key
     ends = [*splits, n]
     return Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends]), total
+
+
+def static_set_ends(inst: ProblemInstance, f: CostFunction, starts=None) -> list[int]:
+    """The batch ends of the optimum under the set function ``f`` by its
+    earlier sweep: every batch of the static windows of
+    ``setsweep._set_windows``, priced once there and read back through
+    ``offline._blocks``, relaxed row by row with a strict ``<``, and
+    distances from 0 at each node of ``starts``, by default the starts of
+    the windows' ``offline._pieces``."""
+    a, n = inst.times, inst.n
+    widths, prices = offline._windows(a, np.array([n]), f, inst.features)
+    if starts is None:
+        starts = offline._pieces(widths)[0].tolist()
+    w_of = widths.tolist()
+    dist = [math.inf] * (n + 1)
+    pred = [0] * (n + 1)
+    steps = np.arange(n + 1)
+    for lo, _, e in offline._blocks(a, widths, steps[:-1], steps, f, prices):
+        for i, row in enumerate(e.T.tolist(), lo):
+            if i in starts:
+                dist[i] = 0.0
+            for j, e_ij in enumerate(row[:w_of[i]], i + 1):
+                if dist[i] + e_ij < dist[j]:
+                    dist[j], pred[j] = dist[i] + e_ij, i
+    ends = [n]
+    while pred[ends[-1]]:
+        ends.append(pred[ends[-1]])
+    return ends[::-1]
 
 
 def schedule_from_dual(inst: ProblemInstance, dual: DualSolution) -> Schedule:

@@ -364,6 +364,31 @@ class TestSchedule:
         nan = Schedule((1,), (math.nan,))
         assert nan == nan and hash(nan) == hash(nan)
 
+    def test_equality_reads_the_arrays_as_their_tuples(self):
+        """As the tuples of their values compare: a NaN stamp is unequal to
+        another's, -0.0 equals 0.0 (and hashes alike), and schedules of
+        different lengths or ends differ."""
+        assert Schedule((1,), (math.nan,)) != Schedule((1,), (math.nan,))
+        assert Schedule((2,), (-0.0,)) == Schedule((2,), (0.0,))
+        assert hash(Schedule((2,), (-0.0,))) == hash(Schedule((2,), (0.0,)))
+        assert Schedule((1, 2), (0.0, 1.0)) != Schedule((2,), (1.0,))
+        assert Schedule((1, 2), (0.0, 1.0)) != Schedule((1, 3), (0.0, 1.0))
+        assert Schedule((), ()) == Schedule((), ())
+        inst = ProblemInstance((0.0, 1.0), (0, 1))
+        assert inst == ProblemInstance((0.0, 1.0), (0, 1))
+        assert inst != ProblemInstance((0.0, 1.0), (0, 2))
+        assert inst != ProblemInstance((0.0,), (0,))
+
+    def test_hashing_twice_builds_the_tuples_once(self):
+        sched = Schedule((2, 4), (0.5, 3.0))
+        with mock.patch.object(Schedule, "_values", autospec=True,
+                               side_effect=instance._Tuples._values) as values:
+            assert hash(sched) == hash(sched) == hash(((2, 4), (0.5, 3.0)))
+            assert sched == Schedule((2, 4), (0.5, 3.0))
+        assert values.call_count == 1
+        # A copy is rebuilt by the constructor and takes its own hash.
+        assert hash(pickle.loads(pickle.dumps(sched))) == hash(sched)
+
     def test_batches_round_trip(self):
         sched = Schedule((2, 3, 7), (0.5, 1.0, 4.25))
         assert batches(sched) == ((1, 2, 0.5), (3, 3, 1.0), (4, 7, 4.25))

@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from dynbatch import (
     ConstantCost,
     CountTable,
     CustomSetFunction,
+    FeatureMultiset,
     Log1pCount,
     ProblemInstance,
     Schedule,
@@ -25,7 +27,7 @@ from dynbatch import (
     gen_poisson,
     optimal_schedule,
 )
-from dynbatch import instance, offline
+from dynbatch import instance, offline, setsweep
 from dynbatch.offline import EdgeWeightOracle
 from dynbatch.sim import ConstantRate, SinusoidRate
 
@@ -39,6 +41,7 @@ from oracles import (
     edge_weight,
     ilp_certificate,
     schedule_from_dual,
+    static_set_ends,
 )
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
@@ -668,17 +671,6 @@ def _distinct_plus_sqrt(x):
     return len(x.counts) + math.sqrt(len(x))
 
 
-class _Counted:
-    """A set function's callable that counts its calls."""
-
-    def __init__(self, fn):
-        self.fn, self.calls = fn, 0
-
-    def __call__(self, x):
-        self.calls += 1
-        return self.fn(x)
-
-
 def _reach_widths(inst, f):
     """Each row's window by the min-over-m rule, one scalar at a time: row i
     takes sample k while a_k is within the least term so far of
@@ -722,17 +714,33 @@ def _unpruned_optimum(inst, f):
 
 class TestSetFunctionWindows:
     def test_rows_stop_at_the_least_reach_and_price_each_prefix_once(self):
+        """The static windows stop each row at the least reach of its terms;
+        the sweep stops sooner, at its distance reach, and prices the first
+        priced[i] prefixes of row i, each once, inside its static window.
+        The dual recursion prices every batch of the static windows once."""
         sample = lambda rng, t: int(rng.integers(8))
         inst = gen_poisson(ConstantRate(20.0), 120, seed=3, feature_sampler=sample)
-        counted = _Counted(_distinct_plus_sqrt)
-        f = CustomSetFunction(counted, universe_size=8)
+        seen = []
+        f = CustomSetFunction(lambda x: seen.append(x) or _distinct_plus_sqrt(x), universe_size=8)
         widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
         assert widths.tolist() == _reach_widths(inst, f)
-        counted.calls = 0
+        seen.clear()
+        priced = np.array(setsweep._set_row_loop(inst.times, f, inst.features)[2])
+        prefixes = [FeatureMultiset.from_features(inst.features[i:i + m])
+                    for i, w in enumerate(priced.tolist()) for m in range(1, w + 1)]
+        assert len(seen) == len(prefixes) == priced.sum()
+        assert Counter(seen) == Counter(prefixes)
+        assert (priced >= 1).all() and (priced <= widths).all()
+        assert priced.sum() < widths.sum()
+        seen.clear()
         sched, cost = optimal_schedule(inst, f)
-        solve_calls, counted.calls = counted.calls, 0
+        solve_calls = len(seen)
+        seen.clear()
         assert cost_of(inst, sched, f) == cost
-        assert solve_calls == widths.sum() + counted.calls
+        assert solve_calls == priced.sum() + len(seen)
+        seen.clear()
+        dual_recursion(inst, f)
+        assert len(seen) == widths.sum()
         assert widths.sum() < _single_sample_widths(inst, f).sum()
 
     @pytest.mark.parametrize("shift", [0.0, 1.7e9])
@@ -751,6 +759,70 @@ class TestSetFunctionWindows:
             assert math.isclose(cost.total, total, rel_tol=1e-9)
             assert math.isclose(cost_of(inst, want, f).total, total, rel_tol=1e-9)
             assert math.isclose(dual_recursion(inst, f).lambdas[0], total, rel_tol=1e-9)
+
+
+#: Monotone set functions under which the tie corpus ties often: zero,
+#: constant and feature weights price many splits alike.
+TIE_COSTS = [
+    CustomSetFunction(lambda x: 0.0, universe_size=3, name="zero"),
+    CustomSetFunction(lambda x: 1.0, universe_size=3, name="const"),
+    CustomSetFunction(lambda x: sum((0.2, 1.0, 3.0)[fid] for fid, _ in x.counts),
+                      universe_size=3, name="weighted"),
+    CustomSetFunction(_distinct_plus_sqrt, universe_size=3, name="distinct+sqrt"),
+]
+
+
+def _tie_corpus():
+    """120 instances of 1 to 40 samples on a 0.1 s grid, a quarter of the
+    gaps 0 (runs of coincident arrivals), every other one cut into
+    several pieces by gaps of 5 to 20 s, every third shifted by 1.7e9."""
+    rng = np.random.default_rng(32)
+    for k in range(120):
+        n = int(rng.integers(1, 41))
+        gaps = rng.integers(0, 4, n) * 0.1
+        if k % 2:
+            gaps[rng.random(n) < 0.1] = rng.uniform(5.0, 20.0)
+        times = np.cumsum(gaps) + (1.7e9 if k % 3 == 0 else 0.0)
+        yield ProblemInstance(times, tuple(rng.integers(0, 3, n).tolist()))
+
+
+def test_the_distance_reach_keeps_the_static_sweep_bit_for_bit():
+    """The sweep that stops each row at its distance reach finds the
+    batches, before coincident ones merge, of the sweep over every batch
+    of the static windows, and restarts its distances at the starts of
+    the static pieces, no more and no fewer, while it prices fewer
+    batches."""
+    pieces = instances = priced_total = static_total = 0
+    for inst in _tie_corpus():
+        for f in TIE_COSTS:
+            widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+            _, starts, priced = setsweep._set_row_loop(inst.times, f, inst.features)
+            assert starts == offline._pieces(widths)[0].tolist(), f
+            ends = offline._sweep(*ragged([inst.times]), f, inst.features)[1]
+            assert ends.tolist() == static_set_ends(inst, f), f
+            pieces, instances = pieces + len(starts), instances + 1
+            priced_total, static_total = priced_total + sum(priced), static_total + widths.sum()
+    assert pieces > 2 * instances
+    assert priced_total < static_total
+
+
+def test_distances_restart_only_at_the_static_pieces():
+    """Fourteen arrivals on a 0.1 s grid, seven of them at 0.2, under a
+    constant cost.  No batch that the sweep relaxes, or prices, holds
+    both samples 8 and 9, but the static window of sample 6 does, so
+    sample 9 starts no piece.  Carried on from sample 8, the distances
+    split the last six samples 3 + 3; restarted at sample 9, they would
+    split them 2 + 4, which waits as long in exact arithmetic: a tie that
+    rounding breaks the other way."""
+    inst = ProblemInstance.from_times(np.cumsum([0.1, 0.1] + [0.0] * 6 + [0.2] * 4 + [0.1] * 2))
+    f = TIE_COSTS[1]
+    widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+    _, starts, priced = setsweep._set_row_loop(inst.times, f, inst.features)
+    assert starts == [0]
+    assert (np.arange(8) + priced[:8]).max() == 8
+    assert (np.arange(8) + widths[:8]).max() > 8
+    assert optimal_schedule(inst, f)[0].ends.tolist() == static_set_ends(inst, f) == [8, 11, 14]
+    assert static_set_ends(inst, f, starts=[0, 8]) == [8, 10, 14]
 
 
 #: Set functions outside Assumption 1, and on the instance below the batch
