@@ -2,13 +2,13 @@
 
 All floats are written with Python's shortest round-tripping repr, so a
 write/read cycle reproduces records exactly.  Arrivals are written in one
-streamed pass, as the floats and integers that load back.
+streamed pass, as the floats and integers that load back, and numpy reads
+them back from the file in chunks, holding no body string or line list.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from pathlib import Path
@@ -45,9 +45,10 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
 
     Rows are stably sorted by time if needed (with a warning), so equal
     times keep their file order.  Times are taken as given, never rebased.
-    The body is parsed in one ``np.loadtxt`` call if every row is a plain
-    ``time,feature`` pair of valid values; any other body (quoted fields,
-    blank features, time-only rows, bad values) is read row by row, which
+    The body is parsed in one ``np.loadtxt`` call, reading the file in one
+    pass, if every row is a plain ``time,feature`` pair of valid values;
+    any other body (quoted fields, blank features, time-only rows, bad
+    values), or a pipe or ``.gz``-like name, is read row by row, which
     gives the same instance or raises with the bad row's line number.  A
     UTF-8 byte-order mark, as spreadsheets write one, is skipped.
     """
@@ -61,14 +62,13 @@ def load_arrivals(path: str | Path) -> ProblemInstance:
         cols = [c.strip().lower() for c in header]
         if not cols or cols[0] != "time" or (len(cols) > 1 and cols[1] != "feature"):
             raise ValueError(f"{path}: line 1: expected header 'time[,feature]', got {header!r}")
-        body = fh.read()
-    rows = _parsed(body)
-    if rows is None:
-        # The body starts on the line after the header's last physical line.
-        times, features = _read_rows(path, body, 1 + reader.line_num)
-        t = np.array(times)
-    else:
-        t, features = rows["t"], rows["f"].tolist()
+        rows = _parsed(path, reader.line_num)
+        if rows is None:
+            # The body starts on the line after the header's last physical line.
+            times, features = _read_rows(path, fh, 1 + reader.line_num)
+            t = np.array(times)
+        else:
+            t, features = rows["t"], rows["f"].tolist()
     if (t[1:] < t[:-1]).any():
         warnings.warn(f"{path}: arrivals not sorted by time; sorting", stacklevel=2)
         order = np.argsort(t, kind="stable")
@@ -91,29 +91,35 @@ def _rows(path: Path, reader, first: int = 1) -> Iterator[tuple[int, list[str]]]
         raise ValueError(f"{path}: line {first + reader.line_num - 1}: {exc}") from None
 
 
-def _parsed(body: str) -> np.ndarray | None:
-    """The rows after the header, parsed in one ``np.loadtxt`` call, or None
-    unless each is a ``time,feature`` pair of valid values."""
+def _parsed(path: Path, header_lines: int) -> np.ndarray | None:
+    """The rows after the first ``header_lines`` lines of ``path``, parsed
+    in one ``np.loadtxt`` call that reads the file in chunks, or None unless
+    each is a ``time,feature`` pair of valid values.  None too for a pipe,
+    which numpy would open again, or a name it would decompress by suffix."""
+    if path.suffix in (".bz2", ".gz", ".lzma", ".xz") or not path.is_file():
+        return None
     try:
         # numpy 1.x parses "2.0" as the integer 2 with a DeprecationWarning,
-        # and an empty body warns.  Lines end at "\n" alone, as for csv.
+        # and an empty body warns.  Lines end at "\r", "\n" or "\r\n", as for csv.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(body.split("\n"), delimiter=",", comments=None,
-                              dtype=[("t", float), ("f", np.int64)], ndmin=1)
+            rows = np.loadtxt(path, delimiter=",", comments=None, skiprows=header_lines,
+                              encoding="utf-8-sig", dtype=[("t", float), ("f", np.int64)],
+                              ndmin=1)
     except (ValueError, Warning):
         return None
     t, f = rows["t"], rows["f"]
     return rows if rows.size and np.isfinite(t).all() and t.min() >= 0 and f.min() >= 0 else None
 
 
-def _read_rows(path: Path, body: str, first: int) -> tuple[list[float], list[int]]:
-    """The times and feature ids of the rows of ``body``, which starts on
-    line ``first``, in file order, read one at a time: a malformed row
-    raises with its line number."""
+def _read_rows(path: Path, fh, first: int) -> tuple[list[float], list[int]]:
+    """The times and feature ids of the rows that the text file ``fh``,
+    opened with ``newline=""``, holds from line ``first`` of ``path`` on,
+    in file order, read one at a time: a malformed row raises with its
+    line number."""
     times: list[float] = []
     features: list[int] = []
-    for ln, row in _rows(path, csv.reader(io.StringIO(body, newline="")), first):
+    for ln, row in _rows(path, csv.reader(fh), first):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         try:
@@ -179,9 +185,10 @@ def write_results(records: Sequence[TrialRecord], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[TrialRecord]:
+    """The records of a results CSV; a UTF-8 byte-order mark is skipped."""
     path = Path(path)
     records = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = _rows(path, csv.reader(fh))
         _, header = next(reader, (1, None))
         if header != RESULTS_HEADER:

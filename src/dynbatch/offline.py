@@ -154,11 +154,11 @@ def _windows(a: np.ndarray, lengths: np.ndarray, f: CostFunction, features=None)
 
 def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
                           lengths: np.ndarray) -> None:
-    """Warn where a batch that the solve prices costs less, by more than
-    _WINDOW_SLACK relative, than the batch of its first samples but one.
-    Outside Assumption 1 the windows, not the cost, can then decide the
-    schedule.  The prices checked are those the solve reads anyway: a set
-    function's ``prices`` row by row, or a count cost's g(0..w) for the
+    """Warn where a batch that the solve prices costs NaN, or less, by more
+    than _WINDOW_SLACK relative, than the batch of its first samples but
+    one.  Outside Assumption 1 the windows, not the cost, can then decide
+    the schedule.  The prices checked are those the solve reads anyway: a
+    set function's ``prices`` row by row, or a count cost's g(0..w) for the
     widest window w; the check calls ``f`` no more.  One warning per
     solve, for the first such batch, naming its first sample in its row
     and its size."""
@@ -168,12 +168,15 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
         first = np.zeros(1, dtype=np.intp)
     else:
         first = np.cumsum(widths) - widths
-    # drop[k]: prices[k + 1] is a batch one sample larger than prices[k].
-    drop = prices[1:] < prices[:-1] - _WINDOW_SLACK * np.abs(prices[:-1])
-    drop[first[1:] - 1] = False
+    # prev[k]: the price of one sample fewer than prices[k], or -inf at a
+    # row's first, which only NaN fails; after inf, only a lower price drops.
+    prev = np.concatenate(([-np.inf], prices[:-1]))
+    prev[first] = -np.inf
+    with np.errstate(invalid="ignore"):
+        drop = ~(prices >= prev - _WINDOW_SLACK * np.abs(prev)) & (prices != prev)
     if not drop.any():
         return
-    k = int(drop.argmax()) + 1
+    k = int(drop.argmax())
     if count:
         size, i = k, int(np.argmax(widths >= k))
         starts = np.cumsum(lengths) - lengths
@@ -181,18 +184,18 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
     else:
         i = int(np.searchsorted(first, k, side="right")) - 1
         size = k - int(first[i]) + 1
-    _warn_drop(i, size, float(prices[k]), float(prices[k - 1]))
+    _warn_drop(i, size, float(prices[k]), float(prev[k]))
 
 
 def _warn_drop(i: int, size: int, price: float, prev: float) -> None:
     """The warning of a batch of ``size`` samples from 0-based sample ``i``
-    of its row that costs ``price``, less than the ``prev`` of its first
-    samples but one."""
+    of its row that costs ``price``: NaN, or less than the ``prev`` of its
+    first samples but one."""
+    less = f", less than the {prev!r} of its first {size - 1}" if price == price else ""
     warnings.warn(
         f"cost is not monotone: the batch of {size} samples from sample {i + 1} costs "
-        f"{price!r}, less than the {prev!r} of its first {size - 1}; "
-        "the solver's windows assume a monotone cost (Assumption 1), so the schedule may "
-        "not be optimal", RuntimeWarning)
+        f"{price!r}{less}; the solver's windows assume a monotone cost (Assumption 1), so "
+        "the schedule may not be optimal", RuntimeWarning)
 
 
 def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -97,7 +97,7 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
             x = x.plus(features[k])
             price = value(x)
             k += 1
-            if price < prev - slack * abs(prev):
+            if not price >= prev - slack * abs(prev) and price != prev:
                 drops.append((i, k - i, price, prev))
             reach = min(reach, times[k - 1] + price / (k - i) * scale + margins[k - 1])
             prev = price
@@ -114,7 +114,7 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
                 starts.append(i)
         base, a_i = dist[i], times[i]
         base_slack = slack * abs(base)
-        counts, prev, total, reach, bound, k = (), math.inf, 0.0, math.inf, math.inf, i
+        counts, prev, total, reach, bound, k = (), -math.inf, 0.0, math.inf, math.inf, i
         while k < n:
             t_k = times[k]
             span = t_k - a_i
@@ -135,7 +135,7 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
             set_counts(x, counts)
             set_size(x, m)
             price = value(x)
-            if price < prev - slack * abs(prev):
+            if not price >= prev - slack * abs(prev) and price != prev:
                 drops.append((i, m, price, prev))
             prev = price
             total += span

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -118,6 +119,17 @@ LOAD_CASES = {
     "header-and-blank-lines": ("time,feature\n\n \n", False, "empty arrivals file", []),
     "bad-header": ("when\n0\n", None,
                    "line 1: expected header 'time[,feature]', got ['when']", []),
+    # csv ends a line at "\r", "\n" or "\r\n", and so does the parser.
+    "cr-line-ends": ("time,feature\r0.5,1\r1.5,0\r", True, ((0.5, 1.5), (1, 0)), []),
+    "bom-crlf": ("\ufefftime,feature\r\n0.5,1\r\n1.5,0\r\n", True, ((0.5, 1.5), (1, 0)), []),
+    "mixed-lf-crlf": ("time,feature\r\n0.5,1\n1.5,0\r\n2.5,2\n", True,
+                      ((0.5, 1.5, 2.5), (1, 0, 2)), []),
+    "quoted-line-break-in-header-plain-body": ('time,"feature\r\n"\r\n0.5,1\r\n1.5,0\r\n', True,
+                                               ((0.5, 1.5), (1, 0)), []),
+    # Longer than numpy's read chunk of 50000 lines.
+    "long-body": ("time,feature\r\n" + "".join(f"{k / 8},{k % 5}\r\n" for k in range(50_001)),
+                  True, (tuple(k / 8 for k in range(50_001)), tuple(k % 5 for k in range(50_001))),
+                  []),
 }
 
 
@@ -130,8 +142,8 @@ class TestLoadArrivals:
         fallbacks = []
         read_rows = io_csv._read_rows
         monkeypatch.setattr(io_csv, "_read_rows",
-                            lambda path, body, first:
-                            fallbacks.append(path) or read_rows(path, body, first))
+                            lambda path, fh, first:
+                            fallbacks.append(path) or read_rows(path, fh, first))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if isinstance(want, str):
@@ -146,6 +158,64 @@ class TestLoadArrivals:
         assert [str(w.message) for w in caught] == [f"{p}: {m}" for m in warned]
         if parsed is not None:
             assert fallbacks == ([] if parsed else [p])
+
+    @pytest.mark.parametrize("case", [c for c in LOAD_CASES if LOAD_CASES[c][1]])
+    def test_parser_gives_what_the_row_reader_gives(self, case, tmp_path, monkeypatch):
+        p = tmp_path / "a.csv"
+        p.write_bytes(LOAD_CASES[case][0].encode())
+
+        def load():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                inst = load_arrivals(p)
+            return inst, inst.times.tobytes(), [str(w.message) for w in caught]
+        parsed = load()
+        monkeypatch.setattr(io_csv, "_parsed", lambda path, header_lines: None)
+        assert parsed == load()
+
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".csv.bz2", ".csv.xz", ".csv.lzma"])
+    def test_plain_file_with_a_compression_suffix_loads_as_its_csv_twin(self, suffix, tmp_path):
+        text = "time,feature\n0.5,1\n1.5,0\n"
+        twin, p = tmp_path / "t.csv", tmp_path / f"t{suffix}"
+        twin.write_text(text)
+        p.write_text(text)
+        assert load_arrivals(p) == load_arrivals(twin)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_pipe_loads_whole(self, tmp_path):
+        """A pipe is read once, past the 8 KiB that the header's read
+        buffers: a parser that opened it again would miss that part."""
+        inst = ProblemInstance(tuple(k / 4 for k in range(2000)), tuple(k % 3 for k in range(2000)))
+        twin = tmp_path / "a.csv"
+        save_arrivals(inst, twin)
+        data = twin.read_bytes()
+        assert 8192 < len(data) < 65536  # over one read buffer, within one pipe buffer
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            assert load_arrivals(f"/proc/self/fd/{r}") == inst
+        finally:
+            os.close(r)
+
+    def test_load_peak_bytes_per_row(self, tmp_path):
+        """Loading a saved 1e5-row instance peaks at most 48 bytes a row
+        above what was traced before, as tracemalloc counts them (a load
+        before it loads what the first load loads): the file is parsed
+        from disk, and no body string or list of its lines is built."""
+        n = 100_000
+        p = tmp_path / "a.csv"
+        save_arrivals(ProblemInstance(np.arange(n) / 8, tuple(k % 5 for k in range(n))), p)
+        load_arrivals(FIXTURE)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inst = load_arrivals(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.n == n
+        assert (peak - before) / n <= 48
 
     def test_fixture(self):
         inst = load_arrivals(FIXTURE)
@@ -279,6 +349,13 @@ class TestResultsFile:
         ]
         p = tmp_path / "r.csv"
         write_results(records, p)
+        assert read_results(p) == records
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        records = [TrialRecord("g0.t0", 1, 3, "wta:0.5", 0.5, 2.0, 1.0, 1.0, 1.5, 4.0 / 3.0)]
+        p = tmp_path / "r.csv"
+        write_results(records, p)
+        p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
         assert read_results(p) == records
 
     def test_header_bit_exact(self, tmp_path):

@@ -844,13 +844,17 @@ ODD_SET_FUNCTIONS = {
 }
 
 
-# A NaN price compares as no drop; the negative pairs warn.
+#: The instance of ODD_SET_FUNCTIONS.
+ODD_INSTANCE = ProblemInstance((0.0, 0.1, 0.3, 0.3, 0.6, 1.0, 1.1, 2.9, 3.0, 3.0, 3.2, 5.0),
+                               (0, 1, 0, 2, 1, 0, 0, 1, 2, 0, 1, 1))
+
+
+# The NaN prices and the negative pairs warn.
 @pytest.mark.filterwarnings("ignore:cost is not monotone:RuntimeWarning")
 @pytest.mark.parametrize("name", ODD_SET_FUNCTIONS)
 def test_negative_or_nan_prices_keep_every_row(name):
     fn, ends, successors = ODD_SET_FUNCTIONS[name]
-    inst = ProblemInstance((0.0, 0.1, 0.3, 0.3, 0.6, 1.0, 1.1, 2.9, 3.0, 3.0, 3.2, 5.0),
-                           (0, 1, 0, 2, 1, 0, 0, 1, 2, 0, 1, 1))
+    inst = ODD_INSTANCE
     f = CustomSetFunction(fn, universe_size=3)
     widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
     assert (widths >= 1).all()
@@ -860,6 +864,38 @@ def test_negative_or_nan_prices_keep_every_row(name):
     assert all(widths[i] == inst.n - i for i in nan_rows)
     assert optimal_schedule(inst, f)[0].ends.tolist() == list(ends)
     assert dual_recursion(inst, f).successors == successors
+
+
+def _monotone_warning(size: int, sample: int, price: str) -> str:
+    return (f"cost is not monotone: the batch of {size} samples from sample {sample} costs "
+            f"{price}; the solver's windows assume a monotone cost (Assumption 1), so the "
+            "schedule may not be optimal")
+
+
+@pytest.mark.parametrize("name,size,sample", [("NaN single feature 1", 1, 2), ("NaN pairs", 2, 1)])
+def test_a_nan_price_warns_once_per_solve_naming_its_batch(name, size, sample):
+    """Sample 2 is the first of feature 1, and samples 1-2 the first pair."""
+    f = CustomSetFunction(ODD_SET_FUNCTIONS[name][0], universe_size=3)
+    for solve in (optimal_schedule, dual_recursion):
+        with pytest.warns(RuntimeWarning) as caught:
+            solve(ODD_INSTANCE, f)
+        assert [str(w.message) for w in caught] == [_monotone_warning(size, sample, "nan")]
+
+
+def test_an_infinite_price_warns_only_where_a_finite_one_follows_it():
+    """inf after inf is no drop, and the floor below an infinite price,
+    inf - inf, makes no numpy warning; a finite price after inf drops."""
+    capped = CustomSetFunction(lambda x: math.inf if len(x) >= 2 else 1.0, universe_size=3)
+    dropping = CustomSetFunction(lambda x: math.inf if len(x) == 2 else 1.0 + len(x),
+                                 universe_size=3)
+    for solve in (optimal_schedule, dual_recursion):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(ODD_INSTANCE, capped)
+        with pytest.warns(RuntimeWarning) as caught:
+            solve(ODD_INSTANCE, dropping)
+        assert [str(w.message) for w in caught] == [
+            _monotone_warning(3, 1, "4.0, less than the inf of its first 2")]
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.7e9])
