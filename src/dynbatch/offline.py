@@ -40,8 +40,8 @@ same order within a piece, so they agree exactly.  The row loop relaxes
 one node at a time in Python.  The lockstep relaxes node i of every
 piece longer than i in one vector step, over all the pieces of all the
 instances it is given, so a group of pieces takes as many steps as its
-longest piece; the groups keep its distance ring within O(n) entries.  A
-count cost takes the lockstep unless the steps of its longest piece
+longest piece; the groups keep its distance tables within O(n) entries.
+A count cost takes the lockstep unless the steps of its longest piece
 would cost more than the rows of the row loop, as where one piece is
 most of the rows.  A set function takes a row loop of its own, in
 ``setsweep``, which prices and relaxes each batch in one pass.
@@ -118,8 +118,8 @@ class EdgeWeightOracle:
 _WINDOW_SLACK = 1e-9
 #: Entries of one block of edge entries (rows of the row loop, or columns of
 #: the lockstep, times the block's widest window), unless one row or one
-#: lockstep step is wider; and of a lockstep distance ring, unless its
-#: group's nodes take more (see ``_groups``).
+#: lockstep step is wider; and of a lockstep distance table, unless twice
+#: its group's nodes are more (see ``_groups``).
 _BLOCK_ENTRIES = 1 << 14
 #: A lockstep step costs about as much as this many rows of the row loop.
 #: On one piece of 800 samples with windows of 2, a step took 15 us and a
@@ -156,7 +156,8 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
                           lengths: np.ndarray) -> None:
     """Warn where a batch that the solve prices costs NaN, or less, by more
     than _WINDOW_SLACK relative, than the batch of its first samples but
-    one.  Outside Assumption 1 the windows, not the cost, can then decide
+    one, which for a set function's one sample is the empty batch's 0.
+    Outside Assumption 1 the windows, not the cost, can then decide
     the schedule.  The prices checked are those the solve reads anyway: a
     set function's ``prices`` row by row, or a count cost's g(0..w) for the
     widest window w; the check calls ``f`` no more.  One warning per
@@ -168,10 +169,12 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
         first = np.zeros(1, dtype=np.intp)
     else:
         first = np.cumsum(widths) - widths
-    # prev[k]: the price of one sample fewer than prices[k], or -inf at a
-    # row's first, which only NaN fails; after inf, only a lower price drops.
+    # prev[k]: the price of one sample fewer than prices[k]; at a set
+    # function's row's first, the empty batch's 0 (Assumption 1), and at a
+    # count cost's g(0), -inf, which only NaN fails.  After inf, only a
+    # lower price drops.
     prev = np.concatenate(([-np.inf], prices[:-1]))
-    prev[first] = -np.inf
+    prev[first] = -np.inf if count else 0.0
     with np.errstate(invalid="ignore"):
         drop = ~(prices >= prev - _WINDOW_SLACK * np.abs(prev)) & (prices != prev)
     if not drop.any():
@@ -313,29 +316,20 @@ def _relax(cand: np.ndarray, dist: np.ndarray, via: np.ndarray, i: int) -> None:
     np.copyto(via, i, where=better)
 
 
-def _ring_span(top):
-    """Rows of ``_lockstep``'s distance ring for windows of up to ``top``
-    samples: top + 1 nodes in reach of a step, and room to move on about
-    top / 2 steps between shifts."""
-    return top + 1 + np.maximum(1, top // 2)
-
-
-def _groups(lengths: np.ndarray, tops: np.ndarray) -> list[int]:
+def _groups(lengths: np.ndarray) -> list[int]:
     """Piece indices 0 = b_0 < b_1 < ... = len(lengths) splitting pieces
-    sorted longest first, with widest windows ``tops``, into groups that
-    ``_lockstep`` sweeps one after another.  A piece joins the group while
-    the group's ring span is at most twice its nodes (its length + 1), or
-    while the ring holds at most _BLOCK_ENTRIES entries.  A window is no
-    wider than its piece, so the first piece always fits, and a ring holds
-    at most max(_BLOCK_ENTRIES, twice its group's nodes) entries.  Each
-    group ends at a piece with fewer nodes than half its span, so spans
-    shrink by about a quarter from group to group."""
+    sorted longest first into groups that ``_lockstep`` sweeps one after
+    another.  A piece joins the group while the group's longest piece has
+    at most twice its nodes (its length + 1), or while the group's table of
+    (longest + 1) x pieces holds at most _BLOCK_ENTRIES entries.  So the
+    first piece always fits, and a table holds at most
+    max(_BLOCK_ENTRIES, twice its group's nodes) entries."""
     bounds = [0]
     while bounds[-1] < len(lengths):
         lo = bounds[-1]
-        span = _ring_span(np.maximum.accumulate(tops[lo:]))
-        fits = ((span <= 2 * (lengths[lo:] + 1))
-                | (span * np.arange(1, len(span) + 1) <= _BLOCK_ENTRIES))
+        nodes = int(lengths[lo]) + 1
+        fits = ((nodes <= 2 * (lengths[lo:] + 1))
+                | (nodes * np.arange(1, len(lengths) - lo + 1) <= _BLOCK_ENTRIES))
         bounds.append(len(lengths) if fits.all() else lo + int(np.argmin(fits)))
     return bounds
 
@@ -351,8 +345,8 @@ def _lockstep(t: np.ndarray, widths: np.ndarray, starts: np.ndarray, lengths: np
     pieces are a shrinking prefix and the loop runs as many steps as the
     longest piece.  The edge entries come from ``_blocks``, as those of
     the row loop do: the same floats, and the same strict ``<`` in the
-    same order within a piece.  Distances live in a ring of ``_ring_span``
-    nodes per piece, which ``_groups`` bounds.
+    same order within a piece.  Distances live in one table of every node
+    of the longest piece by the group's pieces, which ``_groups`` bounds.
     """
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     # Step i starts batches at sample cols[c] for c in first[i]..first[i+1]-1:
@@ -360,36 +354,23 @@ def _lockstep(t: np.ndarray, widths: np.ndarray, starts: np.ndarray, lengths: np
     first = np.concatenate(([0], np.cumsum(active)))
     cols = (starts[np.arange(first[-1]) - np.repeat(first[:-1], active)]
             + np.repeat(np.arange(len(active)), active))
-    top = int(widths[cols].max())
     m_of, c_of = active.tolist(), first.tolist()
-    # dist[r, p] and via[r, p]: the distance to node off + r of piece p,
-    # from 0 at its node 0, and the node of p that its last batch starts
-    # after.  A step reads row i - off and writes the top rows after it.
-    span = int(_ring_span(top))
-    dist = np.full((span, len(lengths)), math.inf)
+    n = len(m_of)
+    # dist[k, p] and via[k, p]: the distance to node k of piece p, from 0 at
+    # its node 0, and the node of p that its last batch starts after.
+    dist = np.full((n + 1, len(lengths)), math.inf)
     dist[0] = 0.0
     via = np.zeros(dist.shape, dtype=np.int32)
-    off = 0
-
-    def settle(rows):
-        """Write pred for the nodes off + rows of every piece that has them."""
-        r, p = np.nonzero((off + rows[:, None] <= lengths) & (off + rows[:, None] >= 1))
-        pred[starts[p] + off + rows[r]] = starts[p] + via[rows[r], p]
-
     for lo, hi, e in _blocks(t, widths, cols, first, f):
-        w = len(e)
         for i in range(lo, hi):
-            if i + top >= off + span:
-                settle(np.arange(i - off))
-                dist[:off + span - i] = dist[i - off:]
-                dist[off + span - i:] = math.inf
-                via[:off + span - i] = via[i - off:]
-                off = i
-            r, m, c = i - off, m_of[i], c_of[i] - c_of[lo]
-            _relax(e[:, c:c + m] + dist[r, :m], dist[r + 1:r + 1 + w, :m],
-                   via[r + 1:r + 1 + w, :m], i)
+            # Entries past the longest piece are past every window.
+            w, m, c = min(len(e), n - i), m_of[i], c_of[i] - c_of[lo]
+            _relax(e[:w, c:c + m] + dist[i, :m], dist[i + 1:i + 1 + w, :m],
+                   via[i + 1:i + 1 + w, :m], i)
         del e  # free this block before ``_blocks`` builds the next
-    settle(np.arange(len(m_of) + 1 - off))
+    # Node k + 1 of piece p, for each sample k of p.
+    k, p = np.nonzero(np.arange(n)[:, None] < lengths)
+    pred[starts[p] + k + 1] = starts[p] + via[k + 1, p]
 
 
 def _sweep(a: np.ndarray, lengths: np.ndarray, f: CostFunction,
@@ -418,10 +399,9 @@ def _sweep(a: np.ndarray, lengths: np.ndarray, f: CostFunction,
         starts, sizes = _pieces(widths)
         if _STEP_ROWS * sizes.max() <= N:
             order = np.argsort(-sizes, kind="stable")
-            tops = np.maximum.reduceat(widths, starts)[order]
             starts, sizes = starts[order], sizes[order]
             pred = np.zeros(N + 1, dtype=np.intp)
-            groups = _groups(sizes, tops)
+            groups = _groups(sizes)
             for lo, hi in zip(groups[:-1], groups[1:]):
                 _lockstep(a, widths, starts[lo:hi], sizes[lo:hi], f, pred)
         else:

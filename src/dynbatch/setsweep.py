@@ -76,7 +76,7 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
     relaxed batch crosses, the rows stopped by their distance reach alone
     price on, latest first, until one's static window takes the node's
     sample.  Warns as ``offline._warn_unless_monotone`` does, of the prices
-    read.
+    read, each row's first against the empty batch's 0.
     """
     times = t.tolist()
     margins = (4 * np.spacing(t)).tolist()
@@ -114,7 +114,7 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
                 starts.append(i)
         base, a_i = dist[i], times[i]
         base_slack = slack * abs(base)
-        counts, prev, total, reach, bound, k = (), -math.inf, 0.0, math.inf, math.inf, i
+        counts, prev, total, reach, bound, k = (), 0.0, 0.0, math.inf, math.inf, i
         while k < n:
             t_k = times[k]
             span = t_k - a_i

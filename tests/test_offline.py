@@ -590,14 +590,14 @@ def test_both_routes_match_the_global_distance_sweep(a, block_entries):
                    for got, ref, row in zip(by_route[0], want, a)), f
 
 
-@pytest.mark.parametrize("block_entries, steps", [(offline._BLOCK_ENTRIES, 9), (1, 9 + 5 + 2)])
+@pytest.mark.parametrize("block_entries, steps", [(offline._BLOCK_ENTRIES, 9), (1, 9 + 3)])
 def test_lockstep_steps_as_often_as_the_longest_piece(block_entries, steps):
     """Clusters 0.1 apart, 10 apart from each other, under sqrt (g(1) = 1):
     every cluster is one piece, and the lockstep relaxes once per sample of
-    the longest, across all rows at once.  With a one-entry block the
-    pieces fall into groups by their own nodes against the ring's span:
-    9 and 7 (span 14), then 5, 4 and 3 (span 8), then the rest (span 4),
-    and the steps are those of each group's longest."""
+    the longest, across all rows at once.  With a one-entry block a piece
+    joins a group while the group's longest has at most twice its nodes:
+    9, 7, 5 and 4 (10 nodes), then 3 and the rest (4 nodes), and the steps
+    are those of each group's longest."""
     def row(sizes):
         gaps = [g for size in sizes for g in [10.0] + [0.1] * (size - 1)]
         return np.cumsum(gaps)
@@ -616,10 +616,10 @@ def test_lockstep_steps_as_often_as_the_longest_piece(block_entries, steps):
 
 def test_lockstep_memory_stays_linear_among_many_short_pieces():
     """100 bursts of 60 samples 0.01 apart, then 10000 lone samples, under
-    sqrt: 10100 pieces and windows of up to 60 samples.  One distance ring
-    of 91 rows for every piece would take over 10 MB; grouped, the pieces
-    of one sample share a ring of 3 rows, and the solve's peak stays under
-    256 bytes a sample."""
+    sqrt: 10100 pieces of up to 60 samples.  One distance table of 61 rows
+    for every piece would take over 7 MB; grouped, most pieces of one sample
+    share a table of 2 rows, and the solve's peak stays under 256 bytes a
+    sample."""
     times = np.concatenate([10 * k + 0.01 * np.arange(60) for k in range(100)]
                            + [2000 + 10 * np.arange(10000)])
     inst, f = ProblemInstance.from_times(times), SqrtCount()
@@ -634,6 +634,46 @@ def test_lockstep_memory_stays_linear_among_many_short_pieces():
     assert peak < 256 * inst.n
     with mock.patch.object(offline, "_STEP_ROWS", ROUTES["row loop"]):
         assert got == optimal_schedule(inst, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=60),
+       st.sampled_from([1, 64, offline._BLOCK_ENTRIES]))
+def test_groups_cover_the_pieces_in_tables_linear_in_their_nodes(lengths, block_entries):
+    """Each group is a run of the pieces, longest first, whose table of
+    (longest + 1) x pieces entries holds at most _BLOCK_ENTRIES or twice the
+    group's nodes; and a group ends only at a piece that would break both."""
+    lengths = np.array(sorted(lengths, reverse=True))
+    with mock.patch.object(offline, "_BLOCK_ENTRIES", block_entries):
+        bounds = offline._groups(lengths)
+    assert bounds[0] == 0 and bounds[-1] == len(lengths)
+    assert all(lo < hi for lo, hi in zip(bounds[:-1], bounds[1:]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        nodes = lengths[lo:hi] + 1
+        table = int(nodes[0]) * (hi - lo)
+        assert table <= max(block_entries, 2 * int(nodes.sum()))
+        if hi < len(lengths):
+            assert 2 * (lengths[hi] + 1) < nodes[0] and table + nodes[0] > block_entries
+
+
+def test_lockstep_memory_stays_linear_on_dense_chunks():
+    """50 rows of 400 samples at rate 200 under const:1: windows of up to
+    about 240 samples, so each row is one piece and the chunk one group.
+    The solve's traced peak, past a warm-up solve, stays under 96 bytes a
+    sample."""
+    a = np.concatenate([gen_poisson(ConstantRate(200.0), 400, seed).times for seed in range(50)])
+    lengths, f = np.full(50, 400), ConstantCost(1)
+    offline.lockstep_ends(a, lengths, f)
+    with mock.patch.object(offline, "_lockstep", wraps=offline._lockstep) as lockstep:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            offline.lockstep_ends(a, lengths, f)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert lockstep.call_count == 1
+    assert peak <= 96 * len(a)
 
 
 def test_a_piece_breaks_its_ties_as_if_it_stood_alone():
@@ -849,7 +889,8 @@ ODD_INSTANCE = ProblemInstance((0.0, 0.1, 0.3, 0.3, 0.6, 1.0, 1.1, 2.9, 3.0, 3.0
                                (0, 1, 0, 2, 1, 0, 0, 1, 2, 0, 1, 1))
 
 
-# The NaN prices and the negative pairs warn.
+# Every one warns: of a NaN price, of a price below its prefix's, or of a
+# single sample's price below the empty batch's 0.
 @pytest.mark.filterwarnings("ignore:cost is not monotone:RuntimeWarning")
 @pytest.mark.parametrize("name", ODD_SET_FUNCTIONS)
 def test_negative_or_nan_prices_keep_every_row(name):
@@ -880,6 +921,17 @@ def test_a_nan_price_warns_once_per_solve_naming_its_batch(name, size, sample):
         with pytest.warns(RuntimeWarning) as caught:
             solve(ODD_INSTANCE, f)
         assert [str(w.message) for w in caught] == [_monotone_warning(size, sample, "nan")]
+
+
+def test_a_negative_single_sample_price_warns_against_the_empty_batch():
+    """Sample 1 is feature 0, priced -1.0 alone: below the empty batch's 0,
+    as a count cost's g(1) below its g(0) warns."""
+    f = CustomSetFunction(ODD_SET_FUNCTIONS["negative single feature 0"][0], universe_size=3)
+    for solve in (optimal_schedule, dual_recursion):
+        with pytest.warns(RuntimeWarning) as caught:
+            solve(ODD_INSTANCE, f)
+        assert [str(w.message) for w in caught] == [
+            _monotone_warning(1, 1, "-1.0, less than the 0.0 of its first 0")]
 
 
 def test_an_infinite_price_warns_only_where_a_finite_one_follows_it():
