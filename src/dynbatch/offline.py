@@ -23,8 +23,10 @@ least over m of a_i + (D[i+m] - D[i] + S_m) / m, where D is the sweep's
 label of a node and S_m the sum of the first m offsets a_k - a_i.  Past
 it, the path to node i+m and then a batch of the rest beats the batch,
 as f(rest) <= f(all).  As D[i+m] <= D[i] + e(i, i+m), that reach is never
-past the window's, and the sweep makes one cost evaluation per batch
-that it relaxes.  On arrivals at rate r a window holds about
+past the window's.  The sweep prices a batch only where it can still
+relax its node: priced at the row's last price read, which a monotone f
+never undercuts, it must cost less than D[i+m].  So it prices about half
+the batches that it walks.  On arrivals at rate r a window holds about
 r * f({v}) + 1 samples, so a solve does O(n w) work for the widest
 window w instead of O(n^2).
 
@@ -190,11 +192,12 @@ def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
     _warn_drop(i, size, float(prices[k]), float(prev[k]))
 
 
-def _warn_drop(i: int, size: int, price: float, prev: float) -> None:
+def _warn_drop(i: int, size: int, price: float, prev: float, fewer: int | None = None) -> None:
     """The warning of a batch of ``size`` samples from 0-based sample ``i``
     of its row that costs ``price``: NaN, or less than the ``prev`` of its
-    first samples but one."""
-    less = f", less than the {prev!r} of its first {size - 1}" if price == price else ""
+    first ``fewer`` samples, by default all but one."""
+    fewer = size - 1 if fewer is None else fewer
+    less = f", less than the {prev!r} of its first {fewer}" if price == price else ""
     warnings.warn(
         f"cost is not monotone: the batch of {size} samples from sample {i + 1} costs "
         f"{price!r}{less}; the solver's windows assume a monotone cost (Assumption 1), so "

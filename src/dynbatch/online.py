@@ -154,7 +154,11 @@ class Wta(_Policy):
                 for k in range(priced, i):
                     batch = batch.plus(features[k])
                 priced = i
-                target = alpha * f.value(batch)
+                price = f.value(batch)
+                if price != price:
+                    raise ValueError(f"the batch of {pending} samples from sample {lo + 1} costs "
+                                     "nan: the waiting policy has no flush time")
+                target = alpha * price
             if target <= accrued:
                 return i, float(t)
             t_star = t + (target - accrued) / pending

@@ -15,6 +15,13 @@ from dynbatch.instance import chunk_costs
 OVERFLOW = "schedule cost overflows the float range"
 
 
+def nan_price(size: int, sample: int) -> str:
+    """What the waiting policy raises where a set function prices its
+    pending batch, of ``size`` samples from 1-based ``sample``, NaN."""
+    return (f"the batch of {size} samples from sample {sample} costs nan: the waiting policy "
+            "has no flush time")
+
+
 def random_instances(count: int, max_n: int = 14, seed: int = 0) -> list[ProblemInstance]:
     """Mixed corpus: uniform and Poisson arrival times, plus degenerate
     shapes (single sample, all-coincident, duplicated times)."""

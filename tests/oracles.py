@@ -14,12 +14,15 @@ batch from one start, as references for the package's ``close_all``, and
 ``reference_flushes`` drives a scalar rule through one instance.
 ``static_set_ends`` keeps the set-function sweep that relaxed every batch
 of the static windows as the reference for the sweep that stops each row
-at its distance reach.
+at its distance reach, and ``eager_set_row_loop`` that sweep as it was
+when it priced every prefix it walked, the reference for the sweep that
+prices only the batches that can still relax their node.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,7 +39,8 @@ from dynbatch import (
     cost_of,
 )
 from dynbatch import offline
-from dynbatch.offline import EdgeWeightOracle
+from dynbatch.cost import _set_counts, _set_size
+from dynbatch.offline import _WINDOW_SLACK, EdgeWeightOracle, _warn_drop
 
 
 def batch_cost(f: CostFunction, features) -> float:
@@ -266,6 +270,110 @@ def static_set_ends(inst: ProblemInstance, f: CostFunction, starts=None) -> list
     while pred[ends[-1]]:
         ends.append(pred[ends[-1]])
     return ends[::-1]
+
+
+def eager_set_row_loop(t: np.ndarray, f: CostFunction,
+                        features) -> tuple[list[int], list[int], list[int]]:
+    """``setsweep._set_row_loop`` as it was before it priced only the
+    batches that can relax their node: pred[k] of the one row of arrival
+    times ``t`` with feature ids ``features`` under the set function
+    ``f``, the nodes at which distances restart at 0, and the number of
+    prefixes each row walks, every one of them priced.
+
+    Row i grows its prefix multiset inline, as ``FeatureMultiset.plus``
+    does, and relaxes each batch once priced, by the float operations of
+    ``offline._waits`` and the row loop, so it finds the batches that
+    ``offline._row_loop`` would in the windows of
+    ``setsweep._set_windows``.  It stops at the first arrival past their
+    static reach or past its distance reach (see ``offline``), whose terms
+    get the slack of ``_WINDOW_SLACK`` on the offset and on |D[i+m]| +
+    |D[i]|, and 4 ulps of the arrival.  A NaN static reach leaves the row
+    unbounded.  Distances restart only where the static windows' pieces
+    start: at a node that no relaxed batch crosses, the rows stopped by
+    their distance reach alone price on, latest first, until one's static
+    window takes the node's sample.  Warns as
+    ``offline._warn_unless_monotone`` does, of the prices read, each row's
+    first against the empty batch's 0.
+    """
+    times = t.tolist()
+    margins = (4 * np.spacing(t)).tolist()
+    n, slack, scale = len(times), _WINDOW_SLACK, 1 + _WINDOW_SLACK
+    value, new, multiset, set_counts, set_size = (f.value, object.__new__, FeatureMultiset,
+                                                  _set_counts, _set_size)
+    dist = [math.inf] * (n + 1)
+    pred = [0] * (n + 1)
+    starts, widths, stopped, drops = [], [], [], []
+    # far: the end of the farthest batch relaxed so far.
+    far = 0
+
+    def takes(row: list, p: int) -> bool:
+        """Whether the static window of the stopped ``row``, [i, k, x, reach,
+        prev] with prices taken up to sample k, takes sample p >= k."""
+        i, k, x, reach, prev = row
+        while k < p and not times[k] > reach:
+            x = x.plus(features[k])
+            price = value(x)
+            k += 1
+            if not price >= prev - slack * abs(prev) and price != prev:
+                drops.append((i, k - i, price, prev))
+            reach = min(reach, times[k - 1] + price / (k - i) * scale + margins[k - 1])
+            prev = price
+        row[1:] = k, x, reach, prev
+        widths[i] = k - i
+        return k == p and not times[p] > reach
+
+    for i in range(n):
+        if far <= i:
+            while stopped and not takes(stopped[-1], i):
+                stopped.pop()
+            if not stopped:
+                dist[i] = 0.0
+                starts.append(i)
+        base, a_i = dist[i], times[i]
+        base_slack = slack * abs(base)
+        counts, prev, total, reach, bound, k = (), 0.0, 0.0, math.inf, math.inf, i
+        while k < n:
+            t_k = times[k]
+            span = t_k - a_i
+            if t_k > reach or (span > bound and reach == reach):
+                break
+            fid = features[k]
+            j = bisect_left(counts, (fid,))
+            if j < len(counts) and counts[j][0] == fid:
+                grown = list(counts)
+                grown[j] = (fid, counts[j][1] + 1)
+                counts = tuple(grown)
+            else:
+                counts = counts[:j] + ((fid, 1),) + counts[j:]
+            margin = margins[k]
+            k += 1
+            m = k - i
+            x = new(multiset)
+            set_counts(x, counts)
+            set_size(x, m)
+            price = value(x)
+            if not price >= prev - slack * abs(prev) and price != prev:
+                drops.append((i, m, price, prev))
+            prev = price
+            total += span
+            cand = base + ((m * span - total) + price)
+            d = dist[k]
+            if cand < d:
+                dist[k] = d = cand
+                pred[k] = i
+            term = t_k + price / m * scale + margin
+            if term < reach or m == 1:
+                reach = term
+            term = ((d - base + total) * scale + slack * abs(d) + base_slack) / m + margin
+            if term < bound:
+                bound = term
+        if k < n and not times[k] > reach:
+            stopped.append([i, k, x, reach, prev])
+        widths.append(k - i)
+        far = max(far, k)
+    if drops:
+        _warn_drop(*min(drops))
+    return pred, starts, widths
 
 
 def schedule_from_dual(inst: ProblemInstance, dual: DualSolution) -> Schedule:

@@ -26,6 +26,7 @@ from dynbatch import (
     worst_pair_search,
 )
 
+from conftest import nan_price
 from oracles import finite_rounds_bound, reference_close
 
 ONE = FeatureMultiset.of_size(1)
@@ -112,6 +113,12 @@ class TestRunAdversary:
         cfg = AdversaryConfig(x1=ONE, x2=ONE, rounds=2, epsilon=1e-6)
         with pytest.raises(ValueError, match="non-terminating"):
             run_adversary(FixedDelay(1.0), ConstantCost(1), cfg)
+
+    def test_a_nan_price_names_the_batch_the_policy_cannot_flush(self):
+        f = CustomSetFunction(lambda x: math.nan, universe_size=1)
+        with pytest.raises(ValueError) as exc:
+            run_adversary(Wta(0.5), f, config(5))
+        assert str(exc.value) == nan_price(1, 1)
 
     def test_auto_epsilon_scales_with_first_flush(self):
         rep = run_adversary(Wta(0.5), ConstantCost(1), AdversaryConfig(ONE, ONE, rounds=4))

@@ -38,6 +38,7 @@ from oracles import (
     batches,
     bitmask_optimum,
     check_ilp_assignment,
+    eager_set_row_loop,
     edge_weight,
     ilp_certificate,
     schedule_from_dual,
@@ -755,9 +756,10 @@ def _unpruned_optimum(inst, f):
 class TestSetFunctionWindows:
     def test_rows_stop_at_the_least_reach_and_price_each_prefix_once(self):
         """The static windows stop each row at the least reach of its terms;
-        the sweep stops sooner, at its distance reach, and prices the first
-        priced[i] prefixes of row i, each once, inside its static window.
-        The dual recursion prices every batch of the static windows once."""
+        the sweep stops sooner, at its distance reach: row i walks its first
+        walked[i] prefixes, inside its static window, and prices some of
+        them, each at most once.  The dual recursion prices every batch of
+        the static windows once."""
         sample = lambda rng, t: int(rng.integers(8))
         inst = gen_poisson(ConstantRate(20.0), 120, seed=3, feature_sampler=sample)
         seen = []
@@ -765,19 +767,20 @@ class TestSetFunctionWindows:
         widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
         assert widths.tolist() == _reach_widths(inst, f)
         seen.clear()
-        priced = np.array(setsweep._set_row_loop(inst.times, f, inst.features)[2])
+        walked = np.array(setsweep._set_row_loop(inst.times, f, inst.features)[2])
+        sweep_calls = len(seen)
         prefixes = [FeatureMultiset.from_features(inst.features[i:i + m])
-                    for i, w in enumerate(priced.tolist()) for m in range(1, w + 1)]
-        assert len(seen) == len(prefixes) == priced.sum()
-        assert Counter(seen) == Counter(prefixes)
-        assert (priced >= 1).all() and (priced <= widths).all()
-        assert priced.sum() < widths.sum()
+                    for i, w in enumerate(walked.tolist()) for m in range(1, w + 1)]
+        assert sweep_calls < len(prefixes) == walked.sum()
+        assert Counter(seen) <= Counter(prefixes)
+        assert (walked >= 1).all() and (walked <= widths).all()
+        assert walked.sum() < widths.sum()
         seen.clear()
         sched, cost = optimal_schedule(inst, f)
         solve_calls = len(seen)
         seen.clear()
         assert cost_of(inst, sched, f) == cost
-        assert solve_calls == priced.sum() + len(seen)
+        assert solve_calls == sweep_calls + len(seen)
         seen.clear()
         dual_recursion(inst, f)
         assert len(seen) == widths.sum()
@@ -863,6 +866,139 @@ def test_distances_restart_only_at_the_static_pieces():
     assert (np.arange(8) + widths[:8]).max() > 8
     assert optimal_schedule(inst, f)[0].ends.tolist() == static_set_ends(inst, f) == [8, 11, 14]
     assert static_set_ends(inst, f, starts=[0, 8]) == [8, 10, 14]
+
+
+#: Monotone set functions: the tie corpus's, and the square root of the size.
+MONOTONE_SET_COSTS = [*TIE_COSTS, CustomSetFunction(lambda x: math.sqrt(len(x)), universe_size=3,
+                                                    name="sqrt size")]
+
+
+@st.composite
+def set_instances(draw):
+    """1 to 40 samples whose gaps are mostly 0 (runs of coincident
+    arrivals) or 0.1 to 0.3 s, one in ten 12.5 s (which cuts pieces),
+    shifted by 1.7e9 or not, with feature ids 0 to 2."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    gap = st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.1, 0.2, 0.3, 0.3, 0.3, 12.5])
+    gaps = draw(st.lists(gap, min_size=n, max_size=n))
+    features = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
+    return ProblemInstance(np.cumsum(gaps) + draw(st.sampled_from([0.0, 1.7e9])),
+                           tuple(features))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=set_instances(), f=st.sampled_from(MONOTONE_SET_COSTS))
+def test_the_sweep_walks_as_pricing_every_prefix_does_and_prices_less(inst, f):
+    """Under a monotone set function the sweep returns the predecessors,
+    restart nodes and walked prefixes of the sweep that prices every
+    prefix it walks, in at most as many cost calls, and prices no prefix
+    more often than the rows walk it."""
+    seen = []
+    spy = CustomSetFunction(lambda x: seen.append(x) or f.value(x), universe_size=3)
+    want = eager_set_row_loop(inst.times, spy, inst.features)
+    calls = len(seen)
+    seen.clear()
+    got = setsweep._set_row_loop(inst.times, spy, inst.features)
+    assert got == want
+    assert len(seen) <= calls
+    walked = Counter(FeatureMultiset.from_features(inst.features[i:i + m])
+                     for i, w in enumerate(got[2]) for m in range(1, w + 1))
+    assert Counter(seen) <= walked
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+def test_the_sweep_prices_about_half_the_prefixes_it_walks(seed):
+    """On 400 arrivals at rate 20 over 8 feature ids under distinct + sqrt,
+    the sweep makes at most 55% of the cost calls of the sweep that prices
+    every prefix it walks (about 50%): a count, which does not flake as a
+    time would."""
+    inst = gen_poisson(ConstantRate(20.0), 400, seed,
+                       feature_sampler=lambda rng, t: int(rng.integers(8)))
+    calls = []
+    f = CustomSetFunction(lambda x: calls.append(x) or _distinct_plus_sqrt(x), universe_size=8)
+    setsweep._set_row_loop(inst.times, f, inst.features)
+    lazy = len(calls)
+    calls.clear()
+    eager_set_row_loop(inst.times, f, inst.features)
+    assert lazy <= 0.55 * len(calls)
+
+
+def test_rows_still_open_at_a_node_price_what_they_skipped_before_it_restarts():
+    """Eight arrivals at epoch scale, the last three coincident, under the
+    weighted cost.  Row 3 walks samples 3-5 but prices only its first
+    prefix: its pair and its triple cannot relax their nodes.  No relaxed
+    batch crosses from sample 5 to 6, and by its one price read row 3's
+    static window would take sample 6; so row 3 prices its pair and its
+    triple there, and its window ends before sample 6.  Distances restart
+    at sample 6, as the static pieces do.  Carried on from sample 5, they
+    would split the last three 1 + 2, which costs as much in exact
+    arithmetic: a tie that rounding breaks the other way."""
+    times = ([1700000004.565459, 1700000004.665459, 1700000004.9654589, 1700000005.165459,
+              1700000005.265459] + [1700000007.1981885] * 3)
+    inst = ProblemInstance(times, (2, 0, 2, 1, 0, 2, 0, 1))
+    seen = []
+    f = CustomSetFunction(lambda x: seen.append(x) or TIE_COSTS[2].value(x), universe_size=3)
+    widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+    seen.clear()
+    _, starts, walked = setsweep._set_row_loop(inst.times, f, inst.features)
+    assert starts == offline._pieces(widths)[0].tolist() == [0, 5]
+    pair, triple = (FeatureMultiset.from_features(inst.features[2:k]) for k in (4, 5))
+    # Row 3's two prices come after those of rows 4-5 and before the six of
+    # rows 6-8, once each.
+    assert walked[2] == 3 and sum(walked[5:]) == 6
+    assert seen[-8:-6] == [pair, triple] and seen.count(pair) == 1
+    assert optimal_schedule(inst, f)[0].ends.tolist() == static_set_ends(inst, f) == [3, 4, 5, 8]
+    assert static_set_ends(inst, f, starts=[0]) == [3, 4, 5, 6, 8]
+
+
+def test_a_row_prices_what_it_skipped_where_that_may_end_its_static_window():
+    """Under a constant cost, row 3's pair ties with row 1's batch of four
+    for node 4, so row 3 does not price it.  Its static term, 0.5 + 1/2
+    with the slack and the margin, is the least of the row, and sample 5
+    arrives just past it, within the row's distance reach: the row prices
+    its pair before it walks on, and stops where pricing every prefix
+    stops it."""
+    term = 0.5 + 1 / 2 * (1 + offline._WINDOW_SLACK) + 4 * math.ulp(0.5)
+    inst = ProblemInstance.from_times([0.0, 0.0, 0.5, 0.5, math.nextafter(term, math.inf)])
+    seen = []
+    f = CustomSetFunction(lambda x: seen.append(x) or 1.0, universe_size=1)
+    got = setsweep._set_row_loop(inst.times, f, inst.features)
+    # Every prefix walked is priced, the skipped pair too.
+    assert len(seen) == sum(got[2]) == 9
+    assert got == eager_set_row_loop(inst.times, f, inst.features)
+    assert got[2] == [4, 1, 2, 1, 1]
+
+
+def test_a_drop_in_a_prefix_that_the_sweep_skips_goes_unread():
+    """Outside Assumption 1 the sweep no longer reads every price of its
+    rows' walks.  Row 3's pair ties with row 1's batch of four for node 4
+    at row 3's first price, so the sweep never prices it, and its drop to
+    0.5 warns only where the dual recursion, which prices every batch of
+    the static windows, reads it."""
+    inst = ProblemInstance((0.0, 0.0, 0.5, 0.5), (0, 0, 1, 2))
+    f = CustomSetFunction(lambda x: 0.5 if x.counts == ((1, 1), (2, 1)) else 1.0,
+                          universe_size=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimal_schedule(inst, f)
+    with pytest.warns(RuntimeWarning) as caught:
+        dual_recursion(inst, f)
+    assert [str(w.message) for w in caught] == [
+        _monotone_warning(2, 3, "0.5, less than the 1.0 of its first 1")]
+
+
+def test_a_drop_read_past_a_skipped_prefix_names_the_prefix_it_is_checked_against():
+    """Row 3 prices its first sample, skips its pair and prices its triple
+    at 0.5: the sweep checks that against its one sample's 1.0, the dual
+    recursion, which prices every prefix, against the pair's."""
+    inst = ProblemInstance((0.0, 0.0, 0.25, 0.5, 0.75), (0, 1, 2, 3, 4))
+    f = CustomSetFunction(lambda x: 0.5 if x.counts == ((2, 1), (3, 1), (4, 1)) else 1.0,
+                          universe_size=5)
+    for solve, fewer in ((optimal_schedule, 1), (dual_recursion, 2)):
+        with pytest.warns(RuntimeWarning) as caught:
+            solve(inst, f)
+        assert [str(w.message) for w in caught] == [
+            _monotone_warning(3, 3, f"0.5, less than the 1.0 of its first {fewer}")]
 
 
 #: Set functions outside Assumption 1, and on the instance below the batch

@@ -35,7 +35,7 @@ from dynbatch import (
 from dynbatch import instance
 from dynbatch.instance import path_nodes
 
-from conftest import flat, ragged, ragged_rows
+from conftest import flat, nan_price, ragged, ragged_rows
 from oracles import (
     batch_cost,
     batches,
@@ -426,6 +426,18 @@ def test_close_all_matches_close_where_waits_overflow(alpha, f):
     with np.errstate(over="ignore", invalid="ignore"):
         hi, t = policy.close_all(*ragged([row]), f)
     assert repr(list(zip(hi.tolist(), t.tolist()))) == repr(want)
+
+
+def test_a_nan_set_function_price_names_the_batch_it_cannot_flush():
+    """Sample 1 flushes alone; the batch from sample 2 takes sample 3 before
+    its flush instant, and a set function prices the two NaN, which leaves
+    no flush instant.  A count cost's NaN from overflowing waits still
+    closes (above)."""
+    inst = ProblemInstance.from_times([0.0, 5.0, 5.1])
+    f = CustomSetFunction(lambda x: math.nan if len(x) >= 2 else 1.0, universe_size=1)
+    with pytest.raises(ValueError) as exc:
+        run_policy(inst, f, Wta(0.5))
+    assert str(exc.value) == nan_price(2, 2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,7 +39,7 @@ from dynbatch.io_csv import RESULTS_HEADER
 from dynbatch.offline import lockstep_ends
 from dynbatch.online import FixedSize
 
-from conftest import OVERFLOW, assert_times_array
+from conftest import OVERFLOW, assert_times_array, nan_price
 
 
 class _RateWithoutValue(sim.RateFunction):
@@ -342,6 +342,20 @@ class TestRunStudy:
         assert all(r.ratio == 1.5 for r in records[1::2])
         assert capsys.readouterr().err.splitlines() == [
             f"trial g0.t{k} policy fixed-size:1: {OVERFLOW}" for k in range(2)]
+
+    def test_a_nan_set_function_price_fails_each_wta_run(self, capsys):
+        # Every batch costs NaN: the optimum warns of it, and each trial's
+        # waiting policy fails on its first batch, with one NaN record and
+        # one stderr line.
+        f = CustomSetFunction(lambda x: math.nan, universe_size=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_study(n_values=[5], rates=[ConstantRate(2.0)], policies=[Wta(0.5)],
+                                cost_fn=f, trials=3, seed=0)
+        assert [r.trial for r in records] == ["g0.t0", "g0.t1", "g0.t2"]
+        assert all(math.isnan(r.J) and math.isnan(r.ratio) for r in records)
+        assert capsys.readouterr().err.splitlines() == [
+            f"trial g0.t{k} policy wta:0.5: {nan_price(1, 1)}" for k in range(3)]
 
     def test_horizon_mode(self):
         records = run_study(
