@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 RESULTS_HEADER = ["trial", "seed", "n", "policy", "alpha", "J", "W", "F", "J_opt", "ratio"]
+#: The type of each results column; ``read_results`` reads an empty alpha as None.
+_RESULTS_TYPES = (str, int, int, str, float, float, float, float, float, float)
 
 ADVERSARY_HEADER = [
     "policy", "cost", "rounds", "epsilon", "n", "J", "W", "F",
@@ -185,7 +187,8 @@ def write_results(records: Sequence[TrialRecord], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[TrialRecord]:
-    """The records of a results CSV; a UTF-8 byte-order mark is skipped."""
+    """The records of a results CSV; a UTF-8 byte-order mark is skipped.  A
+    bad row is a ValueError naming the file and its physical line."""
     path = Path(path)
     records = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -198,11 +201,13 @@ def read_results(path: str | Path) -> list[TrialRecord]:
                 continue
             if len(row) != len(RESULTS_HEADER):
                 raise ValueError(f"{path}: line {ln}: expected {len(RESULTS_HEADER)} columns")
-            records.append(TrialRecord(
-                trial=row[0], seed=int(row[1]), n=int(row[2]), policy=row[3],
-                alpha=float(row[4]) if row[4] else None,
-                J=float(row[5]), W=float(row[6]), F=float(row[7]),
-                J_opt=float(row[8]), ratio=float(row[9])))
+            fields = []
+            for column, kind, field in zip(RESULTS_HEADER, _RESULTS_TYPES, row):
+                try:
+                    fields.append(None if column == "alpha" and not field else kind(field))
+                except ValueError:
+                    raise ValueError(f"{path}: line {ln}: bad {column} {field!r}") from None
+            records.append(TrialRecord(*fields))
     return records
 
 

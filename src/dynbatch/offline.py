@@ -15,10 +15,10 @@ strictly beaten once a passes row i's reach, the least over m of
 a_{i+m-1} + f(first m) / m.  The solvers relax only each row's window:
 the edges whose batch ends at an arrival within that reach.  A count cost
 takes the m = 1 term, a_i + f(1), for every row at once.  Under a set
-function each row grows its prefix multiset one sample at a time and
-stops at the first arrival past the least term so far; the dual
-recursion prices every batch inside these static windows exactly once.
-The forward sweep stops each row sooner, at its distance reach: the
+function each row of ``setsweep`` grows its prefix multiset one sample at
+a time and stops at the first arrival past the least term so far: these
+are the static windows, every batch of which the dual recursion prices
+once.  The forward sweep stops each row sooner, at its distance reach: the
 least over m of a_i + (D[i+m] - D[i] + S_m) / m, where D is the sweep's
 label of a node and S_m the sum of the first m offsets a_k - a_i.  Past
 it, the path to node i+m and then a batch of the rest beats the batch,
@@ -45,8 +45,9 @@ instances it is given, so a group of pieces takes as many steps as its
 longest piece; the groups keep its distance tables within O(n) entries.
 A count cost takes the lockstep unless the steps of its longest piece
 would cost more than the rows of the row loop, as where one piece is
-most of the rows.  A set function takes a row loop of its own, in
-``setsweep``, which prices and relaxes each batch in one pass.
+most of the rows.  This module prices count costs only: a set function
+takes the row loops of ``setsweep``, which price and relax each batch in
+one pass, forward for the sweep and backward for the dual recursion.
 ``optimal_schedule`` sweeps one instance, ``lockstep_ends`` the flat rows
 (see ``instance``) of many, of any sizes: a study chunk.  Windows, pieces
 and paths stay inside their row.  Both follow every row's predecessors
@@ -139,57 +140,28 @@ def _window_widths(a: np.ndarray, lengths: np.ndarray, f: CostFunction) -> np.nd
     return np.maximum(searchsorted_rows(a, lengths, reach) - np.arange(len(a)), 1)
 
 
-def _windows(a: np.ndarray, lengths: np.ndarray, f: CostFunction, features=None):
-    """The window widths of the flat rows ``a`` of ``lengths`` under ``f``,
-    and the prices that ``_blocks`` reads for a set function in the dual
-    recursion: ``setsweep._set_windows`` of the one row's ids ``features``,
-    or None for a count cost.  Warns if ``f`` is not monotone on them
-    (``_warn_unless_monotone``)."""
-    if f.count_based:
-        widths, prices = _window_widths(a, lengths, f), None
-    else:
-        from .setsweep import _set_windows
-        widths, prices = _set_windows(a, f, features)
-    _warn_unless_monotone(f, widths, prices, lengths)
-    return widths, prices
-
-
-def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, prices,
-                          lengths: np.ndarray) -> None:
-    """Warn where a batch that the solve prices costs NaN, or less, by more
-    than _WINDOW_SLACK relative, than the batch of its first samples but
-    one, which for a set function's one sample is the empty batch's 0.
-    Outside Assumption 1 the windows, not the cost, can then decide
-    the schedule.  The prices checked are those the solve reads anyway: a
-    set function's ``prices`` row by row, or a count cost's g(0..w) for the
-    widest window w; the check calls ``f`` no more.  One warning per
-    solve, for the first such batch, naming its first sample in its row
-    and its size."""
-    count = prices is None
-    if count:
-        prices = f.count_table(int(widths.max()))
-        first = np.zeros(1, dtype=np.intp)
-    else:
-        first = np.cumsum(widths) - widths
-    # prev[k]: the price of one sample fewer than prices[k]; at a set
-    # function's row's first, the empty batch's 0 (Assumption 1), and at a
-    # count cost's g(0), -inf, which only NaN fails.  After inf, only a
-    # lower price drops.
+def _warn_unless_monotone(f: CostFunction, widths: np.ndarray, lengths: np.ndarray) -> None:
+    """Warn where the count cost ``f`` prices m samples, for m up to the
+    widest window of ``widths``, at NaN, or less, by more than
+    _WINDOW_SLACK relative, than m - 1.  Outside Assumption 1 the windows,
+    not the cost, can then decide the schedule.  The prices checked,
+    g(0..w), are those the solve reads anyway; the check calls ``f`` no
+    more.  One warning per solve, for the least such m, naming the first
+    sample of the first window with room for it, in its row of the flat
+    rows of ``lengths``."""
+    prices = f.count_table(int(widths.max()))
+    # prev[m]: g(m - 1), and -inf below g(0), which only NaN fails.  After
+    # inf, only a lower price drops.
     prev = np.concatenate(([-np.inf], prices[:-1]))
-    prev[first] = -np.inf if count else 0.0
     with np.errstate(invalid="ignore"):
         drop = ~(prices >= prev - _WINDOW_SLACK * np.abs(prev)) & (prices != prev)
     if not drop.any():
         return
-    k = int(drop.argmax())
-    if count:
-        size, i = k, int(np.argmax(widths >= k))
-        starts = np.cumsum(lengths) - lengths
-        i -= int(starts[np.searchsorted(starts, i, side="right") - 1])
-    else:
-        i = int(np.searchsorted(first, k, side="right")) - 1
-        size = k - int(first[i]) + 1
-    _warn_drop(i, size, float(prices[k]), float(prev[k]))
+    size = int(drop.argmax())
+    i = int(np.argmax(widths >= size))
+    starts = np.cumsum(lengths) - lengths
+    i -= int(starts[np.searchsorted(starts, i, side="right") - 1])
+    _warn_drop(i, size, float(prices[size]), float(prev[size]))
 
 
 def _warn_drop(i: int, size: int, price: float, prev: float, fewer: int | None = None) -> None:
@@ -236,14 +208,13 @@ def _waits(spans: np.ndarray) -> np.ndarray:
 
 
 def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarray,
-            f: CostFunction, prices=None, reverse: bool = False):
+            f: CostFunction, reverse: bool = False):
     """Yield (lo, hi, e) for runs of whole steps lo..hi-1, in ascending
     order or descending if ``reverse``.  Step s starts batches at the flat
     samples cols[first[s]:first[s + 1]] of the arrival times ``t``, and
     e[d, c] = e(k+1, k+2+d) for the batch of samples k..k+d, k the block's
-    column c, priced by ``f``, or inf past k's window of ``widths``.  A set
-    function's batches, in the dual recursion, take their flat ``prices``
-    from ``setsweep._set_windows``.
+    column c, priced by the count cost ``f``, or inf past k's window of
+    ``widths``.
 
     A block holds at most _BLOCK_ENTRIES entries (its columns times its
     steps' widest window), or one step where that step alone is wider, so
@@ -260,20 +231,13 @@ def _blocks(t: np.ndarray, widths: np.ndarray, cols: np.ndarray, first: np.ndarr
         blocks.append((lo, lo + k, int(head[k - 1])))
         lo += k
     d = np.arange(int(tops.max()))[:, None]
-    if f.count_based:
-        g = f.count_table(len(d))
-    else:
-        row_start = np.cumsum(widths) - widths
+    g = f.count_table(len(d))
     for lo, hi, w in reversed(blocks) if reverse else blocks:
         c = cols[first[lo]:first[hi]]
         e = t.take(c + d[:w], mode="clip")
         e -= t[c]
         e = _waits(e)
-        if f.count_based:
-            e += g[1:w + 1, None]
-        else:
-            # Entries past a window read the next rows' prices: masked below.
-            e += prices.take(row_start[c] + d[:w], mode="clip")
+        e += g[1:w + 1, None]
         np.putmask(e, d[:w] >= widths[c], math.inf)
         yield lo, hi, e
 
@@ -398,7 +362,8 @@ def _sweep(a: np.ndarray, lengths: np.ndarray, f: CostFunction,
         from .setsweep import _set_row_loop
         pred = np.array(_set_row_loop(a, f, features)[0], dtype=np.intp)
     else:
-        widths = _windows(a, lengths, f)[0]
+        widths = _window_widths(a, lengths, f)
+        _warn_unless_monotone(f, widths, lengths)
         starts, sizes = _pieces(widths)
         if _STEP_ROWS * sizes.max() <= N:
             order = np.argsort(-sizes, kind="stable")
@@ -501,18 +466,22 @@ class DualSolution:
 
 
 def dual_recursion(inst: ProblemInstance, f: CostFunction) -> DualSolution:
-    """The backward recursion over the same windowed rows as
+    """The backward recursion over the static windows of
     ``optimal_schedule``; a dominated edge is never the argmin, so the
-    values are those of the full recursion under Assumption 1."""
-    n = inst.n
-    a = inst.times
-    widths, prices = _windows(a, np.array([n]), f, inst.features)
+    values are those of the full recursion under Assumption 1.  A set
+    function takes ``setsweep._set_dual``."""
+    if not f.count_based:
+        from .setsweep import _set_dual
+        return _set_dual(inst.times, f, inst.features)
+    n, a, lengths = inst.n, inst.times, np.array([inst.n])
+    widths = _window_widths(a, lengths, f)
+    _warn_unless_monotone(f, widths, lengths)
     # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
     lam = [0.0] * (n + 1)
     succ = [0] * n
     w_of = widths.tolist()
     steps = np.arange(n + 1)
-    for lo, hi, e in _blocks(a, widths, steps[:-1], steps, f, prices, reverse=True):
+    for lo, hi, e in _blocks(a, widths, steps[:-1], steps, f, reverse=True):
         rows = e.T.tolist()
         for i in range(hi - 1, lo - 1, -1):
             best, arg = math.inf, i + 1

@@ -2,63 +2,72 @@
 
 A set function prices a batch by its multiset of feature ids, so each row
 grows its prefix multiset one sample at a time and calls ``f.value`` at
-most once per prefix.  ``_set_windows`` finds the static windows that the
-dual recursion relaxes, pricing every prefix in them, and
-``_set_row_loop`` is the forward sweep that stops each row at its
-distance reach (see ``offline``) and prices only the prefixes whose
+most once per prefix.  ``_set_dual``, the dual recursion, walks the rows
+backward and prices every prefix of their static windows, keeping no
+prices.  ``_set_row_loop`` is the forward sweep that stops each row at
+its distance reach (see ``offline``) and prices only the prefixes whose
 batch can still relax its node, a lazy evaluation as in Minoux's
-accelerated greedy.  ``offline`` loads this module on a set function's
-first solve, so a process that solves under count costs only never
-compiles it.
+accelerated greedy; the two share no code.  ``offline`` prices count
+costs only and loads this module on a set function's first solve, so a
+process that solves under count costs only never compiles it.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left
 
 import numpy as np
 
 from .cost import CostFunction, FeatureMultiset, _set_counts, _set_size
-from .offline import _WINDOW_SLACK, _warn_drop
+from .offline import _WINDOW_SLACK, DualSolution, _warn_drop
 
-#: Nothing public: ``offline`` calls the two row builders.
+#: Nothing public: ``offline`` calls the two row loops.
 __all__: list[str] = []
 
 
-def _set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, np.ndarray]:
-    """The window widths of the one row of arrival times ``a`` with feature
-    ids ``features`` under the set function ``f``, and the flat prices of
-    their batches, which the dual recursion reads: f(v_{i+1}..v_{i+1+d})
-    at prices[o_i + d] for d < w[i], o_i the sum of the widths before row
-    i.
+def _set_dual(a: np.ndarray, f: CostFunction, features) -> DualSolution:
+    """``offline.dual_recursion`` of the one row of arrival times ``a``
+    with feature ids ``features`` under the set function ``f``.
 
-    Row i grows its prefix multiset one sample at a time and prices each
-    prefix once.  It stops at the first arrival past its reach, the least
-    term a_k + f(first m) / m so far, with k = i + m - 1 and the slack and
-    margin of ``_WINDOW_SLACK``.  Its first sample is always in, so every
-    row keeps its singleton edge.  A NaN first term leaves the row
-    unbounded, as a NaN f(1) leaves every row of
-    ``offline._window_widths``; a NaN later term bounds nothing.
+    Rows run from the last to the first.  Row i grows its prefix multiset
+    one sample at a time, prices each prefix once and relaxes lambda_i by
+    the float operations of ``offline._waits`` under a strict ``<``.  It
+    stops at the first arrival past its static reach, the least term
+    a_k + f(first m) / m so far (k = i + m - 1), with the slack and margin
+    of ``_WINDOW_SLACK``; a NaN first term leaves the row unbounded, as a
+    NaN f(1) does in ``offline._window_widths``.  Warns once, of the first
+    batch by row and size that costs NaN or less than one sample fewer, or
+    for one sample less than the empty batch's 0.
     """
     times = a.tolist()
     margins = (4 * np.spacing(a)).tolist()
-    n, scale, empty = len(times), 1 + _WINDOW_SLACK, FeatureMultiset(())
-    # The prices as raw doubles: no float object is kept per price.
-    widths, prices = [], array("d")
-    for i in range(n):
-        x, reach, k = empty, math.inf, i
+    n, slack, scale, empty = len(times), _WINDOW_SLACK, 1 + _WINDOW_SLACK, FeatureMultiset(())
+    # lam[k] = lambda_{k+1}; lam[n] = lambda_{n+1} = 0.
+    lam, succ, drops, value = [0.0] * (n + 1), [0] * n, [], f.value
+    for i in range(n - 1, -1, -1):
+        a_i = times[i]
+        x, prev, total, reach, best, arg, k = empty, 0.0, 0.0, math.inf, math.inf, i + 1, i
         while k < n and not times[k] > reach:
+            t_k = times[k]
             x = x.plus(features[k])
-            price = f.value(x)
-            prices.append(price)
-            term = times[k] + price / (k + 1 - i) * scale + margins[k]
-            if term < reach or k == i:
-                reach = term
+            price = value(x)
             k += 1
-        widths.append(k - i)
-    return np.array(widths), np.frombuffer(prices)
+            m = k - i
+            if not price >= prev - slack * abs(prev) and price != prev:
+                drops.append((i, m, price, prev))
+            prev, span = price, t_k - a_i
+            total += span
+            val = ((m * span - total) + price) / n + lam[k]
+            if val < best:
+                best, arg = val, k
+            term = t_k + price / m * scale + margins[k - 1]
+            if term < reach or m == 1:
+                reach = term
+        lam[i], succ[i] = best, arg + 1
+    if drops:
+        _warn_drop(*min(drops))
+    return DualSolution(tuple(lam), tuple(succ))
 
 
 def _set_row_loop(t: np.ndarray, f: CostFunction,
@@ -69,8 +78,8 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
 
     Row i relaxes the batch of each prefix it walks, by the float
     operations of ``offline._waits`` and the row loop, so it finds the
-    batches that ``offline._row_loop`` would in the windows of
-    ``_set_windows``.  It stops at the first arrival past their static
+    batches that ``offline._row_loop`` would in the static windows that
+    ``_set_dual`` walks.  It stops at the first arrival past their static
     reach or past its distance reach (see ``offline``), whose terms get
     the slack of ``_WINDOW_SLACK`` on the offset and on |D[i+m]| + |D[i]|,
     and 4 ulps of the arrival.  A NaN static reach leaves the row
@@ -93,9 +102,8 @@ def _set_row_loop(t: np.ndarray, f: CostFunction,
     node that no relaxed batch crosses, the rows stopped by their distance
     reach alone, latest first, price the prefixes they skipped, then price
     on, until one's static window takes the node's sample.  Warns as
-    ``offline._warn_unless_monotone`` does, of the prices read, each
-    against a smaller prefix priced before it, or a row's first against
-    the empty batch's 0.
+    ``_set_dual`` does, of the prices read, each against a smaller prefix
+    priced before it, or a row's first against the empty batch's 0.
     """
     times = t.tolist()
     margins = (4 * np.spacing(t)).tolist()

@@ -12,16 +12,22 @@ as the reference for its tie and NaN rules.  ``fixed_size_close`` and
 ``fixed_delay_close`` keep the fixed rules' earlier scalar forms, one
 batch from one start, as references for the package's ``close_all``, and
 ``reference_flushes`` drives a scalar rule through one instance.
-``static_set_ends`` keeps the set-function sweep that relaxed every batch
-of the static windows as the reference for the sweep that stops each row
-at its distance reach, and ``eager_set_row_loop`` that sweep as it was
-when it priced every prefix it walked, the reference for the sweep that
-prices only the batches that can still relax their node.
+``static_set_windows`` keeps the set-function static windows as the
+solvers once built them, every batch priced into one flat array and
+checked for monotonicity there.  Over those prices, ``static_set_ends``
+keeps the set-function sweep that relaxed every batch of the static
+windows, the reference for the sweep that stops each row at its distance
+reach, and ``static_set_dual`` the dual recursion that read them, the
+reference for ``setsweep._set_dual``, which keeps no prices.
+``eager_set_row_loop`` keeps that sweep as it was when it priced every
+prefix it walked, the reference for the sweep that prices only the
+batches that can still relax their node.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -244,32 +250,102 @@ def bitmask_optimum(inst: ProblemInstance, f: CostFunction) -> tuple[Schedule, f
     return Schedule.from_ends(ends, [inst.times[hi - 1] for hi in ends]), total
 
 
+def static_set_windows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, np.ndarray]:
+    """The static window widths of the one row of arrival times ``a`` with
+    feature ids ``features`` under the set function ``f``, and the flat
+    prices of their batches: f(v_{i+1}..v_{i+1+d}) at prices[o_i + d] for
+    d < w[i], o_i the sum of the widths before row i.
+
+    Row i grows its prefix multiset one sample at a time and prices each
+    prefix once.  It stops at the first arrival past its reach, the least
+    term a_k + f(first m) / m so far, with k = i + m - 1 and the slack and
+    margin of ``_WINDOW_SLACK``.  Its first sample is always in.  Then it
+    warns, once, of the first price in flat order that is NaN or less, by
+    more than _WINDOW_SLACK relative, than the one before it in its row,
+    or a row's first than the empty batch's 0.
+    """
+    times = a.tolist()
+    margins = (4 * np.spacing(a)).tolist()
+    n, scale, empty = len(times), 1 + _WINDOW_SLACK, FeatureMultiset(())
+    widths, prices = [], array("d")
+    for i in range(n):
+        x, reach, k = empty, math.inf, i
+        while k < n and not times[k] > reach:
+            x = x.plus(features[k])
+            price = f.value(x)
+            prices.append(price)
+            term = times[k] + price / (k + 1 - i) * scale + margins[k]
+            if term < reach or k == i:
+                reach = term
+            k += 1
+        widths.append(k - i)
+    widths, prices = np.array(widths), np.frombuffer(prices)
+    first = np.cumsum(widths) - widths
+    prev = np.concatenate(([-np.inf], prices[:-1]))
+    prev[first] = 0.0
+    with np.errstate(invalid="ignore"):
+        drop = ~(prices >= prev - _WINDOW_SLACK * np.abs(prev)) & (prices != prev)
+    if drop.any():
+        k = int(drop.argmax())
+        i = int(np.searchsorted(first, k, side="right")) - 1
+        _warn_drop(i, k - int(first[i]) + 1, float(prices[k]), float(prev[k]))
+    return widths, prices
+
+
+def _static_set_rows(a: np.ndarray, f: CostFunction, features) -> tuple[np.ndarray, list]:
+    """The static window widths of ``static_set_windows`` and each row's
+    batch weights e(i, i+1..i+w) inside its window, as lists: the waits of
+    ``offline._waits`` plus the prices."""
+    widths, prices = static_set_windows(a, f, features)
+    rows, o = [], 0
+    for i, w in enumerate(widths.tolist()):
+        waits = offline._waits((a[i:i + w] - a[i])[:, None])[:, 0]
+        rows.append((waits + prices[o:o + w]).tolist())
+        o += w
+    return widths, rows
+
+
 def static_set_ends(inst: ProblemInstance, f: CostFunction, starts=None) -> list[int]:
     """The batch ends of the optimum under the set function ``f`` by its
     earlier sweep: every batch of the static windows of
-    ``setsweep._set_windows``, priced once there and read back through
-    ``offline._blocks``, relaxed row by row with a strict ``<``, and
-    distances from 0 at each node of ``starts``, by default the starts of
-    the windows' ``offline._pieces``."""
-    a, n = inst.times, inst.n
-    widths, prices = offline._windows(a, np.array([n]), f, inst.features)
+    ``static_set_windows``, priced once there, relaxed row by row with a
+    strict ``<``, and distances from 0 at each node of ``starts``, by
+    default the starts of the windows' ``offline._pieces``."""
+    n = inst.n
+    widths, rows = _static_set_rows(inst.times, f, inst.features)
     if starts is None:
         starts = offline._pieces(widths)[0].tolist()
-    w_of = widths.tolist()
     dist = [math.inf] * (n + 1)
     pred = [0] * (n + 1)
-    steps = np.arange(n + 1)
-    for lo, _, e in offline._blocks(a, widths, steps[:-1], steps, f, prices):
-        for i, row in enumerate(e.T.tolist(), lo):
-            if i in starts:
-                dist[i] = 0.0
-            for j, e_ij in enumerate(row[:w_of[i]], i + 1):
-                if dist[i] + e_ij < dist[j]:
-                    dist[j], pred[j] = dist[i] + e_ij, i
+    for i, row in enumerate(rows):
+        if i in starts:
+            dist[i] = 0.0
+        for j, e_ij in enumerate(row, i + 1):
+            if dist[i] + e_ij < dist[j]:
+                dist[j], pred[j] = dist[i] + e_ij, i
     ends = [n]
     while pred[ends[-1]]:
         ends.append(pred[ends[-1]])
     return ends[::-1]
+
+
+def static_set_dual(inst: ProblemInstance, f: CostFunction) -> DualSolution:
+    """``offline.dual_recursion`` under the set function ``f`` by its
+    earlier route: the prices of ``static_set_windows``, then the backward
+    recursion over each row's batches, lambda_i the least e(i, j) / n +
+    lambda_j under a strict ``<``, so ties keep the smallest j."""
+    n = inst.n
+    rows = _static_set_rows(inst.times, f, inst.features)[1]
+    lam = [0.0] * (n + 1)
+    succ = [0] * n
+    for i in range(n - 1, -1, -1):
+        best, arg = math.inf, i + 1
+        for j, e_ij in enumerate(rows[i], i + 1):
+            val = e_ij / n + lam[j]
+            if val < best:
+                best, arg = val, j
+        lam[i], succ[i] = best, arg + 1
+    return DualSolution(tuple(lam), tuple(succ))
 
 
 def eager_set_row_loop(t: np.ndarray, f: CostFunction,
@@ -284,16 +360,15 @@ def eager_set_row_loop(t: np.ndarray, f: CostFunction,
     does, and relaxes each batch once priced, by the float operations of
     ``offline._waits`` and the row loop, so it finds the batches that
     ``offline._row_loop`` would in the windows of
-    ``setsweep._set_windows``.  It stops at the first arrival past their
+    ``static_set_windows``.  It stops at the first arrival past their
     static reach or past its distance reach (see ``offline``), whose terms
     get the slack of ``_WINDOW_SLACK`` on the offset and on |D[i+m]| +
     |D[i]|, and 4 ulps of the arrival.  A NaN static reach leaves the row
     unbounded.  Distances restart only where the static windows' pieces
     start: at a node that no relaxed batch crosses, the rows stopped by
     their distance reach alone price on, latest first, until one's static
-    window takes the node's sample.  Warns as
-    ``offline._warn_unless_monotone`` does, of the prices read, each row's
-    first against the empty batch's 0.
+    window takes the node's sample.  Warns as ``static_set_windows`` does,
+    of the prices read, each row's first against the empty batch's 0.
     """
     times = t.tolist()
     margins = (4 * np.spacing(t)).tolist()

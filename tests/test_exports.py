@@ -63,6 +63,13 @@ def _fresh(code: str) -> str:
 LOADED = "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('dynbatch.')))\n"
 
 
+#: Imports the offline solvers and builds a three-sample instance.
+SOLVE = ("import numpy as np\n"
+         "from dynbatch import (CustomSetFunction, ProblemInstance, SqrtCount,\n"
+         "                      brute_force_optimum, dual_recursion, offline, optimal_schedule)\n"
+         "inst = ProblemInstance((0.0, 0.5, 0.6), (0, 1, 2))\n")
+
+
 @pytest.mark.parametrize("statement,loaded", [
     ("import dynbatch", ""),
     ("from dynbatch import optimal_schedule", "cost instance offline"),
@@ -71,7 +78,16 @@ LOADED = "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('dynb
      "adversary cost instance offline online"),
     # CSV code names the adversary's types only in annotations.
     ("from dynbatch import load_arrivals, write_results", "cost instance io_csv offline online sim"),
-], ids=["bare", "offline", "adversary", "io_csv"])
+    # Every offline route solves a count cost in ``offline`` alone ...
+    (f"{SOLVE}f = SqrtCount()\n"
+     "optimal_schedule(inst, f), dual_recursion(inst, f), brute_force_optimum(inst, f)\n"
+     "offline.lockstep_ends(np.array([0.0, 0.5, 0.6, 0.0, 3.0]), np.array([3, 2]), f)",
+     "cost instance offline"),
+    # ... and a set function's dual recursion in ``setsweep``.
+    (f"{SOLVE}dual_recursion(inst, CustomSetFunction(lambda x: len(x) ** 0.5, universe_size=3))",
+     "cost instance offline setsweep"),
+    ("import dynbatch.cli", " ".join(sorted(set(MODULES) - {"setsweep"}))),
+], ids=["bare", "offline", "adversary", "io_csv", "count-cost-solves", "set-dual", "cli"])
 def test_a_name_loads_only_the_modules_it_needs(statement, loaded):
     want = " ".join(f"dynbatch.{m}" for m in loaded.split())
     assert _fresh(f"{statement}\n{LOADED}") == want + "\n"

@@ -438,6 +438,20 @@ class TestResultsFile:
             read_results(p)
         assert str(err.value) == f"{p}: line 4: expected 10 columns"
 
+    @pytest.mark.parametrize("column,field", [
+        ("seed", "abc"), ("n", "5.0"), ("alpha", "half"), ("J", ""), ("ratio", "1,5")])
+    def test_bad_field_names_its_line_column_and_field(self, column, field, tmp_path):
+        """A field that does not convert reads as one line naming the file,
+        the physical line, behind a quoted line break, and the field."""
+        values = ['"g0\n.t0"', "1", "5", "wta:0.5", "0.5", "1.0", "0.5", "0.5", "1.0", "1.0"]
+        values[RESULTS_HEADER.index(column)] = f'"{field}"'
+        p = tmp_path / "r.csv"
+        p.write_text(",".join(RESULTS_HEADER) + "\ng0.t1,1,5,wta:0.5,,1,0.5,0.5,1,1\n"
+                     + ",".join(values) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_results(p)
+        assert str(err.value) == f"{p}: line 3: bad {column} {field!r}"
+
     @pytest.mark.parametrize("text,line", [
         (f"trial{BIG_FIELD}\n", 1),
         (",".join(RESULTS_HEADER) + f"\ng0.t0,{BIG_FIELD}\n", 2),

@@ -42,7 +42,9 @@ from oracles import (
     edge_weight,
     ilp_certificate,
     schedule_from_dual,
+    static_set_dual,
     static_set_ends,
+    static_set_windows,
 )
 
 COSTS = [SqrtCount(), Log1pCount(), CappedLinear(3, 10), ConstantCost(1)]
@@ -764,7 +766,7 @@ class TestSetFunctionWindows:
         inst = gen_poisson(ConstantRate(20.0), 120, seed=3, feature_sampler=sample)
         seen = []
         f = CustomSetFunction(lambda x: seen.append(x) or _distinct_plus_sqrt(x), universe_size=8)
-        widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+        widths = static_set_windows(inst.times, f, inst.features)[0]
         assert widths.tolist() == _reach_widths(inst, f)
         seen.clear()
         walked = np.array(setsweep._set_row_loop(inst.times, f, inst.features)[2])
@@ -838,7 +840,7 @@ def test_the_distance_reach_keeps_the_static_sweep_bit_for_bit():
     pieces = instances = priced_total = static_total = 0
     for inst in _tie_corpus():
         for f in TIE_COSTS:
-            widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+            widths = static_set_windows(inst.times, f, inst.features)[0]
             _, starts, priced = setsweep._set_row_loop(inst.times, f, inst.features)
             assert starts == offline._pieces(widths)[0].tolist(), f
             ends = offline._sweep(*ragged([inst.times]), f, inst.features)[1]
@@ -859,7 +861,7 @@ def test_distances_restart_only_at_the_static_pieces():
     rounding breaks the other way."""
     inst = ProblemInstance.from_times(np.cumsum([0.1, 0.1] + [0.0] * 6 + [0.2] * 4 + [0.1] * 2))
     f = TIE_COSTS[1]
-    widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+    widths = static_set_windows(inst.times, f, inst.features)[0]
     _, starts, priced = setsweep._set_row_loop(inst.times, f, inst.features)
     assert starts == [0]
     assert (np.arange(8) + priced[:8]).max() == 8
@@ -938,7 +940,7 @@ def test_rows_still_open_at_a_node_price_what_they_skipped_before_it_restarts():
     inst = ProblemInstance(times, (2, 0, 2, 1, 0, 2, 0, 1))
     seen = []
     f = CustomSetFunction(lambda x: seen.append(x) or TIE_COSTS[2].value(x), universe_size=3)
-    widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+    widths = static_set_windows(inst.times, f, inst.features)[0]
     seen.clear()
     _, starts, walked = setsweep._set_row_loop(inst.times, f, inst.features)
     assert starts == offline._pieces(widths)[0].tolist() == [0, 5]
@@ -1033,7 +1035,7 @@ def test_negative_or_nan_prices_keep_every_row(name):
     fn, ends, successors = ODD_SET_FUNCTIONS[name]
     inst = ODD_INSTANCE
     f = CustomSetFunction(fn, universe_size=3)
-    widths = offline._windows(*ragged([inst.times]), f, inst.features)[0]
+    widths = static_set_windows(inst.times, f, inst.features)[0]
     assert (widths >= 1).all()
     # A row whose single-sample price is NaN has no reach, as under a count
     # cost whose f(1) is NaN.
@@ -1041,6 +1043,40 @@ def test_negative_or_nan_prices_keep_every_row(name):
     assert all(widths[i] == inst.n - i for i in nan_rows)
     assert optimal_schedule(inst, f)[0].ends.tolist() == list(ends)
     assert dual_recursion(inst, f).successors == successors
+
+
+def _solved_with_warnings(solve, inst, f):
+    """The repr of ``solve(inst, f)``, whose floats it gives bit for bit,
+    the warnings that the solve made and the batches that it priced."""
+    seen = []
+    spy = CustomSetFunction(lambda x: seen.append(x) or f.value(x), universe_size=f.universe_size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = solve(inst, spy)
+    return repr(got), [(w.category, str(w.message)) for w in caught], Counter(seen)
+
+
+def test_the_set_dual_walk_matches_the_recursion_over_the_static_prices():
+    """Under a set function ``dual_recursion`` walks each row backward and
+    keeps no prices; it gives the lambdas, successors and warning of the
+    recursion over the flat prices of the static windows, float for
+    float, and prices the same batches, each once: on the tie corpus, on
+    the odd set functions, every one of which warns, on an epoch-scale
+    trace and where only the window's slack takes an arrival."""
+    epoch = gen_poisson(ConstantRate(20.0), 120, seed=3,
+                        feature_sampler=lambda rng, t: int(rng.integers(3))).shifted(1.7e9)
+    cases = [(inst, f) for inst in _tie_corpus() for f in TIE_COSTS]
+    cases += [(ODD_INSTANCE, CustomSetFunction(fn, universe_size=3))
+              for fn, _, _ in ODD_SET_FUNCTIONS.values()]
+    cases.append((epoch, CustomSetFunction(_distinct_plus_sqrt, universe_size=3)))
+    # The last arrival lies within the slack of row 3's pair's term only.
+    cases.append((ProblemInstance.from_times([0.0, 0.0, 0.5, 0.5, 1.0 + 1e-10]), TIE_COSTS[1]))
+    warned = 0
+    for inst, f in cases:
+        want = _solved_with_warnings(static_set_dual, inst, f)
+        assert _solved_with_warnings(dual_recursion, inst, f) == want
+        warned += len(want[1])
+    assert warned == len(ODD_SET_FUNCTIONS)
 
 
 def _monotone_warning(size: int, sample: int, price: str) -> str:
@@ -1097,7 +1133,7 @@ def test_coincident_runs_are_never_cut(shift):
     run_end = [max(k for k, t in enumerate(times) if t == times[i]) + 1 for i in range(inst.n)]
     for fn in (_distinct_plus_sqrt, lambda x: 0.0):
         f = CustomSetFunction(fn, universe_size=3)
-        widths = offline._windows(*ragged([inst.times]), f, feats)[0]
+        widths = static_set_windows(inst.times, f, feats)[0]
         assert (np.arange(inst.n) + widths >= run_end).all()
         want, total = _unpruned_optimum(inst, f)
         sched, cost = optimal_schedule(inst, f)
@@ -1108,7 +1144,7 @@ def test_coincident_runs_are_never_cut(shift):
 def test_set_function_single_sample():
     inst = ProblemInstance((1.7e9,), (2,))
     f = CustomSetFunction(_weighted_distinct_plus_sqrt, universe_size=3)
-    widths, prices = offline._windows(*ragged([inst.times]), f, inst.features)
+    widths, prices = static_set_windows(inst.times, f, inst.features)
     assert widths.tolist() == [1]
     assert prices.tolist() == [4.0]
     sched, cost = optimal_schedule(inst, f)
